@@ -5,7 +5,8 @@ a coordinate-permuting group on the lines of AG(d,p), plant a copy of a
 p-point ingredient design on each representative through the line's affine
 parametrization, and push it to the rest of the orbit by transporters.  With
 the right ingredient the filled space is a 2-(p^d,k,1)-design admitting the
-group.
+group.  The orbits and the push are permgrp's ``set_images``,
+``orbit_sweep`` and ``push``, shared with the product constructions.
 
 Two variants: the odd-order lift plants a multiplier-invariant base design
 directly (every induced line action of odd order dividing t is already an
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -34,10 +35,12 @@ from .errors import (
     PlantRejected,
 )
 from .permgrp import (
-    OrbitDecomposition,
     PermGroup,
     Permutation,
     align_semiregular_cyclic,
+    orbit_sweep,
+    push,
+    set_images,
 )
 
 DEFAULT_LINE_BUDGET = 2_000_000
@@ -93,8 +96,7 @@ class Line:
 class LineTable(Sequence):
     """All lines of a space in canonical order, array-backed.
 
-    Row i of ``points`` holds line i's points in parametrization order;
-    sorted row keys make line lookup and group actions on lines cheap.
+    Row i of ``points`` holds line i's points in parametrization order.
     """
 
     def __init__(self, space: AffineSpace, bases: np.ndarray, dirs: np.ndarray,
@@ -103,7 +105,6 @@ class LineTable(Sequence):
         self.bases = bases
         self.dirs = dirs
         self.points = points
-        self.sorted_points = np.sort(points, axis=1)
 
     def __len__(self) -> int:
         return self.points.shape[0]
@@ -111,13 +112,6 @@ class LineTable(Sequence):
     def __getitem__(self, i: int) -> Line:
         return Line(int(self.bases[i]), tuple(int(c) for c in self.dirs[i]),
                     tuple(int(x) for x in self.points[i]))
-
-    @cached_property
-    def index_of(self) -> dict[bytes, int]:
-        return {row.tobytes(): i for i, row in enumerate(self.sorted_points)}
-
-    def line_index(self, pts: np.ndarray) -> int:
-        return self.index_of[np.sort(np.asarray(pts, dtype=np.int64)).tobytes()]
 
 
 def _canonical_directions(space: AffineSpace) -> np.ndarray:
@@ -253,54 +247,6 @@ def induced_perm_on_line(perm: Permutation, line: Line) -> Permutation:
         raise NotStabilizing("permutation does not stabilize the line")
 
 
-# -- orbit machinery on lines ---------------------------------------------------
-
-def _line_index_permutations(table: LineTable, elements: Sequence[Permutation]
-                             ) -> list[np.ndarray]:
-    lookup = table.index_of
-    out = []
-    for g in elements:
-        img = np.sort(g.array[table.points], axis=1)
-        arr = np.fromiter((lookup[row.tobytes()] for row in img),
-                          dtype=np.int64, count=len(table))
-        out.append(arr)
-    return out
-
-
-def _orbit_sweep(index_perms: list[np.ndarray], n: int):
-    """Representatives, transporter element index per line, rep per line."""
-    visited = np.zeros(n, dtype=bool)
-    rep_of = np.empty(n, dtype=np.int64)
-    trans = np.empty(n, dtype=np.int64)
-    reps = []
-    for i in range(n):
-        if visited[i]:
-            continue
-        reps.append(i)
-        for e_idx, arr in enumerate(index_perms):
-            j = int(arr[i])
-            if not visited[j]:
-                visited[j] = True
-                rep_of[j] = i
-                trans[j] = e_idx
-    return reps, rep_of, trans
-
-
-def line_orbits(table: LineTable, group: PermGroup) -> OrbitDecomposition:
-    """Orbits of a point group on the lines, as an OrbitDecomposition over
-    line indices (representative = least line index per orbit)."""
-    elements = group.elements()
-    perms = _line_index_permutations(table, elements)
-    reps, rep_of, trans = _orbit_sweep(perms, len(table))
-    members: dict[int, list[int]] = {r: [] for r in reps}
-    transporter = {}
-    for i in range(len(table)):
-        members[int(rep_of[i])].append(i)
-        transporter[i] = (int(rep_of[i]), elements[int(trans[i])])
-    return OrbitDecomposition(tuple(reps), transporter,
-                              tuple(tuple(members[r]) for r in reps))
-
-
 # -- the lifts --------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -312,16 +258,42 @@ class LiftResult:
     orbit_count: int
 
 
-def _assemble(table: LineTable, elements, reps, rep_of, trans,
-              planted: dict[int, np.ndarray], k: int) -> Design:
-    n = len(table)
-    per_line = next(iter(planted.values())).shape[0]
-    blocks = np.empty((n * per_line, k), dtype=np.int64)
-    for i in range(n):
-        rows = planted[int(rep_of[i])]
-        g = elements[int(trans[i])]
-        blocks[i * per_line:(i + 1) * per_line] = g.array[rows]
-    return Design(table.space.point_count, k, blocks)
+class _LineOrbits(NamedTuple):
+    """Orbits of the coordinate image of a group on the lines of AG(d,p);
+    ``stabilizers`` lists each representative's stabilizer in element order."""
+
+    space: AffineSpace
+    table: LineTable
+    group: PermGroup
+    elements: tuple[Permutation, ...]
+    reps: np.ndarray
+    orbit_of: np.ndarray
+    trans: np.ndarray
+    stabilizers: list[list[Permutation]]
+
+
+def _line_orbits(group: PermGroup, p: int, line_budget: int) -> _LineOrbits:
+    space = AffineSpace(group.degree, p)
+    table = all_lines(space, line_budget)
+    coord, _ = coordinate_group(group, space)
+    elements = coord.elements()
+    images = set_images(table.points, elements)
+    reps, orbit_of, trans = orbit_sweep(images)
+    stabilizers = [[elements[e] for e, j in enumerate(col) if j == r]
+                   for r, col in zip(reps.tolist(), images[:, reps].T.tolist())]
+    return _LineOrbits(space, table, coord, elements, reps, orbit_of, trans, stabilizers)
+
+
+def _fill(orb: _LineOrbits, plants: np.ndarray, k: int) -> LiftResult:
+    """Plant ingredient blocks on the representatives through their line
+    parametrizations and push them over every orbit.  ``plants`` holds one
+    (b, k) block array per representative, or one shared by all."""
+    lines = orb.table.points[orb.reps]
+    point_images = np.stack([g.array for g in orb.elements])
+    blocks = push(point_images, lines[np.arange(len(lines))[:, None, None], plants],
+                  orb.orbit_of, orb.trans)
+    design = Design(orb.space.point_count, k, blocks)
+    return LiftResult(design, orb.group, orb.space, len(orb.table), len(orb.reps))
 
 
 def lift_odd(group: PermGroup, p: int, k: int, base: BaseBlockDesign,
@@ -341,30 +313,17 @@ def lift_odd(group: PermGroup, p: int, k: int, base: BaseBlockDesign,
         raise DivisibilityViolation(f"|G|={h} does not divide t=(p-1)/{k * (k - 1)}")
     if base.p != p or base.k != k:
         raise BadParams("base design parameters disagree with (p, k)")
-    space = AffineSpace(group.degree, p)
-    table = all_lines(space, line_budget)
-    coord, _ = coordinate_group(group, space)
-    elements = coord.elements()
-    perms = _line_index_permutations(table, elements)
-    reps, rep_of, trans = _orbit_sweep(perms, len(table))
-
-    e_blocks = base.design.blocks
-    planted: dict[int, np.ndarray] = {}
-    for r in reps:
-        param = table.points[r]
-        rows = np.sort(param[e_blocks], axis=1)
-        planted[r] = rows
-        stabilizers = [elements[e] for e, arr in enumerate(perms) if arr[r] == r]
+    orb = _line_orbits(group, p, line_budget)
+    for r, stabilizers in zip(orb.reps.tolist(), orb.stabilizers):
         for g in stabilizers:
             if g.is_identity():
                 continue
-            ind = induced_perm_on_line(g, table[r])
+            ind = induced_perm_on_line(g, orb.table[r])
             if not is_automorphism(base.design, ind):
                 raise PlantRejected(
                     f"induced action on line {r} is outside the base design's "
                     f"automorphisms")
-    design = _assemble(table, elements, reps, rep_of, trans, planted, k)
-    return LiftResult(design, coord, space, len(table), len(reps))
+    return _fill(orb, base.design.blocks, k)
 
 
 def lift_aligned(group: PermGroup, p: int, k: int, ingredient: Design,
@@ -387,21 +346,14 @@ def lift_aligned(group: PermGroup, p: int, k: int, ingredient: Design,
     if len(cyclic_gen.fixed_points()) != 1 or any(len(c) != n for c in cycles):
         raise AlignmentImpossible(
             "cyclic_gen must fix exactly one point and be semiregular elsewhere")
-    space = AffineSpace(group.degree, p)
-    table = all_lines(space, line_budget)
-    coord, _ = coordinate_group(group, space)
-    elements = coord.elements()
-    perms = _line_index_permutations(table, elements)
-    reps, rep_of, trans = _orbit_sweep(perms, len(table))
-
-    planted: dict[int, np.ndarray] = {}
-    for r in reps:
-        line = table[r]
+    orb = _line_orbits(group, p, line_budget)
+    plants = []
+    for r, stabilizers in zip(orb.reps.tolist(), orb.stabilizers):
+        line = orb.table[r]
         induced_set: dict[tuple[int, ...], Permutation] = {}
-        for e, arr in enumerate(perms):
-            if arr[r] == r:
-                ind = induced_perm_on_line(elements[e], line)
-                induced_set.setdefault(ind.images, ind)
+        for g in stabilizers:
+            ind = induced_perm_on_line(g, line)
+            induced_set.setdefault(ind.images, ind)
         m = len(induced_set)
         gen = None
         for images in sorted(induced_set):
@@ -429,7 +381,5 @@ def lift_aligned(group: PermGroup, p: int, k: int, ingredient: Design,
                 if not is_automorphism(plant, ind):
                     raise AlignmentImpossible(
                         f"aligned plant on line {r} misses an induced action")
-        param = table.points[r]
-        planted[r] = np.sort(param[plant.blocks], axis=1)
-    design = _assemble(table, elements, reps, rep_of, trans, planted, k)
-    return LiftResult(design, coord, space, len(table), len(reps))
+        plants.append(plant.blocks)
+    return _fill(orb, np.stack(plants), k)

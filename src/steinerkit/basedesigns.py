@@ -18,6 +18,7 @@ from .errors import (
     Infeasible,
     Unsat,
     VariantsExhausted,
+    require,
 )
 from .exactcover import solve_exact_cover
 from .gf import MultSubgroup, PrimeFieldCtx, coset_partition, is_prime, subgroup_of_order
@@ -209,9 +210,9 @@ def km_search(v: int, k: int, group: PermGroup, forced_blocks=(),
     blocks = [blk for cid in chosen for blk in inst.orbit_blocks[cid]]
     design = Design(v, k, blocks)
     report = verify_2design(design)
-    assert report.ok, report
+    require(report.ok, f"km_search result is a 2-design ({report})")
     for g in group.generators:
-        assert is_automorphism(design, g)
+        require(is_automorphism(design, g), "km_search result admits every generator")
     return design
 
 
@@ -272,7 +273,7 @@ def steiner_triple_system(v: int) -> Design:
         for i in range(third):
             blocks.append([i, i + third, i + 2 * third])
     design = Design(v, 3, blocks)
-    assert verify_2design(design).ok
+    require(verify_2design(design).ok, f"STS({v}) is a 2-design")
     return design
 
 

@@ -26,8 +26,10 @@ from .design import (
     verify_2design,
     write_design,
 )
-from .errors import SteinerError
-from .netstd import cyclic_td, mols_td, net_from_affine_plane, net_to_text, semilinear_net, td_to_text
+from .errors import AxiomViolation, SteinerError
+from .gf import is_prime
+from .netstd import (cyclic_td, mols_td, net_from_affine_plane, net_to_text, semilinear_net,
+                     td_to_text, verify_net, verify_td)
 from .permgrp import PermGroup, Permutation, group_from_text, is_semiregular
 
 
@@ -113,9 +115,9 @@ def _cached_design(cache_dir: str | None, key: str, builder) -> Design:
 
 
 def _design_checks(report: Report, d: Design, group: PermGroup | None,
-                   one_blocked: bool, threads: int) -> None:
+                   one_blocked: bool) -> None:
     with _Timer(report, "verify"):
-        rep = verify_2design(d, threads=threads)
+        rep = verify_2design(d)
     report.check("pairs_once", rep.ok,
                  f"deficit={rep.pair_deficit} surplus={rep.pair_surplus}")
     if group is not None:
@@ -126,6 +128,15 @@ def _design_checks(report: Report, d: Design, group: PermGroup | None,
             with _Timer(report, "one_blocked"):
                 ok, witness = is_1_blocked(d, group)
             report.check("one_blocked", ok, "" if ok else f"witness={witness}")
+
+
+def _axiom_check(report: Report, name: str, verify, obj) -> None:
+    """Re-run an axiom verifier; a raised AxiomViolation is a failed check."""
+    try:
+        verify(obj)
+        report.check(name, True)
+    except AxiomViolation as exc:
+        report.check(name, False, str(exc))
 
 
 def _write(report: Report, d: Design, out: str | None, comments: list[str]) -> None:
@@ -171,8 +182,7 @@ def cmd_construct_odd(args, report: Report) -> None:
     report.param("v", result.design.v)
     report.param("blocks", result.design.b)
     report.param("line_orbits", result.orbit_count)
-    _design_checks(report, result.design, result.group, one_blocked=True,
-                   threads=args.threads)
+    _design_checks(report, result.design, result.group, one_blocked=True)
     _write(report, result.design, args.out,
            [f"odd-order line filling: k={k} p={p} d={group.degree} "
             f"base_block={','.join(map(str, block))}"])
@@ -222,8 +232,7 @@ def cmd_construct_aligned(args, report: Report) -> None:
         result = lift_aligned(group, p, k, ingredient, cyc)
     report.param("v", result.design.v)
     report.param("blocks", result.design.b)
-    _design_checks(report, result.design, result.group, one_blocked=False,
-                   threads=args.threads)
+    _design_checks(report, result.design, result.group, one_blocked=False)
     _write(report, result.design, args.out,
            [f"aligned line filling: k={k} p={p} d={group.degree}"])
 
@@ -249,7 +258,7 @@ def cmd_compose(args, report: Report) -> None:
         with _Timer(report, "compose"):
             out = compose.product_design(plan, check=False)
         report.param("v", out.v)
-        _design_checks(report, out, None, False, args.threads)
+        _design_checks(report, out, None, False)
         _write(report, out, args.out, [f"product of w={w.v} and y={y.v}, x={len(x_points)}"])
     elif mode == "1blocked":
         group = _load_group(args.group_file)
@@ -257,7 +266,7 @@ def cmd_compose(args, report: Report) -> None:
         with _Timer(report, "compose"):
             out, bar = compose.product_design_1blocked(plan, check=False)
         report.param("v", out.v)
-        _design_checks(report, out, bar, one_blocked=True, threads=args.threads)
+        _design_checks(report, out, bar, one_blocked=True)
         _write(report, out, args.out,
                [f"1-blocked product of w={w.v} and y={y.v}, x={len(x_points)}"])
     elif mode == "cyclic":
@@ -266,15 +275,15 @@ def cmd_compose(args, report: Report) -> None:
         with _Timer(report, "compose"):
             out, cbar = compose.cyclic_product_design(w, cyc, y, bundle.td,
                                                       bundle.rotator, check=False)
-        _cyclic_checks(report, out, cbar, args.threads)
+        _cyclic_checks(report, out, cbar)
         _write(report, out, args.out, [f"cyclic product: w={w.v} y={y.v}"])
     else:
         raise SteinerError(f"unknown mode {mode}")
 
 
-def _cyclic_checks(report: Report, out: Design, cbar: PermGroup, threads: int) -> None:
+def _cyclic_checks(report: Report, out: Design, cbar: PermGroup) -> None:
     report.param("v", out.v)
-    _design_checks(report, out, cbar, one_blocked=False, threads=threads)
+    _design_checks(report, out, cbar, one_blocked=False)
     gens_ok = True
     for g in cbar.elements():
         if g.is_identity():
@@ -315,7 +324,7 @@ def _compose_cyclic_auto(args, report: Report) -> None:
     with _Timer(report, "compose"):
         out, cbar = compose.cyclic_product_design(w, shift, y, bundle.td,
                                                   bundle.rotator, check=False)
-    _cyclic_checks(report, out, cbar, args.threads)
+    _cyclic_checks(report, out, cbar)
     _write(report, out, args.out, [f"cyclic pipeline: k={k} h={h} p={params.p}"])
 
 
@@ -352,7 +361,7 @@ def cmd_km_search(args, report: Report) -> None:
     with _Timer(report, "search"):
         d = km_search(args.v, args.k, group, forced_blocks=forced)
     report.param("blocks", d.b)
-    _design_checks(report, d, group, one_blocked=False, threads=args.threads)
+    _design_checks(report, d, group, one_blocked=False)
     _write(report, d, args.out,
            [f"prescribed-group search: v={args.v} k={args.k} "
             f"group={Path(args.group_file).name}"])
@@ -380,7 +389,7 @@ def cmd_verify(args, report: Report) -> None:
     report.param("k", d.k)
     report.param("blocks", d.b)
     group = _load_group(args.group_file) if args.group_file else None
-    _design_checks(report, d, group, one_blocked=args.one_blocked, threads=args.threads)
+    _design_checks(report, d, group, one_blocked=args.one_blocked)
 
 
 def cmd_net(args, report: Report) -> None:
@@ -388,7 +397,7 @@ def cmd_net(args, report: Report) -> None:
         net = net_from_affine_plane(args.n, args.k)
         report.param("n", net.n)
         report.param("lines", len(net.lines))
-        report.check("net_axioms", True)
+        _axiom_check(report, "net_axioms", verify_net, net)
         text = net_to_text(net)
     else:
         result = semilinear_net(args.q, args.m, args.k)
@@ -420,7 +429,7 @@ def cmd_td(args, report: Report) -> None:
     report.param("k", td.k)
     report.param("n", td.n)
     report.param("blocks", len(td.blocks))
-    report.check("td_axioms", True)
+    _axiom_check(report, "td_axioms", verify_td, td)
     if args.out:
         text = td_to_text(td)
         Path(args.out).write_text(text)
@@ -446,7 +455,7 @@ def cmd_params(args, report: Report) -> None:
         params = paramsearch.cyclic_assembly_params(args.k, args.h, s_min=args.s_min)
         for name in ("h0", "h_coprime", "pi", "q", "s", "p", "y", "w"):
             report.param(name, getattr(params, name))
-        report.check("prime", True)
+        report.check("prime", is_prime(params.p))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -458,7 +467,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--out", help="output design file")
-        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--cache-dir", help="content-addressed ingredient cache")
 
     p = sub.add_parser("construct-odd", help="line filling for odd-order groups")

@@ -11,16 +11,19 @@ extends to a 1-blocked group of the product (TD copies planted per block
 orbit and pushed by transporters), and a semiregular cyclic group of order k
 on W extends to a cyclic group fixing one point and semiregular elsewhere,
 by aligning each stabilized TD copy with a group-rotating automorphism of
-the TD ingredient.
+the TD ingredient.  Block orbits and the push are permgrp's ``set_images``,
+``orbit_sweep`` and ``push``, shared with the line-filling lifts; every
+route builds its blocks as arrays.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from .design import (
     Design,
-    SubdesignEmbedding,
     is_1_blocked,
     is_automorphism,
     is_subdesign,
@@ -35,7 +38,7 @@ from .errors import (
     Unavailable,
 )
 from .netstd import TransversalDesign, cyclic_td, mols_td, verify_td
-from .permgrp import PermGroup, Permutation
+from .permgrp import PermGroup, Permutation, orbit_sweep, push, set_images
 
 
 def default_td_supplier(k: int, n: int) -> TransversalDesign:
@@ -66,76 +69,51 @@ class _Indexer:
     def __init__(self, plan: CompositionPlan):
         self.k = plan.W.k
         self.w = plan.W.v
-        self.y = plan.Y.v
-        self.x_sorted = tuple(sorted(plan.x_points))
-        self.x = len(self.x_sorted)
-        self.zlen = self.y - self.x
-        z_points = [z for z in range(self.y) if z not in set(self.x_sorted)]
-        self.z_rank = {z: j for j, z in enumerate(z_points)}
-        self.x_index = {xp: i for i, xp in enumerate(self.x_sorted)}
+        self.in_x = np.zeros(plan.Y.v, dtype=bool)
+        self.in_x[list(plan.x_points)] = True
+        self.x = int(self.in_x.sum())
+        self.zlen = plan.Y.v - self.x
+        # a Y point's rank inside X or inside Z = Y - X, in Y order
+        self.rank = np.where(self.in_x, np.cumsum(self.in_x), np.cumsum(~self.in_x)) - 1
         self.u = self.x + self.w * self.zlen
 
-    def wz(self, a: int, rank: int) -> int:
-        return self.x + a * self.zlen + rank
-
-    def bar(self, perm: Permutation) -> Permutation:
-        """Extend a permutation of W's points to the product: fixes X, sends
-        (a, z) to (a^g, z)."""
-        images = list(range(self.u))
-        for a in range(self.w):
-            base = self.x + a * self.zlen
-            target = self.x + perm.images[a] * self.zlen
-            for j in range(self.zlen):
-                images[base + j] = target + j
-        return Permutation(tuple(images))
+    def bar(self, perm: Permutation) -> np.ndarray:
+        """Image array extending a permutation of W's points to the product:
+        fixes X, sends (a, z) to (a^g, z)."""
+        wz = self.x + perm.array[:, None] * self.zlen + np.arange(self.zlen)
+        return np.concatenate([np.arange(self.x), wz.ravel()])
 
 
-def _embedding(plan: CompositionPlan) -> SubdesignEmbedding:
-    emb = is_subdesign(plan.Y, plan.x_points)
-    if emb is None:
+def _bar_group(idx: _Indexer, generators) -> PermGroup:
+    return PermGroup(idx.u, [Permutation(tuple(idx.bar(g).tolist())) for g in generators])
+
+
+def _check_subdesign(plan: CompositionPlan) -> None:
+    if is_subdesign(plan.Y, plan.x_points) is None:
         raise BadParams(f"points {tuple(sorted(plan.x_points))} are not a subdesign of Y")
-    return emb
 
 
-def _nontd_blocks(plan: CompositionPlan, idx: _Indexer,
-                  emb: SubdesignEmbedding) -> list[tuple[int, ...]]:
+def _nontd_blocks(plan: CompositionPlan, idx: _Indexer) -> np.ndarray:
     """Sorts one and two: X's blocks, and per W-point copies of Y's blocks
-    not inside X."""
-    xset = set(idx.x_sorted)
-    blocks = [tuple(sorted(idx.x_index[p] for p in blk)) for blk in emb.induced_blocks]
-    inside = set(emb.induced_blocks)
-    for blk in plan.Y.block_tuples():
-        if blk in inside:
-            continue
-        hits = [p for p in blk if p in xset]
-        if len(hits) > 1:
-            raise AxiomViolation("subdesign closure violated")
-        for a in range(idx.w):
-            if hits:
-                row = [idx.x_index[hits[0]]]
-                row += [idx.wz(a, idx.z_rank[z]) for z in blk if z not in xset]
-            else:
-                row = [idx.wz(a, idx.z_rank[z]) for z in blk]
-            blocks.append(tuple(sorted(row)))
-    return blocks
+    not inside X (the subdesign check leaves at most one X point in these)."""
+    a = np.arange(idx.w)[:, None]
+    copies = np.where(idx.in_x, idx.rank, idx.x + a * idx.zlen + idx.rank)
+    yblocks = plan.Y.blocks
+    inside = idx.in_x[yblocks].all(axis=1)
+    return np.concatenate([copies[0][yblocks[inside]],
+                           copies[:, yblocks[~inside]].reshape(-1, idx.k)])
 
 
-def _td_point_positions(td: TransversalDesign) -> dict[int, tuple[int, int]]:
-    return {p: (g, j) for g, grp in enumerate(td.groups) for j, p in enumerate(grp)}
-
-
-def _place_td(td: TransversalDesign, idx: _Indexer, a_of_group: dict[int, int],
-              pos) -> list[tuple[int, ...]]:
-    """Map TD blocks into the product through group -> W-point assignment;
-    the j-th point of a TD group lands on Z rank j."""
-    out = []
-    for blk in td.blocks:
-        row = []
-        for p in blk:
-            g, j = pos[p]
-            row.append(idx.wz(a_of_group[g], j))
-        out.append(tuple(sorted(row)))
-    return out
+def _plant_td(td: TransversalDesign, idx: _Indexer, rows: np.ndarray) -> np.ndarray:
+    """One TD copy on A x Z per W-block row A: the j-th point of TD group g
+    lands on Z rank j of the W point A[g].  Shape (rows, n^2, k)."""
+    group = np.empty(td.point_count, dtype=np.int64)
+    rank = np.empty(td.point_count, dtype=np.int64)
+    for g, members in enumerate(td.groups):
+        group[list(members)] = g
+        rank[list(members)] = np.arange(len(members))
+    tblocks = np.asarray(td.blocks, dtype=np.int64)
+    return idx.x + rows[:, group[tblocks]] * idx.zlen + rank[tblocks]
 
 
 def product_design(plan: CompositionPlan, check: bool = True) -> Design:
@@ -143,16 +121,13 @@ def product_design(plan: CompositionPlan, check: bool = True) -> Design:
     idx = _Indexer(plan)
     if plan.W.k != plan.Y.k:
         raise BadParams("W and Y must share the block size")
-    emb = _embedding(plan)
+    _check_subdesign(plan)
     td = plan.td_supplier(idx.k, idx.zlen)
     verify_td(td)
     if td.n != idx.zlen or td.k != idx.k:
         raise BadParams(f"TD({td.k},{td.n}) does not match (k, y-x) = ({idx.k},{idx.zlen})")
-    blocks = _nontd_blocks(plan, idx, emb)
-    pos = _td_point_positions(td)
-    for ablock in plan.W.block_tuples():
-        a_of_group = {g: ablock[g] for g in range(idx.k)}
-        blocks.extend(_place_td(td, idx, a_of_group, pos))
+    blocks = np.concatenate([_nontd_blocks(plan, idx),
+                             _plant_td(td, idx, plan.W.blocks).reshape(-1, idx.k)])
     out = Design(idx.u, idx.k, blocks)
     if check:
         report = verify_2design(out)
@@ -174,30 +149,16 @@ def product_design_1blocked(plan: CompositionPlan, check: bool = True
     if not ok:
         raise NotOneBlocked(witness)
     idx = _Indexer(plan)
-    emb = _embedding(plan)
+    _check_subdesign(plan)
     td = plan.td_supplier(idx.k, idx.zlen)
     verify_td(td)
-    blocks = _nontd_blocks(plan, idx, emb)
-    pos = _td_point_positions(td)
 
     elements = group.elements()
-    wblocks = plan.W.block_tuples()
-    windex = {blk: i for i, blk in enumerate(wblocks)}
-    visited = [False] * len(wblocks)
-    for i, ablock in enumerate(wblocks):
-        if visited[i]:
-            continue
-        a_of_group = {g: ablock[g] for g in range(idx.k)}
-        placed = _place_td(td, idx, a_of_group, pos)
-        for g in elements:
-            j = windex[tuple(sorted(g.images[p] for p in ablock))]
-            if visited[j]:
-                continue
-            visited[j] = True
-            gbar = idx.bar(g)
-            blocks.extend(tuple(sorted(gbar.images[p] for p in blk)) for blk in placed)
-    out = Design(idx.u, idx.k, blocks)
-    bar_group = PermGroup(idx.u, [idx.bar(g) for g in group.generators])
+    reps, orbit_of, trans = orbit_sweep(set_images(plan.W.blocks, elements))
+    pushed = push(np.stack([idx.bar(g) for g in elements]),
+                  _plant_td(td, idx, plan.W.blocks[reps]), orbit_of, trans)
+    out = Design(idx.u, idx.k, np.concatenate([_nontd_blocks(plan, idx), pushed]))
+    bar_group = _bar_group(idx, group.generators)
     if check:
         report = verify_2design(out)
         if not report.ok:
@@ -235,9 +196,7 @@ def cyclic_product_design(W: Design, c_w: Permutation, Y: Design,
 
     plan = CompositionPlan(W, Y, (0,), td_supplier=lambda *_: td)
     idx = _Indexer(plan)
-    emb = _embedding(plan)
-    blocks = _nontd_blocks(plan, idx, emb)
-    pos = _td_point_positions(td)
+    _check_subdesign(plan)
 
     rotation = None
     if td_rotator is not None:
@@ -249,51 +208,33 @@ def cyclic_product_design(W: Design, c_w: Permutation, Y: Design,
         if len(rotation.cycles()) != 1 or len(rotation.cycles()[0]) != k:
             raise AlignmentImpossible("td_rotator must rotate the k groups in one cycle")
 
-    wblocks = W.block_tuples()
-    windex = {blk: i for i, blk in enumerate(wblocks)}
-    visited = [False] * len(wblocks)
-    for i, ablock in enumerate(wblocks):
-        if visited[i]:
-            continue
-        orbit = []
-        for p in powers:
-            j = windex[tuple(sorted(p.images[q] for q in ablock))]
-            if j not in orbit:
-                orbit.append(j)
-        stab_size = order // len(orbit)
-        if stab_size not in (1, order):
+    reps, orbit_of, trans = orbit_sweep(set_images(W.blocks, powers))
+    # free orbits: the canonical copy at the representative, pushed around
+    plants = _plant_td(td, idx, W.blocks[reps])
+    sizes = np.bincount(orbit_of)
+    for r in np.flatnonzero(sizes != order).tolist():
+        ablock = tuple(W.blocks[reps[r]].tolist())
+        stab_size = order // int(sizes[r])
+        if stab_size != order:
             raise StabilizerViolation(
                 f"block {ablock} has stabilizer of size {stab_size}")
-        for j in orbit:
-            visited[j] = True
-        if len(orbit) == order or order == 1:
-            # free orbit: place canonically at the representative, push around
-            a_of_group = {g: ablock[g] for g in range(k)}
-            placed = _place_td(td, idx, a_of_group, pos)
-            blocks.extend(placed)
-            for p in powers[1:]:
-                pbar = idx.bar(p)
-                blocks.extend(tuple(sorted(pbar.images[q] for q in blk))
-                              for blk in placed)
-        else:
-            # the block is a <c_w>-orbit: align the TD copy with the rotator
-            if rotation is None:
-                raise AlignmentImpossible(
-                    f"stabilized block {ablock} needs a group-rotating TD automorphism")
-            anchor = min(ablock)
-            b_seq = [anchor]
-            for _ in range(k - 1):
-                b_seq.append(c_w.images[b_seq[-1]])
-            phi: dict[int, int] = {}
-            for rank, t in enumerate(td.groups[0]):
-                point = t
-                for j in range(k):
-                    phi[point] = idx.wz(b_seq[j], rank)
-                    point = td_rotator.images[point]
-            blocks.extend(tuple(sorted(phi[p] for p in blk)) for blk in td.blocks)
+        # the block is a <c_w>-orbit: align the TD copy with the rotator
+        if rotation is None:
+            raise AlignmentImpossible(
+                f"stabilized block {ablock} needs a group-rotating TD automorphism")
+        b_seq = [min(ablock)]
+        for _ in range(k - 1):
+            b_seq.append(c_w.images[b_seq[-1]])
+        phi = np.empty(td.point_count, dtype=np.int64)
+        points = np.asarray(td.groups[0], dtype=np.int64)
+        for b in b_seq:
+            phi[points] = idx.x + b * idx.zlen + np.arange(len(points))
+            points = td_rotator.array[points]
+        plants[r] = phi[np.asarray(td.blocks, dtype=np.int64)]
+    pushed = push(np.stack([idx.bar(p) for p in powers]), plants, orbit_of, trans)
 
-    out = Design(idx.u, k, blocks)
-    cbar = PermGroup(idx.u, [idx.bar(c_w)])
+    out = Design(idx.u, k, np.concatenate([_nontd_blocks(plan, idx), pushed]))
+    cbar = _bar_group(idx, [c_w])
     if check:
         report = verify_2design(out)
         if not report.ok:

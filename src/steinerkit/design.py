@@ -109,13 +109,11 @@ def pair_index(i: np.ndarray, j: np.ndarray) -> np.ndarray:
     return j * (j - 1) // 2 + i
 
 
-def verify_2design(design: Design, threads: int = 1) -> VerifyReport:
+def verify_2design(design: Design) -> VerifyReport:
     """Exhaustive lambda=1 check: every point pair covered exactly once.
 
     One pass of pair-index accounting over the blocks, chunked so the d=3
-    desk instance (23.5M pairs) stays within a modest memory budget.  With
-    threads > 1 the chunks are counted by a worker pool and merged by
-    addition; the result is identical either way.
+    desk instance (23.5M pairs) stays within a modest memory budget.
     """
     v, k = design.v, design.k
     if v > PAIR_TABLE_MAX_V:
@@ -123,22 +121,11 @@ def verify_2design(design: Design, threads: int = 1) -> VerifyReport:
     npairs = v * (v - 1) // 2
     blocks = design.blocks
     cols = [(a, b) for a in range(k) for b in range(a + 1, k)]
-
-    def count_chunk(start: int) -> np.ndarray:
+    counts = np.zeros(npairs, dtype=np.int64)
+    for start in range(0, max(blocks.shape[0], 1), _CHUNK):
         chunk = blocks[start:start + _CHUNK]
         idx = np.concatenate([pair_index(chunk[:, a], chunk[:, b]) for a, b in cols])
-        return np.bincount(idx, minlength=npairs)
-
-    starts = range(0, max(blocks.shape[0], 1), _CHUNK)
-    counts = np.zeros(npairs, dtype=np.int64)
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for part in pool.map(count_chunk, starts):
-                counts += part
-    else:
-        for start in starts:
-            counts += count_chunk(start)
+        counts += np.bincount(idx, minlength=npairs)
     deficit = int(np.count_nonzero(counts == 0))
     surplus = int(np.count_nonzero(counts >= 2))
     return VerifyReport(deficit == 0 and surplus == 0, deficit, surplus, design.b)
@@ -151,16 +138,6 @@ def is_automorphism(design: Design, perm: Permutation) -> bool:
     img = np.sort(perm.array[design.blocks], axis=1)
     img = img[np.lexsort(img.T[::-1])]
     return bool(np.array_equal(img, design.blocks))
-
-
-def automorphism_witness(design: Design, perm: Permutation):
-    """First block whose image is not a block, or None (diagnostic helper)."""
-    blockset = design.block_set()
-    for row in design.blocks:
-        img = tuple(sorted(perm.images[p] for p in row))
-        if img not in blockset:
-            return tuple(row), img
-    return None
 
 
 def is_1_blocked(design: Design, group: PermGroup, cap: int = 10**6):

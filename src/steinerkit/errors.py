@@ -5,6 +5,13 @@ class SteinerError(Exception):
     """Base class for every error raised by this package."""
 
 
+def require(ok: bool, condition: str) -> None:
+    """Raise SteinerError naming ``condition`` unless it holds; a result check
+    written this way survives ``python -O``, unlike an assert."""
+    if not ok:
+        raise SteinerError(f"check failed: {condition}")
+
+
 # -- group machinery ---------------------------------------------------------
 
 class CapExceeded(SteinerError):

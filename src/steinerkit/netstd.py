@@ -18,6 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
+    ActionEscape,
     AxiomViolation,
     BadCoprimality,
     BadOrder,
@@ -25,9 +26,19 @@ from .errors import (
     ParseError,
     TooFewSlopes,
     Unavailable,
+    require,
 )
 from .gf import ExtFieldCtx, factorize, frobenius, semilinear_map, trace
-from .permgrp import Permutation
+from .permgrp import Permutation, set_images
+
+
+def _induced(family, perm: Permutation, failure: str) -> Permutation:
+    """The permutation a point permutation induces on a family of point sets;
+    AxiomViolation with ``failure`` when it maps a set outside the family."""
+    try:
+        return Permutation(tuple(set_images(family, [perm])[0].tolist()))
+    except ActionEscape:
+        raise AxiomViolation(failure)
 
 
 @dataclass(frozen=True)
@@ -43,26 +54,9 @@ class Net:
     def point_count(self) -> int:
         return self.n * self.n
 
-    @cached_property
-    def line_lookup(self) -> dict[frozenset[int], int]:
-        return {frozenset(line): i for i, line in enumerate(self.lines)}
-
     def line_action(self, alpha: Permutation) -> Permutation:
         """The permutation induced on line indices by a point permutation."""
-        images = []
-        for line in self.lines:
-            img = frozenset(alpha.images[p] for p in line)
-            j = self.line_lookup.get(img)
-            if j is None:
-                raise AxiomViolation("permutation is not a net automorphism")
-            images.append(j)
-        return Permutation(tuple(images))
-
-    def class_of_line(self, index: int) -> int:
-        for c, members in enumerate(self.classes):
-            if index in members:
-                return c
-        raise IndexError(index)
+        return _induced(self.lines, alpha, "permutation is not a net automorphism")
 
 
 @dataclass(frozen=True)
@@ -79,40 +73,25 @@ class TransversalDesign:
         return self.k * self.n
 
     @cached_property
-    def block_lookup(self) -> dict[frozenset[int], int]:
-        return {frozenset(b): i for i, b in enumerate(self.blocks)}
-
-    @cached_property
     def group_of(self) -> dict[int, int]:
         return {p: g for g, grp in enumerate(self.groups) for p in grp}
 
     def is_automorphism(self, perm: Permutation) -> bool:
         if perm.degree != self.point_count:
             return False
-        return all(frozenset(perm.images[p] for p in b) in self.block_lookup
-                   for b in self.blocks)
+        try:
+            set_images(self.blocks, [perm])
+        except ActionEscape:
+            return False
+        return True
 
     def block_action(self, perm: Permutation) -> Permutation:
-        images = []
-        for b in self.blocks:
-            img = frozenset(perm.images[p] for p in b)
-            j = self.block_lookup.get(img)
-            if j is None:
-                raise AxiomViolation("permutation is not a TD automorphism")
-            images.append(j)
-        return Permutation(tuple(images))
+        return _induced(self.blocks, perm, "permutation is not a TD automorphism")
 
     def group_action(self, perm: Permutation) -> Permutation:
         """Induced permutation of group indices (automorphisms map groups to
         groups: two points share a group iff they share no block)."""
-        targets = {frozenset(g2): i for i, g2 in enumerate(self.groups)}
-        images = []
-        for grp in self.groups:
-            j = targets.get(frozenset(perm.images[p] for p in grp))
-            if j is None:
-                raise AxiomViolation("permutation does not preserve the group partition")
-            images.append(j)
-        return Permutation(tuple(images))
+        return _induced(self.groups, perm, "permutation does not preserve the group partition")
 
 
 def verify_net(net: Net) -> None:
@@ -385,7 +364,7 @@ def cyclic_td(k: int, n: int) -> CyclicTd:
         for z in range(n):
             images[c * n + z] = c * n + (z + 1) % n
     translation = Permutation(tuple(images))
-    assert td.is_automorphism(translation)
+    require(td.is_automorphism(translation), "cyclic TD translation is an automorphism")
     moved = tuple(c for c in range(k) if c != 1) if n > 1 else ()
 
     rotator = None
@@ -396,8 +375,8 @@ def cyclic_td(k: int, n: int) -> CyclicTd:
             images[n + z] = 2 * n + (-z) % n      # (z,1) -> (-z,2)
             images[2 * n + z] = (-z) % n          # (z,2) -> (-z,0)
         rotator = Permutation(tuple(images))
-        assert td.is_automorphism(rotator)
-        assert rotator.order() == 3
+        require(td.is_automorphism(rotator), "cyclic TD rotator is an automorphism")
+        require(rotator.order() == 3, "cyclic TD rotator has order 3")
     return CyclicTd(td, translation, moved, rotator)
 
 

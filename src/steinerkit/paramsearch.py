@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import GcdViolation, SearchExhausted, WindowBelowBound
+from .errors import GcdViolation, SearchExhausted, WindowBelowBound, require
 from .gf import factorize, is_prime
 
 DEFAULT_SCAN_LIMIT = 10**7
@@ -51,7 +51,7 @@ def prime_for_odd_group(k: int, h: int, search_limit: int = DEFAULT_SCAN_LIMIT) 
     while p <= search_limit:
         if is_prime(p):
             t = (p - 1) // (k * (k - 1))
-            assert t % 2 == 1 and t % h == 0, (p, t)
+            require(t % 2 == 1 and t % h == 0, f"t={t} at p={p} is odd and divisible by h={h}")
             return p, t
         p += step
     raise SearchExhausted(f"no prime = 1+{k * (k - 1) * h} mod {step} below {search_limit}")
@@ -104,11 +104,13 @@ class CyclicAssemblyParams:
     gcd_condition_ok: bool
 
     def __post_init__(self):
-        assert self.h == self.h0 * self.h_coprime
-        assert self.p == 1 + self.q * self.k * (self.k - 1) * self.pi * self.s
-        assert self.y == 1 + self.k * (self.k - 1) * (self.pi // self.k) * self.s
-        assert self.w == self.q * self.k
-        assert self.p == 1 + self.w * (self.y - 1)
+        require(self.h == self.h0 * self.h_coprime, "h = h0 * h'")
+        require(self.p == 1 + self.q * self.k * (self.k - 1) * self.pi * self.s,
+                "p = 1 + q k(k-1) pi s")
+        require(self.y == 1 + self.k * (self.k - 1) * (self.pi // self.k) * self.s,
+                "y = 1 + k(k-1)(pi/k) s")
+        require(self.w == self.q * self.k, "w = q k")
+        require(self.p == 1 + self.w * (self.y - 1), "p = 1 + w(y-1)")
 
 
 def split_by_prime_support(h: int, k: int) -> tuple[int, int]:
@@ -161,7 +163,7 @@ def cyclic_assembly_params(k: int, h: int, td_oracle=None, *, s_min: int = 1,
             e += 1
         e = max(e, factorize(h0).get(r, 0))
         pi *= r**e
-    assert pi % k == 0 and pi % h0 == 0
+    require(pi % k == 0 and pi % h0 == 0, f"k={k} and h0={h0} divide pi={pi}")
 
     q = h + 1
     step = k * (k - 1)
@@ -179,7 +181,7 @@ def cyclic_assembly_params(k: int, h: int, td_oracle=None, *, s_min: int = 1,
         if is_prime(p) and td_oracle(k, y - 1):
             ok = _divides_power_of(math.gcd(p - 1, h), k)
             if strict:
-                assert ok, (p, h, k)
+                require(ok, f"gcd(p-1, h) divides a power of k at p={p}, h={h}, k={k}")
             return CyclicAssemblyParams(k, h, h0, hp, pi, q, s, p, y, q * k, ok)
     raise SearchExhausted(f"no qualifying s in [{s_min},{s_limit}]")
 
@@ -213,13 +215,14 @@ class SpectrumWitness:
 
     def __post_init__(self):
         kk = self.k * (self.k - 1)
-        assert self.x == self.x1 + kk * self.t
-        assert self.y - self.x == self.x1 * kk * self.a
-        assert self.u == self.x1 + self.w * self.x1 * kk * self.a + kk * self.t
-        assert self.u == self.x + self.w * (self.y - self.x)
-        assert 0 <= self.t < self.a
-        assert self.a >= self.w * self.x1
-        assert self.y > self.k * self.x
+        require(self.x == self.x1 + kk * self.t, "x = x1 + k(k-1) t")
+        require(self.y - self.x == self.x1 * kk * self.a, "y - x = x1 k(k-1) a")
+        require(self.u == self.x1 + self.w * self.x1 * kk * self.a + kk * self.t,
+                "u = x1 + w x1 k(k-1) a + k(k-1) t")
+        require(self.u == self.x + self.w * (self.y - self.x), "u = x + w(y-x)")
+        require(0 <= self.t < self.a, "0 <= t < a")
+        require(self.a >= self.w * self.x1, "a >= w x1")
+        require(self.y > self.k * self.x, "y > k x")
 
 
 @dataclass(frozen=True)
@@ -287,6 +290,6 @@ def spectrum_plan(k: int, w: int, x1_list: list[int], u_window: tuple[int, int],
             uncovered.append(u)
             continue
         wit = witness_for(k, w, x1, u)
-        assert wit is not None, f"coverage bound violated at u={u}"
+        require(wit is not None, f"order u={u} above the coverage bound has a witness")
         witnesses.append(wit)
     return SpectrumPlan(k, w, bound, tuple(witnesses), tuple(uncovered))

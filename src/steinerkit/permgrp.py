@@ -105,9 +105,6 @@ class Permutation:
     def fixed_points(self) -> tuple[int, ...]:
         return tuple(i for i, x in enumerate(self.images) if i == x)
 
-    def image_of_set(self, pts: Iterable[int]) -> tuple[int, ...]:
-        return tuple(sorted(self.images[p] for p in pts))
-
     @cached_property
     def array(self) -> np.ndarray:
         a = np.asarray(self.images, dtype=np.int64)
@@ -176,6 +173,65 @@ class PermGroup:
         return f"PermGroup(degree={self.degree}, gens={len(self.generators)}, order={size})"
 
 
+# -- orbits of an indexed family ------------------------------------------------
+# The construction mechanism: sweep a family into orbits, plant an ingredient
+# on each representative, push the plant to every member by its transporter.
+
+def set_images(rows, perms: Sequence[Permutation]) -> np.ndarray:
+    """Image-index table of permutations acting on a family of point sets.
+
+    ``rows`` is an (n, s) array read as n point sets.  Entry [e, i] of the
+    (len(perms), n) result is the index of the row equal, as a set, to row i's
+    image under perms[e].  Raises ActionEscape if an image is not a row.
+    """
+    keys = np.sort(np.asarray(rows, dtype=np.int64), axis=1)
+    lookup = {row.tobytes(): i for i, row in enumerate(keys)}
+    out = np.empty((len(perms), len(keys)), dtype=np.int64)
+    for e, g in enumerate(perms):
+        img = np.sort(g.array[keys], axis=1)
+        try:
+            out[e] = np.fromiter((lookup[row.tobytes()] for row in img),
+                                 dtype=np.int64, count=len(keys))
+        except KeyError:
+            raise ActionEscape(f"element {e} maps a set outside the family")
+    return out
+
+
+def orbit_sweep(images: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Orbits from the (elements, n) image-index table of a group.
+
+    Returns the representatives (the least index of each orbit, ascending),
+    each member's orbit number, and the index of the first element carrying
+    the member's representative to it.
+    """
+    n = images.shape[1]
+    orbit_of = [-1] * n
+    trans = [0] * n
+    reps = []
+    for i, col in enumerate(images.T.tolist()):
+        if orbit_of[i] >= 0:
+            continue
+        r = len(reps)
+        reps.append(i)
+        for e, j in enumerate(col):
+            if orbit_of[j] < 0:
+                orbit_of[j] = r
+                trans[j] = e
+    return tuple(np.array(a, dtype=np.int64) for a in (reps, orbit_of, trans))
+
+
+def push(point_images: np.ndarray, planted: np.ndarray, orbit_of: np.ndarray,
+         trans: np.ndarray) -> np.ndarray:
+    """Blocks of every member: its orbit's plant under its transporter.
+
+    ``point_images`` holds one point image table per group element,
+    ``planted`` one (blocks, k) plant per orbit; the rows come out member by
+    member, unsorted.
+    """
+    out = point_images[trans[:, None, None], planted[orbit_of]]
+    return out.reshape(-1, planted.shape[-1])
+
+
 @dataclass(frozen=True)
 class OrbitDecomposition:
     """Orbits of a group action on an indexed family.
@@ -209,30 +265,19 @@ def orbits(group: PermGroup, family: Sequence[Hashable],
             raise ValueError(f"family has duplicate member at index {i}")
         index[obj] = i
     elems = group.elements(cap)
-    n = len(family)
-    visited = bytearray(n)
-    reps: list[int] = []
-    members: list[tuple[int, ...]] = []
-    transporter: dict[int, tuple[int, Permutation]] = {}
-    for i in range(n):
-        if visited[i]:
-            continue
-        found: dict[int, Permutation] = {}
-        for g in elems:
-            img = action(family[i], g)
-            j = index.get(img)
-            if j is None:
+    images = np.empty((len(elems), len(family)), dtype=np.int64)
+    for e, g in enumerate(elems):
+        for i, obj in enumerate(family):
+            img = action(obj, g)
+            if img not in index:
                 raise ActionEscape(f"action escapes family: {img!r}")
-            if j not in found:
-                found[j] = g
-        # i is the least index in its orbit: anything smaller was already visited
-        reps.append(i)
-        orb = tuple(sorted(found))
-        members.append(orb)
-        for j, g in found.items():
-            visited[j] = 1
-            transporter[j] = (i, g)
-    return OrbitDecomposition(tuple(reps), transporter, tuple(members))
+            images[e, i] = index[img]
+    reps, orbit_of, trans = (a.tolist() for a in orbit_sweep(images))
+    members: list[list[int]] = [[] for _ in reps]
+    for i, r in enumerate(orbit_of):
+        members[r].append(i)
+    transporter = {i: (reps[r], elems[e]) for i, (r, e) in enumerate(zip(orbit_of, trans))}
+    return OrbitDecomposition(tuple(reps), transporter, tuple(map(tuple, members)))
 
 
 def set_stabilizer(group: PermGroup, pts: Iterable[int],

@@ -101,7 +101,7 @@ def test_criterion_03_odd_group_line_filling(odd_lift_instance):
     start = time.perf_counter()
     d = result.design
     ok = d.v == 6859 and d.b == 7_839_837
-    rep = verify_2design(d, threads=2)
+    rep = verify_2design(d)
     pairs = d.v * (d.v - 1) // 2
     ok = ok and rep.ok and pairs == 23_519_511
     ok = ok and all(is_automorphism(d, g) for g in result.group.generators)
@@ -111,6 +111,12 @@ def test_criterion_03_odd_group_line_filling(odd_lift_instance):
     ok = ok and elapsed < 300.0
     _report(3, ok, f"v=6859, b=7,839,837 verified exactly ({pairs:,} pairs), "
                    f"Z3 automorphisms, 1-blocked, {elapsed:.1f}s")
+
+
+def test_odd_lift_digest(odd_lift_instance):
+    result, _ = odd_lift_instance
+    assert result.design.digest() == (
+        "74fa12f729693e8e85712e22c69c236995c1576eb03185450bc720be840c972c")
 
 
 def test_large_design_file_round_trip(odd_lift_instance):
@@ -334,8 +340,7 @@ def test_cli_flagship_pipeline(tmp_path_factory):
     gfile = tmp / "z3.group"
     gfile.write_text(group_to_text(
         PermGroup(3, [Permutation.from_cycles(3, [(0, 1, 2)])])))
-    code = main(["construct-odd", "--k", "3", "--group-file", str(gfile),
-                 "--threads", "2"])
+    code = main(["construct-odd", "--k", "3", "--group-file", str(gfile)])
     assert code == 0
 
 

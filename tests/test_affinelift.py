@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from steinerkit import affinelift
 from steinerkit.affinelift import (
     AffineMap,
     AffineSpace,
@@ -13,7 +14,6 @@ from steinerkit.affinelift import (
     induced_perm_on_line,
     lift_aligned,
     lift_odd,
-    line_orbits,
 )
 from steinerkit.basedesigns import BaseBlockDesign, build_base_design, km_search
 from steinerkit.design import Design, is_1_blocked, is_automorphism, verify_2design
@@ -143,16 +143,25 @@ def test_affine_map_rejects_singular():
         AffineMap(((1, 1), (1, 1)), (0, 0), 3)
 
 
+def line_decomposition(table, group):
+    """Orbits of a point group on the lines, over line indices."""
+    lines = [frozenset(line.points) for line in table]
+    return orbits(group, lines, lambda s, perm: frozenset(perm.images[p] for p in s))
+
+
 def test_line_orbits_matches_generic_machinery():
     g = PermGroup(2, [Permutation.from_cycles(2, [(0, 1)])])
     sp = AffineSpace(2, 19)
     table = all_lines(sp)
     coord, _ = coordinate_group(g, sp)
-    dec = line_orbits(table, coord)
+    dec = line_decomposition(table, coord)
     # independent check through the generic orbit machinery on point tuples
-    keys = [tuple(int(x) for x in row) for row in table.sorted_points]
+    keys = [tuple(int(x) for x in row) for row in np.sort(table.points, axis=1)]
     generic = orbits(coord, keys, lambda key, perm: tuple(sorted(perm.images[p] for p in key)))
     assert dec.representatives == generic.representatives
+    # the lifts' own sweep picks the same representatives
+    lift_orbits = affinelift._line_orbits(g, 19, affinelift.DEFAULT_LINE_BUDGET)
+    assert tuple(lift_orbits.reps.tolist()) == generic.representatives
     # transporters reproduce members
     for i in range(len(table)):
         rep, t = dec.transporter[i]
@@ -256,7 +265,7 @@ def test_lift_aligned_double_transporter_consistency(reverse_sts19):
     g = PermGroup(2, [Permutation.from_cycles(2, [(0, 1)])])
     result = lift_aligned(g, 19, 3, ingredient, inv)
     table = all_lines(result.space)
-    dec = line_orbits(table, result.group)
+    dec = line_decomposition(table, result.group)
     blocks = result.design.block_set()
     stabilized = [r for r, members in zip(dec.representatives, dec.orbit_members)
                   if len(members) == 1]

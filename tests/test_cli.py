@@ -4,8 +4,10 @@ from pathlib import Path
 
 import pytest
 
+from steinerkit import cli
 from steinerkit.cli import main
 from steinerkit.design import read_design, verify_2design
+from steinerkit.errors import AxiomViolation
 from steinerkit.permgrp import PermGroup, Permutation, group_to_text
 
 
@@ -253,3 +255,28 @@ def test_deterministic_outputs(tmp_path, capsys):
     _, rep1 = run(capsys, "search-base-block", "--p", "19", "--k", "3", "--out", str(a))
     _, rep2 = run(capsys, "search-base-block", "--p", "19", "--k", "3", "--out", str(b))
     assert rep1["sha256"] == rep2["sha256"]
+
+
+def _failing_verifier(_):
+    raise AxiomViolation("forced failure")
+
+
+def test_net_axioms_check_is_computed(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "verify_net", _failing_verifier)
+    code, rep = run(capsys, "net", "--mode", "affine", "--n", "5", "--k", "3")
+    assert rep["check.net_axioms"].startswith("FAIL")
+    assert code == 1
+
+
+def test_td_axioms_check_is_computed(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "verify_td", _failing_verifier)
+    code, rep = run(capsys, "td", "--k", "3", "--n", "6", "--mode", "cyclic")
+    assert rep["check.td_axioms"].startswith("FAIL")
+    assert code == 1
+
+
+def test_prime_check_is_computed(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "is_prime", lambda n: False)
+    code, rep = run(capsys, "params", "--search", "cyclic-assembly", "--k", "3", "--h", "2")
+    assert rep["check.prime"] == "FAIL"
+    assert code == 1

@@ -2,7 +2,10 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from steinerkit.errors import (
     ActionEscape,
@@ -21,7 +24,10 @@ from steinerkit.permgrp import (
     group_to_text,
     induced,
     is_semiregular,
+    orbit_sweep,
     orbits,
+    push,
+    set_images,
     set_stabilizer,
 )
 
@@ -272,3 +278,56 @@ def test_group_file_comments_and_errors():
         group_from_text("PERMGROUP degree=3 gens=1\n1 2\n")
     with pytest.raises(ParseError):
         group_from_text("NOPE\n")
+
+
+# -- the shared orbit engine against brute force ----------------------------------
+
+@st.composite
+def subset_actions(draw):
+    """A group of degree <= 8 from one or two random generators, acting on
+    the 2- or 3-subsets of its points; groups above 5040 elements are skipped."""
+    n = draw(st.integers(3, 8))
+    gens = draw(st.lists(st.permutations(range(n)), min_size=1, max_size=2))
+    group = PermGroup(n, [Permutation(tuple(g)) for g in gens])
+    try:
+        elements = group.elements(cap=5040)
+    except CapExceeded:
+        assume(False)
+    family = list(itertools.combinations(range(n), draw(st.sampled_from((2, 3)))))
+    return elements, family
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(subset_actions(), st.data())
+def test_orbit_engine_matches_brute_force(action, data):
+    elements, family = action
+    index = {s: i for i, s in enumerate(family)}
+
+    def image(g, s):
+        return tuple(sorted(g(x) for x in s))
+
+    brute = {frozenset(index[image(g, s)] for g in elements) for s in family}
+    reps, orbit_of, trans = orbit_sweep(set_images(np.array(family), elements))
+    members = [frozenset(np.flatnonzero(orbit_of == r).tolist()) for r in range(len(reps))]
+    assert set(members) == brute
+    assert [min(m) for m in members] == reps.tolist()
+    for i, s in enumerate(family):
+        rep = family[reps[orbit_of[i]]]
+        assert image(elements[trans[i]], rep) == s
+
+    # push equals the per-member loop
+    n = elements[0].degree
+    planted = np.array(data.draw(st.lists(
+        st.lists(st.lists(st.integers(0, n - 1), min_size=3, max_size=3),
+                 min_size=2, max_size=2),
+        min_size=len(reps), max_size=len(reps))), dtype=np.int64)
+    point_images = np.stack([g.array for g in elements])
+    expect = np.concatenate([elements[trans[i]].array[planted[orbit_of[i]]]
+                             for i in range(len(family))])
+    assert np.array_equal(push(point_images, planted, orbit_of, trans), expect)
+
+
+def test_set_images_escape():
+    g = cyc(4, (0, 1, 2, 3))
+    with pytest.raises(ActionEscape):
+        set_images(np.array([(0, 1), (1, 2)]), [g])
