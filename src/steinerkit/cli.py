@@ -465,17 +465,13 @@ def build_parser() -> argparse.ArgumentParser:
                     "automorphism groups.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--out", help="output design file")
-        p.add_argument("--cache-dir", help="content-addressed ingredient cache")
-
     p = sub.add_parser("construct-odd", help="line filling for odd-order groups")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--group-file", required=True)
     p.add_argument("--d", type=int)
     p.add_argument("--p", type=int)
     p.add_argument("--base-block")
-    common(p)
+    p.add_argument("--out", help="output design file")
     p.set_defaults(func=cmd_construct_odd)
 
     p = sub.add_parser("construct-aligned", help="line filling via cyclic alignment")
@@ -485,7 +481,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=int)
     p.add_argument("--ingredient", help="design file on p points")
     p.add_argument("--cyclic", help="images of the ingredient's cyclic automorphism")
-    common(p)
+    p.add_argument("--out", help="output design file")
+    p.add_argument("--cache-dir", help="content-addressed ingredient cache")
     p.set_defaults(func=cmd_construct_aligned)
 
     p = sub.add_parser("compose", help="product constructions")
@@ -499,13 +496,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, help="auto cyclic pipeline: block size")
     p.add_argument("--h", type=int, help="auto cyclic pipeline: group-order parameter")
     p.add_argument("--s-min", type=int, default=1)
-    common(p)
+    p.add_argument("--out", help="output design file")
+    p.add_argument("--cache-dir", help="content-addressed ingredient cache")
     p.set_defaults(func=cmd_compose)
 
     p = sub.add_parser("search-base-block", help="difference-family base block scan")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    common(p)
+    p.add_argument("--out", help="output design file")
     p.set_defaults(func=cmd_search_base_block)
 
     p = sub.add_parser("km-search", help="prescribed-group exact-cover search")
@@ -514,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group-file", required=True)
     p.add_argument("--orbit-blocks", action="store_true",
                    help="force the group's point orbits to be blocks")
-    common(p)
+    p.add_argument("--out", help="output design file")
     p.set_defaults(func=cmd_km_search)
 
     p = sub.add_parser("plan-spectrum", help="coverage witnesses for large orders")
@@ -525,14 +523,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lo", type=int)
     p.add_argument("--x0", type=int, default=0,
                    help="subdesign-embedding threshold (0 warns)")
-    common(p)
     p.set_defaults(func=cmd_plan_spectrum)
 
     p = sub.add_parser("verify", help="exhaustively verify a design file")
     p.add_argument("--design", required=True)
     p.add_argument("--group-file")
     p.add_argument("--one-blocked", action="store_true")
-    common(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("net", help="construct a net")
@@ -541,14 +537,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--q", type=int)
     p.add_argument("--m", type=int)
-    common(p)
+    p.add_argument("--out", help="output design file")
     p.set_defaults(func=cmd_net)
 
     p = sub.add_parser("td", help="construct a transversal design")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--mode", choices=["macneish", "cyclic"], default="macneish")
-    common(p)
+    p.add_argument("--out", help="output design file")
     p.set_defaults(func=cmd_td)
 
     p = sub.add_parser("params", help="number-theoretic parameter searches")
@@ -556,7 +552,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--h", type=int, required=True)
     p.add_argument("--s-min", type=int, default=1)
-    common(p)
     p.set_defaults(func=cmd_params)
 
     return parser

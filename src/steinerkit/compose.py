@@ -116,8 +116,14 @@ def _plant_td(td: TransversalDesign, idx: _Indexer, rows: np.ndarray) -> np.ndar
     return idx.x + rows[:, group[tblocks]] * idx.zlen + rank[tblocks]
 
 
-def product_design(plan: CompositionPlan, check: bool = True) -> Design:
-    """The plain product: one TD copy per W-block, placed canonically."""
+def _verified(out: Design, what: str) -> None:
+    report = verify_2design(out)
+    if not report.ok:
+        raise AxiomViolation(f"{what} failed verification: {report}")
+
+
+def _product(plan: CompositionPlan, group: PermGroup, check: bool) -> tuple[Design, _Indexer]:
+    """Check the ingredients, then plant a TD copy per W-block orbit and push it."""
     idx = _Indexer(plan)
     if plan.W.k != plan.Y.k:
         raise BadParams("W and Y must share the block size")
@@ -126,14 +132,19 @@ def product_design(plan: CompositionPlan, check: bool = True) -> Design:
     verify_td(td)
     if td.n != idx.zlen or td.k != idx.k:
         raise BadParams(f"TD({td.k},{td.n}) does not match (k, y-x) = ({idx.k},{idx.zlen})")
-    blocks = np.concatenate([_nontd_blocks(plan, idx),
-                             _plant_td(td, idx, plan.W.blocks).reshape(-1, idx.k)])
-    out = Design(idx.u, idx.k, blocks)
+    elements = group.elements()
+    reps, orbit_of, trans = orbit_sweep(set_images(plan.W.blocks, elements))
+    pushed = push(np.stack([idx.bar(g) for g in elements]),
+                  _plant_td(td, idx, plan.W.blocks[reps]), orbit_of, trans)
+    out = Design(idx.u, idx.k, np.concatenate([_nontd_blocks(plan, idx), pushed]))
     if check:
-        report = verify_2design(out)
-        if not report.ok:
-            raise AxiomViolation(f"product failed verification: {report}")
-    return out
+        _verified(out, "product")
+    return out, idx
+
+
+def product_design(plan: CompositionPlan, check: bool = True) -> Design:
+    """The plain product: one TD copy per W-block, placed canonically."""
+    return _product(plan, PermGroup.trivial(plan.W.v), check)[0]
 
 
 def product_design_1blocked(plan: CompositionPlan, check: bool = True
@@ -144,25 +155,12 @@ def product_design_1blocked(plan: CompositionPlan, check: bool = True
     1-blocked on W)."""
     if plan.group is None:
         raise BadParams("plan.group is required")
-    group = plan.group
-    ok, witness = is_1_blocked(plan.W, group)
+    ok, witness = is_1_blocked(plan.W, plan.group)
     if not ok:
         raise NotOneBlocked(witness)
-    idx = _Indexer(plan)
-    _check_subdesign(plan)
-    td = plan.td_supplier(idx.k, idx.zlen)
-    verify_td(td)
-
-    elements = group.elements()
-    reps, orbit_of, trans = orbit_sweep(set_images(plan.W.blocks, elements))
-    pushed = push(np.stack([idx.bar(g) for g in elements]),
-                  _plant_td(td, idx, plan.W.blocks[reps]), orbit_of, trans)
-    out = Design(idx.u, idx.k, np.concatenate([_nontd_blocks(plan, idx), pushed]))
-    bar_group = _bar_group(idx, group.generators)
+    out, idx = _product(plan, plan.group, check)
+    bar_group = _bar_group(idx, plan.group.generators)
     if check:
-        report = verify_2design(out)
-        if not report.ok:
-            raise AxiomViolation(f"product failed verification: {report}")
         ok, witness = is_1_blocked(out, bar_group)
         if not ok:
             raise AxiomViolation(f"lifted group lost 1-blockedness: {witness}")
@@ -236,9 +234,7 @@ def cyclic_product_design(W: Design, c_w: Permutation, Y: Design,
     out = Design(idx.u, k, np.concatenate([_nontd_blocks(plan, idx), pushed]))
     cbar = _bar_group(idx, [c_w])
     if check:
-        report = verify_2design(out)
-        if not report.ok:
-            raise AxiomViolation(f"assembly failed verification: {report}")
+        _verified(out, "assembly")
         for g in cbar.elements():
             if g.is_identity():
                 continue

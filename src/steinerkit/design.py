@@ -8,6 +8,8 @@ designs.
 from __future__ import annotations
 
 import hashlib
+import io
+import os
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -21,18 +23,10 @@ from .errors import (
     ParseError,
     TooLarge,
 )
-from .permgrp import PermGroup, Permutation
+from .permgrp import PermGroup, Permutation, row_keys
 
 PAIR_TABLE_MAX_V = 20000  # v^2/2 counters stay comfortably in memory below this
 _CHUNK = 2_000_000
-
-
-def _canonicalize(blocks: np.ndarray) -> np.ndarray:
-    blocks = np.sort(blocks, axis=1)
-    if blocks.shape[0]:
-        order = np.lexsort(blocks.T[::-1])
-        blocks = blocks[order]
-    return np.ascontiguousarray(blocks)
 
 
 class Design:
@@ -40,7 +34,7 @@ class Design:
 
     __slots__ = ("v", "k", "blocks")
 
-    def __init__(self, v: int, k: int, blocks, _canonical: bool = False):
+    def __init__(self, v: int, k: int, blocks):
         arr = np.asarray(blocks, dtype=np.int64)
         if arr.size == 0:
             arr = arr.reshape(0, k)
@@ -48,10 +42,8 @@ class Design:
             raise MalformedBlock(f"blocks must be rows of {k} points")
         if arr.size and (arr.min() < 0 or arr.max() >= v):
             raise MalformedBlock("point index out of range")
-        if not _canonical:
-            arr = _canonicalize(arr)
-        elif arr.flags.writeable:
-            arr = arr.copy()  # never flip writability on a caller's array
+        arr = np.sort(arr, axis=1)
+        arr = arr[np.argsort(row_keys(arr, v))]
         if arr.size and np.any(arr[:, 1:] == arr[:, :-1]):
             raise MalformedBlock("repeated point inside a block")
         arr.setflags(write=False)
@@ -133,11 +125,7 @@ def verify_2design(design: Design) -> VerifyReport:
 
 def is_automorphism(design: Design, perm: Permutation) -> bool:
     """True iff the permutation maps the block set onto itself."""
-    if perm.degree != design.v:
-        raise DegreeMismatch(f"degree {perm.degree} != v {design.v}")
-    img = np.sort(perm.array[design.blocks], axis=1)
-    img = img[np.lexsort(img.T[::-1])]
-    return bool(np.array_equal(img, design.blocks))
+    return design.relabel(perm) == design
 
 
 def is_1_blocked(design: Design, group: PermGroup, cap: int = 10**6):
@@ -262,7 +250,7 @@ def iso_in_group(d1: Design, d2: Design, maps: Sequence[Permutation]) -> Permuta
 
 # -- file format ---------------------------------------------------------------
 # line 1: "DESIGN v=<v> k=<k> b=<b>"; then b lines of k ascending 0-based point
-# indices; blocks in lexicographic order; '#' comments allowed before the header.
+# indices; blocks in lexicographic order; blank lines and '#' comments are skipped.
 
 def serialize(design: Design) -> str:
     head = f"DESIGN v={design.v} k={design.k} b={design.b}\n"
@@ -272,65 +260,57 @@ def serialize(design: Design) -> str:
     return head + body + "\n"
 
 
+def _data_line(stream: io.StringIO, line_no: int) -> tuple[int, str | None]:
+    """Number and text of the next line not blank or a comment; (end, None) at the end."""
+    for line_no, raw in enumerate(iter(stream.readline, ""), start=line_no + 1):
+        if raw.strip() and not raw.lstrip().startswith("#"):
+            return line_no, raw
+    return line_no + 1, None
+
+
 def parse(text: str) -> Design:
-    lines = text.splitlines()
-    pos = 0
-    while pos < len(lines) and (not lines[pos].strip() or lines[pos].lstrip().startswith("#")):
-        pos += 1
-    if pos >= len(lines):
-        raise ParseError(pos + 1, "missing DESIGN header")
-    head = lines[pos].split()
+    stream = io.StringIO(text)
+    head_no, line = _data_line(stream, 0)
+    if line is None:
+        raise ParseError(head_no, "missing DESIGN header")
+    head = line.split()
     if len(head) != 4 or head[0] != "DESIGN":
-        raise ParseError(pos + 1, "expected 'DESIGN v=<v> k=<k> b=<b>'")
+        raise ParseError(head_no, "expected 'DESIGN v=<v> k=<k> b=<b>'")
     try:
         v = int(head[1].removeprefix("v="))
         k = int(head[2].removeprefix("k="))
         b = int(head[3].removeprefix("b="))
     except ValueError:
-        raise ParseError(pos + 1, "bad header fields")
-    if b > 100_000:
-        # bulk path for multi-million-block files; per-line diagnostics are
-        # only worth their cost on small inputs
-        import io
+        raise ParseError(head_no, "bad header fields")
+    body = stream.tell()
+    first_no, first = _data_line(stream, head_no)
+    rows = np.empty((0, k), dtype=np.int64)
+    if first is not None:  # loadtxt warns on a table without rows
+        stream.seek(body)
         try:
-            rows = np.loadtxt(io.StringIO("\n".join(lines[pos + 1:])),
-                              dtype=np.int64, ndmin=2)
+            rows = np.loadtxt(stream, dtype=np.int64, ndmin=2)
         except ValueError as exc:
-            raise ParseError(pos + 2, f"bulk parse failed: {exc}")
-        if rows.shape != (b, k):
-            raise ParseError(pos + 2, f"expected {b}x{k} block table, got {rows.shape}")
-        if rows.size and (rows.min() < 0 or rows.max() >= v):
-            raise ParseError(pos + 2, "point index out of range")
-        return Design(v, k, rows)
-    rows = np.empty((b, k), dtype=np.int64)
-    n = 0
-    for off, raw in enumerate(lines[pos + 1:], start=pos + 2):
-        if not raw.strip():
-            continue
-        parts = raw.split()
-        if len(parts) != k:
-            raise ParseError(off, f"expected {k} points, got {len(parts)}")
-        try:
-            vals = [int(t) for t in parts]
-        except ValueError:
-            raise ParseError(off, "non-integer point")
-        if n >= b:
-            raise ParseError(off, f"more than {b} blocks")
-        if any(x < 0 or x >= v for x in vals):
-            raise ParseError(off, "point index out of range")
-        rows[n] = vals
-        n += 1
-    if n != b:
-        raise ParseError(len(lines), f"expected {b} blocks, found {n}")
+            raise ParseError(first_no, f"bad block table: {exc}")
+    if rows.shape != (b, k):
+        raise ParseError(first_no, f"expected {b}x{k} block table, got {rows.shape}")
+    if rows.size and (rows.min() < 0 or rows.max() >= v):
+        raise ParseError(first_no, "point index out of range")
     return Design(v, k, rows)
 
 
 def write_design(design: Design, path, comments: Sequence[str] = ()) -> str:
-    """Write a design file and return its sha256; comment lines go first."""
+    """Write a design file through a sibling renamed over it, so a failed write
+    never truncates it, and return its sha256; comment lines go first."""
     head = "".join(f"# {c}\n" for c in comments)
     data = head + serialize(design)
-    with open(path, "w") as fh:
-        fh.write(data)
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
     return hashlib.sha256(data.encode()).hexdigest()
 
 

@@ -177,6 +177,25 @@ class PermGroup:
 # The construction mechanism: sweep a family into orbits, plant an ingredient
 # on each representative, push the plant to every member by its transporter.
 
+def row_keys(rows: np.ndarray, n: int) -> np.ndarray:
+    """One int64 key per row of an (m, s) array of points in 0..n-1.
+
+    Equal rows get equal keys and keys order the rows lexicographically.  The
+    key is the rows' base-n number; where n^s would overflow int64 the partial
+    keys are replaced by their ranks first, so keys from separate calls are
+    comparable only when no rank compression happened.
+    """
+    keys = np.zeros(rows.shape[0], dtype=np.int64)
+    bound, n = 1, int(n)  # every key is below bound
+    for col in rows.T:
+        if bound * n > 2**63:
+            keys = np.unique(keys, return_inverse=True)[1]
+            bound = int(keys.max(initial=0)) + 1
+        keys = keys * n + col
+        bound *= n
+    return keys
+
+
 def set_images(rows, perms: Sequence[Permutation]) -> np.ndarray:
     """Image-index table of permutations acting on a family of point sets.
 
@@ -184,17 +203,16 @@ def set_images(rows, perms: Sequence[Permutation]) -> np.ndarray:
     (len(perms), n) result is the index of the row equal, as a set, to row i's
     image under perms[e].  Raises ActionEscape if an image is not a row.
     """
-    keys = np.sort(np.asarray(rows, dtype=np.int64), axis=1)
-    lookup = {row.tobytes(): i for i, row in enumerate(keys)}
-    out = np.empty((len(perms), len(keys)), dtype=np.int64)
-    for e, g in enumerate(perms):
-        img = np.sort(g.array[keys], axis=1)
-        try:
-            out[e] = np.fromiter((lookup[row.tobytes()] for row in img),
-                                 dtype=np.int64, count=len(keys))
-        except KeyError:
-            raise ActionEscape(f"element {e} maps a set outside the family")
-    return out
+    rows = np.asarray(rows, dtype=np.int64)
+    family = np.sort(np.stack([rows] + [g.array[rows] for g in perms]), axis=2)
+    # one call keys the sets and all their images, so ranks stay comparable
+    keys = row_keys(family.reshape(-1, rows.shape[1]), perms[0].degree).reshape(family.shape[:2])
+    order = np.argsort(keys[0])
+    index = order[np.minimum(np.searchsorted(keys[0], keys[1:], sorter=order), len(rows) - 1)]
+    escaped = (keys[0][index] != keys[1:]).any(axis=1)
+    if escaped.any():
+        raise ActionEscape(f"element {np.argmax(escaped)} maps a set outside the family")
+    return index
 
 
 def orbit_sweep(images: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -280,3 +280,27 @@ def test_prime_check_is_computed(monkeypatch, capsys):
     code, rep = run(capsys, "params", "--search", "cyclic-assembly", "--k", "3", "--h", "2")
     assert rep["check.prime"] == "FAIL"
     assert code == 1
+
+
+# required arguments per subcommand; none of these reads --cache-dir, and
+# plan-spectrum, verify and params write no file
+REQUIRED = {
+    "construct-odd": ["--k", "3", "--group-file", "g"],
+    "search-base-block": ["--p", "7", "--k", "3"],
+    "km-search": ["--v", "7", "--k", "3", "--group-file", "g"],
+    "plan-spectrum": ["--k", "3", "--w", "7", "--x1", "7"],
+    "verify": ["--design", "d"],
+    "net": ["--k", "3"],
+    "td": ["--k", "3", "--n", "5"],
+    "params": ["--search", "odd", "--k", "3", "--h", "3"],
+}
+
+
+@pytest.mark.parametrize("command, option", [(c, "--cache-dir") for c in REQUIRED] + [
+    (c, "--out") for c in ("plan-spectrum", "verify", "params")])
+def test_parser_rejects_options_that_do_nothing(command, option, capsys):
+    parser = cli.build_parser()
+    parser.parse_args([command, *REQUIRED[command]])
+    with pytest.raises(SystemExit):
+        parser.parse_args([command, *REQUIRED[command], option, "x"])
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -16,7 +16,7 @@ from steinerkit.errors import (
     NotOneBlocked,
     StabilizerViolation,
 )
-from steinerkit.netstd import cyclic_td
+from steinerkit.netstd import cyclic_td, mols_td
 from steinerkit.permgrp import PermGroup, Permutation
 
 
@@ -70,6 +70,17 @@ def test_1blocked_product_sts45_with_z7():
         assert is_automorphism(d, g)
     ok, witness = is_1_blocked(d, bar)
     assert ok and witness is None
+
+
+@pytest.mark.parametrize("n", [5, 7])
+def test_1blocked_product_rejects_missized_td(n):
+    # x is one block of STS(9), so the product needs a TD(3, 9 - 3)
+    z7 = PermGroup(7, [Permutation(tuple((i + 1) % 7 for i in range(7)))])
+    sts9 = steiner_triple_system(9)
+    plan = CompositionPlan(fano(), sts9, sts9.block_tuples()[0],
+                           td_supplier=lambda k, _: mols_td(k, n), group=z7)
+    with pytest.raises(BadParams):
+        product_design_1blocked(plan, check=False)
 
 
 def test_1blocked_product_rejects_even_group():

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import builtins
+import hashlib
 import itertools
 
 import numpy as np
 import pytest
 
+from steinerkit import design as design_module
 from steinerkit.design import (
     Design,
     brute_aut,
@@ -15,6 +18,7 @@ from steinerkit.design import (
     parse,
     serialize,
     verify_2design,
+    write_design,
 )
 from steinerkit.errors import (
     DegreeMismatch,
@@ -70,7 +74,7 @@ def test_verify_sts9_ok():
 
 def test_verify_missing_block():
     d = fano()
-    rep = verify_2design(Design(7, 3, d.blocks[1:], _canonical=True))
+    rep = verify_2design(Design(7, 3, d.blocks[1:]))
     assert not rep.ok
     assert rep.pair_deficit == 3
     assert rep.pair_surplus == 0
@@ -86,7 +90,7 @@ def test_verify_equivalences_on_mutants():
     # ok <=> block count right AND pairwise intersections <= 1
     base = fano()
     mutants = [base,
-               Design(7, 3, base.blocks[1:], _canonical=True),
+               Design(7, 3, base.blocks[1:]),
                Design(7, 3, np.vstack([base.blocks[1:], [[0, 1, 2]]])),
                Design(7, 3, np.vstack([base.blocks, [[0, 2, 4]]]))]
     for d in mutants:
@@ -223,6 +227,38 @@ def test_degenerate_designs_verify():
     one_point = Design(1, 3, np.empty((0, 3), dtype=np.int64))
     assert verify_2design(one_point).ok
     assert verify_2design(Design(3, 3, [[0, 1, 2]])).ok
+
+
+def test_write_design_is_atomic(tmp_path, monkeypatch):
+    path = tmp_path / "d.design"
+    digest = write_design(fano(), path)
+    old = path.read_bytes()
+    assert digest == hashlib.sha256(old).hexdigest()
+
+    class HalfWriter:
+        """A file that takes half of what it is given, then reports a full disk."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.fh.write(data[:len(data) // 2])
+            self.fh.flush()
+            raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(design_module, "open",
+                        lambda file, mode="r": HalfWriter(builtins.open(file, mode)),
+                        raising=False)
+    with pytest.raises(OSError):
+        write_design(sts9(), path)
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["d.design"]
 
 
 def test_parse_errors_carry_line_numbers():
