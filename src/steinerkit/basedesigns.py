@@ -11,6 +11,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+import numpy as np
+
 from .design import Design, is_automorphism, iso_in_group, verify_2design
 from .errors import (
     BadParams,
@@ -97,13 +99,8 @@ def build_base_design(p: int, k: int, base_block) -> BaseBlockDesign:
     block = tuple(sorted(x % p for x in base_block))
     if len(block) != k or not _coset_criterion(block, p, lookup, k * (k - 1)):
         raise CriterionFailed(f"base block {block} fails the coset criterion at p={p}")
-    blocks = set()
-    for s in sub.elements:
-        for b in range(p):
-            blocks.add(tuple(sorted((s * a + b) % p for a in block)))
-    if len(blocks) != p * t:
-        raise CriterionFailed(f"orbit yields {len(blocks)} blocks, expected {p * t}")
-    design = Design(p, k, sorted(blocks))
+    scaled = np.outer(sub.elements, block)
+    design = Design(p, k, ((scaled[:, None, :] + np.arange(p)[:, None]) % p).reshape(-1, k))
     report = verify_2design(design)
     if not report.ok:
         raise CriterionFailed(f"orbit design failed verification: {report}")

@@ -24,6 +24,7 @@ from .design import (
     is_automorphism,
     read_design,
     verify_2design,
+    write_atomic,
     write_design,
 )
 from .errors import AxiomViolation, SteinerError
@@ -398,24 +399,20 @@ def cmd_net(args, report: Report) -> None:
         report.param("n", net.n)
         report.param("lines", len(net.lines))
         _axiom_check(report, "net_axioms", verify_net, net)
-        text = net_to_text(net)
     else:
         result = semilinear_net(args.q, args.m, args.k)
-        report.param("n", result.net.n)
-        report.param("lines", len(result.net.lines))
+        net = result.net
+        report.param("n", net.n)
+        report.param("lines", len(net.lines))
         report.param("g_order", result.g.order())
         report.param("c_order", result.c.order())
-        ok, _ = is_semiregular(PermGroup.cyclic_from(result.c),
-                               range(result.net.point_count))
+        ok, _ = is_semiregular(PermGroup.cyclic_from(result.c), range(net.point_count))
         report.check("c_semiregular_points", ok)
-        line_perm = result.net.line_action(result.c)
-        ok, _ = is_semiregular(PermGroup.cyclic_from(line_perm),
-                               range(len(result.net.lines)))
+        line_perm = net.line_action(result.c)
+        ok, _ = is_semiregular(PermGroup.cyclic_from(line_perm), range(len(net.lines)))
         report.check("c_semiregular_lines", ok)
-        text = net_to_text(result.net)
     if args.out:
-        Path(args.out).write_text(text)
-        report.output(args.out, hashlib.sha256(text.encode()).hexdigest())
+        report.output(args.out, write_atomic(args.out, net_to_text(net)))
 
 
 def cmd_td(args, report: Report) -> None:
@@ -431,9 +428,7 @@ def cmd_td(args, report: Report) -> None:
     report.param("blocks", len(td.blocks))
     _axiom_check(report, "td_axioms", verify_td, td)
     if args.out:
-        text = td_to_text(td)
-        Path(args.out).write_text(text)
-        report.output(args.out, hashlib.sha256(text.encode()).hexdigest())
+        report.output(args.out, write_atomic(args.out, td_to_text(td)))
 
 
 def cmd_params(args, report: Report) -> None:

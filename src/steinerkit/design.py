@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+import itertools
 import os
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -96,28 +97,28 @@ class VerifyReport:
                 f"deficit={self.pair_deficit} surplus={self.pair_surplus}")
 
 
-def pair_index(i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """Flat index of the unordered pair {i < j}: j(j-1)/2 + i."""
-    return j * (j - 1) // 2 + i
+def pair_counts(v: int, rows: np.ndarray) -> np.ndarray:
+    """How many rows contain each point pair {i < j}, at index j(j-1)/2 + i.
+
+    The lambda=1 kernel of designs, TDs and nets: each row of the (m, s)
+    array holds s distinct points of 0..v-1 in ascending order.  Chunked so
+    the d=3 desk instance (23.5M pairs) stays within a modest memory budget.
+    """
+    npairs = v * (v - 1) // 2
+    counts = np.zeros(npairs, dtype=np.int64)
+    cols = list(itertools.combinations(range(rows.shape[1]), 2))
+    for start in range(0, rows.shape[0] if cols else 0, _CHUNK):
+        chunk = rows[start:start + _CHUNK]
+        idx = np.concatenate([chunk[:, b] * (chunk[:, b] - 1) // 2 + chunk[:, a] for a, b in cols])
+        counts += np.bincount(idx, minlength=npairs)
+    return counts
 
 
 def verify_2design(design: Design) -> VerifyReport:
-    """Exhaustive lambda=1 check: every point pair covered exactly once.
-
-    One pass of pair-index accounting over the blocks, chunked so the d=3
-    desk instance (23.5M pairs) stays within a modest memory budget.
-    """
-    v, k = design.v, design.k
-    if v > PAIR_TABLE_MAX_V:
-        raise Budget(f"pair table for v={v} exceeds the in-memory budget")
-    npairs = v * (v - 1) // 2
-    blocks = design.blocks
-    cols = [(a, b) for a in range(k) for b in range(a + 1, k)]
-    counts = np.zeros(npairs, dtype=np.int64)
-    for start in range(0, max(blocks.shape[0], 1), _CHUNK):
-        chunk = blocks[start:start + _CHUNK]
-        idx = np.concatenate([pair_index(chunk[:, a], chunk[:, b]) for a, b in cols])
-        counts += np.bincount(idx, minlength=npairs)
+    """Exhaustive lambda=1 check: every point pair covered exactly once."""
+    if design.v > PAIR_TABLE_MAX_V:
+        raise Budget(f"pair table for v={design.v} exceeds the in-memory budget")
+    counts = pair_counts(design.v, design.blocks)
     deficit = int(np.count_nonzero(counts == 0))
     surplus = int(np.count_nonzero(counts >= 2))
     return VerifyReport(deficit == 0 and surplus == 0, deficit, surplus, design.b)
@@ -166,15 +167,12 @@ def is_subdesign(design: Design, pts: Iterable[int]) -> SubdesignEmbedding | Non
     A singleton (or empty) subset embeds degenerately with no blocks.  Returns
     None when some pair's block leaves the subset.
     """
-    pset = frozenset(pts)
-    inside = []
-    for row in design.block_tuples():
-        hits = sum(1 for p in row if p in pset)
-        if hits >= 2 and hits < design.k:
-            return None
-        if hits == design.k:
-            inside.append(row)
-    return SubdesignEmbedding(design, tuple(sorted(pset)), tuple(sorted(inside)))
+    pset = tuple(sorted(set(pts)))
+    hits = np.isin(design.blocks, pset).sum(axis=1)
+    if np.any((hits >= 2) & (hits < design.k)):
+        return None
+    blocks = design.blocks[hits == design.k]
+    return SubdesignEmbedding(design, pset, tuple(map(tuple, blocks.tolist())))
 
 
 def brute_aut(design: Design, cap: int = 10**6) -> PermGroup:
@@ -298,20 +296,23 @@ def parse(text: str) -> Design:
     return Design(v, k, rows)
 
 
-def write_design(design: Design, path, comments: Sequence[str] = ()) -> str:
-    """Write a design file through a sibling renamed over it, so a failed write
-    never truncates it, and return its sha256; comment lines go first."""
-    head = "".join(f"# {c}\n" for c in comments)
-    data = head + serialize(design)
+def write_atomic(path, text: str) -> str:
+    """Write text through a sibling renamed over ``path``, so a failed write
+    never truncates it, and return the sha256 of the bytes written."""
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w") as fh:
-            fh.write(data)
+            fh.write(text)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
-    return hashlib.sha256(data.encode()).hexdigest()
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def write_design(design: Design, path, comments: Sequence[str] = ()) -> str:
+    """Write a design file atomically, comment lines first; its sha256."""
+    return write_atomic(path, "".join(f"# {c}\n" for c in comments) + serialize(design))
 
 
 def read_design(path) -> Design:

@@ -52,8 +52,8 @@ class TraceZero(SteinerError):
     """The chosen constant lies in the kernel of the trace map."""
 
 
-class BadParams(SteinerError):
-    pass
+class BadParams(SteinerError, ValueError):
+    """Arguments outside a function's preconditions."""
 
 
 # -- parameter searches ------------------------------------------------------

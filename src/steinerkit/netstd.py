@@ -23,11 +23,13 @@ from .errors import (
     BadCoprimality,
     BadOrder,
     DegreeMismatch,
+    MalformedBlock,
     ParseError,
     TooFewSlopes,
     Unavailable,
     require,
 )
+from .design import Design, pair_counts
 from .gf import ExtFieldCtx, factorize, frobenius, semilinear_map, trace
 from .permgrp import Permutation, set_images
 
@@ -94,49 +96,57 @@ class TransversalDesign:
         return _induced(self.groups, perm, "permutation does not preserve the group partition")
 
 
-def verify_net(net: Net) -> None:
+def _rows(npts: int, width: int, rows, what: str) -> np.ndarray:
+    """Rows as a canonical block array on npts points, checked as a Design's
+    blocks are; AxiomViolation naming ``what`` when a row is malformed."""
+    try:
+        return Design(npts, width, rows).blocks
+    except (MalformedBlock, ValueError, TypeError) as exc:
+        raise AxiomViolation(f"malformed {what}: {exc}")
+
+
+def _td_axioms(npts: int, groups: np.ndarray, blocks: np.ndarray) -> None:
+    """The groups partition the points and every point pair lies in exactly
+    one group or block (so each block meets each group once)."""
+    if not np.all(np.bincount(groups.ravel(), minlength=npts) == 1):
+        raise AxiomViolation("groups fail to partition the points")
+    counts = pair_counts(npts, groups) + pair_counts(npts, blocks)
+    if np.any(counts != 1):
+        raise AxiomViolation(f"{np.count_nonzero(counts == 0)} point pairs lie in no group "
+                             f"or block, {np.count_nonzero(counts >= 2)} in two or more")
+
+
+def _dual(net: Net) -> tuple[np.ndarray, np.ndarray]:
+    """Groups and blocks of the dual TD as canonical arrays: the classes, and
+    per point the k lines through it.  AxiomViolation unless each class
+    partitions the points."""
     n, k = net.n, net.k
-    npts = n * n
+    _rows(n * n, n, net.lines, "line")
+    lines = np.asarray(net.lines, dtype=np.int64).reshape(k * n, n)
+    classes = _rows(k * n, n, net.classes, "class")
+    cover = lines[classes].reshape(k, n * n)
+    if not np.array_equal(np.sort(cover, axis=1), np.broadcast_to(np.arange(n * n), cover.shape)):
+        raise AxiomViolation("a parallel class fails to partition the points")
+    through = np.empty((k, n * n), dtype=np.int64)
+    through[np.arange(k)[:, None], cover] = np.repeat(classes, n, axis=1)
+    return classes, np.sort(through.T, axis=1)
+
+
+def verify_net(net: Net) -> None:
+    """Each class partitions the points and the dual is a TD(k,n): its groups
+    are the classes and its blocks the k lines through each point.  Checking
+    the dual keeps the pair table at C(kn,2) entries instead of C(n^2,2)."""
+    n, k = net.n, net.k
     if len(net.lines) != k * n or len(net.classes) != k:
         raise AxiomViolation(f"expected {k * n} lines in {k} classes")
-    for members in net.classes:
-        covered = [p for i in members for p in net.lines[i]]
-        if len(members) != n or sorted(covered) != list(range(npts)):
-            raise AxiomViolation("a parallel class fails to partition the points")
-    pair_count: dict[tuple[int, int], int] = {}
-    for line in net.lines:
-        if len(set(line)) != n:
-            raise AxiomViolation("line of wrong size")
-        for a, b in itertools.combinations(sorted(line), 2):
-            key = (a, b)
-            pair_count[key] = pair_count.get(key, 0) + 1
-            if pair_count[key] > 1:
-                raise AxiomViolation(f"points {key} lie on two lines")
+    _td_axioms(k * n, *_dual(net))
 
 
 def verify_td(td: TransversalDesign) -> None:
     k, n = td.k, td.n
-    npts = k * n
     if len(td.groups) != k or len(td.blocks) != n * n:
         raise AxiomViolation(f"expected {k} groups and {n * n} blocks")
-    covered = [p for grp in td.groups for p in grp]
-    if any(len(grp) != n for grp in td.groups) or sorted(covered) != list(range(npts)):
-        raise AxiomViolation("groups fail to partition the points")
-    grp_of = td.group_of
-    pair_count: dict[tuple[int, int], int] = {}
-    for block in td.blocks:
-        hit = sorted(grp_of[p] for p in block)
-        if hit != list(range(k)):
-            raise AxiomViolation("a block misses a group or hits one twice")
-        for a, b in itertools.combinations(sorted(block), 2):
-            pair_count[(a, b)] = pair_count.get((a, b), 0) + 1
-    for (a, b), c in pair_count.items():
-        if c != 1:
-            raise AxiomViolation(f"cross pair ({a},{b}) covered {c} times")
-    # n^2 blocks x C(k,2) distinct covered pairs = all cross-group pairs:
-    # together with the once-each check this pins every cross pair exactly once
-    if len(pair_count) != n * n * k * (k - 1) // 2:
-        raise AxiomViolation("cross-pair total off")
+    _td_axioms(k * n, _rows(k * n, n, td.groups, "group"), _rows(k * n, k, td.blocks, "block"))
 
 
 # -- field helper ---------------------------------------------------------------
@@ -192,27 +202,17 @@ def dualize(net: Net) -> TransversalDesign:
     """TD points = net lines, groups = parallel classes, blocks = the k lines
     through each net point (in point order, so duality round-trips exactly)."""
     verify_net(net)
-    through: list[list[int]] = [[] for _ in range(net.point_count)]
-    for i, line in enumerate(net.lines):
-        for p in line:
-            through[p].append(i)
-    blocks = tuple(tuple(sorted(ls)) for ls in through)
-    td = TransversalDesign(net.k, net.n, tuple(tuple(members) for members in net.classes),
-                           blocks)
-    verify_td(td)
-    return td
+    return TransversalDesign(net.k, net.n, tuple(tuple(members) for members in net.classes),
+                             tuple(map(tuple, _dual(net)[1].tolist())))
 
 
 def dualize_td(td: TransversalDesign) -> Net:
     """Inverse duality: net points = TD blocks, lines = TD points."""
     verify_td(td)
-    on_block: list[list[int]] = [[] for _ in range(td.point_count)]
-    for j, block in enumerate(td.blocks):
-        for p in block:
-            on_block[p].append(j)
-    lines = tuple(tuple(sorted(bs)) for bs in on_block)
-    classes = tuple(tuple(members) for members in td.groups)
-    net = Net(td.n, td.k, lines, classes)
+    # a stable sort of the block entries by point lists each point's blocks in order
+    on_block = np.argsort(np.ravel(td.blocks), kind="stable").reshape(td.point_count, td.n) // td.k
+    net = Net(td.n, td.k, tuple(map(tuple, on_block.tolist())),
+              tuple(tuple(members) for members in td.groups))
     verify_net(net)
     return net
 
@@ -419,7 +419,6 @@ def _product_td(t1: TransversalDesign, t2: TransversalDesign) -> TransversalDesi
     k = t1.k
     n1, n2 = t1.n, t2.n
     n = n1 * n2
-    pos1 = {p: (g, p - g * n1) for g, grp in enumerate(t1.groups) for p in grp}
 
     def enc(g: int, z1: int, z2: int) -> int:
         return g * n + z1 * n2 + z2
@@ -442,6 +441,30 @@ def _product_td(t1: TransversalDesign, t2: TransversalDesign) -> TransversalDesi
 # "TD k=<k> n=<n>": k group rows then n^2 block rows; "NET k=<k> n=<n>":
 # k class headers are implicit, k*n line rows in class-major order.
 
+def _read(text: str, tag: str, row_count) -> tuple[int, int, list[tuple[int, ...]]]:
+    """k, n and the row_count(k, n) integer rows of a TD or NET file; blank
+    lines and '#' comments are skipped."""
+    lines = [(no, ln) for no, ln in enumerate(text.splitlines(), start=1)
+             if ln.strip() and not ln.lstrip().startswith("#")]
+    if not lines or not lines[0][1].startswith(f"{tag} "):
+        raise ParseError(1, f"expected '{tag} k=<k> n=<n>' header")
+    head = lines[0][1].split()
+    try:
+        k = int(head[1].removeprefix("k="))
+        n = int(head[2].removeprefix("n="))
+    except (IndexError, ValueError):
+        raise ParseError(lines[0][0], f"bad {tag} header")
+    rows = []
+    for no, ln in lines[1:]:
+        try:
+            rows.append(tuple(int(t) for t in ln.split()))
+        except ValueError:
+            raise ParseError(no, f"non-integer point in {ln.strip()!r}")
+    if len(rows) != row_count(k, n):
+        raise ParseError(lines[-1][0], f"expected {row_count(k, n)} data rows, got {len(rows)}")
+    return k, n, rows
+
+
 def td_to_text(td: TransversalDesign) -> str:
     rows = [f"TD k={td.k} n={td.n}"]
     rows += [" ".join(map(str, grp)) for grp in td.groups]
@@ -450,19 +473,7 @@ def td_to_text(td: TransversalDesign) -> str:
 
 
 def td_from_text(text: str) -> TransversalDesign:
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
-    if not lines or not lines[0].startswith("TD "):
-        raise ParseError(1, "expected 'TD k=<k> n=<n>' header")
-    head = lines[0].split()
-    try:
-        k = int(head[1].removeprefix("k="))
-        n = int(head[2].removeprefix("n="))
-    except (IndexError, ValueError):
-        raise ParseError(1, "bad TD header")
-    need = k + n * n
-    if len(lines) - 1 != need:
-        raise ParseError(len(lines), f"expected {need} data rows, got {len(lines) - 1}")
-    rows = [tuple(int(t) for t in ln.split()) for ln in lines[1:]]
+    k, n, rows = _read(text, "TD", lambda k, n: k + n * n)
     td = TransversalDesign(k, n, tuple(rows[:k]), tuple(rows[k:]))
     verify_td(td)
     return td
@@ -476,18 +487,7 @@ def net_to_text(net: Net) -> str:
 
 
 def net_from_text(text: str) -> Net:
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
-    if not lines or not lines[0].startswith("NET "):
-        raise ParseError(1, "expected 'NET k=<k> n=<n>' header")
-    head = lines[0].split()
-    try:
-        k = int(head[1].removeprefix("k="))
-        n = int(head[2].removeprefix("n="))
-    except (IndexError, ValueError):
-        raise ParseError(1, "bad NET header")
-    if len(lines) - 1 != k * n:
-        raise ParseError(len(lines), f"expected {k * n} line rows")
-    rows = [tuple(int(t) for t in ln.split()) for ln in lines[1:]]
+    k, n, rows = _read(text, "NET", lambda k, n: k * n)
     classes = tuple(tuple(range(c * n, (c + 1) * n)) for c in range(k))
     net = Net(n, k, tuple(rows), classes)
     verify_net(net)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import GcdViolation, SearchExhausted, WindowBelowBound, require
+from .errors import BadParams, GcdViolation, SearchExhausted, WindowBelowBound, require
 from .gf import factorize, is_prime
 
 DEFAULT_SCAN_LIMIT = 10**7
@@ -26,7 +26,7 @@ class AdmissiblePair:
 
     def __post_init__(self):
         if not is_admissible(self.v, self.k):
-            raise ValueError(f"({self.v},{self.k}) violates the divisibility conditions")
+            raise BadParams(f"({self.v},{self.k}) violates the divisibility conditions")
 
 
 def is_admissible(v: int, k: int) -> bool:
@@ -43,9 +43,9 @@ def prime_for_odd_group(k: int, h: int, search_limit: int = DEFAULT_SCAN_LIMIT) 
     exactly what the odd-order lift needs from its base design.
     """
     if k < 3:
-        raise ValueError("k must be at least 3")
+        raise BadParams("k must be at least 3")
     if h % 2 == 0:
-        raise ValueError(f"group order h={h} must be odd")
+        raise BadParams(f"group order h={h} must be odd")
     step = 2 * k * (k - 1) * h
     p = 1 + k * (k - 1) * h
     while p <= search_limit:
@@ -67,7 +67,7 @@ def prime_for_even_group(k: int, h: int, search_limit: int = DEFAULT_SCAN_LIMIT)
     Requires 4 | h and gcd(k, h) = 1.
     """
     if h % 4 != 0:
-        raise ValueError(f"h={h} must be a multiple of 4")
+        raise BadParams(f"h={h} must be a multiple of 4")
     if math.gcd(k, h) != 1:
         raise GcdViolation(f"gcd(k,h) = {math.gcd(k, h)} != 1")
     target = math.gcd(k - 1, h)
@@ -271,9 +271,9 @@ def spectrum_plan(k: int, w: int, x1_list: list[int], u_window: tuple[int, int],
                       "every x above it embeds", stacklevel=2)
     for x1 in x1_list:
         if not is_admissible(x1, k) or x1 <= max(x0, k):
-            raise ValueError(f"x1={x1} must be admissible and exceed max(x0, k)")
+            raise BadParams(f"x1={x1} must be admissible and exceed max(x0, k)")
     if not is_admissible(w, k):
-        raise ValueError(f"w={w} must be admissible")
+        raise BadParams(f"w={w} must be admissible")
     lo, hi = u_window
     bound = spectrum_bound(k, w, x1_list)
     if lo < bound:

@@ -78,7 +78,7 @@ class Permutation:
         return Permutation(tuple(inv))
 
     def is_identity(self) -> bool:
-        return all(i == x for i, x in enumerate(self.images))
+        return bool(np.array_equal(self.array, np.arange(self.degree)))
 
     def cycles(self, include_fixed: bool = False) -> list[tuple[int, ...]]:
         """Cycle decomposition, cycles anchored at and sorted by their minimum."""

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import builtins
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -304,3 +306,49 @@ def test_parser_rejects_options_that_do_nothing(command, option, capsys):
     with pytest.raises(SystemExit):
         parser.parse_args([command, *REQUIRED[command], option, "x"])
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["params", "--search", "odd", "--k", "3", "--h", "2"], "group order h=2 must be odd"),
+    (["params", "--search", "even", "--k", "3", "--h", "6"], "h=6 must be a multiple of 4"),
+    (["plan-spectrum", "--k", "3", "--w", "7", "--x1", "8"],
+     "x1=8 must be admissible and exceed max(x0, k)"),
+], ids=["params-odd", "params-even", "plan-spectrum"])
+def test_parameter_preconditions_are_reported(capsys, argv, message):
+    code, rep = run(capsys, *argv)
+    assert rep["error"] == f"BadParams: {message}"
+    assert rep["status"] == "fail"
+    assert code == 1
+
+
+def test_td_out_is_atomic(tmp_path, capsys, monkeypatch):
+    from steinerkit import design as design_module
+    path = tmp_path / "td.txt"
+    code, rep = run(capsys, "td", "--k", "3", "--n", "5", "--mode", "cyclic", "--out", str(path))
+    old = path.read_bytes()
+    assert code == 0 and rep["sha256"] == hashlib.sha256(old).hexdigest()
+
+    class HalfWriter:
+        """A file that takes half of what it is given, then reports a full disk."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.fh.write(data[:len(data) // 2])
+            self.fh.flush()
+            raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(design_module, "open",
+                        lambda file, mode="r": HalfWriter(builtins.open(file, mode)),
+                        raising=False)
+    with pytest.raises(OSError):
+        main(["td", "--k", "3", "--n", "7", "--mode", "cyclic", "--out", str(path)])
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["td.txt"]

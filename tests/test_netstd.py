@@ -9,6 +9,7 @@ from steinerkit.errors import (
     BadCoprimality,
     BadOrder,
     DegreeMismatch,
+    ParseError,
     TooFewSlopes,
     Unavailable,
 )
@@ -239,3 +240,16 @@ def test_net_text_round_trip():
     back = net_from_text(text)
     verify_net(back)
     assert {frozenset(l) for l in back.lines} == {frozenset(l) for l in net.lines}
+
+
+def test_td_reader_names_a_non_integer_line():
+    with pytest.raises(ParseError) as exc:
+        td_from_text("TD k=3 n=1\n0\n1\n# comment\n2\n0 1 x\n")
+    assert exc.value.line_no == 6
+
+
+def test_net_reader_names_a_non_integer_line():
+    text = net_to_text(net_from_affine_plane(3, 3)).replace("1 4 7", "1 4 x")
+    with pytest.raises(ParseError) as exc:
+        net_from_text(text)
+    assert exc.value.line_no == 3
