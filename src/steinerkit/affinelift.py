@@ -41,6 +41,7 @@ from .permgrp import (
     orbit_sweep,
     push,
     set_images,
+    transporters,
 )
 
 DEFAULT_LINE_BUDGET = 2_000_000
@@ -170,12 +171,6 @@ class AffineMap:
         if _rank_mod_p(self.matrix, self.p) != len(self.matrix):
             raise BadParams("matrix is singular")
 
-    def apply_coords(self, vec: Sequence[int]) -> tuple[int, ...]:
-        d, p = len(self.translation), self.p
-        return tuple(
-            (sum(vec[i] * self.matrix[i][j] for i in range(d)) + self.translation[j]) % p
-            for j in range(d))
-
     def to_permutation(self, space: AffineSpace) -> Permutation:
         mat = np.array(self.matrix, dtype=np.int64)
         trans = np.array(self.translation, dtype=np.int64)
@@ -219,25 +214,6 @@ def coordinate_group(group: PermGroup, space: AffineSpace
     return PermGroup(space.point_count, gens), maps
 
 
-def induced_affine_on_line(amap: AffineMap, line: Line, space: AffineSpace
-                           ) -> tuple[int, int]:
-    """Coefficients (a, b) of the action x -> a*x + b induced on a stabilized
-    line in its canonical parametrization."""
-    p = space.p
-    pos = {pt: x for x, pt in enumerate(line.points)}
-    img0 = space.encode(amap.apply_coords(space.decode(line.points[0])))
-    img1 = space.encode(amap.apply_coords(space.decode(line.points[1])))
-    if img0 not in pos or img1 not in pos:
-        raise NotStabilizing("map does not stabilize the line")
-    b = pos[img0]
-    a = (pos[img1] - b) % p
-    for x in range(2, p):
-        img = space.encode(amap.apply_coords(space.decode(line.points[x])))
-        if pos.get(img) != (a * x + b) % p:
-            raise NotStabilizing("map is not affine on the line parametrization")
-    return a, b
-
-
 def induced_perm_on_line(perm: Permutation, line: Line) -> Permutation:
     """The degree-p permutation induced on a stabilized line's parametrization."""
     pos = {pt: x for x, pt in enumerate(line.points)}
@@ -278,7 +254,8 @@ def _line_orbits(group: PermGroup, p: int, line_budget: int) -> _LineOrbits:
     coord, _ = coordinate_group(group, space)
     elements = coord.elements()
     images = set_images(table.points, elements)
-    reps, orbit_of, trans = orbit_sweep(images)
+    reps, orbit_of = orbit_sweep(images)
+    trans = transporters(images, reps, orbit_of)
     stabilizers = [[elements[e] for e, j in enumerate(col) if j == r]
                    for r, col in zip(reps.tolist(), images[:, reps].T.tolist())]
     return _LineOrbits(space, table, coord, elements, reps, orbit_of, trans, stabilizers)
@@ -355,12 +332,8 @@ def lift_aligned(group: PermGroup, p: int, k: int, ingredient: Design,
             ind = induced_perm_on_line(g, line)
             induced_set.setdefault(ind.images, ind)
         m = len(induced_set)
-        gen = None
-        for images in sorted(induced_set):
-            cand = induced_set[images]
-            if cand.order() == m:
-                gen = cand
-                break
+        gen = next((induced_set[images] for images in sorted(induced_set)
+                    if induced_set[images].order() == m), None)
         if gen is None:
             raise AlignmentImpossible(f"induced action on line {r} is not cyclic")
         if m == 1:

@@ -9,6 +9,7 @@ trick produces pairwise affinely-inequivalent variants of a prime design.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +25,7 @@ from .errors import (
 )
 from .exactcover import solve_exact_cover
 from .gf import MultSubgroup, PrimeFieldCtx, coset_partition, is_prime, subgroup_of_order
-from .permgrp import PermGroup, Permutation
+from .permgrp import PermGroup, Permutation, orbit_sweep, set_images
 
 
 # -- difference-family base designs --------------------------------------------
@@ -131,51 +132,51 @@ def km_instance(v: int, k: int, group: PermGroup,
     """
     if group.degree != v:
         raise BadParams(f"group degree {group.degree} != v {v}")
-    n_candidates = 1
-    for i in range(k):
-        n_candidates = n_candidates * (v - i) // (i + 1)
+    n_candidates = math.comb(v, k)
     if n_candidates > max_block_candidates:
         raise Infeasible(f"{n_candidates} candidate blocks exceeds the bound "
                          f"{max_block_candidates}")
-    elements = group.elements()
+    pair_reps, block_reps, block_orbit, bounds, row, bad = _km_orbits(v, k, group.generators)
+    columns = {cid: frozenset(row[bounds[cid]:bounds[cid + 1]])
+               for cid in np.flatnonzero(~bad).tolist()}
+    order = np.argsort(block_orbit, kind="stable")
+    starts = np.searchsorted(block_orbit[order], np.arange(len(block_reps) + 1)).tolist()
+    pairs = tuple(itertools.combinations(range(v), 2))
+    blocks = tuple(itertools.combinations(range(v), k))
+    by_orbit = tuple(map(blocks.__getitem__, order.tolist()))
+    return KMInstance(v, k, tuple(map(pairs.__getitem__, pair_reps.tolist())),
+                      tuple(map(blocks.__getitem__, block_reps.tolist())), columns,
+                      tuple(by_orbit[s:e] for s, e in zip(starts, starts[1:])),
+                      int(bad.sum()))
 
-    pair_row: dict[tuple[int, int], int] = {}
-    pair_reps: list[tuple[int, int]] = []
-    for pair in itertools.combinations(range(v), 2):
-        if pair in pair_row:
-            continue
-        row = len(pair_reps)
-        pair_reps.append(pair)
-        for g in elements:
-            img = (g.images[pair[0]], g.images[pair[1]])
-            pair_row[(min(img), max(img))] = row
 
-    block_reps: list[tuple[int, ...]] = []
-    orbit_blocks: list[tuple[tuple[int, ...], ...]] = []
-    columns: dict[int, frozenset[int]] = {}
-    seen: set[tuple[int, ...]] = set()
-    rep_pairs = {pair: i for i, pair in enumerate(pair_reps)}
-    dropped = 0
-    for combo in itertools.combinations(range(v), k):
-        if combo in seen:
-            continue
-        orbit = {tuple(sorted(g.images[x] for x in combo)) for g in elements}
-        seen.update(orbit)
-        cover: dict[int, int] = {}
-        for blk in orbit:
-            for pair in itertools.combinations(blk, 2):
-                row = rep_pairs.get(pair)
-                if row is not None:
-                    cover[row] = cover.get(row, 0) + 1
-        cid = len(block_reps)
-        block_reps.append(combo)
-        orbit_blocks.append(tuple(sorted(orbit)))
-        if any(c > 1 for c in cover.values()):
-            dropped += 1
-            continue
-        columns[cid] = frozenset(cover)
-    return KMInstance(v, k, tuple(pair_reps), tuple(block_reps), columns,
-                      tuple(orbit_blocks), dropped)
+def _subsets(v: int, s: int) -> np.ndarray:
+    """The s-subsets of range(v) as rows, in itertools.combinations order."""
+    n = math.comb(v, s)
+    flat = itertools.chain.from_iterable(itertools.combinations(range(v), s))
+    return np.fromiter(flat, dtype=np.int64, count=n * s).reshape(n, s)
+
+
+def _km_orbits(v: int, k: int, generators):
+    """Orbits on the pairs and the k-subsets of range(v), in combinations
+    order, and the cover counts of (block orbit, representative pair): per
+    block orbit, its covered pair orbits' bounds in the row list, and whether
+    it covers one of them twice."""
+    pair_reps, pair_orbit = orbit_sweep(set_images(_subsets(v, 2), generators))
+    rows = _subsets(v, k)
+    block_reps, block_orbit = orbit_sweep(set_images(rows, generators))
+    a, b = np.triu_indices(k, 1)
+    x, y = rows[:, a], rows[:, b]
+    pair = x * (2 * v - x - 1) // 2 + y - x - 1  # index in combinations order
+    hit = np.isin(pair, pair_reps)
+    n = len(pair_reps)
+    keys, counts = np.unique(np.broadcast_to(block_orbit[:, None], pair.shape)[hit] * n
+                             + pair_orbit[pair[hit]], return_counts=True)
+    orbit, row = np.divmod(keys, n)
+    bad = np.zeros(len(block_reps), dtype=bool)
+    bad[orbit[counts > 1]] = True
+    bounds = np.searchsorted(orbit, np.arange(len(block_reps) + 1)).tolist()
+    return pair_reps, block_reps, block_orbit, bounds, row.tolist(), bad
 
 
 def km_search(v: int, k: int, group: PermGroup, forced_blocks=(),

@@ -13,7 +13,10 @@ import hashlib
 import math
 import sys
 import time
+import warnings
 from pathlib import Path
+
+import numpy as np
 
 from . import compose, paramsearch
 from .affinelift import lift_aligned, lift_odd
@@ -27,11 +30,11 @@ from .design import (
     write_atomic,
     write_design,
 )
-from .errors import AxiomViolation, SteinerError
+from .errors import AxiomViolation, ParityViolation, SteinerError
 from .gf import is_prime
 from .netstd import (cyclic_td, mols_td, net_from_affine_plane, net_to_text, semilinear_net,
                      td_to_text, verify_net, verify_td)
-from .permgrp import PermGroup, Permutation, group_from_text, is_semiregular
+from .permgrp import PermGroup, Permutation, group_from_text, is_semiregular, orbit_sweep
 
 
 class Report:
@@ -105,12 +108,24 @@ def _cache_path(cache_dir: str | None, key: str) -> Path | None:
     return root / f"{digest}.design"
 
 
-def _cached_design(cache_dir: str | None, key: str, builder) -> Design:
+def _cached_design(report: Report, cache_dir: str | None, key: str, group: PermGroup,
+                   k: int, build) -> Design:
+    """The design cached under the key, re-verified before use, or else the
+    design ``build`` returns, then cached.  The keyed group acts on its points."""
     path = _cache_path(cache_dir, key)
     if path is not None and path.exists():
-        return read_design(path)
-    result = builder()
+        report.param("cache", "hit")
+        d = read_design(path)
+        failed = ("(v, k)" if (d.v, d.k) != (group.degree, k) else
+                  "2-design" if not verify_2design(d).ok else
+                  "automorphism" if not all(is_automorphism(d, g) for g in group.generators)
+                  else None)
+        if failed:
+            raise SteinerError(f"cache entry {path} fails the {failed} check")
+        return d
+    result = build()
     if path is not None:
+        report.param("cache", "miss")
         write_design(result, path, comments=[f"cache key: {key}"])
     return result
 
@@ -148,17 +163,22 @@ def _write(report: Report, d: Design, out: str | None, comments: list[str]) -> N
 
 # -- subcommands ------------------------------------------------------------------
 
-def cmd_construct_odd(args, report: Report) -> None:
+def _lift_group(args, report: Report) -> tuple[PermGroup, int]:
+    """The coordinate group of a lift and its order, reported with k and d."""
     group = _load_group(args.group_file)
     h = group.order()
-    k = args.k
-    report.param("k", k)
+    report.param("k", args.k)
     report.param("group_order", h)
     report.param("d", group.degree)
     if args.d is not None and args.d != group.degree:
         raise SteinerError(f"--d {args.d} disagrees with group degree {group.degree}")
+    return group, h
+
+
+def cmd_construct_odd(args, report: Report) -> None:
+    group, h = _lift_group(args, report)
+    k = args.k
     if h % 2 == 0:
-        from .errors import ParityViolation
         raise ParityViolation(f"group order {h} is even")
     if args.p is not None:
         p = args.p
@@ -190,14 +210,8 @@ def cmd_construct_odd(args, report: Report) -> None:
 
 
 def cmd_construct_aligned(args, report: Report) -> None:
-    group = _load_group(args.group_file)
-    h = group.order()
+    group, h = _lift_group(args, report)
     k = args.k
-    report.param("k", k)
-    report.param("group_order", h)
-    report.param("d", group.degree)
-    if args.d is not None and args.d != group.degree:
-        raise SteinerError(f"--d {args.d} disagrees with group degree {group.degree}")
     if k % 2 == 0 or math.gcd(k, h) != 1 or h % 2 != 0:
         raise SteinerError(f"need k odd, |G| even, gcd(k,|G|)=1; got k={k}, |G|={h}")
     h4 = math.lcm(h, 4)
@@ -224,10 +238,10 @@ def cmd_construct_aligned(args, report: Report) -> None:
         ingredient = read_design(args.ingredient)
     else:
         key = f"km:v={p}:k={k}:cyclic={','.join(map(str, cyc.images))}"
+        cyc_group = PermGroup(p, [cyc])
         with _Timer(report, "ingredient_search"):
-            ingredient = _cached_design(
-                args.cache_dir, key,
-                lambda: km_search(p, k, PermGroup(p, [cyc])))
+            ingredient = _cached_design(report, args.cache_dir, key, cyc_group, k,
+                                        lambda: km_search(p, k, cyc_group))
     report.param("ingredient_blocks", ingredient.b)
     with _Timer(report, "lift"):
         result = lift_aligned(group, p, k, ingredient, cyc)
@@ -285,13 +299,8 @@ def cmd_compose(args, report: Report) -> None:
 def _cyclic_checks(report: Report, out: Design, cbar: PermGroup) -> None:
     report.param("v", out.v)
     _design_checks(report, out, cbar, one_blocked=False)
-    gens_ok = True
-    for g in cbar.elements():
-        if g.is_identity():
-            continue
-        if g.fixed_points() != (0,):
-            gens_ok = False
-    report.check("fixes_exactly_one_point", gens_ok)
+    report.check("fixes_exactly_one_point",
+                 all(g.fixed_points() == (0,) for g in cbar.elements() if not g.is_identity()))
     ok, _ = is_semiregular(cbar, range(1, out.v))
     report.check("semiregular_elsewhere", ok)
 
@@ -313,10 +322,10 @@ def _compose_cyclic_auto(args, report: Report) -> None:
     orbit_blocks = [tuple(sorted((i + j * params.q) % v_w for j in range(k)))
                     for i in range(params.q)]
     key = f"km:v={v_w}:k={k}:semiregular_shift={params.q}:orbit-blocks"
+    shift_group = PermGroup(v_w, [shift])
     with _Timer(report, "ingredient_w"):
-        w = _cached_design(args.cache_dir, key,
-                           lambda: km_search(v_w, k, PermGroup(v_w, [shift]),
-                                             forced_blocks=orbit_blocks))
+        w = _cached_design(report, args.cache_dir, key, shift_group, k,
+                           lambda: km_search(v_w, k, shift_group, forced_blocks=orbit_blocks))
     report.param("w_blocks", w.b)
     if k != 3:
         raise SteinerError("the large ingredient library covers k=3 only")
@@ -353,9 +362,9 @@ def cmd_km_search(args, report: Report) -> None:
     report.param("group_order", group.order())
     forced = ()
     if args.orbit_blocks:
-        from .permgrp import orbits
-        dec = orbits(group, list(range(args.v)), lambda x, g: g.images[x])
-        forced = tuple(tuple(members) for members in dec.orbit_members)
+        point_images = np.array([g.images for g in group.generators], dtype=np.int64)
+        reps, orbit_of = orbit_sweep(point_images.reshape(-1, group.degree))
+        forced = tuple(tuple(np.flatnonzero(orbit_of == r).tolist()) for r in range(len(reps)))
         if any(len(f) != args.k for f in forced):
             raise SteinerError("point orbits are not k-sets; cannot force them as blocks")
         report.param("forced_orbit_blocks", len(forced))
@@ -376,8 +385,14 @@ def cmd_plan_spectrum(args, report: Report) -> None:
     bound = paramsearch.spectrum_bound(args.k, args.w, x1s)
     report.param("bound", bound)
     lo = args.lo if args.lo is not None else bound
-    plan = paramsearch.spectrum_plan(args.k, args.w, x1s, (lo, lo + args.width),
-                                     x0=args.x0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            plan = paramsearch.spectrum_plan(args.k, args.w, x1s, (lo, lo + args.width),
+                                             x0=args.x0)
+        finally:
+            for warning in caught:
+                report.param("warning", warning.message)
     report.param("witnesses", len(plan.witnesses))
     report.param("uncovered", len(plan.uncovered))
     report.check("window_covered", not plan.uncovered,

@@ -38,7 +38,7 @@ from .errors import (
     Unavailable,
 )
 from .netstd import TransversalDesign, cyclic_td, mols_td, verify_td
-from .permgrp import PermGroup, Permutation, orbit_sweep, push, set_images
+from .permgrp import PermGroup, Permutation, orbit_sweep, push, set_images, transporters
 
 
 def default_td_supplier(k: int, n: int) -> TransversalDesign:
@@ -133,7 +133,9 @@ def _product(plan: CompositionPlan, group: PermGroup, check: bool) -> tuple[Desi
     if td.n != idx.zlen or td.k != idx.k:
         raise BadParams(f"TD({td.k},{td.n}) does not match (k, y-x) = ({idx.k},{idx.zlen})")
     elements = group.elements()
-    reps, orbit_of, trans = orbit_sweep(set_images(plan.W.blocks, elements))
+    images = set_images(plan.W.blocks, elements)
+    reps, orbit_of = orbit_sweep(images)
+    trans = transporters(images, reps, orbit_of)
     pushed = push(np.stack([idx.bar(g) for g in elements]),
                   _plant_td(td, idx, plan.W.blocks[reps]), orbit_of, trans)
     out = Design(idx.u, idx.k, np.concatenate([_nontd_blocks(plan, idx), pushed]))
@@ -206,7 +208,9 @@ def cyclic_product_design(W: Design, c_w: Permutation, Y: Design,
         if len(rotation.cycles()) != 1 or len(rotation.cycles()[0]) != k:
             raise AlignmentImpossible("td_rotator must rotate the k groups in one cycle")
 
-    reps, orbit_of, trans = orbit_sweep(set_images(W.blocks, powers))
+    images = set_images(W.blocks, powers)
+    reps, orbit_of = orbit_sweep(images)
+    trans = transporters(images, reps, orbit_of)
     # free orbits: the canonical copy at the representative, pushed around
     plants = _plant_td(td, idx, W.blocks[reps])
     sizes = np.bincount(orbit_of)

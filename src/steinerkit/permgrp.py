@@ -2,8 +2,8 @@
 
 Permutations are image tables on {0..degree-1}.  Groups are given by
 generators and enumerated on demand by breadth-first closure under a hard
-cap; at the scales this package targets the acting groups are tiny compared
-to the point sets, so full enumeration is always feasible.
+cap.  Orbits need no enumeration: ``orbit_sweep`` takes the image table of
+the generators; only transporters need every element.
 
 Composition is left-to-right: ``(g * h)(x) == h(g(x))``, matching the
 exponent convention x^(gh) = (x^g)^h used throughout.
@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Hashable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -21,7 +21,6 @@ from .errors import (
     ActionEscape,
     CapExceeded,
     NotSemiregular,
-    NotStabilizing,
     OrderMismatch,
     ParseError,
 )
@@ -204,7 +203,10 @@ def set_images(rows, perms: Sequence[Permutation]) -> np.ndarray:
     image under perms[e].  Raises ActionEscape if an image is not a row.
     """
     rows = np.asarray(rows, dtype=np.int64)
-    family = np.sort(np.stack([rows] + [g.array[rows] for g in perms]), axis=2)
+    if not perms:
+        return np.empty((0, len(rows)), dtype=np.int64)
+    family = np.stack([rows] + [g.array[rows] for g in perms])
+    family.sort(axis=2)
     # one call keys the sets and all their images, so ranks stay comparable
     keys = row_keys(family.reshape(-1, rows.shape[1]), perms[0].degree).reshape(family.shape[:2])
     order = np.argsort(keys[0])
@@ -215,27 +217,29 @@ def set_images(rows, perms: Sequence[Permutation]) -> np.ndarray:
     return index
 
 
-def orbit_sweep(images: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Orbits from the (elements, n) image-index table of a group.
+def orbit_sweep(images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orbits from an image-index table whose rows generate the group.
 
-    Returns the representatives (the least index of each orbit, ascending),
-    each member's orbit number, and the index of the first element carrying
-    the member's representative to it.
+    The rows may be the generators or every element.  Returns the
+    representatives (the least index of each orbit, ascending) and each
+    member's orbit number.  Least-label propagation: each round every member
+    takes the least label among itself and its images, then the label of its
+    label, until nothing changes.
     """
-    n = images.shape[1]
-    orbit_of = [-1] * n
-    trans = [0] * n
-    reps = []
-    for i, col in enumerate(images.T.tolist()):
-        if orbit_of[i] >= 0:
-            continue
-        r = len(reps)
-        reps.append(i)
-        for e, j in enumerate(col):
-            if orbit_of[j] < 0:
-                orbit_of[j] = r
-                trans[j] = e
-    return tuple(np.array(a, dtype=np.int64) for a in (reps, orbit_of, trans))
+    label = np.arange(images.shape[1])
+    while True:
+        new = np.minimum(label, label[images].min(axis=0, initial=label.size))
+        new = new[new]
+        if np.array_equal(new, label):
+            break
+        label = new
+    return np.unique(label, return_inverse=True)
+
+
+def transporters(images: np.ndarray, reps: np.ndarray, orbit_of: np.ndarray) -> np.ndarray:
+    """Per member, the index of the first element of the (elements, n) image
+    table that carries the member's representative to it."""
+    return (images[:, reps[orbit_of]] == np.arange(images.shape[1])).argmax(axis=0)
 
 
 def push(point_images: np.ndarray, planted: np.ndarray, orbit_of: np.ndarray,
@@ -250,99 +254,15 @@ def push(point_images: np.ndarray, planted: np.ndarray, orbit_of: np.ndarray,
     return out.reshape(-1, planted.shape[-1])
 
 
-@dataclass(frozen=True)
-class OrbitDecomposition:
-    """Orbits of a group action on an indexed family.
-
-    ``representatives[r]`` is the family index of the r-th orbit representative
-    (the minimum member in family order).  ``transporter[i] = (rep_index, g)``
-    with family[rep_index]^g = family[i]; every transporter is a group element.
-    """
-
-    representatives: tuple[int, ...]
-    transporter: dict[int, tuple[int, Permutation]]
-    orbit_members: tuple[tuple[int, ...], ...]
-
-    def orbit_of(self, index: int) -> tuple[int, ...]:
-        rep, _ = self.transporter[index]
-        return self.orbit_members[self.representatives.index(rep)]
-
-
-def orbits(group: PermGroup, family: Sequence[Hashable],
-           action: Callable[[Hashable, Permutation], Hashable],
-           cap: int = DEFAULT_CAP) -> OrbitDecomposition:
-    """Decompose ``family`` into orbits under ``group`` acting via ``action``.
-
-    The family's own ordering is the total order used to pick representatives:
-    the representative of each orbit is its least family index.  Raises
-    ActionEscape if the action produces an object not in the family.
-    """
-    index: dict[Hashable, int] = {}
-    for i, obj in enumerate(family):
-        if obj in index:
-            raise ValueError(f"family has duplicate member at index {i}")
-        index[obj] = i
-    elems = group.elements(cap)
-    images = np.empty((len(elems), len(family)), dtype=np.int64)
-    for e, g in enumerate(elems):
-        for i, obj in enumerate(family):
-            img = action(obj, g)
-            if img not in index:
-                raise ActionEscape(f"action escapes family: {img!r}")
-            images[e, i] = index[img]
-    reps, orbit_of, trans = (a.tolist() for a in orbit_sweep(images))
-    members: list[list[int]] = [[] for _ in reps]
-    for i, r in enumerate(orbit_of):
-        members[r].append(i)
-    transporter = {i: (reps[r], elems[e]) for i, (r, e) in enumerate(zip(orbit_of, trans))}
-    return OrbitDecomposition(tuple(reps), transporter, tuple(map(tuple, members)))
-
-
-def set_stabilizer(group: PermGroup, pts: Iterable[int],
-                   cap: int = DEFAULT_CAP) -> PermGroup:
-    """Subgroup of elements fixing the point set setwise, fully enumerated."""
-    target = frozenset(pts)
-    stab = tuple(g for g in group.elements(cap)
-                 if frozenset(g.images[p] for p in target) == target)
-    return PermGroup(group.degree, stab, _elements=stab)
-
-
-def induced(group: PermGroup, pts: Iterable[int],
-            cap: int = DEFAULT_CAP) -> tuple[PermGroup, tuple[int, ...]]:
-    """Action induced on a stabilized set, via its order-preserving relabeling.
-
-    Returns the induced group of degree len(pts) plus the relabeling (the
-    sorted point list: position i holds the original point).  Elements acting
-    identically on the set collapse.
-    """
-    labels = tuple(sorted(set(pts)))
-    pos = {p: i for i, p in enumerate(labels)}
-    images_seen: dict[tuple[int, ...], Permutation] = {}
-    for g in group.elements(cap):
-        try:
-            imgs = tuple(pos[g.images[p]] for p in labels)
-        except KeyError:
-            raise NotStabilizing(f"element {g!r} moves the set")
-        if imgs not in images_seen:
-            images_seen[imgs] = Permutation(imgs)
-    elems = tuple(images_seen[k] for k in sorted(images_seen))
-    return PermGroup(len(labels), elems, _elements=elems), labels
-
-
 def is_semiregular(group: PermGroup, pts: Iterable[int],
                    cap: int = DEFAULT_CAP) -> tuple[bool, list[tuple[Permutation, int]]]:
     """True iff no nonidentity element fixes any point of the set.
 
     On failure also returns the violating (element, fixed point) pairs.
     """
-    violations = []
     pts = tuple(pts)
-    for g in group.elements(cap):
-        if g.is_identity():
-            continue
-        for x in pts:
-            if g.images[x] == x:
-                violations.append((g, x))
+    violations = [(g, x) for g in group.elements(cap) if not g.is_identity()
+                  for x in pts if g.images[x] == x]
     return (not violations, violations)
 
 
@@ -414,14 +334,11 @@ def group_to_text(group: PermGroup) -> str:
 
 def group_from_text(text: str) -> PermGroup:
     lines = text.splitlines()
-    header_no = None
-    for no, raw in enumerate(lines, start=1):
-        if raw.strip() and not raw.lstrip().startswith("#"):
-            header_no = no
-            break
-    if header_no is None:
+    data = [(no, raw.split()) for no, raw in enumerate(lines, start=1)
+            if raw.strip() and not raw.lstrip().startswith("#")]
+    if not data:
         raise ParseError(1, "missing PERMGROUP header")
-    header = lines[header_no - 1].split()
+    header_no, header = data[0]
     if len(header) != 3 or header[0] != "PERMGROUP":
         raise ParseError(header_no, "expected 'PERMGROUP degree=<n> gens=<m>'")
     try:
@@ -430,13 +347,9 @@ def group_from_text(text: str) -> PermGroup:
     except ValueError:
         raise ParseError(header_no, "bad degree/gens fields")
     perms = []
-    no = header_no
-    for raw in lines[header_no:]:
-        no += 1
-        if not raw.strip() or raw.lstrip().startswith("#"):
-            continue
+    for no, tokens in data[1:]:
         try:
-            imgs = tuple(int(tok) for tok in raw.split())
+            imgs = tuple(int(tok) for tok in tokens)
         except ValueError:
             raise ParseError(no, "non-integer image")
         if len(imgs) != degree:
@@ -446,5 +359,5 @@ def group_from_text(text: str) -> PermGroup:
         except ValueError as exc:
             raise ParseError(no, str(exc))
     if len(perms) != gens:
-        raise ParseError(no, f"expected {gens} generators, got {len(perms)}")
+        raise ParseError(len(lines), f"expected {gens} generators, got {len(perms)}")
     return PermGroup(degree, perms)

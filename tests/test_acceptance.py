@@ -46,7 +46,7 @@ from steinerkit.paramsearch import (
     spectrum_plan,
     witness_for,
 )
-from steinerkit.permgrp import PermGroup, Permutation, is_semiregular, orbits
+from steinerkit.permgrp import PermGroup, Permutation, is_semiregular, orbit_sweep, set_images
 
 
 def _report(n: int, ok: bool, detail: str) -> None:
@@ -75,8 +75,8 @@ def test_criterion_02_base_design_p19():
     grp = base.aut_group
     ok = ok and grp.order() == 57
     blocks = base.design.block_tuples()
-    dec = orbits(grp, blocks, lambda blk, g: tuple(sorted(g.images[x] for x in blk)))
-    ok = ok and len(dec.representatives) == 1  # regular: one orbit of length 57
+    reps, _ = orbit_sweep(set_images(base.design.blocks, grp.generators))
+    ok = ok and len(reps) == 1  # regular: one orbit of length 57
     trivial_stabs = all(
         sum(1 for g in grp.elements()
             if tuple(sorted(g.images[x] for x in blk)) == blk) == 1

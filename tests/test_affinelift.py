@@ -10,7 +10,6 @@ from steinerkit.affinelift import (
     Line,
     all_lines,
     coordinate_group,
-    induced_affine_on_line,
     induced_perm_on_line,
     lift_aligned,
     lift_odd,
@@ -26,7 +25,7 @@ from steinerkit.errors import (
     ParityViolation,
 )
 from steinerkit.gf import PrimeFieldCtx, subgroup_of_order
-from steinerkit.permgrp import PermGroup, Permutation, orbits
+from steinerkit.permgrp import PermGroup, Permutation, orbit_sweep, set_images
 
 
 def test_space_encode_decode():
@@ -100,42 +99,42 @@ def test_coordinate_group_identity():
 
 
 def test_induced_group_on_pointwise_fixed_diagonal_is_trivial():
-    from steinerkit.permgrp import induced, set_stabilizer
-
     g = PermGroup(2, [Permutation.from_cycles(2, [(0, 1)])])
-    sp = AffineSpace(2, 19)
-    coord, _ = coordinate_group(g, sp)
-    diagonal = [sp.encode((x, x)) for x in range(19)]
-    stab = set_stabilizer(coord, diagonal)
-    assert stab.order() == 2  # the swap fixes the diagonal setwise
-    ind, _ = induced(stab, diagonal)
-    assert ind.order() == 1  # and pointwise: the induced group collapses
+    orb = affinelift._line_orbits(g, 19, affinelift.DEFAULT_LINE_BUDGET)
+    diagonal = next(i for i, line in enumerate(orb.table)
+                    if line.base == 0 and line.direction == (1, 1))
+    r = int(orb.orbit_of[diagonal])
+    assert orb.reps[r] == diagonal
+    assert len(orb.stabilizers[r]) == 2  # the swap fixes the diagonal setwise
+    # and pointwise: every induced action is the identity
+    assert all(induced_perm_on_line(h, orb.table[diagonal]).is_identity()
+               for h in orb.stabilizers[r])
 
 
 def test_induced_affine_identity():
     sp = AffineSpace(2, 19)
     table = all_lines(sp)
     ident = AffineMap(((1, 0), (0, 1)), (0, 0), 19)
-    assert induced_affine_on_line(ident, table[0], sp) == (1, 0)
+    assert induced_perm_on_line(ident.to_permutation(sp), table[0]).is_identity()
 
 
 def test_induced_affine_swap_on_diagonal():
     sp = AffineSpace(2, 19)
     table = all_lines(sp)
-    swap = AffineMap(((0, 1), (1, 0)), (0, 0), 19)
+    swap = AffineMap(((0, 1), (1, 0)), (0, 0), 19).to_permutation(sp)
     diag = next(line for line in table if line.direction == (1, 1) and line.base == 0)
-    assert induced_affine_on_line(swap, diag, sp) == (1, 0)  # pointwise fixed
+    assert induced_perm_on_line(swap, diag).is_identity()  # pointwise fixed
     off_diag = next(line for line in table if line.direction == (1, 0))
     with pytest.raises(NotStabilizing):
-        induced_affine_on_line(swap, off_diag, sp)
+        induced_perm_on_line(swap, off_diag)
 
 
 def test_induced_affine_translation_by_direction():
     sp = AffineSpace(2, 7)
     table = all_lines(sp)
     line = table[0]
-    trans = AffineMap(((1, 0), (0, 1)), line.direction, 7)
-    assert induced_affine_on_line(trans, line, sp) == (1, 1)
+    trans = AffineMap(((1, 0), (0, 1)), line.direction, 7).to_permutation(sp)
+    assert induced_perm_on_line(trans, line).images == tuple((x + 1) % 7 for x in range(7))
 
 
 def test_affine_map_rejects_singular():
@@ -145,8 +144,7 @@ def test_affine_map_rejects_singular():
 
 def line_decomposition(table, group):
     """Orbits of a point group on the lines, over line indices."""
-    lines = [frozenset(line.points) for line in table]
-    return orbits(group, lines, lambda s, perm: frozenset(perm.images[p] for p in s))
+    return orbit_sweep(set_images(table.points, group.generators))
 
 
 def test_line_orbits_matches_generic_machinery():
@@ -154,19 +152,19 @@ def test_line_orbits_matches_generic_machinery():
     sp = AffineSpace(2, 19)
     table = all_lines(sp)
     coord, _ = coordinate_group(g, sp)
-    dec = line_decomposition(table, coord)
-    # independent check through the generic orbit machinery on point tuples
-    keys = [tuple(int(x) for x in row) for row in np.sort(table.points, axis=1)]
-    generic = orbits(coord, keys, lambda key, perm: tuple(sorted(perm.images[p] for p in key)))
-    assert dec.representatives == generic.representatives
+    # independent check: each line's orbit by set lookup under every element
+    index = {frozenset(line.points): i for i, line in enumerate(table)}
+    generic = sorted({min(index[frozenset(e.images[p] for p in line.points)]
+                          for e in coord.elements()) for line in table})
+    assert line_decomposition(table, coord)[0].tolist() == generic
     # the lifts' own sweep picks the same representatives
-    lift_orbits = affinelift._line_orbits(g, 19, affinelift.DEFAULT_LINE_BUDGET)
-    assert tuple(lift_orbits.reps.tolist()) == generic.representatives
+    orb = affinelift._line_orbits(g, 19, affinelift.DEFAULT_LINE_BUDGET)
+    assert orb.reps.tolist() == generic
     # transporters reproduce members
     for i in range(len(table)):
-        rep, t = dec.transporter[i]
-        img = tuple(sorted(t.images[p] for p in table[rep].points))
-        assert img == keys[i]
+        rep = table[orb.reps[orb.orbit_of[i]]]
+        t = orb.elements[orb.trans[i]]
+        assert frozenset(t.images[p] for p in rep.points) == frozenset(table[i].points)
 
 
 def test_lift_odd_trivial_group_d1_is_the_base_design():
@@ -265,10 +263,9 @@ def test_lift_aligned_double_transporter_consistency(reverse_sts19):
     g = PermGroup(2, [Permutation.from_cycles(2, [(0, 1)])])
     result = lift_aligned(g, 19, 3, ingredient, inv)
     table = all_lines(result.space)
-    dec = line_decomposition(table, result.group)
+    reps, orbit_of = line_decomposition(table, result.group)
     blocks = result.design.block_set()
-    stabilized = [r for r, members in zip(dec.representatives, dec.orbit_members)
-                  if len(members) == 1]
+    stabilized = reps[np.bincount(orbit_of) == 1].tolist()
     assert len(stabilized) == 20  # the swap fixes the diagonal and 19 cross lines
     nontrivial = result.group.elements()[1]
     for r in stabilized[:5]:

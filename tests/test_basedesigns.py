@@ -18,7 +18,7 @@ from steinerkit.basedesigns import (
 from steinerkit.design import Design, is_automorphism, iso_in_group, verify_2design
 from steinerkit.errors import BadParams, CriterionFailed, Infeasible, Unsat
 from steinerkit.gf import PrimeFieldCtx, coset_partition, subgroup_of_order
-from steinerkit.permgrp import PermGroup, Permutation, is_semiregular, orbits, set_stabilizer
+from steinerkit.permgrp import PermGroup, Permutation, is_semiregular, orbit_sweep, set_images
 
 
 def test_wilson_base_block_p19():
@@ -66,8 +66,8 @@ def test_multiplier_group_regular_on_blocks():
     grp = bd.aut_group
     assert grp.order() == 57
     blocks = bd.design.block_tuples()
-    dec = orbits(grp, blocks, lambda blk, g: tuple(sorted(g.images[x] for x in blk)))
-    assert dec.representatives == (0,)  # single orbit of length 57
+    reps, _ = orbit_sweep(set_images(bd.design.blocks, grp.generators))
+    assert reps.tolist() == [0]  # single orbit of length 57
     for blk in blocks:
         fixers = [g for g in grp.elements()
                   if tuple(sorted(g.images[x] for x in blk)) == blk]

@@ -8,7 +8,7 @@ import pytest
 
 from steinerkit import cli
 from steinerkit.cli import main
-from steinerkit.design import read_design, verify_2design
+from steinerkit.design import read_design, verify_2design, write_design
 from steinerkit.errors import AxiomViolation
 from steinerkit.permgrp import PermGroup, Permutation, group_to_text
 
@@ -142,12 +142,20 @@ def test_plan_spectrum_subcommand(capsys):
     assert rep["uncovered"] == "0"
 
 
+@pytest.mark.parametrize("x1, code", [("7,9", 0), ("8", 1)], ids=["plan", "bad-x1"])
+def test_plan_spectrum_warning_is_a_report_line(capsys, x1, code):
+    assert main(["plan-spectrum", "--k", "3", "--w", "7", "--x1", x1, "--width", "2000"]) == code
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert ("warning=subdesign-embedding threshold x0 unset; witnesses assume every x "
+            "above it embeds") in out.splitlines()
+
+
 def test_compose_rc_and_1blocked(tmp_path, capsys):
     fano = tmp_path / "fano.design"
     run(capsys, "search-base-block", "--p", "7", "--k", "3", "--out", str(fano))
     sts9 = tmp_path / "sts9.design"
     from steinerkit.basedesigns import steiner_triple_system
-    from steinerkit.design import write_design
     d9 = steiner_triple_system(9)
     write_design(d9, sts9)
     block = ",".join(map(str, d9.block_tuples()[0]))
@@ -169,6 +177,7 @@ def test_compose_cyclic_auto_pipeline(tmp_path, capsys):
     code, rep = run(capsys, "compose", "--mode", "cyclic", "--k", "3", "--h", "2",
                     "--out", str(out), "--cache-dir", str(tmp_path / "cache"))
     assert code == 0
+    assert rep["cache"] == "miss"
     assert rep["p"] == "379"
     assert rep["check.fixes_exactly_one_point"].startswith("ok")
     assert rep["check.semiregular_elsewhere"].startswith("ok")
@@ -180,6 +189,37 @@ def test_compose_cyclic_auto_pipeline(tmp_path, capsys):
     code, rep2 = run(capsys, "compose", "--mode", "cyclic", "--k", "3", "--h", "2",
                      "--out", str(out2), "--cache-dir", str(tmp_path / "cache"))
     assert code == 0 and rep2["sha256"] == digest
+    assert rep2["cache"] == "hit"
+
+
+def test_cache_hit_is_reverified(tmp_path, capsys):
+    argv = ["compose", "--mode", "cyclic", "--k", "3", "--h", "2",
+            "--cache-dir", str(tmp_path / "cache")]
+    code, rep = run(capsys, *argv)
+    assert code == 0 and rep["cache"] == "miss"
+    # another valid design under the same key: W relabeled by a transposition
+    (entry,) = (tmp_path / "cache").iterdir()
+    w = read_design(entry)
+    write_design(w.relabel(Permutation.from_cycles(w.v, [(0, 1)])), entry)
+    code, rep = run(capsys, *argv)
+    assert code == 1
+    assert rep["cache"] == "hit"
+    assert rep["error"] == f"SteinerError: cache entry {entry} fails the automorphism check"
+
+
+def test_group_without_generators_is_trivial(tmp_path, capsys):
+    gf = tmp_path / "none.group"
+    gf.write_text("PERMGROUP degree=7 gens=0\n")
+    out = tmp_path / "fano.design"
+    code, rep = run(capsys, "km-search", "--v", "7", "--k", "3", "--group-file", str(gf),
+                    "--out", str(out))
+    assert code == 0 and rep["group_order"] == "1"
+    assert verify_2design(read_design(out)).ok
+    # seven one-point orbits cannot be forced as blocks of size 3
+    code, rep = run(capsys, "km-search", "--v", "7", "--k", "3", "--group-file", str(gf),
+                    "--orbit-blocks")
+    assert code == 1
+    assert rep["error"] == "SteinerError: point orbits are not k-sets; cannot force them as blocks"
 
 
 def test_km_search_orbit_blocks_flag(tmp_path, capsys):
@@ -236,7 +276,6 @@ def test_compose_cyclic_auto_gcd_violation(capsys):
 
 def test_compose_cyclic_with_explicit_files(tmp_path, capsys):
     from steinerkit.basedesigns import km_search, steiner_triple_system
-    from steinerkit.design import write_design
 
     shift = Permutation(tuple((i + 7) % 21 for i in range(21)))
     w = km_search(21, 3, PermGroup(21, [shift]),
@@ -252,11 +291,26 @@ def test_compose_cyclic_with_explicit_files(tmp_path, capsys):
     assert rep["check.fixes_exactly_one_point"].startswith("ok")
 
 
-def test_deterministic_outputs(tmp_path, capsys):
-    a, b = tmp_path / "a.design", tmp_path / "b.design"
-    _, rep1 = run(capsys, "search-base-block", "--p", "19", "--k", "3", "--out", str(a))
-    _, rep2 = run(capsys, "search-base-block", "--p", "19", "--k", "3", "--out", str(b))
-    assert rep1["sha256"] == rep2["sha256"]
+@pytest.mark.parametrize("argv, group", [
+    (["search-base-block", "--p", "19", "--k", "3"], None),
+    (["construct-odd", "--k", "3"], Permutation.identity(2)),
+    (["km-search", "--v", "21", "--k", "3", "--orbit-blocks"],
+     Permutation(tuple((i + 7) % 21 for i in range(21)))),
+    (["td", "--k", "3", "--n", "6", "--mode", "cyclic"], None),
+    (["net", "--n", "5", "--k", "3"], None),
+], ids=["search-base-block", "construct-odd", "km-search", "td", "net"])
+def test_deterministic_outputs(tmp_path, capsys, argv, group):
+    if group is not None:
+        argv = [*argv, "--group-file", write_group(tmp_path / "g.group", group)]
+    outputs, reports = [], []
+    for name in ("a", "b"):
+        out = tmp_path / name
+        assert main([*argv, "--out", str(out)]) == 0
+        outputs.append(out.read_bytes())
+        reports.append([line for line in capsys.readouterr().out.splitlines()
+                         if not line.startswith(("time.", "command=", "output="))])
+    assert outputs[0] == outputs[1]
+    assert reports[0] == reports[1]
 
 
 def _failing_verifier(_):

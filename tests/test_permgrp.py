@@ -11,24 +11,20 @@ from steinerkit.errors import (
     ActionEscape,
     CapExceeded,
     NotSemiregular,
-    NotStabilizing,
     OrderMismatch,
     ParseError,
 )
 from steinerkit.permgrp import (
-    OrbitDecomposition,
     PermGroup,
     Permutation,
     align_semiregular_cyclic,
     group_from_text,
     group_to_text,
-    induced,
     is_semiregular,
     orbit_sweep,
-    orbits,
     push,
     set_images,
-    set_stabilizer,
+    transporters,
 )
 
 
@@ -84,33 +80,48 @@ def test_elements_cap_exceeded():
         g.elements(cap=10)
 
 
+def point_table(group):
+    """The generators' point arrays as an image-index table on the points."""
+    return np.array([g.images for g in group.generators], dtype=np.int64).reshape(-1, group.degree)
+
+
+def element_table(group, rows):
+    """Image-index table of every element on a family of point sets."""
+    return set_images(np.array(rows), group.elements())
+
+
 def test_orbits_cyclic_on_points():
     g = PermGroup(3, [cyc(3, (0, 1, 2))])
-    dec = orbits(g, [0, 1, 2], lambda x, p: p(x))
-    assert dec.representatives == (0,)
-    assert dec.orbit_members == ((0, 1, 2),)
+    reps, orbit_of = orbit_sweep(point_table(g))
+    assert reps.tolist() == [0]
+    assert orbit_of.tolist() == [0, 0, 0]
 
 
 def test_orbits_identity_group_singletons():
-    g = PermGroup.trivial(5)
-    dec = orbits(g, list(range(5)), lambda x, p: p(x))
-    assert dec.representatives == (0, 1, 2, 3, 4)
+    # the trivial group, by the identity and by no generators at all
+    for g in (PermGroup.trivial(5), PermGroup(5, [])):
+        reps, orbit_of = orbit_sweep(point_table(g))
+        assert reps.tolist() == orbit_of.tolist() == [0, 1, 2, 3, 4]
+        table = set_images(np.array([(0, 1), (1, 2)]), g.generators)
+        assert orbit_sweep(table)[0].tolist() == [0, 1]
 
 
 def test_orbits_transporter_property():
     g = PermGroup(6, [cyc(6, (0, 1, 2), (3, 4)), cyc(6, (0, 3))])
-    family = list(range(6))
-    dec = orbits(g, family, lambda x, p: p(x))
-    for i in family:
-        rep, t = dec.transporter[i]
-        assert t(rep) == i
-        assert t in g.elements()
+    elements = g.elements()
+    images = element_table(g, [(x,) for x in range(6)])
+    reps, orbit_of = orbit_sweep(images)
+    trans = transporters(images, reps, orbit_of)
+    for i in range(6):
+        rep = reps[orbit_of[i]]
+        assert elements[trans[i]](rep) == i
+        assert all(e(rep) != i for e in elements[:trans[i]])  # the first such element
 
 
 def test_orbits_action_escape():
     g = PermGroup(3, [cyc(3, (0, 1, 2))])
     with pytest.raises(ActionEscape):
-        orbits(g, [0, 1], lambda x, p: p(x))
+        set_images(np.array([(0,), (1,)]), g.generators)
 
 
 def _ag2_lines(p):
@@ -135,26 +146,36 @@ def test_orbits_coordinate_swap_on_ag2_19_lines():
     def act(line, g):
         return tuple(sorted(g(pt) for pt in line))
 
-    dec = orbits(group, lines, act)
+    images = element_table(group, lines)
+    reps, orbit_of = orbit_sweep(images)
+    trans = transporters(images, reps, orbit_of)
 
     # independent brute-force oracle: count fixed lines directly
     fixed = sum(1 for ln in lines if act(ln, swap) == ln)
-    assert len(dec.representatives) == fixed + (380 - fixed) // 2
+    assert len(reps) == fixed + (380 - fixed) // 2
     # transporters reproduce every line from its representative
+    elements = group.elements()
     for i, ln in enumerate(lines):
-        rep, t = dec.transporter[i]
-        assert act(lines[rep], t) == ln
+        assert act(lines[reps[orbit_of[i]]], elements[trans[i]]) == ln
+
+
+def stabilizer(group, pts):
+    """Elements fixing a point set setwise, read off the image-index table of
+    the same-size subsets as the lifts read their line stabilizers."""
+    family = list(itertools.combinations(range(group.degree), len(pts)))
+    i = family.index(tuple(sorted(pts)))
+    column = element_table(group, family)[:, i]
+    return [g for g, j in zip(group.elements(), column.tolist()) if j == i]
 
 
 def test_set_stabilizer_s3():
     g = PermGroup(3, [cyc(3, (0, 1)), cyc(3, (0, 1, 2))])
-    stab = set_stabilizer(g, {0, 1})
-    assert stab.order() == 2
+    assert len(stabilizer(g, {0, 1})) == 2
 
 
 def test_set_stabilizer_z3_trivial():
     g = PermGroup(3, [cyc(3, (0, 1, 2))])
-    assert set_stabilizer(g, {0, 1}).order() == 1
+    assert len(stabilizer(g, {0, 1})) == 1
 
 
 def test_set_stabilizer_fano_block_under_z7():
@@ -162,38 +183,8 @@ def test_set_stabilizer_fano_block_under_z7():
     # check against all 7 elements directly
     block = frozenset({0, 1, 3})
     expect = [e for e in g.elements() if frozenset(e(x) for x in block) == block]
-    stab = set_stabilizer(g, block)
-    assert stab.order() == len(expect) == 1
-
-
-def test_induced_on_stabilized_pair():
-    g = PermGroup(3, [cyc(3, (0, 1)), cyc(3, (0, 1, 2))])
-    stab = set_stabilizer(g, {0, 1})
-    ind, labels = induced(stab, {0, 1})
-    assert labels == (0, 1)
-    assert ind.degree == 2 and ind.order() == 2
-
-
-def test_induced_trivial():
-    g = PermGroup.trivial(4)
-    ind, _ = induced(g, {1, 3})
-    assert ind.order() == 1
-
-
-def test_induced_rejects_moving_set():
-    g = PermGroup(3, [cyc(3, (0, 1, 2))])
-    with pytest.raises(NotStabilizing):
-        induced(g, {0, 1})
-
-
-def test_induced_order_divides_group_order():
-    g = PermGroup(6, [cyc(6, (0, 1, 2), (3, 4, 5)), cyc(6, (0, 3), (1, 4), (2, 5))])
-    n = g.order()
-    for size in (2, 3):
-        for pts in itertools.combinations(range(6), size):
-            stab = set_stabilizer(g, pts)
-            ind, _ = induced(stab, pts)
-            assert n % ind.order() == 0
+    assert stabilizer(g, block) == expect
+    assert len(expect) == 1
 
 
 def test_is_semiregular_regular_cycle():
@@ -294,26 +285,32 @@ def subset_actions(draw):
     except CapExceeded:
         assume(False)
     family = list(itertools.combinations(range(n), draw(st.sampled_from((2, 3)))))
-    return elements, family
+    return group, elements, family
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
 @given(subset_actions(), st.data())
 def test_orbit_engine_matches_brute_force(action, data):
-    elements, family = action
+    group, elements, family = action
     index = {s: i for i, s in enumerate(family)}
 
     def image(g, s):
         return tuple(sorted(g(x) for x in s))
 
     brute = {frozenset(index[image(g, s)] for g in elements) for s in family}
-    reps, orbit_of, trans = orbit_sweep(set_images(np.array(family), elements))
+    images = set_images(np.array(family), elements)
+    reps, orbit_of = orbit_sweep(images)
     members = [frozenset(np.flatnonzero(orbit_of == r).tolist()) for r in range(len(reps))]
     assert set(members) == brute
     assert [min(m) for m in members] == reps.tolist()
+    # the generators' table sweeps to the same orbits
+    by_gens = orbit_sweep(set_images(np.array(family), group.generators))
+    assert all(np.array_equal(a, b) for a, b in zip(by_gens, (reps, orbit_of)))
+    trans = transporters(images, reps, orbit_of)
     for i, s in enumerate(family):
         rep = family[reps[orbit_of[i]]]
         assert image(elements[trans[i]], rep) == s
+        assert all(image(g, rep) != s for g in elements[:trans[i]])
 
     # push equals the per-member loop
     n = elements[0].degree
