@@ -14,14 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import Design, is_automorphism, iso_in_group, verify_2design
+from .certify import certify, require_certified
+from .design import Design, iso_in_group
 from .errors import (
     BadParams,
     CriterionFailed,
     Infeasible,
     Unsat,
     VariantsExhausted,
-    require,
 )
 from .exactcover import solve_exact_cover
 from .gf import MultSubgroup, PrimeFieldCtx, coset_partition, is_prime, subgroup_of_order
@@ -102,9 +102,7 @@ def build_base_design(p: int, k: int, base_block) -> BaseBlockDesign:
         raise CriterionFailed(f"base block {block} fails the coset criterion at p={p}")
     scaled = np.outer(sub.elements, block)
     design = Design(p, k, ((scaled[:, None, :] + np.arange(p)[:, None]) % p).reshape(-1, k))
-    report = verify_2design(design)
-    if not report.ok:
-        raise CriterionFailed(f"orbit design failed verification: {report}")
+    require_certified(certify(design), f"orbit design of {block} at p={p}")
     return BaseBlockDesign(p, k, t, sub, block, design)
 
 
@@ -207,10 +205,7 @@ def km_search(v: int, k: int, group: PermGroup, forced_blocks=(),
         raise Unsat(f"no 2-({v},{k},1)-design with the prescribed group")
     blocks = [blk for cid in chosen for blk in inst.orbit_blocks[cid]]
     design = Design(v, k, blocks)
-    report = verify_2design(design)
-    require(report.ok, f"km_search result is a 2-design ({report})")
-    for g in group.generators:
-        require(is_automorphism(design, g), "km_search result admits every generator")
+    require_certified(certify(design, group), "km_search result")
     return design
 
 
@@ -271,7 +266,7 @@ def steiner_triple_system(v: int) -> Design:
         for i in range(third):
             blocks.append([i, i + third, i + 2 * third])
     design = Design(v, 3, blocks)
-    require(verify_2design(design).ok, f"STS({v}) is a 2-design")
+    require_certified(certify(design), f"STS({v})")
     return design
 
 

@@ -21,16 +21,9 @@ import numpy as np
 from . import compose, paramsearch
 from .affinelift import lift_aligned, lift_odd
 from .basedesigns import build_base_design, km_search, steiner_triple_system, wilson_base_block
-from .design import (
-    Design,
-    is_1_blocked,
-    is_automorphism,
-    read_design,
-    verify_2design,
-    write_atomic,
-    write_design,
-)
-from .errors import AxiomViolation, ParityViolation, SteinerError
+from .certify import Check, certify, entry
+from .design import Design, read_design, write_atomic, write_design
+from .errors import BadParams, ParityViolation, SteinerError
 from .gf import is_prime
 from .netstd import (cyclic_td, mols_td, net_from_affine_plane, net_to_text, semilinear_net,
                      td_to_text, verify_net, verify_td)
@@ -48,14 +41,13 @@ class Report:
     def param(self, key: str, value) -> None:
         self.lines.append((key, str(value)))
 
-    def check(self, name: str, ok: bool, detail: str = "") -> bool:
-        value = "ok" if ok else "FAIL"
-        if detail:
-            value += f" ({detail})"
-        self.lines.append((f"check.{name}", value))
-        if not ok:
-            self.failed = True
-        return ok
+    def checks(self, log: list[Check]) -> None:
+        """Each entry as its time.<name> line, then its check.<name> line."""
+        for c in log:
+            self.timing(c.name, c.seconds)
+            detail = f" ({c.detail})" if c.detail else ""
+            self.lines.append((f"check.{c.name}", ("ok" if c.ok else "FAIL") + detail))
+            self.failed |= not c.ok
 
     def timing(self, name: str, seconds: float) -> None:
         self.lines.append((f"time.{name}", f"{seconds:.3f}"))
@@ -73,17 +65,13 @@ class Report:
         return "\n".join(f"{k}={v}" for k, v in self.lines + [("status", status)])
 
 
-class _Timer:
-    def __init__(self, report: Report, name: str):
-        self.report = report
-        self.name = name
-
-    def __enter__(self):
-        self.start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc):
-        self.report.timing(self.name, time.perf_counter() - self.start)
+def _timed(report: Report, name: str, fn, *args, **kwargs):
+    """``fn(*args, **kwargs)``, reported as the phase time.<name>."""
+    start = time.perf_counter()
+    try:
+        return fn(*args, **kwargs)
+    finally:
+        report.timing(name, time.perf_counter() - start)
 
 
 def _load_group(path: str) -> PermGroup:
@@ -99,10 +87,14 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
     return tuple(int(t) for t in text.replace(",", " ").split())
 
 
+# hashed into every cache key, so an entry of an older file format is a miss
+CACHE_FORMAT = "design-file-v1:"
+
+
 def _cache_path(cache_dir: str | None, key: str) -> Path | None:
     if not cache_dir:
         return None
-    digest = hashlib.sha256(key.encode()).hexdigest()[:24]
+    digest = hashlib.sha256((CACHE_FORMAT + key).encode()).hexdigest()[:24]
     root = Path(cache_dir)
     root.mkdir(parents=True, exist_ok=True)
     return root / f"{digest}.design"
@@ -117,9 +109,7 @@ def _cached_design(report: Report, cache_dir: str | None, key: str, group: PermG
         report.param("cache", "hit")
         d = read_design(path)
         failed = ("(v, k)" if (d.v, d.k) != (group.degree, k) else
-                  "2-design" if not verify_2design(d).ok else
-                  "automorphism" if not all(is_automorphism(d, g) for g in group.generators)
-                  else None)
+                  next((c.name for c in certify(d, group) if not c.ok), None))
         if failed:
             raise SteinerError(f"cache entry {path} fails the {failed} check")
         return d
@@ -130,35 +120,21 @@ def _cached_design(report: Report, cache_dir: str | None, key: str, group: PermG
     return result
 
 
-def _design_checks(report: Report, d: Design, group: PermGroup | None,
-                   one_blocked: bool) -> None:
-    with _Timer(report, "verify"):
-        rep = verify_2design(d)
-    report.check("pairs_once", rep.ok,
-                 f"deficit={rep.pair_deficit} surplus={rep.pair_surplus}")
-    if group is not None:
-        with _Timer(report, "automorphisms"):
-            all_ok = all(is_automorphism(d, g) for g in group.generators)
-        report.check("group_is_automorphisms", all_ok)
-        if one_blocked and all_ok:
-            with _Timer(report, "one_blocked"):
-                ok, witness = is_1_blocked(d, group)
-            report.check("one_blocked", ok, "" if ok else f"witness={witness}")
-
-
-def _axiom_check(report: Report, name: str, verify, obj) -> None:
-    """Re-run an axiom verifier; a raised AxiomViolation is a failed check."""
-    try:
-        verify(obj)
-        report.check(name, True)
-    except AxiomViolation as exc:
-        report.check(name, False, str(exc))
-
-
-def _write(report: Report, d: Design, out: str | None, comments: list[str]) -> None:
+def _certified(report: Report, d: Design, out: str | None, comment: str, **claims) -> None:
+    """Print the check log of the design and the claims about it, then write
+    the design to ``out`` if one is given."""
+    report.checks(certify(d, **claims))
     if out:
-        digest = write_design(d, out, comments=comments)
-        report.output(out, digest)
+        report.output(out, write_design(d, out, comments=[comment]))
+
+
+def _cyclic_product(report: Report, w: Design, cyc: Permutation, y: Design,
+                    out: str | None, comment: str) -> None:
+    bundle = cyclic_td(w.k, y.v - 1)
+    d, cbar = _timed(report, "compose", compose.cyclic_product_design, w, cyc, y, bundle.td,
+                     bundle.rotator, check=False)
+    report.param("v", d.v)
+    _certified(report, d, out, comment, group=cbar, fixed=(0,))
 
 
 # -- subcommands ------------------------------------------------------------------
@@ -184,29 +160,26 @@ def cmd_construct_odd(args, report: Report) -> None:
         p = args.p
         t = (p - 1) // (k * (k - 1))
     else:
-        with _Timer(report, "prime_search"):
-            p, t = paramsearch.prime_for_odd_group(k, h)
+        p, t = _timed(report, "prime_search", paramsearch.prime_for_odd_group, k, h)
     report.param("p", p)
     report.param("t", t)
     if args.base_block:
         block = _parse_int_list(args.base_block)
     else:
-        with _Timer(report, "base_block_search"):
-            block = wilson_base_block(p, k)
+        block = _timed(report, "base_block_search", wilson_base_block, p, k)
         if block is None:
             report.error(f"no base block at p={p}; pick another prime")
             return
     report.param("base_block", ",".join(map(str, block)))
     base = build_base_design(p, k, block)
-    with _Timer(report, "lift"):
-        result = lift_odd(group, p, k, base)
+    result = _timed(report, "lift", lift_odd, group, p, k, base)
     report.param("v", result.design.v)
     report.param("blocks", result.design.b)
     report.param("line_orbits", result.orbit_count)
-    _design_checks(report, result.design, result.group, one_blocked=True)
-    _write(report, result.design, args.out,
-           [f"odd-order line filling: k={k} p={p} d={group.degree} "
-            f"base_block={','.join(map(str, block))}"])
+    _certified(report, result.design, args.out,
+               f"odd-order line filling: k={k} p={p} d={group.degree} "
+               f"base_block={','.join(map(str, block))}",
+               group=result.group, one_blocked=True)
 
 
 def cmd_construct_aligned(args, report: Report) -> None:
@@ -220,8 +193,7 @@ def cmd_construct_aligned(args, report: Report) -> None:
         p = args.p
         n = (p - 1) // (k - 1)
     else:
-        with _Timer(report, "prime_search"):
-            p, n = paramsearch.prime_for_even_group(k, h4)
+        p, n = _timed(report, "prime_search", paramsearch.prime_for_even_group, k, h4)
     report.param("p", p)
     report.param("n", n)
     if args.cyclic:
@@ -239,17 +211,14 @@ def cmd_construct_aligned(args, report: Report) -> None:
     else:
         key = f"km:v={p}:k={k}:cyclic={','.join(map(str, cyc.images))}"
         cyc_group = PermGroup(p, [cyc])
-        with _Timer(report, "ingredient_search"):
-            ingredient = _cached_design(report, args.cache_dir, key, cyc_group, k,
-                                        lambda: km_search(p, k, cyc_group))
+        ingredient = _timed(report, "ingredient_search", _cached_design, report, args.cache_dir,
+                            key, cyc_group, k, lambda: km_search(p, k, cyc_group))
     report.param("ingredient_blocks", ingredient.b)
-    with _Timer(report, "lift"):
-        result = lift_aligned(group, p, k, ingredient, cyc)
+    result = _timed(report, "lift", lift_aligned, group, p, k, ingredient, cyc)
     report.param("v", result.design.v)
     report.param("blocks", result.design.b)
-    _design_checks(report, result.design, result.group, one_blocked=False)
-    _write(report, result.design, args.out,
-           [f"aligned line filling: k={k} p={p} d={group.degree}"])
+    _certified(report, result.design, args.out,
+               f"aligned line filling: k={k} p={p} d={group.degree}", group=result.group)
 
 
 def cmd_compose(args, report: Report) -> None:
@@ -270,39 +239,22 @@ def cmd_compose(args, report: Report) -> None:
         supplier = lambda *_: bundle.td  # noqa: E731
     if mode == "rc":
         plan = compose.CompositionPlan(w, y, x_points, td_supplier=supplier)
-        with _Timer(report, "compose"):
-            out = compose.product_design(plan, check=False)
+        out = _timed(report, "compose", compose.product_design, plan, check=False)
         report.param("v", out.v)
-        _design_checks(report, out, None, False)
-        _write(report, out, args.out, [f"product of w={w.v} and y={y.v}, x={len(x_points)}"])
+        _certified(report, out, args.out, f"product of w={w.v} and y={y.v}, x={len(x_points)}")
     elif mode == "1blocked":
         group = _load_group(args.group_file)
         plan = compose.CompositionPlan(w, y, x_points, td_supplier=supplier, group=group)
-        with _Timer(report, "compose"):
-            out, bar = compose.product_design_1blocked(plan, check=False)
+        out, bar = _timed(report, "compose", compose.product_design_1blocked, plan, check=False)
         report.param("v", out.v)
-        _design_checks(report, out, bar, one_blocked=True)
-        _write(report, out, args.out,
-               [f"1-blocked product of w={w.v} and y={y.v}, x={len(x_points)}"])
+        _certified(report, out, args.out,
+                   f"1-blocked product of w={w.v} and y={y.v}, x={len(x_points)}",
+                   group=bar, one_blocked=True)
     elif mode == "cyclic":
-        cyc = _parse_perm(args.cyclic)
-        bundle = cyclic_td(w.k, y.v - 1)
-        with _Timer(report, "compose"):
-            out, cbar = compose.cyclic_product_design(w, cyc, y, bundle.td,
-                                                      bundle.rotator, check=False)
-        _cyclic_checks(report, out, cbar)
-        _write(report, out, args.out, [f"cyclic product: w={w.v} y={y.v}"])
+        _cyclic_product(report, w, _parse_perm(args.cyclic), y, args.out,
+                        f"cyclic product: w={w.v} y={y.v}")
     else:
         raise SteinerError(f"unknown mode {mode}")
-
-
-def _cyclic_checks(report: Report, out: Design, cbar: PermGroup) -> None:
-    report.param("v", out.v)
-    _design_checks(report, out, cbar, one_blocked=False)
-    report.check("fixes_exactly_one_point",
-                 all(g.fixed_points() == (0,) for g in cbar.elements() if not g.is_identity()))
-    ok, _ = is_semiregular(cbar, range(1, out.v))
-    report.check("semiregular_elsewhere", ok)
 
 
 def _compose_cyclic_auto(args, report: Report) -> None:
@@ -311,48 +263,39 @@ def _compose_cyclic_auto(args, report: Report) -> None:
     k, h = args.k, args.h
     report.param("k", k)
     report.param("h", h)
-    with _Timer(report, "params"):
-        params = paramsearch.cyclic_assembly_params(k, h, s_min=args.s_min)
+    params = _timed(report, "params", paramsearch.cyclic_assembly_params, k, h, s_min=args.s_min)
     for name in ("q", "pi", "s", "p", "y", "w"):
         report.param(name, getattr(params, name))
-    report.check("gcd_condition", params.gcd_condition_ok or math.gcd(k - 1, h) != 1,
-                 f"gcd(p-1,h)={math.gcd(params.p - 1, h)}")
+    report.checks([entry("gcd_condition", lambda: (
+        params.gcd_condition_ok or math.gcd(k - 1, h) != 1,
+        f"gcd(p-1,h)={math.gcd(params.p - 1, h)}"))])
     v_w = params.w
     shift = Permutation(tuple((i + params.q) % v_w for i in range(v_w)))
     orbit_blocks = [tuple(sorted((i + j * params.q) % v_w for j in range(k)))
                     for i in range(params.q)]
     key = f"km:v={v_w}:k={k}:semiregular_shift={params.q}:orbit-blocks"
     shift_group = PermGroup(v_w, [shift])
-    with _Timer(report, "ingredient_w"):
-        w = _cached_design(report, args.cache_dir, key, shift_group, k,
-                           lambda: km_search(v_w, k, shift_group, forced_blocks=orbit_blocks))
+    w = _timed(report, "ingredient_w", _cached_design, report, args.cache_dir, key, shift_group,
+               k, lambda: km_search(v_w, k, shift_group, forced_blocks=orbit_blocks))
     report.param("w_blocks", w.b)
     if k != 3:
         raise SteinerError("the large ingredient library covers k=3 only")
-    y = steiner_triple_system(params.y)
-    bundle = cyclic_td(k, params.y - 1)
-    with _Timer(report, "compose"):
-        out, cbar = compose.cyclic_product_design(w, shift, y, bundle.td,
-                                                  bundle.rotator, check=False)
-    _cyclic_checks(report, out, cbar)
-    _write(report, out, args.out, [f"cyclic pipeline: k={k} h={h} p={params.p}"])
+    _cyclic_product(report, w, shift, steiner_triple_system(params.y), args.out,
+                    f"cyclic pipeline: k={k} h={h} p={params.p}")
 
 
 def cmd_search_base_block(args, report: Report) -> None:
     report.param("p", args.p)
     report.param("k", args.k)
-    with _Timer(report, "search"):
-        block = wilson_base_block(args.p, args.k)
+    block = _timed(report, "search", wilson_base_block, args.p, args.k)
     if block is None:
         report.error("no base block meets the coset criterion")
         return
     report.param("base_block", ",".join(map(str, block)))
     base = build_base_design(args.p, args.k, block)
     report.param("blocks", base.design.b)
-    report.check("pairs_once", verify_2design(base.design).ok)
-    _write(report, base.design, args.out,
-           [f"base-block search: p={args.p} k={args.k} "
-            f"block={','.join(map(str, block))}"])
+    _certified(report, base.design, args.out,
+               f"base-block search: p={args.p} k={args.k} block={','.join(map(str, block))}")
 
 
 def cmd_km_search(args, report: Report) -> None:
@@ -368,13 +311,10 @@ def cmd_km_search(args, report: Report) -> None:
         if any(len(f) != args.k for f in forced):
             raise SteinerError("point orbits are not k-sets; cannot force them as blocks")
         report.param("forced_orbit_blocks", len(forced))
-    with _Timer(report, "search"):
-        d = km_search(args.v, args.k, group, forced_blocks=forced)
+    d = _timed(report, "search", km_search, args.v, args.k, group, forced_blocks=forced)
     report.param("blocks", d.b)
-    _design_checks(report, d, group, one_blocked=False)
-    _write(report, d, args.out,
-           [f"prescribed-group search: v={args.v} k={args.k} "
-            f"group={Path(args.group_file).name}"])
+    _certified(report, d, args.out, f"prescribed-group search: v={args.v} k={args.k} "
+               f"group={Path(args.group_file).name}", group=group)
 
 
 def cmd_plan_spectrum(args, report: Report) -> None:
@@ -395,17 +335,19 @@ def cmd_plan_spectrum(args, report: Report) -> None:
                 report.param("warning", warning.message)
     report.param("witnesses", len(plan.witnesses))
     report.param("uncovered", len(plan.uncovered))
-    report.check("window_covered", not plan.uncovered,
-                 "" if not plan.uncovered else f"first={plan.uncovered[0]}")
+    report.checks([entry("window_covered", lambda: (
+        not plan.uncovered, "" if not plan.uncovered else f"first={plan.uncovered[0]}"))])
 
 
 def cmd_verify(args, report: Report) -> None:
+    if args.one_blocked and not args.group_file:
+        raise BadParams("--one-blocked needs --group-file")
     d = read_design(args.design)
     report.param("v", d.v)
     report.param("k", d.k)
     report.param("blocks", d.b)
     group = _load_group(args.group_file) if args.group_file else None
-    _design_checks(report, d, group, one_blocked=args.one_blocked)
+    report.checks(certify(d, group, one_blocked=args.one_blocked))
 
 
 def cmd_net(args, report: Report) -> None:
@@ -413,7 +355,7 @@ def cmd_net(args, report: Report) -> None:
         net = net_from_affine_plane(args.n, args.k)
         report.param("n", net.n)
         report.param("lines", len(net.lines))
-        _axiom_check(report, "net_axioms", verify_net, net)
+        report.checks([entry("net_axioms", lambda: verify_net(net) is None)])
     else:
         result = semilinear_net(args.q, args.m, args.k)
         net = result.net
@@ -421,11 +363,10 @@ def cmd_net(args, report: Report) -> None:
         report.param("lines", len(net.lines))
         report.param("g_order", result.g.order())
         report.param("c_order", result.c.order())
-        ok, _ = is_semiregular(PermGroup.cyclic_from(result.c), range(net.point_count))
-        report.check("c_semiregular_points", ok)
-        line_perm = net.line_action(result.c)
-        ok, _ = is_semiregular(PermGroup.cyclic_from(line_perm), range(len(net.lines)))
-        report.check("c_semiregular_lines", ok)
+        points = PermGroup.cyclic_from(result.c), range(net.point_count)
+        lines = PermGroup.cyclic_from(net.line_action(result.c)), range(len(net.lines))
+        report.checks([entry("c_semiregular_points", lambda: is_semiregular(*points)[0]),
+                       entry("c_semiregular_lines", lambda: is_semiregular(*lines)[0])])
     if args.out:
         report.output(args.out, write_atomic(args.out, net_to_text(net)))
 
@@ -441,7 +382,7 @@ def cmd_td(args, report: Report) -> None:
     report.param("k", td.k)
     report.param("n", td.n)
     report.param("blocks", len(td.blocks))
-    _axiom_check(report, "td_axioms", verify_td, td)
+    report.checks([entry("td_axioms", lambda: verify_td(td) is None)])
     if args.out:
         report.output(args.out, write_atomic(args.out, td_to_text(td)))
 
@@ -454,18 +395,18 @@ def cmd_params(args, report: Report) -> None:
         p, t = paramsearch.prime_for_odd_group(args.k, args.h)
         report.param("p", p)
         report.param("t", t)
-        report.check("t_odd_and_h_divides", t % 2 == 1 and t % args.h == 0)
+        report.checks([entry("t_odd_and_h_divides", lambda: t % 2 == 1 and t % args.h == 0)])
     elif args.search == "even":
         p, n = paramsearch.prime_for_even_group(args.k, args.h)
         report.param("p", p)
         report.param("n", n)
-        report.check("gcd_condition",
-                     math.gcd(p - 1, args.h) == math.gcd(args.k - 1, args.h))
+        report.checks([entry("gcd_condition",
+                             lambda: math.gcd(p - 1, args.h) == math.gcd(args.k - 1, args.h))])
     else:
         params = paramsearch.cyclic_assembly_params(args.k, args.h, s_min=args.s_min)
         for name in ("h0", "h_coprime", "pi", "q", "s", "p", "y", "w"):
             report.param(name, getattr(params, name))
-        report.check("prime", is_prime(params.p))
+        report.checks([entry("prime", lambda: is_prime(params.p))])
 
 
 def build_parser() -> argparse.ArgumentParser:

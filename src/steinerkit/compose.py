@@ -22,16 +22,10 @@ from typing import Callable
 
 import numpy as np
 
-from .design import (
-    Design,
-    is_1_blocked,
-    is_automorphism,
-    is_subdesign,
-    verify_2design,
-)
+from .certify import certify, require_certified
+from .design import Design, is_1_blocked, is_automorphism, is_subdesign
 from .errors import (
     AlignmentImpossible,
-    AxiomViolation,
     BadParams,
     NotOneBlocked,
     StabilizerViolation,
@@ -116,13 +110,7 @@ def _plant_td(td: TransversalDesign, idx: _Indexer, rows: np.ndarray) -> np.ndar
     return idx.x + rows[:, group[tblocks]] * idx.zlen + rank[tblocks]
 
 
-def _verified(out: Design, what: str) -> None:
-    report = verify_2design(out)
-    if not report.ok:
-        raise AxiomViolation(f"{what} failed verification: {report}")
-
-
-def _product(plan: CompositionPlan, group: PermGroup, check: bool) -> tuple[Design, _Indexer]:
+def _product(plan: CompositionPlan, group: PermGroup) -> tuple[Design, _Indexer]:
     """Check the ingredients, then plant a TD copy per W-block orbit and push it."""
     idx = _Indexer(plan)
     if plan.W.k != plan.Y.k:
@@ -138,15 +126,15 @@ def _product(plan: CompositionPlan, group: PermGroup, check: bool) -> tuple[Desi
     trans = transporters(images, reps, orbit_of)
     pushed = push(np.stack([idx.bar(g) for g in elements]),
                   _plant_td(td, idx, plan.W.blocks[reps]), orbit_of, trans)
-    out = Design(idx.u, idx.k, np.concatenate([_nontd_blocks(plan, idx), pushed]))
-    if check:
-        _verified(out, "product")
-    return out, idx
+    return Design(idx.u, idx.k, np.concatenate([_nontd_blocks(plan, idx), pushed])), idx
 
 
 def product_design(plan: CompositionPlan, check: bool = True) -> Design:
     """The plain product: one TD copy per W-block, placed canonically."""
-    return _product(plan, PermGroup.trivial(plan.W.v), check)[0]
+    out = _product(plan, PermGroup.trivial(plan.W.v))[0]
+    if check:
+        require_certified(certify(out), "product")
+    return out
 
 
 def product_design_1blocked(plan: CompositionPlan, check: bool = True
@@ -160,12 +148,10 @@ def product_design_1blocked(plan: CompositionPlan, check: bool = True
     ok, witness = is_1_blocked(plan.W, plan.group)
     if not ok:
         raise NotOneBlocked(witness)
-    out, idx = _product(plan, plan.group, check)
+    out, idx = _product(plan, plan.group)
     bar_group = _bar_group(idx, plan.group.generators)
     if check:
-        ok, witness = is_1_blocked(out, bar_group)
-        if not ok:
-            raise AxiomViolation(f"lifted group lost 1-blockedness: {witness}")
+        require_certified(certify(out, bar_group, one_blocked=True), "1-blocked product")
     return out, bar_group
 
 
@@ -238,12 +224,5 @@ def cyclic_product_design(W: Design, c_w: Permutation, Y: Design,
     out = Design(idx.u, k, np.concatenate([_nontd_blocks(plan, idx), pushed]))
     cbar = _bar_group(idx, [c_w])
     if check:
-        _verified(out, "assembly")
-        for g in cbar.elements():
-            if g.is_identity():
-                continue
-            if not is_automorphism(out, g):
-                raise AxiomViolation("extended cyclic group is not an automorphism group")
-            if g.fixed_points() != (0,):
-                raise AxiomViolation("extended cyclic group must fix exactly the X point")
+        require_certified(certify(out, cbar, fixed=(0,)), "cyclic product")
     return out, cbar

@@ -91,11 +91,6 @@ class VerifyReport:
     pair_surplus: int
     block_count: int
 
-    def __str__(self):
-        status = "ok" if self.ok else "FAIL"
-        return (f"verify_2design: {status} blocks={self.block_count} "
-                f"deficit={self.pair_deficit} surplus={self.pair_surplus}")
-
 
 def pair_counts(v: int, rows: np.ndarray) -> np.ndarray:
     """How many rows contain each point pair {i < j}, at index j(j-1)/2 + i.
@@ -138,6 +133,13 @@ def is_1_blocked(design: Design, group: PermGroup, cap: int = 10**6):
     for g in group.generators:
         if not is_automorphism(design, g):
             raise NotAutomorphismGroup(f"generator {g!r} is not an automorphism")
+    return stabilizer_scan(design, group, cap)
+
+
+def stabilizer_scan(design: Design, group: PermGroup, cap: int = 10**6):
+    """The scan behind ``is_1_blocked``, for a group already known to act by
+    automorphisms: (True, None), or (False, (block, element)) for a block
+    whose set-stabilizer moves one of its points."""
     blocks = design.blocks
     for g in group.elements(cap):
         if g.is_identity():
@@ -148,7 +150,7 @@ def is_1_blocked(design: Design, group: PermGroup, cap: int = 10**6):
         bad = stabilized & ~pointwise
         if bad.any():
             row = int(np.flatnonzero(bad)[0])
-            return False, (tuple(blocks[row]), g)
+            return False, (tuple(blocks[row].tolist()), g)
     return True, None
 
 

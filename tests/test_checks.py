@@ -25,3 +25,14 @@ def test_require_names_the_condition():
     require(True, "never shown")
     with pytest.raises(SteinerError, match="w = q k"):
         require(False, "w = q k")
+
+
+def test_cli_checks_designs_only_through_the_checker():
+    path = Path(steinerkit.__file__).parent / "cli.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+              for alias in node.names}
+    kernels = {"verify_2design", "is_automorphism", "is_1_blocked"}
+    assert not names & kernels, f"cli.py calls a design kernel directly: {names & kernels}"

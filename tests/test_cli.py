@@ -6,9 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from steinerkit import cli
+from steinerkit import cli, permgrp
+from steinerkit import design as design_module
 from steinerkit.cli import main
-from steinerkit.design import read_design, verify_2design, write_design
+from steinerkit.design import VerifyReport, read_design, verify_2design, write_design
 from steinerkit.errors import AxiomViolation
 from steinerkit.permgrp import PermGroup, Permutation, group_to_text
 
@@ -204,7 +205,8 @@ def test_cache_hit_is_reverified(tmp_path, capsys):
     code, rep = run(capsys, *argv)
     assert code == 1
     assert rep["cache"] == "hit"
-    assert rep["error"] == f"SteinerError: cache entry {entry} fails the automorphism check"
+    assert rep["error"] == (f"SteinerError: cache entry {entry} "
+                            "fails the group_is_automorphisms check")
 
 
 def test_group_without_generators_is_trivial(tmp_path, capsys):
@@ -376,7 +378,6 @@ def test_parameter_preconditions_are_reported(capsys, argv, message):
 
 
 def test_td_out_is_atomic(tmp_path, capsys, monkeypatch):
-    from steinerkit import design as design_module
     path = tmp_path / "td.txt"
     code, rep = run(capsys, "td", "--k", "3", "--n", "5", "--mode", "cyclic", "--out", str(path))
     old = path.read_bytes()
@@ -406,3 +407,87 @@ def test_td_out_is_atomic(tmp_path, capsys, monkeypatch):
         main(["td", "--k", "3", "--n", "7", "--mode", "cyclic", "--out", str(path)])
     assert path.read_bytes() == old
     assert [p.name for p in tmp_path.iterdir()] == ["td.txt"]
+
+
+def test_one_blocked_without_group_file_is_refused(tmp_path, capsys):
+    out = tmp_path / "fano.design"
+    run(capsys, "search-base-block", "--p", "7", "--k", "3", "--out", str(out))
+    code, rep = run(capsys, "verify", "--design", str(out), "--one-blocked")
+    assert rep["error"] == "BadParams: --one-blocked needs --group-file"
+    assert "check.pairs_once" not in rep
+    assert code == 1
+
+
+def test_search_base_block_reports_pair_detail_and_time(capsys):
+    code, rep = run(capsys, "search-base-block", "--p", "19", "--k", "3")
+    assert code == 0
+    assert rep["check.pairs_once"] == "ok (deficit=0 surplus=0)"
+    assert float(rep["time.pairs_once"]) >= 0
+
+
+def test_unversioned_cache_entry_is_a_miss(tmp_path, capsys):
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    key = "km:v=21:k=3:semiregular_shift=7:orbit-blocks"
+    stale = cache / f"{hashlib.sha256(key.encode()).hexdigest()[:24]}.design"
+    stale.write_text("DESIGN in a format no reader of this version knows\n")
+    argv = ["compose", "--mode", "cyclic", "--k", "3", "--h", "2", "--cache-dir", str(cache)]
+    code, rep = run(capsys, *argv)
+    assert code == 0 and rep["cache"] == "miss"
+    (rebuilt,) = set(cache.iterdir()) - {stale}
+    assert read_design(rebuilt).v == 21
+    code, rep = run(capsys, *argv)
+    assert code == 0 and rep["cache"] == "hit"
+
+
+def _fano_and_z7(tmp_path, capsys) -> list[str]:
+    out = tmp_path / "fano.design"
+    run(capsys, "search-base-block", "--p", "7", "--k", "3", "--out", str(out))
+    shift = Permutation(tuple((i + 1) % 7 for i in range(7)))
+    return ["verify", "--design", str(out),
+            "--group-file", write_group(tmp_path / "z7.group", shift, shift * shift),
+            "--one-blocked"]
+
+
+CYCLIC_PIPELINE = ["compose", "--mode", "cyclic", "--k", "3", "--h", "2"]
+FAILING_KERNELS = {
+    "pairs_once": (design_module, "verify_2design",
+                   lambda d: VerifyReport(False, 1, 0, d.b), None),
+    "group_is_automorphisms": (design_module, "is_automorphism", lambda d, g: False, None),
+    "one_blocked": (design_module, "stabilizer_scan",
+                    lambda d, group: (False, ((0, 1, 3), group.generators[0])), None),
+    "fixes_exactly_one_point": (Permutation, "fixed_points", lambda self: (), CYCLIC_PIPELINE),
+    "semiregular_elsewhere": (permgrp, "is_semiregular",
+                              lambda group, pts: (False, []), CYCLIC_PIPELINE),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAILING_KERNELS))
+def test_design_check_is_computed(tmp_path, monkeypatch, capsys, name):
+    owner, attr, failing, argv = FAILING_KERNELS[name]
+    argv = argv or _fano_and_z7(tmp_path, capsys)
+    code, rep = run(capsys, *argv)
+    assert code == 0 and rep[f"check.{name}"].startswith("ok")
+    monkeypatch.setattr(owner, attr, failing)
+    code, rep = run(capsys, *argv)
+    assert rep[f"check.{name}"].startswith("FAIL")
+    assert float(rep[f"time.{name}"]) >= 0
+    # one_blocked runs only on the verify route, and only after the generators passed
+    assert ("check.one_blocked" in rep) == (name in ("pairs_once", "one_blocked"))
+    assert code == 1
+
+
+def test_verify_one_blocked_checks_each_generator_once(tmp_path, monkeypatch, capsys):
+    argv = _fano_and_z7(tmp_path, capsys)
+    calls = []
+    real = design_module.is_automorphism
+
+    def counted(d, g):
+        calls.append(g)
+        return real(d, g)
+
+    monkeypatch.setattr(design_module, "is_automorphism", counted)
+    monkeypatch.setattr(cli, "is_automorphism", counted, raising=False)
+    code, rep = run(capsys, *argv)
+    assert code == 0 and rep["check.one_blocked"] == "ok"
+    assert len(calls) == 2 and calls[0] != calls[1]

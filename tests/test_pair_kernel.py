@@ -9,11 +9,14 @@ KeyError or IndexError on a malformed object, the kernel must reject it.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from steinerkit.basedesigns import build_base_design, steiner_triple_system, wilson_base_block
 from steinerkit.design import Design, is_subdesign, verify_2design
@@ -224,6 +227,27 @@ def test_verify_2design_matches_reference(name):
         rep = verify_2design(x)
         assert (rep.ok, rep.pair_deficit, rep.pair_surplus) == ref_verify_2design(x)
     assert verify_2design(d).ok and not any(verify_2design(x).ok for x in variants[1:])
+
+
+@functools.cache
+def _design(name: str) -> Design:
+    return _designs()[name]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_verify_2design_single_point_mutation(data):
+    d = _design(data.draw(st.sampled_from(["fano", "sts9", "sts13", "base-37-4"])))
+    i = data.draw(st.integers(0, d.b - 1), label="block")
+    j = data.draw(st.integers(0, d.k - 1), label="position")
+    row = d.blocks[i].tolist()
+    row[j] = data.draw(st.sampled_from([x for x in range(d.v) if x not in row]), label="point")
+    blocks = d.blocks.copy()
+    blocks[i] = row
+    mutated = Design(d.v, d.k, blocks)
+    rep = verify_2design(mutated)
+    assert (rep.ok, rep.pair_deficit, rep.pair_surplus) == ref_verify_2design(mutated)
+    assert not rep.ok
 
 
 def _closure(d: Design, pts: set[int]) -> set[int]:
