@@ -368,7 +368,7 @@ def cmd_net(args, report: Report) -> None:
         report.checks([entry("c_semiregular_points", lambda: is_semiregular(*points)[0]),
                        entry("c_semiregular_lines", lambda: is_semiregular(*lines)[0])])
     if args.out:
-        report.output(args.out, write_atomic(args.out, net_to_text(net)))
+        report.output(args.out, write_atomic(args.out, [net_to_text(net).encode()]))
 
 
 def cmd_td(args, report: Report) -> None:
@@ -384,7 +384,7 @@ def cmd_td(args, report: Report) -> None:
     report.param("blocks", len(td.blocks))
     report.checks([entry("td_axioms", lambda: verify_td(td) is None)])
     if args.out:
-        report.output(args.out, write_atomic(args.out, td_to_text(td)))
+        report.output(args.out, write_atomic(args.out, [td_to_text(td).encode()]))
 
 
 def cmd_params(args, report: Report) -> None:

@@ -190,7 +190,8 @@ def row_keys(rows: np.ndarray, n: int) -> np.ndarray:
         if bound * n > 2**63:
             keys = np.unique(keys, return_inverse=True)[1]
             bound = int(keys.max(initial=0)) + 1
-        keys = keys * n + col
+        keys *= n
+        keys += col
         bound *= n
     return keys
 

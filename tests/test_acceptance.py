@@ -32,7 +32,9 @@ from steinerkit.design import (
     is_1_blocked,
     is_automorphism,
     iso_in_group,
+    read_design,
     verify_2design,
+    write_design,
 )
 from steinerkit.errors import PlantRejected
 from steinerkit.gf import ExtFieldCtx, semilinear_map, trace
@@ -119,12 +121,12 @@ def test_odd_lift_digest(odd_lift_instance):
         "74fa12f729693e8e85712e22c69c236995c1576eb03185450bc720be840c972c")
 
 
-def test_large_design_file_round_trip(odd_lift_instance):
-    from steinerkit.design import parse, serialize
+def test_large_design_file_round_trip(odd_lift_instance, tmp_path):
     result, _ = odd_lift_instance
-    text = serialize(result.design)
-    back = parse(text)
-    assert back.digest() == result.design.digest()
+    path = tmp_path / "odd.design"
+    assert write_design(result.design, path) == (
+        "154f6a96a6d06c2def75a4496d56c44e99a1a556acbb2a0511d28cf641030e0e")
+    assert read_design(path).digest() == result.design.digest()
 
 
 def test_lift_odd_rejects_ingredient_without_multiplier_symmetry():

@@ -15,8 +15,7 @@ from steinerkit.design import (
     is_automorphism,
     is_subdesign,
     iso_in_group,
-    parse,
-    serialize,
+    read_design,
     verify_2design,
     write_design,
 )
@@ -61,6 +60,21 @@ def test_design_malformed():
         Design(7, 3, [[0, 1, 1]])
     with pytest.raises(MalformedBlock):
         Design(7, 3, [[0, 1]])
+
+
+def test_canonical_blocks_are_adopted():
+    canonical = np.array(sts9().blocks)
+    d = Design(9, 3, canonical)
+    assert d.blocks is canonical and not canonical.flags.writeable
+    # a view is copied, so writing through its base cannot change the design
+    base = np.array(sts9().blocks)
+    d = Design(9, 3, base[:])
+    base[0] = [6, 7, 8]
+    assert d == sts9() and base.flags.writeable
+    # rows out of order, or points out of order, go through the sort
+    assert Design(9, 3, canonical[::-1]) == Design(9, 3, canonical[:, ::-1]) == sts9()
+    with pytest.raises(MalformedBlock):
+        Design(9, 3, [[0, 1, 9]])
 
 
 def test_verify_fano_ok():
@@ -209,17 +223,21 @@ def test_iso_in_group_none():
     assert iso_in_group(d1, d2, [Permutation.identity(4)]) is None
 
 
-def test_serialize_round_trip():
+def test_serialize_round_trip(tmp_path):
     d = fano()
-    text = serialize(d)
+    path = tmp_path / "fano.design"
+    write_design(d, path)
+    text = path.read_text()
     assert text.startswith("DESIGN v=7 k=3 b=7\n")
-    assert parse(text) == d
-    assert parse("# note\n" + text) == d
+    assert read_design(path) == d
+    path.write_text("# note\n" + text)
+    assert read_design(path) == d
 
 
-def test_serialize_degenerate():
+def test_serialize_degenerate(tmp_path):
     d = Design(1, 3, np.empty((0, 3), dtype=np.int64))
-    assert parse(serialize(d)) == d
+    write_design(d, tmp_path / "point.design")
+    assert read_design(tmp_path / "point.design") == d
 
 
 def test_degenerate_designs_verify():
@@ -261,14 +279,18 @@ def test_write_design_is_atomic(tmp_path, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == ["d.design"]
 
 
-def test_parse_errors_carry_line_numbers():
+def test_parse_errors_carry_line_numbers(tmp_path):
+    path = tmp_path / "bad.design"
+    path.write_text("DESIGN v=17 k=3 b=2\n10 11 12\n10 11\n")
     with pytest.raises(ParseError) as exc:
-        parse("DESIGN v=7 k=3 b=1\n0 1\n")
-    assert exc.value.line_no == 2
+        read_design(path)
+    assert exc.value.line_no == 3
+    path.write_text("DESIGN v=17 k=3 b=2\n10 11 12\n")
     with pytest.raises(ParseError):
-        parse("DESIGN v=7 k=3 b=2\n0 1 2\n")
+        read_design(path)
+    path.write_text("nonsense\n")
     with pytest.raises(ParseError) as exc:
-        parse("nonsense\n")
+        read_design(path)
     assert exc.value.line_no == 1
 
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from steinerkit.design import Design, is_automorphism, parse, serialize
+from steinerkit.design import Design, is_automorphism, read_design, write_design
 from steinerkit.errors import ActionEscape
 from steinerkit.netstd import mols_td
 from steinerkit.permgrp import Permutation, row_keys, set_images
@@ -145,13 +145,15 @@ def test_is_automorphism_matches_block_sets(overflow, data):
 @pytest.mark.parametrize("overflow", [False, True])
 @HYPOTHESIS
 @given(data=st.data())
-def test_parse_inverts_serialize(overflow, data):
+def test_parse_inverts_serialize(overflow, data, tmp_path_factory):
     v, k = data.draw(point_count(overflow))
     d = Design(v, k, np.array(subsets(data.draw, v, k), dtype=np.int64).reshape(-1, k))
-    text = serialize(d)
-    assert parse(text) == d
-    head, _, body = text.partition("\n")
-    assert parse(f"# before\n{head}\n# after the header\n\n{body}") == d
+    path = tmp_path_factory.mktemp("designs") / "d.design"
+    write_design(d, path)
+    assert read_design(path) == d
+    head, _, body = path.read_text().partition("\n")
+    path.write_text(f"# before\n{head}\n# after the header\n\n{body}")
+    assert read_design(path) == d
 
 
 def test_empty_family_has_empty_image_table():
