@@ -5,8 +5,11 @@ a coordinate-permuting group on the lines of AG(d,p), plant a copy of a
 p-point ingredient design on each representative through the line's affine
 parametrization, and push it to the rest of the orbit by transporters.  With
 the right ingredient the filled space is a 2-(p^d,k,1)-design admitting the
-group.  The orbits and the push are permgrp's ``set_images``,
-``orbit_sweep`` and ``push``, shared with the product constructions.
+group.  The lines are one (lines, p) point array from ``all_lines``, whose
+rows are the parametrizations; the coordinate group is a point permutation
+group from ``coordinate_group``.  The orbits and the push are permgrp's
+``set_images``, ``orbit_sweep`` and ``push``, shared with the product
+constructions.
 
 Two variants: the odd-order lift plants a multiplier-invariant base design
 directly (every induced line action of odd order dividing t is already an
@@ -17,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,6 +47,7 @@ from .permgrp import (
     transporters,
 )
 
+# the most lines ``all_lines`` builds: 2M rows of 19 int64 points take 300 MB
 DEFAULT_LINE_BUDGET = 2_000_000
 
 
@@ -76,44 +80,6 @@ class AffineSpace:
     def weights(self) -> np.ndarray:
         return np.array([self.p**j for j in range(self.d)], dtype=np.int64)
 
-    def encode(self, vec: Sequence[int]) -> int:
-        return int(sum(int(c) % self.p * self.p**j for j, c in enumerate(vec)))
-
-    def decode(self, idx: int) -> tuple[int, ...]:
-        return tuple(int(x) for x in self.coords[idx])
-
-
-@dataclass(frozen=True)
-class Line:
-    """A line of AG(d,p) in canonical form: base is its minimal point, the
-    direction's first nonzero coordinate is 1, and points lists
-    base + x*direction in x-order, identifying the line with F_p."""
-
-    base: int
-    direction: tuple[int, ...]
-    points: tuple[int, ...]
-
-
-class LineTable(Sequence):
-    """All lines of a space in canonical order, array-backed.
-
-    Row i of ``points`` holds line i's points in parametrization order.
-    """
-
-    def __init__(self, space: AffineSpace, bases: np.ndarray, dirs: np.ndarray,
-                 points: np.ndarray):
-        self.space = space
-        self.bases = bases
-        self.dirs = dirs
-        self.points = points
-
-    def __len__(self) -> int:
-        return self.points.shape[0]
-
-    def __getitem__(self, i: int) -> Line:
-        return Line(int(self.bases[i]), tuple(int(c) for c in self.dirs[i]),
-                    tuple(int(x) for x in self.points[i]))
-
 
 def _canonical_directions(space: AffineSpace) -> np.ndarray:
     """Direction vectors with first nonzero coordinate 1: one per line pencil."""
@@ -131,94 +97,53 @@ def _canonical_directions(space: AffineSpace) -> np.ndarray:
     return np.array(rows, dtype=np.int64)
 
 
-def all_lines(space: AffineSpace, budget: int = DEFAULT_LINE_BUDGET) -> LineTable:
-    """Every line exactly once, sorted by (base point, encoded direction)."""
-    if space.line_count > budget:
-        raise Budget(f"{space.line_count} lines exceeds the budget {budget}")
-    d, p = space.d, space.p
+def all_lines(space: AffineSpace) -> np.ndarray:
+    """Every line of AG(d,p) exactly once, as a (lines, p) int64 point array.
+
+    Row i is line i's parametrization: its x-th entry is base + x*direction,
+    where the base is the line's least point and the direction's first
+    nonzero coordinate is 1.  Rows are sorted by (base, encoded direction).
+    Refuses more than DEFAULT_LINE_BUDGET lines before building any.
+    """
+    if space.line_count > DEFAULT_LINE_BUDGET:
+        raise Budget(f"{space.line_count} lines exceeds the budget {DEFAULT_LINE_BUDGET}")
+    p = space.p
     coords = space.coords
     weights = space.weights
-    dirs = _canonical_directions(space)
     all_points = []
-    all_dirs = []
-    for vec in dirs:
+    all_codes = []
+    for vec in _canonical_directions(space):
         f = int(np.flatnonzero(vec)[0])
         anchors = coords[coords[:, f] == 0]
         cols = [((anchors + x * vec) % p) @ weights for x in range(p)]
         pts = np.stack(cols, axis=1)
         all_points.append(pts)
-        all_dirs.append(np.broadcast_to(vec, (pts.shape[0], d)))
+        all_codes.append(np.full(len(pts), vec @ weights))
     points = np.concatenate(all_points, axis=0)
-    dirvecs = np.concatenate(all_dirs, axis=0)
     # re-anchor each row at its minimal point, preserving the parametrization
     x0 = np.argmin(points, axis=1)
     roll = (x0[:, None] + np.arange(p)[None, :]) % p
     points = points[np.arange(points.shape[0])[:, None], roll]
-    bases = points[:, 0]
-    order = np.lexsort((dirvecs @ weights, bases))
-    return LineTable(space, bases[order], dirvecs[order], points[order])
+    return points[np.lexsort((np.concatenate(all_codes), points[:, 0]))]
 
 
-@dataclass(frozen=True)
-class AffineMap:
-    """v -> v*M + c on F_p^d (row-vector convention)."""
-
-    matrix: tuple[tuple[int, ...], ...]
-    translation: tuple[int, ...]
-    p: int
-
-    def __post_init__(self):
-        if _rank_mod_p(self.matrix, self.p) != len(self.matrix):
-            raise BadParams("matrix is singular")
-
-    def to_permutation(self, space: AffineSpace) -> Permutation:
-        mat = np.array(self.matrix, dtype=np.int64)
-        trans = np.array(self.translation, dtype=np.int64)
-        img = ((space.coords @ mat + trans) % self.p) @ space.weights
-        return Permutation(tuple(int(x) for x in img))
-
-
-def _rank_mod_p(matrix, p: int) -> int:
-    m = [list(row) for row in matrix]
-    rank = 0
-    d = len(m)
-    for col in range(d):
-        pivot = next((r for r in range(rank, d) if m[r][col] % p), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = pow(m[rank][col], -1, p)
-        m[rank] = [x * inv % p for x in m[rank]]
-        for r in range(d):
-            if r != rank and m[r][col] % p:
-                f = m[r][col]
-                m[r] = [(a - f * b) % p for a, b in zip(m[r], m[rank])]
-        rank += 1
-    return rank
-
-
-def coordinate_group(group: PermGroup, space: AffineSpace
-                     ) -> tuple[PermGroup, list[AffineMap]]:
-    """Represent a group of coordinate permutations as point permutations of
-    the space (via permutation matrices), plus the same maps as AffineMap."""
+def coordinate_group(group: PermGroup, space: AffineSpace) -> PermGroup:
+    """A group of coordinate permutations as point permutations of the space:
+    g moves the coordinate at position i to position g(i)."""
     if group.degree != space.d:
         raise BadParams(f"group degree {group.degree} != dimension {space.d}")
-    gens = []
-    maps = []
-    for g in group.generators:
-        mat = tuple(tuple(1 if j == g.images[i] else 0 for j in range(space.d))
-                    for i in range(space.d))
-        amap = AffineMap(mat, (0,) * space.d, space.p)
-        maps.append(amap)
-        gens.append(amap.to_permutation(space))
-    return PermGroup(space.point_count, gens), maps
+    gens = [Permutation(tuple((space.coords[:, g.inverse().array] @ space.weights).tolist()))
+            for g in group.generators]
+    return PermGroup(space.point_count, gens)
 
 
-def induced_perm_on_line(perm: Permutation, line: Line) -> Permutation:
-    """The degree-p permutation induced on a stabilized line's parametrization."""
-    pos = {pt: x for x, pt in enumerate(line.points)}
+def induced_perm_on_line(perm: Permutation, line: np.ndarray) -> Permutation:
+    """The degree-p permutation induced on a stabilized line's parametrization;
+    ``line`` is the line's row of ``all_lines``."""
+    pts = line.tolist()
+    pos = {pt: x for x, pt in enumerate(pts)}
     try:
-        return Permutation(tuple(pos[perm.images[pt]] for pt in line.points))
+        return Permutation(tuple(pos[perm.images[pt]] for pt in pts))
     except KeyError:
         raise NotStabilizing("permutation does not stabilize the line")
 
@@ -229,7 +154,6 @@ def induced_perm_on_line(perm: Permutation, line: Line) -> Permutation:
 class LiftResult:
     design: Design
     group: PermGroup
-    space: AffineSpace
     line_count: int
     orbit_count: int
 
@@ -239,7 +163,7 @@ class _LineOrbits(NamedTuple):
     ``stabilizers`` lists each representative's stabilizer in element order."""
 
     space: AffineSpace
-    table: LineTable
+    table: np.ndarray
     group: PermGroup
     elements: tuple[Permutation, ...]
     reps: np.ndarray
@@ -248,12 +172,12 @@ class _LineOrbits(NamedTuple):
     stabilizers: list[list[Permutation]]
 
 
-def _line_orbits(group: PermGroup, p: int, line_budget: int) -> _LineOrbits:
+def _line_orbits(group: PermGroup, p: int) -> _LineOrbits:
     space = AffineSpace(group.degree, p)
-    table = all_lines(space, line_budget)
-    coord, _ = coordinate_group(group, space)
+    table = all_lines(space)
+    coord = coordinate_group(group, space)
     elements = coord.elements()
-    images = set_images(table.points, elements)
+    images = set_images(table, elements)
     reps, orbit_of = orbit_sweep(images)
     trans = transporters(images, reps, orbit_of)
     stabilizers = [[elements[e] for e, j in enumerate(col) if j == r]
@@ -265,16 +189,15 @@ def _fill(orb: _LineOrbits, plants: np.ndarray, k: int) -> LiftResult:
     """Plant ingredient blocks on the representatives through their line
     parametrizations and push them over every orbit.  ``plants`` holds one
     (b, k) block array per representative, or one shared by all."""
-    lines = orb.table.points[orb.reps]
+    lines = orb.table[orb.reps]
     point_images = np.stack([g.array for g in orb.elements])
     blocks = push(point_images, lines[np.arange(len(lines))[:, None, None], plants],
                   orb.orbit_of, orb.trans)
     design = Design(orb.space.point_count, k, blocks)
-    return LiftResult(design, orb.group, orb.space, len(orb.table), len(orb.reps))
+    return LiftResult(design, orb.group, len(orb.table), len(orb.reps))
 
 
-def lift_odd(group: PermGroup, p: int, k: int, base: BaseBlockDesign,
-             line_budget: int = DEFAULT_LINE_BUDGET) -> LiftResult:
+def lift_odd(group: PermGroup, p: int, k: int, base: BaseBlockDesign) -> LiftResult:
     """Fill the lines of AG(d,p) with copies of a multiplier-invariant base
     design, d = the group's degree; the filled space admits the coordinate
     image of the group and that image is 1-blocked.
@@ -290,7 +213,7 @@ def lift_odd(group: PermGroup, p: int, k: int, base: BaseBlockDesign,
         raise DivisibilityViolation(f"|G|={h} does not divide t=(p-1)/{k * (k - 1)}")
     if base.p != p or base.k != k:
         raise BadParams("base design parameters disagree with (p, k)")
-    orb = _line_orbits(group, p, line_budget)
+    orb = _line_orbits(group, p)
     for r, stabilizers in zip(orb.reps.tolist(), orb.stabilizers):
         for g in stabilizers:
             if g.is_identity():
@@ -304,8 +227,7 @@ def lift_odd(group: PermGroup, p: int, k: int, base: BaseBlockDesign,
 
 
 def lift_aligned(group: PermGroup, p: int, k: int, ingredient: Design,
-                 cyclic_gen: Permutation,
-                 line_budget: int = DEFAULT_LINE_BUDGET) -> LiftResult:
+                 cyclic_gen: Permutation) -> LiftResult:
     """Line filling for groups whose induced line actions must be conjugated
     into a prescribed cyclic automorphism of the ingredient design.
 
@@ -323,7 +245,7 @@ def lift_aligned(group: PermGroup, p: int, k: int, ingredient: Design,
     if len(cyclic_gen.fixed_points()) != 1 or any(len(c) != n for c in cycles):
         raise AlignmentImpossible(
             "cyclic_gen must fix exactly one point and be semiregular elsewhere")
-    orb = _line_orbits(group, p, line_budget)
+    orb = _line_orbits(group, p)
     plants = []
     for r, stabilizers in zip(orb.reps.tolist(), orb.stabilizers):
         line = orb.table[r]

@@ -78,13 +78,20 @@ def _load_group(path: str) -> PermGroup:
     return group_from_text(Path(path).read_text())
 
 
-def _parse_perm(text: str) -> Permutation:
-    sep = "," if "," in text else None
-    return Permutation(tuple(int(t) for t in text.split(sep)))
+def _parse_int_list(text: str, option: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(t) for t in text.replace(",", " ").split())
+    except ValueError:
+        raise BadParams(f"{option} {text!r} is not a list of integers") from None
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(t) for t in text.replace(",", " ").split())
+def _parse_perm(text: str, option: str) -> Permutation:
+    images = _parse_int_list(text, option)
+    try:
+        return Permutation(images)
+    except ValueError:
+        raise BadParams(f"{option} {text!r} is not a permutation of "
+                        f"0..{len(images) - 1}") from None
 
 
 # hashed into every cache key, so an entry of an older file format is a miss
@@ -164,7 +171,7 @@ def cmd_construct_odd(args, report: Report) -> None:
     report.param("p", p)
     report.param("t", t)
     if args.base_block:
-        block = _parse_int_list(args.base_block)
+        block = _parse_int_list(args.base_block, "--base-block")
     else:
         block = _timed(report, "base_block_search", wilson_base_block, p, k)
         if block is None:
@@ -185,19 +192,21 @@ def cmd_construct_odd(args, report: Report) -> None:
 def cmd_construct_aligned(args, report: Report) -> None:
     group, h = _lift_group(args, report)
     k = args.k
-    if k % 2 == 0 or math.gcd(k, h) != 1 or h % 2 != 0:
-        raise SteinerError(f"need k odd, |G| even, gcd(k,|G|)=1; got k={k}, |G|={h}")
+    if k < 3 or k % 2 == 0 or math.gcd(k, h) != 1 or h % 2 != 0:
+        raise SteinerError(f"need k odd and >= 3, |G| even, gcd(k,|G|)=1; got k={k}, |G|={h}")
     h4 = math.lcm(h, 4)
     report.param("h", h4)
     if args.p is not None:
         p = args.p
+        if not is_prime(p) or (p - 1) % (k - 1) != 0:
+            raise BadParams(f"--p {p} must be a prime with (p-1) mod (k-1) = 0")
         n = (p - 1) // (k - 1)
     else:
         p, n = _timed(report, "prime_search", paramsearch.prime_for_even_group, k, h4)
     report.param("p", p)
     report.param("n", n)
     if args.cyclic:
-        cyc = _parse_perm(args.cyclic)
+        cyc = _parse_perm(args.cyclic, "--cyclic")
     else:
         # canonical one-fixed-point, semiregular-elsewhere generator of order k-1
         images = [0] + [0] * (p - 1)
@@ -227,9 +236,14 @@ def cmd_compose(args, report: Report) -> None:
     if mode == "cyclic" and args.w is None:
         _compose_cyclic_auto(args, report)
         return
+    needed = {"1blocked": ("group_file",), "cyclic": ("cyclic",)}.get(mode, ())
+    missing = [f"--{name.replace('_', '-')}" for name in ("w", "y", *needed)
+               if getattr(args, name) is None]
+    if missing:
+        raise BadParams(f"--mode {mode} needs {' '.join(missing)}")
+    x_points = _parse_int_list(args.x_points, "--x-points")
     w = read_design(args.w)
     y = read_design(args.y)
-    x_points = _parse_int_list(args.x_points)
     report.param("w", w.v)
     report.param("y", y.v)
     report.param("x", len(x_points))
@@ -251,7 +265,7 @@ def cmd_compose(args, report: Report) -> None:
                    f"1-blocked product of w={w.v} and y={y.v}, x={len(x_points)}",
                    group=bar, one_blocked=True)
     elif mode == "cyclic":
-        _cyclic_product(report, w, _parse_perm(args.cyclic), y, args.out,
+        _cyclic_product(report, w, _parse_perm(args.cyclic, "--cyclic"), y, args.out,
                         f"cyclic product: w={w.v} y={y.v}")
     else:
         raise SteinerError(f"unknown mode {mode}")
@@ -318,7 +332,7 @@ def cmd_km_search(args, report: Report) -> None:
 
 
 def cmd_plan_spectrum(args, report: Report) -> None:
-    x1s = list(_parse_int_list(args.x1))
+    x1s = list(_parse_int_list(args.x1, "--x1"))
     report.param("k", args.k)
     report.param("w", args.w)
     report.param("x1", ",".join(map(str, x1s)))
@@ -515,7 +529,7 @@ def main(argv: list[str] | None = None) -> int:
     report = Report(args.command, argv)
     try:
         args.func(args, report)
-    except SteinerError as exc:
+    except (SteinerError, OSError) as exc:
         report.error(f"{type(exc).__name__}: {exc}")
     print(report.render())
     return 1 if report.failed else 0

@@ -27,7 +27,7 @@ from .errors import (
     ParseError,
     TooLarge,
 )
-from .permgrp import PermGroup, Permutation, row_keys
+from .permgrp import DEFAULT_CAP, PermGroup, Permutation, row_keys
 
 PAIR_TABLE_MAX_V = 20000  # v^2/2 counters stay comfortably in memory below this
 _CHUNK = 2_000_000
@@ -136,7 +136,7 @@ def is_automorphism(design: Design, perm: Permutation) -> bool:
     return design.relabel(perm) == design
 
 
-def is_1_blocked(design: Design, group: PermGroup, cap: int = 10**6):
+def is_1_blocked(design: Design, group: PermGroup):
     """Every block's set-stabilizer in the group acts as the identity on it.
 
     Returns (True, None) or (False, (block, element)) with a violating pair.
@@ -145,15 +145,15 @@ def is_1_blocked(design: Design, group: PermGroup, cap: int = 10**6):
     for g in group.generators:
         if not is_automorphism(design, g):
             raise NotAutomorphismGroup(f"generator {g!r} is not an automorphism")
-    return stabilizer_scan(design, group, cap)
+    return stabilizer_scan(design, group)
 
 
-def stabilizer_scan(design: Design, group: PermGroup, cap: int = 10**6):
+def stabilizer_scan(design: Design, group: PermGroup):
     """The scan behind ``is_1_blocked``, for a group already known to act by
     automorphisms: (True, None), or (False, (block, element)) for a block
     whose set-stabilizer moves one of its points."""
     blocks = design.blocks
-    for g in group.elements(cap):
+    for g in group.elements():
         if g.is_identity():
             continue
         img = g.array[blocks]
@@ -189,7 +189,7 @@ def is_subdesign(design: Design, pts: Iterable[int]) -> SubdesignEmbedding | Non
     return SubdesignEmbedding(design, pset, tuple(map(tuple, blocks.tolist())))
 
 
-def brute_aut(design: Design, cap: int = 10**6) -> PermGroup:
+def brute_aut(design: Design) -> PermGroup:
     """Full automorphism group by point-image backtracking.
 
     Prunes on block-image consistency: once two assigned points pin a block,
@@ -217,8 +217,8 @@ def brute_aut(design: Design, cap: int = 10**6) -> PermGroup:
     def extend(x: int):
         if x == v:
             found.append(Permutation(tuple(img)))
-            if len(found) > cap:
-                raise TooLarge(f"automorphism count passed cap {cap}")
+            if len(found) > DEFAULT_CAP:
+                raise TooLarge(f"automorphism count passed cap {DEFAULT_CAP}")
             return
         for y in range(v):
             if used[y]:

@@ -16,7 +16,9 @@ from dataclasses import dataclass
 from .errors import BadParams, GcdViolation, SearchExhausted, WindowBelowBound, require
 from .gf import factorize, is_prime
 
-DEFAULT_SCAN_LIMIT = 10**7
+# the largest prime (or q) the congruence scans try, and the largest s
+SCAN_LIMIT = 10**7
+S_LIMIT = 10**5
 
 
 @dataclass(frozen=True)
@@ -36,7 +38,7 @@ def is_admissible(v: int, k: int) -> bool:
     return (v - 1) % (k - 1) == 0 and (v * (v - 1)) % (k * (k - 1)) == 0
 
 
-def prime_for_odd_group(k: int, h: int, search_limit: int = DEFAULT_SCAN_LIMIT) -> tuple[int, int]:
+def prime_for_odd_group(k: int, h: int) -> tuple[int, int]:
     """Least prime p with p = 1 + k(k-1)h mod 2k(k-1)h, and t = (p-1)/(k(k-1)).
 
     For odd h this congruence class forces t odd and divisible by h, which is
@@ -48,24 +50,26 @@ def prime_for_odd_group(k: int, h: int, search_limit: int = DEFAULT_SCAN_LIMIT) 
         raise BadParams(f"group order h={h} must be odd")
     step = 2 * k * (k - 1) * h
     p = 1 + k * (k - 1) * h
-    while p <= search_limit:
+    while p <= SCAN_LIMIT:
         if is_prime(p):
             t = (p - 1) // (k * (k - 1))
             require(t % 2 == 1 and t % h == 0, f"t={t} at p={p} is odd and divisible by h={h}")
             return p, t
         p += step
-    raise SearchExhausted(f"no prime = 1+{k * (k - 1) * h} mod {step} below {search_limit}")
+    raise SearchExhausted(f"no prime = 1+{k * (k - 1) * h} mod {step} below {SCAN_LIMIT}")
 
 
-def prime_for_even_group(k: int, h: int, search_limit: int = DEFAULT_SCAN_LIMIT) -> tuple[int, int]:
+def prime_for_even_group(k: int, h: int) -> tuple[int, int]:
     """Least prime p > h of the form 1 + (k-1)n satisfying the ingredient
     conditions for the aligned lift:
 
       n(n-1) = 0 mod k; additionally mod 4k when k = 3 mod 4;
       gcd(p-1, h) = gcd(k-1, h).
 
-    Requires 4 | h and gcd(k, h) = 1.
+    Requires k >= 3, 4 | h and gcd(k, h) = 1.
     """
+    if k < 3:
+        raise BadParams("k must be at least 3")
     if h % 4 != 0:
         raise BadParams(f"h={h} must be a multiple of 4")
     if math.gcd(k, h) != 1:
@@ -74,8 +78,8 @@ def prime_for_even_group(k: int, h: int, search_limit: int = DEFAULT_SCAN_LIMIT)
     n = 1
     while True:
         p = 1 + (k - 1) * n
-        if p > search_limit:
-            raise SearchExhausted(f"no qualifying prime below {search_limit}")
+        if p > SCAN_LIMIT:
+            raise SearchExhausted(f"no qualifying prime below {SCAN_LIMIT}")
         nn = n * (n - 1)
         if (p > h and is_prime(p)
                 and nn % k == 0
@@ -129,9 +133,7 @@ def _divides_power_of(m: int, k: int) -> bool:
     return all(k % r == 0 for r in factorize(m))
 
 
-def cyclic_assembly_params(k: int, h: int, td_oracle=None, *, s_min: int = 1,
-                           s_limit: int = 10**5,
-                           q_limit: int = DEFAULT_SCAN_LIMIT) -> CyclicAssemblyParams:
+def cyclic_assembly_params(k: int, h: int, *, s_min: int = 1) -> CyclicAssemblyParams:
     """Choose (pi, q, s) and the prime p = 1 + q*k*(k-1)*pi*s for the assembly.
 
     pi is the product over the distinct primes p_i of k of the least power of
@@ -145,8 +147,6 @@ def cyclic_assembly_params(k: int, h: int, td_oracle=None, *, s_min: int = 1,
     (gcd_condition_ok records whether the guarantee held), any odd shared
     factor raises GcdViolation.
     """
-    if td_oracle is None:
-        td_oracle = td_available
     g = math.gcd(k - 1, h)
     strict = g == 1
     odd_part = g
@@ -169,21 +169,21 @@ def cyclic_assembly_params(k: int, h: int, td_oracle=None, *, s_min: int = 1,
     step = k * (k - 1)
     while q % step != 1 or not is_prime(q):
         q += 1
-        if q > q_limit:
-            raise SearchExhausted(f"no prime q > {h}, q = 1 mod {step}, below {q_limit}")
+        if q > SCAN_LIMIT:
+            raise SearchExhausted(f"no prime q > {h}, q = 1 mod {step}, below {SCAN_LIMIT}")
 
     base = q * k * (k - 1) * pi
-    for s in range(s_min, s_limit + 1):
+    for s in range(s_min, S_LIMIT + 1):
         if strict and math.gcd(s, hp) != 1:
             continue
         p = 1 + base * s
         y = 1 + k * (k - 1) * (pi // k) * s
-        if is_prime(p) and td_oracle(k, y - 1):
+        if is_prime(p) and td_available(k, y - 1):
             ok = _divides_power_of(math.gcd(p - 1, h), k)
             if strict:
                 require(ok, f"gcd(p-1, h) divides a power of k at p={p}, h={h}, k={k}")
             return CyclicAssemblyParams(k, h, h0, hp, pi, q, s, p, y, q * k, ok)
-    raise SearchExhausted(f"no qualifying s in [{s_min},{s_limit}]")
+    raise SearchExhausted(f"no qualifying s in [{s_min},{S_LIMIT}]")
 
 
 def td_available(k: int, n: int) -> bool:

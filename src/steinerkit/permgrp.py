@@ -255,14 +255,14 @@ def push(point_images: np.ndarray, planted: np.ndarray, orbit_of: np.ndarray,
     return out.reshape(-1, planted.shape[-1])
 
 
-def is_semiregular(group: PermGroup, pts: Iterable[int],
-                   cap: int = DEFAULT_CAP) -> tuple[bool, list[tuple[Permutation, int]]]:
+def is_semiregular(group: PermGroup,
+                   pts: Iterable[int]) -> tuple[bool, list[tuple[Permutation, int]]]:
     """True iff no nonidentity element fixes any point of the set.
 
     On failure also returns the violating (element, fixed point) pairs.
     """
     pts = tuple(pts)
-    violations = [(g, x) for g in group.elements(cap) if not g.is_identity()
+    violations = [(g, x) for g in group.elements() if not g.is_identity()
                   for x in pts if g.images[x] == x]
     return (not violations, violations)
 

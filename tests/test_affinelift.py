@@ -1,39 +1,78 @@
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
 from steinerkit import affinelift
 from steinerkit.affinelift import (
-    AffineMap,
     AffineSpace,
-    Line,
     all_lines,
     coordinate_group,
     induced_perm_on_line,
     lift_aligned,
     lift_odd,
 )
-from steinerkit.basedesigns import BaseBlockDesign, build_base_design, km_search
-from steinerkit.design import Design, is_1_blocked, is_automorphism, verify_2design
+from steinerkit.basedesigns import build_base_design, km_search
+from steinerkit.design import Design, is_automorphism, verify_2design
 from steinerkit.errors import (
     AlignmentImpossible,
-    BadParams,
     Budget,
     DivisibilityViolation,
     NotStabilizing,
     ParityViolation,
 )
-from steinerkit.gf import PrimeFieldCtx, subgroup_of_order
 from steinerkit.permgrp import PermGroup, Permutation, orbit_sweep, set_images
+
+
+def decode(sp: AffineSpace, idx: int) -> tuple[int, ...]:
+    return tuple(idx // sp.p**j % sp.p for j in range(sp.d))
+
+
+def encode(sp: AffineSpace, vec) -> int:
+    return sum(c % sp.p * sp.p**j for j, c in enumerate(vec))
+
+
+def direction(sp: AffineSpace, row) -> tuple[int, ...]:
+    """A line's direction from its first two points."""
+    return tuple(((sp.coords[row[1]] - sp.coords[row[0]]) % sp.p).tolist())
+
+
+def reference_lines(sp: AffineSpace) -> list[list[int]]:
+    """Every line as base + x*direction, with the least point as base and a
+    direction whose first nonzero coordinate is 1, sorted by (base, encoded
+    direction)."""
+    dirs = [v for v in itertools.product(range(sp.p), repeat=sp.d)
+            if any(v) and next(c for c in v if c) == 1]
+    rows = []
+    for base in range(sp.point_count):
+        b = decode(sp, base)
+        for v in dirs:
+            row = [encode(sp, [bi + x * vi for bi, vi in zip(b, v)]) for x in range(sp.p)]
+            if min(row) == base:
+                rows.append((base, encode(sp, v), row))
+    return [row for *_, row in sorted(rows)]
+
+
+def reference_coordinate_perm(g: Permutation, sp: AffineSpace) -> Permutation:
+    """Decode each point, move its coordinate i to position g(i), encode."""
+    images = []
+    for idx in range(sp.point_count):
+        moved = [0] * sp.d
+        for i, c in enumerate(decode(sp, idx)):
+            moved[g.images[i]] = c
+        images.append(encode(sp, moved))
+    return Permutation(tuple(images))
 
 
 def test_space_encode_decode():
     sp = AffineSpace(3, 5)
     assert sp.point_count == 125
     for idx in (0, 1, 7, 124):
-        assert sp.encode(sp.decode(idx)) == idx
-    assert sp.decode(1) == (1, 0, 0)
+        assert tuple(sp.coords[idx].tolist()) == decode(sp, idx)
+        assert int(sp.coords[idx] @ sp.weights) == idx
+    assert tuple(sp.coords[1].tolist()) == (1, 0, 0)
 
 
 def test_all_lines_counts():
@@ -44,9 +83,21 @@ def test_all_lines_counts():
     assert sp.line_count == 137_541
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_all_lines_is_the_reference_array(d):
+    sp = AffineSpace(d, 5)
+    table = all_lines(sp)
+    assert isinstance(table, np.ndarray) and table.dtype == np.int64
+    assert table.shape == (sp.line_count, 5)
+    assert table.tolist() == reference_lines(sp)
+
+
 def test_all_lines_budget():
+    sp = AffineSpace(4, 37)
+    assert sp.line_count == 2_636_995_180 > affinelift.DEFAULT_LINE_BUDGET
     with pytest.raises(Budget):
-        all_lines(AffineSpace(3, 19), budget=1000)
+        all_lines(sp)
+    assert "coords" not in vars(sp)  # refused before the coordinate table is built
 
 
 def test_lines_canonical_and_partition():
@@ -54,17 +105,16 @@ def test_lines_canonical_and_partition():
     table = all_lines(sp)
     assert len(table) == 30
     seen = set()
-    for line in table:
+    for row in table.tolist():
         # canonical direction: first nonzero coordinate is 1
-        nz = [c for c in line.direction if c]
-        assert nz and line.direction[next(i for i, c in enumerate(line.direction) if c)] == 1
+        vec = direction(sp, row)
+        assert next(c for c in vec if c) == 1
         # base is the minimal point and the parametrization matches base + x*dir
-        assert line.base == min(line.points) == line.points[0]
-        base = sp.decode(line.base)
-        for x, pt in enumerate(line.points):
-            expect = tuple((b + x * d) % 5 for b, d in zip(base, line.direction))
-            assert sp.decode(pt) == expect
-        key = tuple(sorted(line.points))
+        assert row[0] == min(row)
+        base = decode(sp, row[0])
+        for x, pt in enumerate(row):
+            assert decode(sp, pt) == tuple((b + x * c) % 5 for b, c in zip(base, vec))
+        key = tuple(sorted(row))
         assert key not in seen
         seen.add(key)
     # the full line set is a 2-(25,5,1) design
@@ -74,35 +124,44 @@ def test_lines_canonical_and_partition():
 def test_coordinate_group_z3():
     g = PermGroup(3, [Permutation.from_cycles(3, [(0, 1, 2)])])
     sp = AffineSpace(3, 5)
-    coord, maps = coordinate_group(g, sp)
+    coord = coordinate_group(g, sp)
     assert coord.order() == 3
-    assert len(maps) == 1
-    gen = coord.generators[0]
+    gen, = coord.generators
+    assert gen == reference_coordinate_perm(g.generators[0], sp)
     assert gen.order() == 3
     # faithful linear action: basis vector e_0 -> e_1
-    assert gen(sp.encode((1, 0, 0))) == sp.encode((0, 1, 0))
+    assert gen(encode(sp, (1, 0, 0))) == encode(sp, (0, 1, 0))
 
 
 def test_coordinate_group_swap_fixes_diagonal():
     g = PermGroup(2, [Permutation.from_cycles(2, [(0, 1)])])
     sp = AffineSpace(2, 19)
-    coord, _ = coordinate_group(g, sp)
-    swap = coord.generators[0]
+    swap, = coordinate_group(g, sp).generators
+    assert swap == reference_coordinate_perm(g.generators[0], sp)
     fixed = swap.fixed_points()
     assert len(fixed) == 19
-    assert all(sp.decode(pt)[0] == sp.decode(pt)[1] for pt in fixed)
+    assert all(decode(sp, pt)[0] == decode(sp, pt)[1] for pt in fixed)
 
 
 def test_coordinate_group_identity():
-    coord, _ = coordinate_group(PermGroup.trivial(2), AffineSpace(2, 3))
+    coord = coordinate_group(PermGroup.trivial(2), AffineSpace(2, 3))
     assert coord.order() == 1
+
+
+def test_coordinate_group_matches_reference_on_s4():
+    g = PermGroup(4, [Permutation.from_cycles(4, [(0, 1)]),
+                      Permutation.from_cycles(4, [(0, 1, 2, 3)])])
+    sp = AffineSpace(4, 3)
+    coord = coordinate_group(g, sp)
+    assert list(coord.generators) == [reference_coordinate_perm(h, sp) for h in g.generators]
+    assert coord.order() == 24
 
 
 def test_induced_group_on_pointwise_fixed_diagonal_is_trivial():
     g = PermGroup(2, [Permutation.from_cycles(2, [(0, 1)])])
-    orb = affinelift._line_orbits(g, 19, affinelift.DEFAULT_LINE_BUDGET)
-    diagonal = next(i for i, line in enumerate(orb.table)
-                    if line.base == 0 and line.direction == (1, 1))
+    orb = affinelift._line_orbits(g, 19)
+    diagonal = next(i for i, row in enumerate(orb.table)
+                    if row[0] == 0 and direction(orb.space, row) == (1, 1))
     r = int(orb.orbit_of[diagonal])
     assert orb.reps[r] == diagonal
     assert len(orb.stabilizers[r]) == 2  # the swap fixes the diagonal setwise
@@ -114,57 +173,54 @@ def test_induced_group_on_pointwise_fixed_diagonal_is_trivial():
 def test_induced_affine_identity():
     sp = AffineSpace(2, 19)
     table = all_lines(sp)
-    ident = AffineMap(((1, 0), (0, 1)), (0, 0), 19)
-    assert induced_perm_on_line(ident.to_permutation(sp), table[0]).is_identity()
+    ident, = coordinate_group(PermGroup.trivial(2), sp).generators
+    assert induced_perm_on_line(ident, table[0]).is_identity()
 
 
 def test_induced_affine_swap_on_diagonal():
     sp = AffineSpace(2, 19)
     table = all_lines(sp)
-    swap = AffineMap(((0, 1), (1, 0)), (0, 0), 19).to_permutation(sp)
-    diag = next(line for line in table if line.direction == (1, 1) and line.base == 0)
+    swap, = coordinate_group(PermGroup(2, [Permutation.from_cycles(2, [(0, 1)])]),
+                             sp).generators
+    diag = next(row for row in table if direction(sp, row) == (1, 1) and row[0] == 0)
     assert induced_perm_on_line(swap, diag).is_identity()  # pointwise fixed
-    off_diag = next(line for line in table if line.direction == (1, 0))
+    off_diag = next(row for row in table if direction(sp, row) == (1, 0))
     with pytest.raises(NotStabilizing):
         induced_perm_on_line(swap, off_diag)
 
 
 def test_induced_affine_translation_by_direction():
     sp = AffineSpace(2, 7)
-    table = all_lines(sp)
-    line = table[0]
-    trans = AffineMap(((1, 0), (0, 1)), line.direction, 7).to_permutation(sp)
+    line = all_lines(sp)[0]
+    shift = ((sp.coords + direction(sp, line)) % sp.p) @ sp.weights
+    trans = Permutation(tuple(shift.tolist()))
     assert induced_perm_on_line(trans, line).images == tuple((x + 1) % 7 for x in range(7))
-
-
-def test_affine_map_rejects_singular():
-    with pytest.raises(BadParams):
-        AffineMap(((1, 1), (1, 1)), (0, 0), 3)
 
 
 def line_decomposition(table, group):
     """Orbits of a point group on the lines, over line indices."""
-    return orbit_sweep(set_images(table.points, group.generators))
+    return orbit_sweep(set_images(table, group.generators))
 
 
 def test_line_orbits_matches_generic_machinery():
     g = PermGroup(2, [Permutation.from_cycles(2, [(0, 1)])])
     sp = AffineSpace(2, 19)
     table = all_lines(sp)
-    coord, _ = coordinate_group(g, sp)
+    coord = coordinate_group(g, sp)
     # independent check: each line's orbit by set lookup under every element
-    index = {frozenset(line.points): i for i, line in enumerate(table)}
-    generic = sorted({min(index[frozenset(e.images[p] for p in line.points)]
-                          for e in coord.elements()) for line in table})
+    rows = table.tolist()
+    index = {frozenset(row): i for i, row in enumerate(rows)}
+    generic = sorted({min(index[frozenset(e.images[p] for p in row)]
+                          for e in coord.elements()) for row in rows})
     assert line_decomposition(table, coord)[0].tolist() == generic
     # the lifts' own sweep picks the same representatives
-    orb = affinelift._line_orbits(g, 19, affinelift.DEFAULT_LINE_BUDGET)
+    orb = affinelift._line_orbits(g, 19)
     assert orb.reps.tolist() == generic
     # transporters reproduce members
-    for i in range(len(table)):
-        rep = table[orb.reps[orb.orbit_of[i]]]
+    for i, row in enumerate(rows):
+        rep = rows[orb.reps[orb.orbit_of[i]]]
         t = orb.elements[orb.trans[i]]
-        assert frozenset(t.images[p] for p in rep.points) == frozenset(table[i].points)
+        assert frozenset(t.images[p] for p in rep) == frozenset(row)
 
 
 def test_lift_odd_trivial_group_d1_is_the_base_design():
@@ -219,17 +275,16 @@ def test_lifted_blocks_are_collinear(reverse_sts19):
     ingredient, inv = reverse_sts19
     g = PermGroup(2, [Permutation.from_cycles(2, [(0, 1)])])
     result = lift_aligned(g, 19, 3, ingredient, inv)
-    table = all_lines(result.space)
+    rows = all_lines(AffineSpace(2, 19)).tolist()
     lines_by_pair = {}
-    for i, line in enumerate(table):
-        for a in line.points:
-            for b in line.points:
+    for i, row in enumerate(rows):
+        for a in row:
+            for b in row:
                 if a < b:
                     lines_by_pair[(a, b)] = i
     for blk in result.design.block_tuples()[::97]:
         i = lines_by_pair[(blk[0], blk[1])]
-        pts = set(table[i].points)
-        assert set(blk) <= pts
+        assert set(blk) <= set(rows[i])
 
 
 def test_lift_aligned_trivial_group_plants_everywhere(reverse_sts19):
@@ -262,14 +317,14 @@ def test_lift_aligned_double_transporter_consistency(reverse_sts19):
     ingredient, inv = reverse_sts19
     g = PermGroup(2, [Permutation.from_cycles(2, [(0, 1)])])
     result = lift_aligned(g, 19, 3, ingredient, inv)
-    table = all_lines(result.space)
+    table = all_lines(AffineSpace(2, 19))
     reps, orbit_of = line_decomposition(table, result.group)
     blocks = result.design.block_set()
     stabilized = reps[np.bincount(orbit_of) == 1].tolist()
     assert len(stabilized) == 20  # the swap fixes the diagonal and 19 cross lines
     nontrivial = result.group.elements()[1]
     for r in stabilized[:5]:
-        line_pts = set(table[r].points)
+        line_pts = set(table[r].tolist())
         line_blocks = [blk for blk in blocks if set(blk) <= line_pts]
         assert len(line_blocks) == 57
         pushed = {tuple(sorted(nontrivial.images[p] for p in blk)) for blk in line_blocks}

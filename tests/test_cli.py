@@ -8,6 +8,7 @@ import pytest
 
 from steinerkit import cli, permgrp
 from steinerkit import design as design_module
+from steinerkit.basedesigns import build_base_design
 from steinerkit.cli import main
 from steinerkit.design import VerifyReport, read_design, verify_2design, write_design
 from steinerkit.errors import AxiomViolation
@@ -377,6 +378,38 @@ def test_parameter_preconditions_are_reported(capsys, argv, message):
     assert code == 1
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["construct-odd", "--k", "3", "--group-file", "{triv}", "--base-block", "0,1,x"],
+     "BadParams: --base-block '0,1,x' is not a list of integers"),
+    (["compose", "--w", "{fano}", "--y", "{fano}", "--x-points", "a"],
+     "BadParams: --x-points 'a' is not a list of integers"),
+    (["compose", "--mode", "cyclic", "--w", "{fano}", "--y", "{fano}", "--cyclic", "0,0,1"],
+     "BadParams: --cyclic '0,0,1' is not a permutation of 0..2"),
+    (["compose", "--mode", "1blocked", "--w", "{fano}"],
+     "BadParams: --mode 1blocked needs --y --group-file"),
+    (["plan-spectrum", "--k", "3", "--w", "7", "--x1", "7,q"],
+     "BadParams: --x1 '7,q' is not a list of integers"),
+    (["verify", "--design", "{missing}"],
+     "FileNotFoundError: [Errno 2] No such file or directory: '{missing}'"),
+    (["construct-aligned", "--k", "3", "--group-file", "{z2}", "--p", "20"],
+     "BadParams: --p 20 must be a prime with (p-1) mod (k-1) = 0"),
+    (["construct-aligned", "--k", "5", "--group-file", "{z2}", "--p", "11"],
+     "BadParams: --p 11 must be a prime with (p-1) mod (k-1) = 0"),
+    (["construct-aligned", "--k", "1", "--group-file", "{z2}"],
+     "SteinerError: need k odd and >= 3, |G| even, gcd(k,|G|)=1; got k=1, |G|=2"),
+], ids=["base-block", "x-points", "cyclic", "compose-files", "x1", "missing-design",
+        "aligned-p-not-prime", "aligned-p-not-1-mod-k-1", "aligned-k-1"])
+def test_malformed_input_is_reported(tmp_path, capsys, argv, message):
+    paths = {"triv": write_group(tmp_path / "triv.group", Permutation.identity(1)),
+             "z2": write_group(tmp_path / "z2.group", Permutation.from_cycles(2, [(0, 1)])),
+             "fano": str(tmp_path / "fano.design"), "missing": str(tmp_path / "missing.design")}
+    write_design(build_base_design(7, 3, (0, 1, 3)).design, paths["fano"])
+    code, rep = run(capsys, *(arg.format(**paths) for arg in argv))
+    assert rep["error"] == message.format(**paths)
+    assert rep["status"] == "fail"
+    assert code == 1
+
+
 def test_td_out_is_atomic(tmp_path, capsys, monkeypatch):
     path = tmp_path / "td.txt"
     code, rep = run(capsys, "td", "--k", "3", "--n", "5", "--mode", "cyclic", "--out", str(path))
@@ -403,8 +436,9 @@ def test_td_out_is_atomic(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(design_module, "open",
                         lambda file, mode="r": HalfWriter(builtins.open(file, mode)),
                         raising=False)
-    with pytest.raises(OSError):
-        main(["td", "--k", "3", "--n", "7", "--mode", "cyclic", "--out", str(path)])
+    code, rep = run(capsys, "td", "--k", "3", "--n", "7", "--mode", "cyclic", "--out", str(path))
+    assert rep["error"] == "OSError: [Errno 28] No space left on device"
+    assert code == 1 and "sha256" not in rep
     assert path.read_bytes() == old
     assert [p.name for p in tmp_path.iterdir()] == ["td.txt"]
 

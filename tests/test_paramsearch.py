@@ -82,6 +82,8 @@ def test_prime_for_even_group_preconditions():
         prime_for_even_group(3, 6)  # not a multiple of 4
     with pytest.raises(GcdViolation):
         prime_for_even_group(4, 8)  # gcd(k,h) != 1
+    with pytest.raises(ValueError, match="k must be at least 3"):
+        prime_for_even_group(1, 4)  # p = 1 + (k-1)n would never grow
 
 
 def test_split_by_prime_support():
