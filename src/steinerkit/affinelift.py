@@ -26,17 +26,7 @@ import numpy as np
 
 from .basedesigns import BaseBlockDesign
 from .design import Design, is_automorphism
-from .errors import (
-    AlignmentImpossible,
-    BadParams,
-    Budget,
-    DivisibilityViolation,
-    NotSemiregular,
-    NotStabilizing,
-    OrderMismatch,
-    ParityViolation,
-    PlantRejected,
-)
+from .errors import BadParams, Budget
 from .permgrp import (
     PermGroup,
     Permutation,
@@ -145,7 +135,7 @@ def induced_perm_on_line(perm: Permutation, line: np.ndarray) -> Permutation:
     try:
         return Permutation(tuple(pos[perm.images[pt]] for pt in pts))
     except KeyError:
-        raise NotStabilizing("permutation does not stabilize the line")
+        raise BadParams("permutation does not stabilize the line")
 
 
 # -- the lifts --------------------------------------------------------------------
@@ -208,9 +198,9 @@ def lift_odd(group: PermGroup, p: int, k: int, base: BaseBlockDesign) -> LiftRes
     """
     h = group.order()
     if h % 2 == 0:
-        raise ParityViolation(f"group order {h} is even")
+        raise BadParams(f"group order {h} is even")
     if (p - 1) % (k * (k - 1)) != 0 or ((p - 1) // (k * (k - 1))) % h != 0:
-        raise DivisibilityViolation(f"|G|={h} does not divide t=(p-1)/{k * (k - 1)}")
+        raise BadParams(f"|G|={h} does not divide t=(p-1)/{k * (k - 1)}")
     if base.p != p or base.k != k:
         raise BadParams("base design parameters disagree with (p, k)")
     orb = _line_orbits(group, p)
@@ -220,7 +210,7 @@ def lift_odd(group: PermGroup, p: int, k: int, base: BaseBlockDesign) -> LiftRes
                 continue
             ind = induced_perm_on_line(g, orb.table[r])
             if not is_automorphism(base.design, ind):
-                raise PlantRejected(
+                raise BadParams(
                     f"induced action on line {r} is outside the base design's "
                     f"automorphisms")
     return _fill(orb, base.design.blocks, k)
@@ -239,11 +229,11 @@ def lift_aligned(group: PermGroup, p: int, k: int, ingredient: Design,
     if ingredient.v != p or ingredient.k != k:
         raise BadParams("ingredient design must live on p points with block size k")
     if not is_automorphism(ingredient, cyclic_gen):
-        raise AlignmentImpossible("cyclic_gen is not an automorphism of the ingredient")
+        raise BadParams("cyclic_gen is not an automorphism of the ingredient")
     n = cyclic_gen.order()
     cycles = cyclic_gen.cycles()
     if len(cyclic_gen.fixed_points()) != 1 or any(len(c) != n for c in cycles):
-        raise AlignmentImpossible(
+        raise BadParams(
             "cyclic_gen must fix exactly one point and be semiregular elsewhere")
     orb = _line_orbits(group, p)
     plants = []
@@ -257,24 +247,24 @@ def lift_aligned(group: PermGroup, p: int, k: int, ingredient: Design,
         gen = next((induced_set[images] for images in sorted(induced_set)
                     if induced_set[images].order() == m), None)
         if gen is None:
-            raise AlignmentImpossible(f"induced action on line {r} is not cyclic")
+            raise BadParams(f"induced action on line {r} is not cyclic")
         if m == 1:
             plant = ingredient
         else:
             if n % m != 0:
-                raise AlignmentImpossible(
+                raise BadParams(
                     f"induced order {m} on line {r} does not divide {n}")
             target = cyclic_gen
             for _ in range(n // m - 1):
                 target = target * cyclic_gen
             try:
                 sigma = align_semiregular_cyclic(gen, target, range(p))
-            except (OrderMismatch, NotSemiregular) as exc:
-                raise AlignmentImpossible(f"line {r}: {exc}")
+            except BadParams as exc:
+                raise BadParams(f"line {r}: {exc}")
             plant = ingredient.relabel(sigma.inverse())
             for ind in induced_set.values():
                 if not is_automorphism(plant, ind):
-                    raise AlignmentImpossible(
+                    raise BadParams(
                         f"aligned plant on line {r} misses an induced action")
         plants.append(plant.blocks)
     return _fill(orb, np.stack(plants), k)

@@ -16,13 +16,7 @@ import numpy as np
 
 from .certify import certify, require_certified
 from .design import Design, iso_in_group
-from .errors import (
-    BadParams,
-    CriterionFailed,
-    Infeasible,
-    Unsat,
-    VariantsExhausted,
-)
+from .errors import BadParams, Budget, Unsat
 from .exactcover import solve_exact_cover
 from .gf import MultSubgroup, PrimeFieldCtx, coset_partition, is_prime, subgroup_of_order
 from .permgrp import PermGroup, Permutation, orbit_sweep, set_images
@@ -99,7 +93,7 @@ def build_base_design(p: int, k: int, base_block) -> BaseBlockDesign:
     _, lookup = coset_partition(sub)
     block = tuple(sorted(x % p for x in base_block))
     if len(block) != k or not _coset_criterion(block, p, lookup, k * (k - 1)):
-        raise CriterionFailed(f"base block {block} fails the coset criterion at p={p}")
+        raise BadParams(f"base block {block} fails the coset criterion at p={p}")
     scaled = np.outer(sub.elements, block)
     design = Design(p, k, ((scaled[:, None, :] + np.arange(p)[:, None]) % p).reshape(-1, k))
     require_certified(certify(design), f"orbit design of {block} at p={p}")
@@ -132,8 +126,8 @@ def km_instance(v: int, k: int, group: PermGroup,
         raise BadParams(f"group degree {group.degree} != v {v}")
     n_candidates = math.comb(v, k)
     if n_candidates > max_block_candidates:
-        raise Infeasible(f"{n_candidates} candidate blocks exceeds the bound "
-                         f"{max_block_candidates}")
+        raise Budget(f"{n_candidates} candidate blocks exceeds the bound "
+                     f"{max_block_candidates}")
     pair_reps, block_reps, block_orbit, bounds, row, bad = _km_orbits(v, k, group.generators)
     columns = {cid: frozenset(row[bounds[cid]:bounds[cid + 1]])
                for cid in np.flatnonzero(~bad).tolist()}
@@ -184,7 +178,7 @@ def km_search(v: int, k: int, group: PermGroup, forced_blocks=(),
 
     ``forced_blocks`` are k-subsets that must appear in the design (each
     forces its whole orbit).  Raises Unsat when the search is exhaustive and
-    empty, Infeasible when the candidate-block count exceeds its bound.
+    empty, Budget when the candidate-block count exceeds its bound.
     """
     inst = km_instance(v, k, group, max_block_candidates)
     orbit_of_block = {}
@@ -301,5 +295,5 @@ def inequivalent_variants(design: Design, count: int = 3) -> list[Design]:
                 placed = True
                 break
         if not placed:
-            raise VariantsExhausted(f"no {i}-cycle support yields a new variant")
+            raise Unsat(f"no {i}-cycle support yields a new variant")
     return chosen

@@ -23,7 +23,7 @@ from .affinelift import lift_aligned, lift_odd
 from .basedesigns import build_base_design, km_search, steiner_triple_system, wilson_base_block
 from .certify import Check, certify, entry
 from .design import Design, read_design, write_atomic, write_design
-from .errors import BadParams, ParityViolation, SteinerError
+from .errors import BadParams, SteinerError
 from .gf import is_prime
 from .netstd import (cyclic_td, mols_td, net_from_affine_plane, net_to_text, semilinear_net,
                      td_to_text, verify_net, verify_td)
@@ -98,6 +98,13 @@ def _parse_perm(text: str, option: str) -> Permutation:
 CACHE_FORMAT = "design-file-v1:"
 
 
+def _need(args, mode: str, names) -> None:
+    """BadParams naming each option of ``names`` that ``mode`` needs and was not given."""
+    missing = [f"--{name.replace('_', '-')}" for name in names if getattr(args, name) is None]
+    if missing:
+        raise BadParams(f"--mode {mode} needs {' '.join(missing)}")
+
+
 def _cache_path(cache_dir: str | None, key: str) -> Path | None:
     if not cache_dir:
         return None
@@ -162,7 +169,7 @@ def cmd_construct_odd(args, report: Report) -> None:
     group, h = _lift_group(args, report)
     k = args.k
     if h % 2 == 0:
-        raise ParityViolation(f"group order {h} is even")
+        raise BadParams(f"group order {h} is even")
     if args.p is not None:
         p = args.p
         t = (p - 1) // (k * (k - 1))
@@ -237,10 +244,7 @@ def cmd_compose(args, report: Report) -> None:
         _compose_cyclic_auto(args, report)
         return
     needed = {"1blocked": ("group_file",), "cyclic": ("cyclic",)}.get(mode, ())
-    missing = [f"--{name.replace('_', '-')}" for name in ("w", "y", *needed)
-               if getattr(args, name) is None]
-    if missing:
-        raise BadParams(f"--mode {mode} needs {' '.join(missing)}")
+    _need(args, mode, ("w", "y", *needed))
     x_points = _parse_int_list(args.x_points, "--x-points")
     w = read_design(args.w)
     y = read_design(args.y)
@@ -274,6 +278,7 @@ def cmd_compose(args, report: Report) -> None:
 def _compose_cyclic_auto(args, report: Report) -> None:
     """Full cyclic pipeline: parameters, the small ingredient with its
     semiregular group, the TD, the large ingredient, then assembly."""
+    _need(args, "cyclic without --w", ("k", "h"))
     k, h = args.k, args.h
     report.param("k", k)
     report.param("h", h)
@@ -365,6 +370,7 @@ def cmd_verify(args, report: Report) -> None:
 
 
 def cmd_net(args, report: Report) -> None:
+    _need(args, args.mode, ("n",) if args.mode == "affine" else ("q", "m"))
     if args.mode == "affine":
         net = net_from_affine_plane(args.n, args.k)
         report.param("n", net.n)

@@ -24,13 +24,7 @@ import numpy as np
 
 from .certify import certify, require_certified
 from .design import Design, is_1_blocked, is_automorphism, is_subdesign
-from .errors import (
-    AlignmentImpossible,
-    BadParams,
-    NotOneBlocked,
-    StabilizerViolation,
-    Unavailable,
-)
+from .errors import BadParams, Unavailable
 from .netstd import TransversalDesign, cyclic_td, mols_td, verify_td
 from .permgrp import PermGroup, Permutation, orbit_sweep, push, set_images, transporters
 
@@ -147,7 +141,7 @@ def product_design_1blocked(plan: CompositionPlan, check: bool = True
         raise BadParams("plan.group is required")
     ok, witness = is_1_blocked(plan.W, plan.group)
     if not ok:
-        raise NotOneBlocked(witness)
+        raise BadParams(f"group is not 1-blocked, witness: {witness}")
     out, idx = _product(plan, plan.group)
     bar_group = _bar_group(idx, plan.group.generators)
     if check:
@@ -170,15 +164,15 @@ def cyclic_product_design(W: Design, c_w: Permutation, Y: Design,
     if Y.k != k or td.k != k or td.n != Y.v - 1:
         raise BadParams("ingredients disagree on k or the TD group size")
     if not is_automorphism(W, c_w):
-        raise StabilizerViolation("c_w is not an automorphism of W")
+        raise BadParams("c_w is not an automorphism of W")
     order = c_w.order()
     if order not in (1, k):
-        raise StabilizerViolation(f"c_w must have order {k} (or 1), got {order}")
+        raise BadParams(f"c_w must have order {k} (or 1), got {order}")
     powers = [Permutation.identity(W.v)]
     for _ in range(order - 1):
         powers.append(powers[-1] * c_w)
     if order > 1 and any(p.fixed_points() for p in powers[1:]):
-        raise StabilizerViolation("c_w must be semiregular on W's points")
+        raise BadParams("c_w must be semiregular on W's points")
 
     plan = CompositionPlan(W, Y, (0,), td_supplier=lambda *_: td)
     idx = _Indexer(plan)
@@ -187,12 +181,12 @@ def cyclic_product_design(W: Design, c_w: Permutation, Y: Design,
     rotation = None
     if td_rotator is not None:
         if not td.is_automorphism(td_rotator) or td_rotator.order() != k:
-            raise AlignmentImpossible("td_rotator must be an order-k TD automorphism")
+            raise BadParams("td_rotator must be an order-k TD automorphism")
         if any(td_rotator.images[p] == p for p in range(td.point_count)):
-            raise AlignmentImpossible("td_rotator must be semiregular on points")
+            raise BadParams("td_rotator must be semiregular on points")
         rotation = td.group_action(td_rotator)
         if len(rotation.cycles()) != 1 or len(rotation.cycles()[0]) != k:
-            raise AlignmentImpossible("td_rotator must rotate the k groups in one cycle")
+            raise BadParams("td_rotator must rotate the k groups in one cycle")
 
     images = set_images(W.blocks, powers)
     reps, orbit_of = orbit_sweep(images)
@@ -204,11 +198,11 @@ def cyclic_product_design(W: Design, c_w: Permutation, Y: Design,
         ablock = tuple(W.blocks[reps[r]].tolist())
         stab_size = order // int(sizes[r])
         if stab_size != order:
-            raise StabilizerViolation(
+            raise BadParams(
                 f"block {ablock} has stabilizer of size {stab_size}")
         # the block is a <c_w>-orbit: align the TD copy with the rotator
         if rotation is None:
-            raise AlignmentImpossible(
+            raise BadParams(
                 f"stabilized block {ablock} needs a group-rotating TD automorphism")
         b_seq = [min(ablock)]
         for _ in range(k - 1):

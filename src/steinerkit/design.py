@@ -19,14 +19,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import (
-    Budget,
-    DegreeMismatch,
-    MalformedBlock,
-    NotAutomorphismGroup,
-    ParseError,
-    TooLarge,
-)
+from .errors import BadParams, Budget, ParseError
 from .permgrp import DEFAULT_CAP, PermGroup, Permutation, row_keys
 
 PAIR_TABLE_MAX_V = 20000  # v^2/2 counters stay comfortably in memory below this
@@ -43,17 +36,19 @@ class Design:
     __slots__ = ("v", "k", "blocks")
 
     def __init__(self, v: int, k: int, blocks):
+        if k < 1:
+            raise BadParams(f"block size k={k} must be at least 1")
         arr = np.asarray(blocks, dtype=np.int64)
-        if arr.size == 0:
+        if arr.ndim == 1 and arr.size == 0:
             arr = arr.reshape(0, k)
         if arr.ndim != 2 or arr.shape[1] != k:
-            raise MalformedBlock(f"blocks must be rows of {k} points")
+            raise BadParams(f"blocks must be rows of {k} points")
         if arr.size and (arr.min() < 0 or arr.max() >= v):
-            raise MalformedBlock("point index out of range")
+            raise BadParams("point index out of range")
         if not np.all(arr[:, 1:] > arr[:, :-1]):
             arr = np.sort(arr, axis=1)
             if np.any(arr[:, 1:] == arr[:, :-1]):
-                raise MalformedBlock("repeated point inside a block")
+                raise BadParams("repeated point inside a block")
         keys = row_keys(arr, v)
         if np.any(keys[1:] <= keys[:-1]):
             arr = arr[np.argsort(keys)]
@@ -76,7 +71,7 @@ class Design:
 
     def relabel(self, perm: Permutation) -> "Design":
         if perm.degree != self.v:
-            raise DegreeMismatch(f"permutation degree {perm.degree} != v {self.v}")
+            raise BadParams(f"permutation degree {perm.degree} != v {self.v}")
         return Design(self.v, self.k, perm.array[self.blocks])
 
     def __eq__(self, other):
@@ -144,7 +139,7 @@ def is_1_blocked(design: Design, group: PermGroup):
     """
     for g in group.generators:
         if not is_automorphism(design, g):
-            raise NotAutomorphismGroup(f"generator {g!r} is not an automorphism")
+            raise BadParams(f"generator {g!r} is not an automorphism")
     return stabilizer_scan(design, group)
 
 
@@ -198,10 +193,10 @@ def brute_aut(design: Design) -> PermGroup:
     """
     v, k = design.v, design.k
     if v > 30:
-        raise TooLarge(f"brute_aut bounded to v <= 30, got {v}")
+        raise Budget(f"brute_aut bounded to v <= 30, got {v}")
     report = verify_2design(design)
     if not report.ok:
-        raise MalformedBlock(f"not a 2-design: {report}")
+        raise BadParams(f"not a 2-design: {report}")
     b = design.b
     line = -np.ones((v, v), dtype=np.int64)
     for bi, row in enumerate(design.block_tuples()):
@@ -218,7 +213,7 @@ def brute_aut(design: Design) -> PermGroup:
         if x == v:
             found.append(Permutation(tuple(img)))
             if len(found) > DEFAULT_CAP:
-                raise TooLarge(f"automorphism count passed cap {DEFAULT_CAP}")
+                raise Budget(f"automorphism count passed cap {DEFAULT_CAP}")
             return
         for y in range(v):
             if used[y]:
@@ -253,7 +248,7 @@ def brute_aut(design: Design) -> PermGroup:
 def iso_in_group(d1: Design, d2: Design, maps: Sequence[Permutation]) -> Permutation | None:
     """First map in the list carrying d1's block set onto d2's, else None."""
     if (d1.v, d1.k) != (d2.v, d2.k):
-        raise DegreeMismatch("designs must share (v, k)")
+        raise BadParams("designs must share (v, k)")
     for h in maps:
         if d1.relabel(h) == d2:
             return h
@@ -341,6 +336,8 @@ def _read_header(fh) -> tuple[int, int, int, int]:
         raise ParseError(line_no, "bad header fields")
     if min(v, k, b) < 0:
         raise ParseError(line_no, "negative header field")
+    if k < 1:
+        raise ParseError(line_no, f"block size k={k} must be at least 1")
     return line_no, v, k, b
 
 

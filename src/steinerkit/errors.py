@@ -1,8 +1,15 @@
-"""Exception hierarchy shared by all steinerkit modules."""
+"""Exception classes shared by all steinerkit modules.
+
+Every message names the condition that failed, so the class only says what
+kind of outcome it is.  A new class is allowed for one of three reasons:
+code in the package catches it by type, it carries data a caller reads, or
+it names an outcome a CLI user must tell apart from the others.  Otherwise
+raise one of the classes below with a message that names the condition.
+"""
 
 
 class SteinerError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package; a failed ``require``."""
 
 
 def require(ok: bool, condition: str) -> None:
@@ -12,161 +19,33 @@ def require(ok: bool, condition: str) -> None:
         raise SteinerError(f"check failed: {condition}")
 
 
-# -- group machinery ---------------------------------------------------------
+class BadParams(SteinerError, ValueError):
+    """Arguments or inputs outside a function's preconditions."""
 
-class CapExceeded(SteinerError):
-    """Group enumeration passed the element cap."""
+
+class ParseError(SteinerError):
+    """A malformed line of a design, group, TD or net file."""
+
+    def __init__(self, line_no: int, message: str):
+        self.line_no = line_no
+        super().__init__(f"line {line_no}: {message}")
+
+
+class AxiomViolation(SteinerError):
+    """A structure fails an axiom it claims; a failed certificate entry."""
 
 
 class ActionEscape(SteinerError):
     """A group action mapped a family member outside the family."""
 
 
-class NotStabilizing(SteinerError):
-    """An element was expected to stabilize a set but moves it."""
-
-
-class NotSemiregular(SteinerError):
-    """A permutation expected to be semiregular has a bad cycle structure."""
-
-
-class OrderMismatch(SteinerError):
-    """Two permutations that should share a cycle structure do not."""
-
-
-# -- field arithmetic --------------------------------------------------------
-
-class NotDivisor(SteinerError):
-    pass
-
-
-class BadPower(SteinerError):
-    pass
-
-
-class BadDecomposition(SteinerError):
-    pass
-
-
-class TraceZero(SteinerError):
-    """The chosen constant lies in the kernel of the trace map."""
-
-
-class BadParams(SteinerError, ValueError):
-    """Arguments outside a function's preconditions."""
-
-
-# -- parameter searches ------------------------------------------------------
-
-class SearchExhausted(SteinerError):
-    """A bounded scan ran out without finding a qualifying value."""
-
-
-class GcdViolation(SteinerError):
-    pass
-
-
-class WindowBelowBound(SteinerError):
-    """Requested planning window lies below the guaranteed-coverage bound."""
-
-    def __init__(self, bound: int, message: str = ""):
-        self.bound = bound
-        super().__init__(message or f"window starts below coverage bound {bound}")
-
-
-# -- designs -----------------------------------------------------------------
-
-class MalformedBlock(SteinerError):
-    pass
-
-
-class DegreeMismatch(SteinerError):
-    pass
-
-
-class NotAutomorphismGroup(SteinerError):
-    pass
-
-
-class TooLarge(SteinerError):
-    pass
-
-
-class ParseError(SteinerError):
-    def __init__(self, line_no: int, message: str):
-        self.line_no = line_no
-        super().__init__(f"line {line_no}: {message}")
-
-
-# -- base design searches ----------------------------------------------------
-
-class CriterionFailed(SteinerError):
-    pass
-
-
-class Unsat(SteinerError):
-    """Exact-cover search exhausted: no design with the prescribed group."""
-
-
-class Infeasible(SteinerError):
-    """Search instance too large; message carries the size report."""
-
-
-class VariantsExhausted(SteinerError):
-    """No cycle support produced pairwise inequivalent relabelings."""
-
-
-# -- lifting -----------------------------------------------------------------
-
-class ParityViolation(SteinerError):
-    pass
-
-
-class DivisibilityViolation(SteinerError):
-    pass
+class Unavailable(SteinerError):
+    """No construction in the library covers the requested parameters."""
 
 
 class Budget(SteinerError):
-    pass
+    """A bound (cap, node budget, scan limit, size) stopped the work before an answer."""
 
 
-class AlignmentImpossible(SteinerError):
-    pass
-
-
-class PlantRejected(SteinerError):
-    """A planted ingredient design lacks the symmetry a stabilized line needs."""
-
-
-# -- nets and transversal designs --------------------------------------------
-
-class BadOrder(SteinerError):
-    pass
-
-
-class AxiomViolation(SteinerError):
-    pass
-
-
-class TooFewSlopes(SteinerError):
-    pass
-
-
-class BadCoprimality(SteinerError):
-    pass
-
-
-class Unavailable(SteinerError):
-    pass
-
-
-# -- composition -------------------------------------------------------------
-
-class StabilizerViolation(SteinerError):
-    pass
-
-
-class NotOneBlocked(SteinerError):
-    def __init__(self, witness=None, message: str = ""):
-        self.witness = witness
-        super().__init__(message or f"group is not 1-blocked, witness: {witness}")
+class Unsat(SteinerError):
+    """An exhaustive search settled that no object with the asked properties exists."""

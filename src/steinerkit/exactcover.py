@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from .errors import SearchExhausted
+from .errors import Budget
 
 
 def solve_exact_cover(columns: Mapping[int, frozenset[int]], universe: Sequence[int],
@@ -19,7 +19,7 @@ def solve_exact_cover(columns: Mapping[int, frozenset[int]], universe: Sequence[
     """First exact cover in deterministic order, or None if unsatisfiable.
 
     ``forced`` columns are selected up front (returns None if they clash).
-    Raises SearchExhausted if the node budget runs out before the search
+    Raises Budget if the node budget runs out before the search
     space is settled.
     """
     covers: dict[int, set[int]] = {r: set() for r in universe}
@@ -67,7 +67,7 @@ def solve_exact_cover(columns: Mapping[int, frozenset[int]], universe: Sequence[
             return True
         nodes += 1
         if nodes > max_nodes:
-            raise SearchExhausted(f"exact cover passed node budget {max_nodes}")
+            raise Budget(f"exact cover passed node budget {max_nodes}")
         row = min(covers, key=lambda r: (len(covers[r]), r))
         for cid in sorted(covers[row]):
             solution.append(cid)

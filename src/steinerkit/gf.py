@@ -12,13 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .errors import (
-    BadDecomposition,
-    BadParams,
-    BadPower,
-    NotDivisor,
-    TraceZero,
-)
+from .errors import BadParams
 from .permgrp import Permutation
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -94,7 +88,7 @@ class MultSubgroup:
 def subgroup_of_order(ctx: PrimeFieldCtx, t: int) -> MultSubgroup:
     p = ctx.p
     if t < 1 or (p - 1) % t != 0:
-        raise NotDivisor(f"{t} does not divide {p}-1")
+        raise BadParams(f"{t} does not divide {p}-1")
     gen = pow(ctx.primitive_root, (p - 1) // t, p)
     elems = set()
     x = 1
@@ -261,7 +255,7 @@ def frobenius(x: ExtFieldElement, q: int) -> ExtFieldElement:
     """x -> x^q for q a power of the field characteristic."""
     p = x.ctx.p
     if q < 1 or not _is_power_of(q, p) or q > x.ctx.size:
-        raise BadPower(f"{q} is not a power of {p} within the field")
+        raise BadParams(f"{q} is not a power of {p} within the field")
     return x ** q
 
 
@@ -274,7 +268,7 @@ def _is_power_of(q: int, p: int) -> bool:
 def trace(x: ExtFieldElement, q: int, m: int) -> ExtFieldElement:
     """Trace onto the subfield fixed by x -> x^q: sum of x^(q^j), j < m."""
     if q ** m != x.ctx.size:
-        raise BadDecomposition(f"q^m = {q}^{m} != field size {x.ctx.size}")
+        raise BadParams(f"q^m = {q}^{m} != field size {x.ctx.size}")
     acc = x.ctx.zero()
     power = x
     for _ in range(m):
@@ -296,7 +290,7 @@ def semilinear_map(ctx: ExtFieldCtx, q: int, m: int, a: ExtFieldElement) -> Perm
     if q ** m != ctx.size:
         raise BadParams(f"q^m = {q}^{m} does not match field size {ctx.size}")
     if trace(a, q, m).is_zero():
-        raise TraceZero(f"trace of a={a!r} is zero")
+        raise BadParams(f"trace of a={a!r} is zero")
     images = []
     for idx in range(ctx.size):
         x = ctx.from_index(idx)

@@ -17,18 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    ActionEscape,
-    AxiomViolation,
-    BadCoprimality,
-    BadOrder,
-    DegreeMismatch,
-    MalformedBlock,
-    ParseError,
-    TooFewSlopes,
-    Unavailable,
-    require,
-)
+from .errors import ActionEscape, AxiomViolation, BadParams, ParseError, Unavailable, require
 from .design import Design, pair_counts
 from .gf import ExtFieldCtx, factorize, frobenius, semilinear_map, trace
 from .permgrp import Permutation, set_images
@@ -101,7 +90,7 @@ def _rows(npts: int, width: int, rows, what: str) -> np.ndarray:
     blocks are; AxiomViolation naming ``what`` when a row is malformed."""
     try:
         return Design(npts, width, rows).blocks
-    except (MalformedBlock, ValueError, TypeError) as exc:
+    except (ValueError, TypeError) as exc:
         raise AxiomViolation(f"malformed {what}: {exc}")
 
 
@@ -155,7 +144,7 @@ def _field_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     """(add, mul) index tables for the field of prime-power order n."""
     fact = factorize(n)
     if len(fact) != 1:
-        raise BadOrder(f"{n} is not a prime power")
+        raise BadParams(f"{n} is not a prime power")
     p, e = next(iter(fact.items()))
     if e == 1:
         idx = np.arange(n, dtype=np.int64)
@@ -177,7 +166,7 @@ def net_from_affine_plane(n: int, k: int) -> Net:
     """Union of the first k parallel classes of the affine plane of order n,
     in slope order 0, 1, ..., n-1 with the vertical class last."""
     if len(factorize(n)) != 1 or not 3 <= k <= n + 1:
-        raise BadOrder(f"need a prime power n and 3 <= k <= n+1, got n={n}, k={k}")
+        raise BadParams(f"need a prime power n and 3 <= k <= n+1, got n={n}, k={k}")
     add, mul = _field_tables(n)
     lines: list[tuple[int, ...]] = []
     classes: list[tuple[int, ...]] = []
@@ -236,12 +225,12 @@ def semilinear_net(q: int, m: int, k: int) -> SemilinearNet:
     fact_q = factorize(q)
     fact_m = factorize(m)
     if len(fact_q) != 1 or len(fact_m) != 1:
-        raise BadOrder("q and m must be powers of a common prime")
+        raise BadParams("q and m must be powers of a common prime")
     p = next(iter(fact_q))
     if next(iter(fact_m)) != p or q <= 1 or m <= 1:
-        raise BadOrder("q and m must be powers > 1 of the same prime")
+        raise BadParams("q and m must be powers > 1 of the same prime")
     if not 3 <= k < q:
-        raise TooFewSlopes(f"need 3 <= k < q, got k={k}, q={q}")
+        raise BadParams(f"need 3 <= k < q, got k={k}, q={q}")
     e = fact_q[p]
     ctx = ExtFieldCtx.create(p, e * m)
     size = ctx.size
@@ -284,13 +273,13 @@ def net_product(factors: list[tuple[Net, Permutation | None]]) -> NetProduct:
     The combined automorphism is semiregular on points and lines whenever
     every nontrivial component automorphism is."""
     if not factors:
-        raise DegreeMismatch("need at least one factor")
+        raise BadParams("need at least one factor")
     k = factors[0][0].k
     if any(net.k != k for net, _ in factors):
-        raise DegreeMismatch("all factors must share the class count k")
+        raise BadParams("all factors must share the class count k")
     for net, alpha in factors:
         if alpha is not None and alpha.degree != net.point_count:
-            raise DegreeMismatch("automorphism degree mismatch")
+            raise BadParams("automorphism degree mismatch")
     sizes = [net.point_count for net, _ in factors]
     strides = [1] * len(factors)
     for i in range(len(factors) - 2, -1, -1):
@@ -343,10 +332,10 @@ class CyclicTd:
 
 def cyclic_td(k: int, n: int) -> CyclicTd:
     if k < 3 or n < 1:
-        raise BadOrder(f"need k >= 3 and n >= 1, got k={k}, n={n}")
+        raise BadParams(f"need k >= 3 and n >= 1, got k={k}, n={n}")
     for i in range(1, k - 1):
         if math.gcd(i, n) != 1:
-            raise BadCoprimality(f"{i} shares a factor with {n}")
+            raise BadParams(f"{i} shares a factor with {n}")
     groups = tuple(tuple(c * n + z for z in range(n)) for c in range(k))
     blocks = []
     for x in range(n):
@@ -384,7 +373,7 @@ def mols_td(k: int, n: int) -> TransversalDesign:
     """TD(k,n) as a MacNeish product of field TDs over the prime-power
     factors of n; Unavailable when some factor order q^e has q^e + 1 < k."""
     if k < 2 or n < 1:
-        raise BadOrder(f"bad parameters k={k}, n={n}")
+        raise BadParams(f"bad parameters k={k}, n={n}")
     if n == 1:
         return TransversalDesign(k, 1, tuple((c,) for c in range(k)),
                                  (tuple(range(k)),))

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import BadParams, GcdViolation, SearchExhausted, WindowBelowBound, require
+from .errors import BadParams, Budget, require
 from .gf import factorize, is_prime
 
 # the largest prime (or q) the congruence scans try, and the largest s
@@ -46,6 +46,8 @@ def prime_for_odd_group(k: int, h: int) -> tuple[int, int]:
     """
     if k < 3:
         raise BadParams("k must be at least 3")
+    if h < 1:
+        raise BadParams(f"group order h={h} must be at least 1")
     if h % 2 == 0:
         raise BadParams(f"group order h={h} must be odd")
     step = 2 * k * (k - 1) * h
@@ -56,7 +58,7 @@ def prime_for_odd_group(k: int, h: int) -> tuple[int, int]:
             require(t % 2 == 1 and t % h == 0, f"t={t} at p={p} is odd and divisible by h={h}")
             return p, t
         p += step
-    raise SearchExhausted(f"no prime = 1+{k * (k - 1) * h} mod {step} below {SCAN_LIMIT}")
+    raise Budget(f"no prime = 1+{k * (k - 1) * h} mod {step} below {SCAN_LIMIT}")
 
 
 def prime_for_even_group(k: int, h: int) -> tuple[int, int]:
@@ -70,16 +72,18 @@ def prime_for_even_group(k: int, h: int) -> tuple[int, int]:
     """
     if k < 3:
         raise BadParams("k must be at least 3")
+    if h < 1:
+        raise BadParams(f"group order h={h} must be at least 1")
     if h % 4 != 0:
         raise BadParams(f"h={h} must be a multiple of 4")
     if math.gcd(k, h) != 1:
-        raise GcdViolation(f"gcd(k,h) = {math.gcd(k, h)} != 1")
+        raise BadParams(f"gcd(k,h) = {math.gcd(k, h)} != 1")
     target = math.gcd(k - 1, h)
     n = 1
     while True:
         p = 1 + (k - 1) * n
         if p > SCAN_LIMIT:
-            raise SearchExhausted(f"no qualifying prime below {SCAN_LIMIT}")
+            raise Budget(f"no qualifying prime below {SCAN_LIMIT}")
         nn = n * (n - 1)
         if (p > h and is_prime(p)
                 and nn % k == 0
@@ -145,15 +149,17 @@ def cyclic_assembly_params(k: int, h: int, *, s_min: int = 1) -> CyclicAssemblyP
     The strict hypothesis gcd(k-1, h) = 1 guarantees gcd(p-1, h) divides a
     power of k; a shared factor of 2 is tolerated for desk-scale smoke runs
     (gcd_condition_ok records whether the guarantee held), any odd shared
-    factor raises GcdViolation.
+    factor raises BadParams.
     """
+    if h < 1:
+        raise BadParams(f"group order h={h} must be at least 1")
     g = math.gcd(k - 1, h)
     strict = g == 1
     odd_part = g
     while odd_part % 2 == 0:
         odd_part //= 2
     if odd_part != 1:
-        raise GcdViolation(f"gcd(k-1, h) = {g} has an odd factor")
+        raise BadParams(f"gcd(k-1, h) = {g} has an odd factor")
     h0, hp = split_by_prime_support(h, k)
 
     pi = 1
@@ -170,7 +176,7 @@ def cyclic_assembly_params(k: int, h: int, *, s_min: int = 1) -> CyclicAssemblyP
     while q % step != 1 or not is_prime(q):
         q += 1
         if q > SCAN_LIMIT:
-            raise SearchExhausted(f"no prime q > {h}, q = 1 mod {step}, below {SCAN_LIMIT}")
+            raise Budget(f"no prime q > {h}, q = 1 mod {step}, below {SCAN_LIMIT}")
 
     base = q * k * (k - 1) * pi
     for s in range(s_min, S_LIMIT + 1):
@@ -183,7 +189,7 @@ def cyclic_assembly_params(k: int, h: int, *, s_min: int = 1) -> CyclicAssemblyP
             if strict:
                 require(ok, f"gcd(p-1, h) divides a power of k at p={p}, h={h}, k={k}")
             return CyclicAssemblyParams(k, h, h0, hp, pi, q, s, p, y, q * k, ok)
-    raise SearchExhausted(f"no qualifying s in [{s_min},{S_LIMIT}]")
+    raise Budget(f"no qualifying s in [{s_min},{S_LIMIT}]")
 
 
 def td_available(k: int, n: int) -> bool:
@@ -277,7 +283,7 @@ def spectrum_plan(k: int, w: int, x1_list: list[int], u_window: tuple[int, int],
     lo, hi = u_window
     bound = spectrum_bound(k, w, x1_list)
     if lo < bound:
-        raise WindowBelowBound(bound)
+        raise BadParams(f"window starts below coverage bound {bound}")
     kk = k * (k - 1)
     by_class = {x1 % kk: x1 for x1 in sorted(x1_list)}
     witnesses = []

@@ -17,13 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import (
-    ActionEscape,
-    CapExceeded,
-    NotSemiregular,
-    OrderMismatch,
-    ParseError,
-)
+from .errors import ActionEscape, BadParams, Budget, ParseError
 
 DEFAULT_CAP = 10**6
 
@@ -89,7 +83,7 @@ class Permutation:
             cyc = [start]
             seen[start] = 1
             x = self.images[start]
-            while x != start:
+            while not seen[x]:  # on a bijection, the first point seen again is start
                 cyc.append(x)
                 seen[x] = 1
                 x = self.images[x]
@@ -156,7 +150,7 @@ class PermGroup:
                         seen[prod.images] = prod
                         nxt.append(prod)
                         if len(seen) > cap:
-                            raise CapExceeded(f"group closure passed cap {cap}")
+                            raise Budget(f"group closure passed cap {cap}")
             frontier = nxt
         self._elements = tuple(seen[k] for k in sorted(seen))
         return self._elements
@@ -280,7 +274,7 @@ def _cycle_structure_on(perm: Permutation, pts: frozenset[int]):
         x = perm.images[start]
         while x != start:
             if x not in pts:
-                raise NotSemiregular(f"set is not invariant under {perm!r}")
+                raise BadParams(f"set is not invariant under {perm!r}")
             cyc.append(x)
             seen.add(x)
             x = perm.images[x]
@@ -290,7 +284,7 @@ def _cycle_structure_on(perm: Permutation, pts: frozenset[int]):
             cycles.append(cyc)
     lengths = {len(c) for c in cycles}
     if len(lengths) > 1:
-        raise NotSemiregular(f"unequal cycle lengths {sorted(lengths)} on the set")
+        raise BadParams(f"unequal cycle lengths {sorted(lengths)} on the set")
     return fixed, cycles
 
 
@@ -309,9 +303,9 @@ def align_semiregular_cyclic(c: Permutation, c_target: Permutation,
     len_a = len(cycles_a[0]) if cycles_a else 1
     len_b = len(cycles_b[0]) if cycles_b else 1
     if len_a != len_b or len(cycles_a) != len(cycles_b):
-        raise OrderMismatch(f"cycle lengths {len_a}x{len(cycles_a)} vs {len_b}x{len(cycles_b)}")
+        raise BadParams(f"cycle lengths {len_a}x{len(cycles_a)} vs {len_b}x{len(cycles_b)}")
     if len(fixed_a) != len(fixed_b):
-        raise OrderMismatch(f"fixed point counts differ: {len(fixed_a)} vs {len(fixed_b)}")
+        raise BadParams(f"fixed point counts differ: {len(fixed_a)} vs {len(fixed_b)}")
     images = list(range(c.degree))
     for a, b in zip(fixed_a, fixed_b):
         images[a] = b

@@ -36,7 +36,7 @@ from steinerkit.design import (
     verify_2design,
     write_design,
 )
-from steinerkit.errors import PlantRejected
+from steinerkit.errors import BadParams
 from steinerkit.gf import ExtFieldCtx, semilinear_map, trace
 from steinerkit.netstd import cyclic_td, mols_td, net_product, semilinear_net
 from steinerkit.paramsearch import (
@@ -137,7 +137,7 @@ def test_lift_odd_rejects_ingredient_without_multiplier_symmetry():
     mutated = BaseBlockDesign(base.p, base.k, base.t, base.subgroup,
                               base.base_block, base.design.relabel(scramble))
     group = PermGroup(3, [Permutation.from_cycles(3, [(0, 1, 2)])])
-    with pytest.raises(PlantRejected):
+    with pytest.raises(BadParams, match="is outside the base design's automorphisms"):
         lift_odd(group, 19, 3, mutated)
 
 

@@ -16,13 +16,7 @@ from steinerkit.affinelift import (
 )
 from steinerkit.basedesigns import build_base_design, km_search
 from steinerkit.design import Design, is_automorphism, verify_2design
-from steinerkit.errors import (
-    AlignmentImpossible,
-    Budget,
-    DivisibilityViolation,
-    NotStabilizing,
-    ParityViolation,
-)
+from steinerkit.errors import BadParams, Budget
 from steinerkit.permgrp import PermGroup, Permutation, orbit_sweep, set_images
 
 
@@ -185,7 +179,7 @@ def test_induced_affine_swap_on_diagonal():
     diag = next(row for row in table if direction(sp, row) == (1, 1) and row[0] == 0)
     assert induced_perm_on_line(swap, diag).is_identity()  # pointwise fixed
     off_diag = next(row for row in table if direction(sp, row) == (1, 0))
-    with pytest.raises(NotStabilizing):
+    with pytest.raises(BadParams, match="permutation does not stabilize the line"):
         induced_perm_on_line(swap, off_diag)
 
 
@@ -241,14 +235,14 @@ def test_lift_odd_trivial_group_d2_p7():
 def test_lift_odd_parity_violation():
     base = build_base_design(19, 3, (0, 1, 4))
     g = PermGroup(2, [Permutation.from_cycles(2, [(0, 1)])])
-    with pytest.raises(ParityViolation):
+    with pytest.raises(BadParams, match="group order 2 is even"):
         lift_odd(g, 19, 3, base)
 
 
 def test_lift_odd_divisibility_violation():
     base = build_base_design(7, 3, (0, 1, 3))
     g = PermGroup(3, [Permutation.from_cycles(3, [(0, 1, 2)])])
-    with pytest.raises(DivisibilityViolation):
+    with pytest.raises(BadParams, match=r"\|G\|=3 does not divide t=\(p-1\)/6"):
         lift_odd(g, 7, 3, base)  # t = 1, |G| = 3
 
 
@@ -299,7 +293,7 @@ def test_lift_aligned_rejects_non_automorphism(reverse_sts19):
     ingredient, _ = reverse_sts19
     g = PermGroup(2, [Permutation.from_cycles(2, [(0, 1)])])
     fake = Permutation.from_cycles(19, [(0, 1)])
-    with pytest.raises(AlignmentImpossible):
+    with pytest.raises(BadParams, match="cyclic_gen is not an automorphism of the ingredient"):
         lift_aligned(g, 19, 3, ingredient, fake)
 
 
@@ -307,7 +301,7 @@ def test_lift_aligned_rejects_bad_cycle_structure(reverse_sts19):
     ingredient, inv = reverse_sts19
     g = PermGroup(2, [Permutation.from_cycles(2, [(0, 1)])])
     # an automorphism with the wrong structure: the identity fixes everything
-    with pytest.raises(AlignmentImpossible):
+    with pytest.raises(BadParams, match="cyclic_gen must fix exactly one point"):
         lift_aligned(g, 19, 3, ingredient, Permutation.identity(19))
 
 

@@ -21,6 +21,25 @@ def test_no_assert_statements_in_package():
     assert not found, f"assert statements: {found}"
 
 
+def test_every_error_class_is_raised_or_caught():
+    # a class nothing raises or catches by name adds a concept and no behaviour
+    package = Path(steinerkit.__file__).parent
+    errors = ast.parse((package / "errors.py").read_text())
+    defined = {node.name for node in errors.body if isinstance(node, ast.ClassDef)}
+    used = set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                named = [getattr(node.exc, "func", node.exc)]  # raise C(...) or raise C
+            elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+                named = getattr(node.type, "elts", [node.type])  # except (C, D) or except C
+            else:
+                continue
+            used |= {n.id for n in named if isinstance(n, ast.Name)}
+    assert "SteinerError" in defined
+    assert not defined - used, f"error classes never raised or caught: {defined - used}"
+
+
 def test_require_names_the_condition():
     require(True, "never shown")
     with pytest.raises(SteinerError, match="w = q k"):

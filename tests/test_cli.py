@@ -84,7 +84,7 @@ def test_construct_odd_parity_failure(tmp_path, capsys):
     gf = write_group(tmp_path / "z2.group", Permutation.from_cycles(2, [(0, 1)]))
     code, rep = run(capsys, "construct-odd", "--k", "3", "--group-file", gf)
     assert code == 1
-    assert "ParityViolation" in rep["error"]
+    assert rep["error"] == "BadParams: group order 2 is even"
 
 
 def test_verify_subcommand(tmp_path, capsys):
@@ -274,7 +274,7 @@ def test_construct_aligned_k5_attempt(tmp_path, capsys):
 def test_compose_cyclic_auto_gcd_violation(capsys):
     code, rep = run(capsys, "compose", "--mode", "cyclic", "--k", "4", "--h", "3")
     assert code == 1
-    assert "GcdViolation" in rep["error"]
+    assert rep["error"] == "BadParams: gcd(k-1, h) = 3 has an odd factor"
 
 
 def test_compose_cyclic_with_explicit_files(tmp_path, capsys):
@@ -397,8 +397,17 @@ def test_parameter_preconditions_are_reported(capsys, argv, message):
      "BadParams: --p 11 must be a prime with (p-1) mod (k-1) = 0"),
     (["construct-aligned", "--k", "1", "--group-file", "{z2}"],
      "SteinerError: need k odd and >= 3, |G| even, gcd(k,|G|)=1; got k=1, |G|=2"),
+    (["net", "--k", "3"], "BadParams: --mode affine needs --n"),
+    (["net", "--mode", "semilinear", "--k", "3"], "BadParams: --mode semilinear needs --q --m"),
+    (["net", "--mode", "semilinear", "--k", "3", "--q", "4"],
+     "BadParams: --mode semilinear needs --m"),
+    (["compose", "--mode", "cyclic"], "BadParams: --mode cyclic without --w needs --k --h"),
+    (["compose", "--mode", "cyclic", "--k", "3"],
+     "BadParams: --mode cyclic without --w needs --h"),
 ], ids=["base-block", "x-points", "cyclic", "compose-files", "x1", "missing-design",
-        "aligned-p-not-prime", "aligned-p-not-1-mod-k-1", "aligned-k-1"])
+        "aligned-p-not-prime", "aligned-p-not-1-mod-k-1", "aligned-k-1", "net-affine-no-n",
+        "net-semilinear-no-q-m", "net-semilinear-no-m", "compose-cyclic-no-w-k-h",
+        "compose-cyclic-no-h"])
 def test_malformed_input_is_reported(tmp_path, capsys, argv, message):
     paths = {"triv": write_group(tmp_path / "triv.group", Permutation.identity(1)),
              "z2": write_group(tmp_path / "z2.group", Permutation.from_cycles(2, [(0, 1)])),

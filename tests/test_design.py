@@ -19,13 +19,7 @@ from steinerkit.design import (
     verify_2design,
     write_design,
 )
-from steinerkit.errors import (
-    DegreeMismatch,
-    MalformedBlock,
-    NotAutomorphismGroup,
-    ParseError,
-    TooLarge,
-)
+from steinerkit.errors import BadParams, Budget, ParseError
 from steinerkit.permgrp import PermGroup, Permutation
 
 
@@ -54,12 +48,20 @@ def test_design_canonical_form():
 
 
 def test_design_malformed():
-    with pytest.raises(MalformedBlock):
+    with pytest.raises(BadParams, match="point index out of range"):
         Design(7, 3, [[0, 1, 7]])
-    with pytest.raises(MalformedBlock):
+    with pytest.raises(BadParams, match="repeated point inside a block"):
         Design(7, 3, [[0, 1, 1]])
-    with pytest.raises(MalformedBlock):
+    with pytest.raises(BadParams, match="blocks must be rows of 3 points"):
         Design(7, 3, [[0, 1]])
+    with pytest.raises(BadParams, match="blocks must be rows of 3 points"):
+        Design(7, 3, np.empty((3, 0)))  # three rows of no points, not an empty design
+
+
+@pytest.mark.parametrize("k, blocks", [(0, [[], [], []]), (0, []), (-1, [])])
+def test_design_block_size_below_1_is_refused(k, blocks):
+    with pytest.raises(BadParams, match=f"^block size k={k} must be at least 1$"):
+        Design(5, k, blocks)
 
 
 def test_canonical_blocks_are_adopted():
@@ -73,7 +75,7 @@ def test_canonical_blocks_are_adopted():
     assert d == sts9() and base.flags.writeable
     # rows out of order, or points out of order, go through the sort
     assert Design(9, 3, canonical[::-1]) == Design(9, 3, canonical[:, ::-1]) == sts9()
-    with pytest.raises(MalformedBlock):
+    with pytest.raises(BadParams, match="point index out of range"):
         Design(9, 3, [[0, 1, 9]])
 
 
@@ -124,7 +126,7 @@ def test_is_automorphism_transposition_fails():
     g = Permutation.from_cycles(7, [(0, 1)])
     # {1,2,4} maps to {0,2,4}, which is not a block
     assert not is_automorphism(fano(), g)
-    with pytest.raises(DegreeMismatch):
+    with pytest.raises(BadParams, match="permutation degree 8 != v 7"):
         is_automorphism(fano(), Permutation.identity(8))
 
 
@@ -148,7 +150,7 @@ def test_is_1_blocked_block_stabilizer_fails():
 
 
 def test_is_1_blocked_requires_automorphisms():
-    with pytest.raises(NotAutomorphismGroup):
+    with pytest.raises(BadParams, match="^generator .* is not an automorphism$"):
         is_1_blocked(fano(), PermGroup(7, [Permutation.from_cycles(7, [(0, 1)])]))
 
 
@@ -198,7 +200,7 @@ def test_brute_aut_single_block():
 
 
 def test_brute_aut_too_large():
-    with pytest.raises(TooLarge):
+    with pytest.raises(Budget, match="brute_aut bounded to v <= 30, got 31"):
         brute_aut(Design(31, 3, np.empty((0, 3), dtype=np.int64)))
 
 

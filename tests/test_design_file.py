@@ -280,6 +280,13 @@ def test_oversized_header_rejected_before_allocation(tmp_path, monkeypatch):
     assert exc.value.line_no == 1
 
 
+def test_header_block_size_below_1_is_refused(tmp_path):
+    path = tmp_path / "k0.design"
+    path.write_text("# blocks of no points\nDESIGN v=5 k=0 b=3\n\n\n\n")
+    with pytest.raises(ParseError, match="^line 2: block size k=0 must be at least 1$"):
+        read_design(path)
+
+
 def test_round_trip_across_many_chunks(tmp_path, small_chunks):
     rng = np.random.default_rng(7)
     d = Design(1000, 4, [rng.choice(1000, 4, replace=False) for _ in range(500)])

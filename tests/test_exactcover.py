@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from steinerkit.errors import SearchExhausted
+from steinerkit.errors import Budget
 from steinerkit.exactcover import solve_exact_cover
 
 
@@ -46,7 +46,7 @@ def test_node_budget():
         for b in range(a + 1, n):
             columns[cid] = frozenset({a, b})
             cid += 1
-    with pytest.raises(SearchExhausted):
+    with pytest.raises(Budget, match="exact cover passed node budget 50"):
         solve_exact_cover(columns, range(n), max_nodes=50)
 
 

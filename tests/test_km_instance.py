@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from steinerkit.basedesigns import KMInstance, km_instance, multiplier_group
-from steinerkit.errors import CapExceeded
+from steinerkit.errors import Budget
 from steinerkit.permgrp import PermGroup, Permutation
 
 # -- reference implementation --------------------------------------------------
@@ -82,7 +82,7 @@ def km_groups(draw):
     group = PermGroup(v, [Permutation(tuple(g)) for g in gens])
     try:
         group.elements(cap=5040)
-    except CapExceeded:
+    except Budget:
         assume(False)
     return group, draw(st.sampled_from((3, 4)))
 

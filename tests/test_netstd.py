@@ -4,15 +4,7 @@ import math
 
 import pytest
 
-from steinerkit.errors import (
-    AxiomViolation,
-    BadCoprimality,
-    BadOrder,
-    DegreeMismatch,
-    ParseError,
-    TooFewSlopes,
-    Unavailable,
-)
+from steinerkit.errors import AxiomViolation, BadParams, ParseError, Unavailable
 from steinerkit.netstd import (
     CyclicTd,
     Net,
@@ -53,9 +45,9 @@ def test_net_full_affine_plane_order5():
 
 
 def test_net_bad_order():
-    with pytest.raises(BadOrder):
+    with pytest.raises(BadParams, match=r"need a prime power n and 3 <= k <= n\+1, got n=6, k=3"):
         net_from_affine_plane(6, 3)
-    with pytest.raises(BadOrder):
+    with pytest.raises(BadParams, match=r"need a prime power n and 3 <= k <= n\+1, got n=5, k=7"):
         net_from_affine_plane(5, 7)
 
 
@@ -110,9 +102,9 @@ def test_semilinear_net_dualizes_with_transported_automorphism():
 
 
 def test_semilinear_net_rejects_small_q():
-    with pytest.raises(TooFewSlopes):
+    with pytest.raises(BadParams, match="need 3 <= k < q, got k=3, q=3"):
         semilinear_net(3, 3, 3)
-    with pytest.raises(BadOrder):
+    with pytest.raises(BadParams, match="q and m must be powers > 1 of the same prime"):
         semilinear_net(4, 3, 3)
 
 
@@ -150,7 +142,7 @@ def test_net_product_single_factor_identity_op():
 def test_net_product_degree_mismatch():
     n3 = net_from_affine_plane(3, 3)
     n4 = net_from_affine_plane(4, 4)
-    with pytest.raises(DegreeMismatch):
+    with pytest.raises(BadParams, match="all factors must share the class count k"):
         net_product([(n3, None), (n4, None)])
 
 
@@ -187,7 +179,7 @@ def test_cyclic_td_rotator_properties():
 
 
 def test_cyclic_td_bad_coprimality():
-    with pytest.raises(BadCoprimality):
+    with pytest.raises(BadParams, match="shares a factor with 6"):
         cyclic_td(5, 6)
 
 

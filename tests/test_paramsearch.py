@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from steinerkit.errors import GcdViolation, SearchExhausted, WindowBelowBound
+from steinerkit.errors import BadParams, Budget
 from steinerkit.gf import is_prime
 from steinerkit.paramsearch import (
     CyclicAssemblyParams,
@@ -80,10 +80,19 @@ def test_prime_for_even_group_k5_conditions():
 def test_prime_for_even_group_preconditions():
     with pytest.raises(ValueError):
         prime_for_even_group(3, 6)  # not a multiple of 4
-    with pytest.raises(GcdViolation):
+    with pytest.raises(BadParams, match=r"gcd\(k,h\) = 4 != 1"):
         prime_for_even_group(4, 8)  # gcd(k,h) != 1
     with pytest.raises(ValueError, match="k must be at least 3"):
         prime_for_even_group(1, 4)  # p = 1 + (k-1)n would never grow
+
+
+@pytest.mark.parametrize("h", [0, -3, -4])
+@pytest.mark.parametrize("search", [prime_for_odd_group, prime_for_even_group,
+                                    cyclic_assembly_params])
+def test_group_order_below_1_is_refused(search, h):
+    # an odd h < 0 made the odd scan step downwards, below SCAN_LIMIT forever
+    with pytest.raises(BadParams, match=f"^group order h={h} must be at least 1$"):
+        search(3, h)
 
 
 def test_split_by_prime_support():
@@ -108,7 +117,7 @@ def test_cyclic_assembly_params_k3_h2_s2():
 
 
 def test_cyclic_assembly_params_gcd_violation():
-    with pytest.raises(GcdViolation):
+    with pytest.raises(BadParams, match=r"gcd\(k-1, h\) = 3 has an odd factor"):
         cyclic_assembly_params(4, 3)
 
 
@@ -181,6 +190,6 @@ def test_spectrum_plan_uncovered_class():
 
 @pytest.mark.filterwarnings("ignore::UserWarning")
 def test_spectrum_plan_window_below_bound():
-    with pytest.raises(WindowBelowBound) as exc:
+    bound = spectrum_bound(3, 7, [7])
+    with pytest.raises(BadParams, match=f"^window starts below coverage bound {bound}$"):
         spectrum_plan(3, 7, [7], (100, 200))
-    assert exc.value.bound == spectrum_bound(3, 7, [7])

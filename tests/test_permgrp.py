@@ -1,19 +1,19 @@
 from __future__ import annotations
 
 import itertools
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from steinerkit.errors import (
-    ActionEscape,
-    CapExceeded,
-    NotSemiregular,
-    OrderMismatch,
-    ParseError,
-)
+import steinerkit
+from steinerkit.errors import ActionEscape, BadParams, Budget, ParseError
 from steinerkit.permgrp import (
     PermGroup,
     Permutation,
@@ -40,6 +40,26 @@ def test_permutation_basics():
     assert g.inverse().images == (2, 0, 1)
     with pytest.raises(ValueError):
         Permutation((0, 0, 1))
+
+
+def test_cycles_end_on_an_image_table_that_is_not_a_bijection():
+    # 0 -> 1 -> 2 -> 1 never returns to 0: the walk stops at the first point
+    # seen again; a child process under a 1 GB address-space limit and a
+    # timeout keeps an endless walk from growing the test process
+    script = textwrap.dedent("""
+        import resource
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        from steinerkit.permgrp import Permutation
+        p = object.__new__(Permutation)
+        object.__setattr__(p, "images", (1, 2, 1, 3))
+        print(repr(p))
+    """)
+    env = {**os.environ, "PYTHONPATH": str(Path(steinerkit.__file__).parents[1]),
+           "OPENBLAS_NUM_THREADS": "1"}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "Permutation((0 1 2), degree=4)\n"
 
 
 def test_composition_is_left_to_right():
@@ -76,7 +96,7 @@ def test_elements_symmetric_group_from_two_generators():
 
 def test_elements_cap_exceeded():
     g = PermGroup(5, [cyc(5, (0, 1, 2, 3, 4)), cyc(5, (0, 1))])
-    with pytest.raises(CapExceeded):
+    with pytest.raises(Budget, match="group closure passed cap 10"):
         g.elements(cap=10)
 
 
@@ -241,13 +261,13 @@ def test_align_with_fixed_points():
 def test_align_order_mismatch():
     c = cyc(6, (0, 1, 2), (3, 4, 5))
     c2 = cyc(6, (0, 1), (2, 3), (4, 5))
-    with pytest.raises(OrderMismatch):
+    with pytest.raises(BadParams, match="cycle lengths 3x2 vs 2x3"):
         align_semiregular_cyclic(c, c2, range(6))
 
 
 def test_align_rejects_unequal_cycles():
     bad = cyc(5, (0, 1, 2), (3, 4))
-    with pytest.raises(NotSemiregular):
+    with pytest.raises(BadParams, match=r"unequal cycle lengths \[2, 3\] on the set"):
         align_semiregular_cyclic(bad, bad, range(5))
 
 
@@ -282,7 +302,7 @@ def subset_actions(draw):
     group = PermGroup(n, [Permutation(tuple(g)) for g in gens])
     try:
         elements = group.elements(cap=5040)
-    except CapExceeded:
+    except Budget:
         assume(False)
     family = list(itertools.combinations(range(n), draw(st.sampled_from((2, 3)))))
     return group, elements, family
