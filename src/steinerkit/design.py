@@ -1,13 +1,13 @@
 """The Design type, exhaustive verification of the 2-(v,k,1) axioms, and
 design files.
 
-Blocks are stored in canonical form: each block sorted ascending, the block
-list sorted lexicographically, backed by a numpy array so that pair-coverage
-verification and automorphism checks stay vectorized for multi-million-block
-designs.  Design files are written and read at array speed too: the writer
-streams the block table in chunks of rows, formatted by one byte-table
-gather each, and the reader tokenizes the file with numpy in bounded chunks
-straight into the block array (see "file format" below).
+Blocks are stored in canonical form: each block sorted ascending, the blocks
+in key order (``permgrp.row_keys``, which is lexicographic order).  While
+v^k <= 2^63 the keys are exact int64 base-v numbers; canonical form and the
+automorphism, stabilizer and pair checks run in chunks of rows and build no
+image design or full-size row gather.  Design files go in chunks too: the
+writer formats each by one byte-table gather, and the reader tokenizes the
+file with numpy straight into the block array (see "file format" below).
 """
 from __future__ import annotations
 
@@ -22,20 +22,51 @@ import numpy as np
 from .errors import BadParams, Budget, ParseError
 from .permgrp import DEFAULT_CAP, PermGroup, Permutation, row_keys
 
-PAIR_TABLE_MAX_V = 20000  # v^2/2 counters stay comfortably in memory below this
-_CHUNK = 2_000_000
+PAIR_TABLE_MAX_V = 20000  # a v^2/2 pair bitmap, and int64 counters on failure, fit below this
+_ROWS = 1 << 18  # rows per chunk of the row-key, automorphism, stabilizer and pair kernels
+
+
+def _ascending(cols: Sequence[np.ndarray]) -> bool:
+    return all(np.all(a < b) for a, b in zip(cols, cols[1:]))
+
+
+def _sorted_rows(rows: np.ndarray) -> np.ndarray:
+    """The rows, each sorted ascending (BadParams on a repeated point) by an
+    odd-even transposition network: numpy's row sort pays a call per row."""
+    cols = list(rows.T)
+    if _ascending(cols):
+        return rows
+    for step in range(len(cols)):
+        for j in range(step % 2, len(cols) - 1, 2):
+            cols[j:j + 2] = np.minimum(*cols[j:j + 2]), np.maximum(*cols[j:j + 2])
+    if not _ascending(cols):
+        raise BadParams("repeated point inside a block")
+    return np.stack(cols, axis=1)
+
+
+def _sorted_keys(rows: np.ndarray, v: int, perm: Permutation | None = None) -> np.ndarray:
+    """Exact row keys (v^k <= 2^63) of the rows mapped through ``perm``, sorted."""
+    keys = np.empty(rows.shape[0], dtype=np.int64)
+    for start in range(0, rows.shape[0], _ROWS):
+        chunk = rows[start:start + _ROWS]
+        chunk = chunk if perm is None else perm.array[chunk]
+        keys[start:start + _ROWS] = row_keys(_sorted_rows(chunk), v)
+    return keys
 
 
 class Design:
     """A 2-(v,k,1)-design candidate: v points and a list of k-subsets.
 
-    Blocks already in canonical form, given as an int64 array that owns its
-    data, are adopted without a copy and made read-only.
+    Canonical order is key order.  Exact keys (v^k <= 2^63) are sorted and
+    decoded back into rows; wider rows are gathered in the order of their
+    rank-compressed keys.  Blocks already in canonical form, given as an int64
+    array that owns its data, are adopted without a copy and made read-only.
     """
 
     __slots__ = ("v", "k", "blocks")
 
     def __init__(self, v: int, k: int, blocks):
+        v, k = int(v), int(k)
         if k < 1:
             raise BadParams(f"block size k={k} must be at least 1")
         arr = np.asarray(blocks, dtype=np.int64)
@@ -45,19 +76,22 @@ class Design:
             raise BadParams(f"blocks must be rows of {k} points")
         if arr.size and (arr.min() < 0 or arr.max() >= v):
             raise BadParams("point index out of range")
-        if not np.all(arr[:, 1:] > arr[:, :-1]):
-            arr = np.sort(arr, axis=1)
-            if np.any(arr[:, 1:] == arr[:, :-1]):
-                raise BadParams("repeated point inside a block")
-        keys = row_keys(arr, v)
-        if np.any(keys[1:] <= keys[:-1]):
-            arr = arr[np.argsort(keys)]
-        elif arr.base is not None:  # already canonical: adopt it, unless a view
+        if v**k <= 2**63:  # exact keys: sort them, then decode the rows in place
+            keys = _sorted_keys(arr, v)
+            if not _ascending(list(arr.T)) or np.any(keys[1:] <= keys[:-1]):
+                keys.sort()
+                arr = np.empty((len(keys), k), dtype=np.int64)
+                for col in range(k - 1, -1, -1):
+                    np.divmod(keys, v, out=(keys, arr[:, col]))
+        else:
+            arr = _sorted_rows(arr)
+            keys = row_keys(arr, v)
+            if np.any(keys[1:] <= keys[:-1]):
+                arr = arr[np.argsort(keys)]
+        if arr.base is not None:  # canonical input, but a view: copy it
             arr = arr.copy()
         arr.setflags(write=False)
-        self.v = int(v)
-        self.k = int(k)
-        self.blocks = arr
+        self.v, self.k, self.blocks = v, k, arr
 
     @property
     def b(self) -> int:
@@ -87,7 +121,7 @@ class Design:
     def digest(self) -> str:
         h = hashlib.sha256()
         h.update(f"DESIGN v={self.v} k={self.k} b={self.b}\n".encode())
-        h.update(self.blocks.tobytes())
+        h.update(np.ascontiguousarray(self.blocks))  # in place: tobytes() copies the table
         return h.hexdigest()
 
 
@@ -99,36 +133,62 @@ class VerifyReport:
     block_count: int
 
 
+def _pair_indices(rows: np.ndarray) -> Iterator[np.ndarray]:
+    """Index j(j-1)/2 + i of each point pair {i < j} of the rows, by chunks."""
+    cols = list(itertools.combinations(range(rows.shape[1]), 2))
+    for start in range(0, rows.shape[0] if cols else 0, _ROWS):
+        chunk = rows[start:start + _ROWS]
+        yield np.concatenate([chunk[:, b] * (chunk[:, b] - 1) // 2 + chunk[:, a] for a, b in cols])
+
+
 def pair_counts(v: int, rows: np.ndarray) -> np.ndarray:
     """How many rows contain each point pair {i < j}, at index j(j-1)/2 + i.
 
     The lambda=1 kernel of designs, TDs and nets: each row of the (m, s)
-    array holds s distinct points of 0..v-1 in ascending order.  Chunked so
-    the d=3 desk instance (23.5M pairs) stays within a modest memory budget.
+    array holds s distinct points of 0..v-1 in ascending order.
     """
-    npairs = v * (v - 1) // 2
-    counts = np.zeros(npairs, dtype=np.int64)
-    cols = list(itertools.combinations(range(rows.shape[1]), 2))
-    for start in range(0, rows.shape[0] if cols else 0, _CHUNK):
-        chunk = rows[start:start + _CHUNK]
-        idx = np.concatenate([chunk[:, b] * (chunk[:, b] - 1) // 2 + chunk[:, a] for a, b in cols])
-        counts += np.bincount(idx, minlength=npairs)
+    counts = np.zeros(v * (v - 1) // 2, dtype=np.int64)
+    for idx in _pair_indices(rows):
+        np.add.at(counts, idx, 1)
     return counts
 
 
 def verify_2design(design: Design) -> VerifyReport:
-    """Exhaustive lambda=1 check: every point pair covered exactly once."""
-    if design.v > PAIR_TABLE_MAX_V:
-        raise Budget(f"pair table for v={design.v} exceeds the in-memory budget")
-    counts = pair_counts(design.v, design.blocks)
+    """Exhaustive lambda=1 check: every point pair covered exactly once.
+
+    If b*C(k,2) = C(v,2) and a pair bitmap leaves no pair uncovered, no pair
+    is covered twice; only a failure counts pairs, for its deficit and surplus.
+    """
+    v, k, b = design.v, design.k, design.b
+    if v > PAIR_TABLE_MAX_V:
+        raise Budget(f"pair table for v={v} exceeds the in-memory budget")
+    if b * (k * (k - 1) // 2) == v * (v - 1) // 2:
+        covered = np.zeros(v * (v - 1) // 2, dtype=bool)
+        for idx in _pair_indices(design.blocks):
+            covered[idx] = True
+        if covered.all():
+            return VerifyReport(True, 0, 0, b)
+    counts = pair_counts(v, design.blocks)
     deficit = int(np.count_nonzero(counts == 0))
     surplus = int(np.count_nonzero(counts >= 2))
     return VerifyReport(deficit == 0 and surplus == 0, deficit, surplus, design.b)
 
 
+def _maps_onto(h: Permutation, d1: Design, d2: Design) -> bool:
+    """True iff h carries d1's blocks onto d2's, of the same (v, k).  With
+    exact keys, the sorted keys of the image rows are d2's, which ascend."""
+    if h.degree != d1.v:
+        raise BadParams(f"permutation degree {h.degree} != v {d1.v}")
+    if d1.v**d1.k > 2**63:
+        return d1.relabel(h) == d2
+    keys = _sorted_keys(d1.blocks, d1.v, h)
+    keys.sort()
+    return np.array_equal(keys, row_keys(d2.blocks, d2.v))
+
+
 def is_automorphism(design: Design, perm: Permutation) -> bool:
     """True iff the permutation maps the block set onto itself."""
-    return design.relabel(perm) == design
+    return _maps_onto(perm, design, design)
 
 
 def is_1_blocked(design: Design, group: PermGroup):
@@ -147,17 +207,18 @@ def stabilizer_scan(design: Design, group: PermGroup):
     """The scan behind ``is_1_blocked``, for a group already known to act by
     automorphisms: (True, None), or (False, (block, element)) for a block
     whose set-stabilizer moves one of its points."""
-    blocks = design.blocks
     for g in group.elements():
         if g.is_identity():
             continue
-        img = g.array[blocks]
-        stabilized = np.all(np.sort(img, axis=1) == blocks, axis=1)
-        pointwise = np.all(img == blocks, axis=1)
-        bad = stabilized & ~pointwise
-        if bad.any():
-            row = int(np.flatnonzero(bad)[0])
-            return False, (tuple(blocks[row].tolist()), g)
+        for start in range(0, design.b, _ROWS):
+            rows = design.blocks[start:start + _ROWS]
+            # g stabilizes a block only if it maps the block's first point into it
+            first = g.array[rows[:, 0]]
+            cand = np.flatnonzero(np.logical_or.reduce([col == first for col in rows.T]))
+            rows, img = rows[cand], g.array[rows[cand]]
+            bad = np.all(np.sort(img, axis=1) == rows, axis=1) & np.any(img != rows, axis=1)
+            if bad.any():
+                return False, (tuple(rows[np.argmax(bad)].tolist()), g)
     return True, None
 
 
@@ -250,7 +311,7 @@ def iso_in_group(d1: Design, d2: Design, maps: Sequence[Permutation]) -> Permuta
     if (d1.v, d1.k) != (d2.v, d2.k):
         raise BadParams("designs must share (v, k)")
     for h in maps:
-        if d1.relabel(h) == d2:
+        if _maps_onto(h, d1, d2):
             return h
     return None
 

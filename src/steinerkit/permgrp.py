@@ -71,7 +71,11 @@ class Permutation:
         return Permutation(tuple(inv))
 
     def is_identity(self) -> bool:
-        return bool(np.array_equal(self.array, np.arange(self.degree)))
+        return self._fixes_all
+
+    @cached_property
+    def _fixes_all(self) -> bool:
+        return self.images == tuple(range(self.degree))
 
     def cycles(self, include_fixed: bool = False) -> list[tuple[int, ...]]:
         """Cycle decomposition, cycles anchored at and sorted by their minimum."""
