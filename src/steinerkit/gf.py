@@ -1,16 +1,18 @@
 """Arithmetic in F_p and GF(p^n).
 
 Prime fields carry their least primitive root so multiplicative subgroups and
-cosets are canonical.  Extension fields use a polynomial basis over the
-lexicographically least monic irreducible modulus; elements are indexed
-0..p^n-1 by radix-p encoding of their coefficient vectors, so field maps
-convert directly to Permutation objects.
+cosets are canonical.  GF(q) is a pair of read-only (q, q) add and mul index
+tables: element i is the polynomial whose coefficients are the radix-p digits
+of i, over the least monic irreducible modulus.  Frobenius, trace and
+semilinear maps are gathers on those tables over whole index arrays, so field
+maps convert directly to Permutation objects.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
+
+import numpy as np
 
 from .errors import BadParams
 from .permgrp import Permutation
@@ -119,51 +121,22 @@ def coset_partition(sub: MultSubgroup) -> tuple[tuple[tuple[int, ...], ...], dic
 
 # -- extension fields ---------------------------------------------------------
 
-def _poly_mulmod(a: Sequence[int], b: Sequence[int], modulus: Sequence[int], p: int) -> tuple[int, ...]:
-    n = len(modulus) - 1
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-    # reduce: x^n = -(modulus tail)
-    for d in range(len(prod) - 1, n - 1, -1):
-        c = prod[d]
-        if c:
-            prod[d] = 0
-            for j in range(n):
-                prod[d - n + j] = (prod[d - n + j] - c * modulus[j]) % p
-    out = prod[:n] + [0] * max(0, n - len(prod))
-    return tuple(out[:n])
-
-
-def _poly_powmod(a: Sequence[int], e: int, modulus: Sequence[int], p: int) -> tuple[int, ...]:
-    n = len(modulus) - 1
-    result = tuple([1] + [0] * (n - 1))
-    base = tuple(a)
-    while e:
-        if e & 1:
-            result = _poly_mulmod(result, base, modulus, p)
-        base = _poly_mulmod(base, base, modulus, p)
-        e >>= 1
-    return result
-
-
-def _is_irreducible(modulus: Sequence[int], p: int) -> bool:
-    """Monic degree-n polynomial test: x^(p^n) == x mod f, and
-    gcd-style check x^(p^(n/q)) != x for every prime q | n."""
-    n = len(modulus) - 1
-    x = tuple([0, 1] + [0] * (n - 2)) if n >= 2 else (0,)
-    if n == 1:
-        return True
-    xp = _poly_powmod(x, p ** n, modulus, p)
-    if xp != x:
-        return False
-    for q in factorize(n):
-        xq = _poly_powmod(x, p ** (n // q), modulus, p)
-        if xq == x:
-            return False
-    return True
+def _has_small_factor(f: Sequence[int], p: int) -> bool:
+    """Whether the monic f (coefficients of 1, x, .., x^n) over F_p has a monic
+    factor of degree 1..n/2, by trial division; f is irreducible iff not."""
+    n = len(f) - 1
+    for d in range(1, n // 2 + 1):
+        for m in range(p ** d):
+            g = [m // p**j % p for j in range(d)] + [1]
+            r = list(f)
+            for top in range(n, d - 1, -1):
+                c = r[top]
+                if c:
+                    for j in range(d + 1):
+                        r[top - d + j] = (r[top - d + j] - c * g[j]) % p
+            if not any(r[:d]):
+                return True
+    return False
 
 
 @dataclass(frozen=True)
@@ -176,87 +149,46 @@ class ExtFieldCtx:
 
     @classmethod
     def create(cls, p: int, n: int) -> "ExtFieldCtx":
+        """The least monic irreducible modulus, tails ordered by radix-p index."""
         if not is_prime(p) or n < 1:
             raise BadParams(f"need a prime p and n >= 1, got p={p}, n={n}")
         for m in range(p ** n):
-            coeffs = _digits(m, p, n) + [1]
-            if _is_irreducible(coeffs, p):
+            coeffs = [m // p**j % p for j in range(n)] + [1]
+            if not _has_small_factor(coeffs, p):
                 return cls(p, n, tuple(coeffs))
         raise BadParams(f"no irreducible modulus found for GF({p}^{n})")
 
-    @property
-    def size(self) -> int:
-        return self.p ** self.n
 
-    def element(self, coeffs: Iterable[int]) -> "ExtFieldElement":
-        cs = tuple(c % self.p for c in coeffs)
-        if len(cs) != self.n:
-            raise BadParams(f"need exactly {self.n} coefficients")
-        return ExtFieldElement(self, cs)
+def field_tables(q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (q, q) int64 add and mul index tables of GF(q).
 
-    def from_index(self, idx: int) -> "ExtFieldElement":
-        if not 0 <= idx < self.size:
-            raise BadParams(f"index {idx} out of range for GF({self.p}^{self.n})")
-        return ExtFieldElement(self, tuple(_digits(idx, self.p, self.n)))
-
-    def zero(self) -> "ExtFieldElement":
-        return self.from_index(0)
-
-    def one(self) -> "ExtFieldElement":
-        return self.from_index(1)
-
-    def all_elements(self) -> list["ExtFieldElement"]:
-        return [self.from_index(i) for i in range(self.size)]
-
-
-def _digits(m: int, p: int, n: int) -> list[int]:
-    out = []
-    for _ in range(n):
-        out.append(m % p)
-        m //= p
-    return out
-
-
-@dataclass(frozen=True)
-class ExtFieldElement:
-    ctx: ExtFieldCtx
-    coeffs: tuple[int, ...]
-
-    @cached_property
-    def index(self) -> int:
-        idx = 0
-        for c in reversed(self.coeffs):
-            idx = idx * self.ctx.p + c
-        return idx
-
-    def __add__(self, other: "ExtFieldElement") -> "ExtFieldElement":
-        p = self.ctx.p
-        return ExtFieldElement(self.ctx, tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "ExtFieldElement") -> "ExtFieldElement":
-        p = self.ctx.p
-        return ExtFieldElement(self.ctx, tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __mul__(self, other: "ExtFieldElement") -> "ExtFieldElement":
-        return ExtFieldElement(
-            self.ctx, _poly_mulmod(self.coeffs, other.coeffs, self.ctx.modulus, self.ctx.p))
-
-    def __pow__(self, e: int) -> "ExtFieldElement":
-        return ExtFieldElement(self.ctx, _poly_powmod(self.coeffs, e, self.ctx.modulus, self.ctx.p))
-
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def __repr__(self):
-        return f"GF({self.ctx.p}^{self.ctx.n}){self.coeffs}"
-
-
-def frobenius(x: ExtFieldElement, q: int) -> ExtFieldElement:
-    """x -> x^q for q a power of the field characteristic."""
-    p = x.ctx.p
-    if q < 1 or not _is_power_of(q, p) or q > x.ctx.size:
-        raise BadParams(f"{q} is not a power of {p} within the field")
-    return x ** q
+    Element i is the polynomial whose coefficients are the radix-p digits of
+    i over ExtFieldCtx's modulus, so 0 and 1 are zero and one, and for prime
+    q the indices are the residues.  Row a of mul is the multiplication by a,
+    sum_j a_j C^j for C the modulus's companion matrix (multiplication by x).
+    """
+    fact = factorize(q)
+    if len(fact) != 1:
+        raise BadParams(f"{q} is not a prime power")
+    (p, n), = fact.items()
+    modulus = ExtFieldCtx.create(p, n).modulus
+    radix = p ** np.arange(n, dtype=np.int64)
+    digits = np.arange(q, dtype=np.int64)[:, None] // radix % p
+    companion = np.eye(n, k=-1, dtype=np.int64)
+    companion[:, -1] -= modulus[:n]
+    powers = np.empty((n, n, n), dtype=np.int64)
+    powers[0] = np.eye(n, dtype=np.int64)
+    for j in range(1, n):
+        powers[j] = companion @ powers[j - 1] % p
+    add = np.empty((q, q), dtype=np.int64)
+    mul = np.empty((q, q), dtype=np.int64)
+    for a in range(q):
+        add[a] = (digits[a] + digits) % p @ radix
+        times_a = np.tensordot(digits[a], powers, 1) % p
+        mul[a] = digits @ times_a.T % p @ radix
+    add.setflags(write=False)
+    mul.setflags(write=False)
+    return add, mul
 
 
 def _is_power_of(q: int, p: int) -> bool:
@@ -265,34 +197,49 @@ def _is_power_of(q: int, p: int) -> bool:
     return q == 1
 
 
-def trace(x: ExtFieldElement, q: int, m: int) -> ExtFieldElement:
+def frobenius(tables: tuple[np.ndarray, np.ndarray], x, q: int) -> np.ndarray:
+    """x -> x^q over an index array x, for q a power of the field characteristic."""
+    mul = tables[1]
+    size = len(mul)
+    p = min(factorize(size))
+    if q < 1 or not _is_power_of(q, p) or q > size:
+        raise BadParams(f"{q} is not a power of {p} within the field")
+    result, base = np.ones_like(x), np.asarray(x)
+    while q:
+        if q & 1:
+            result = mul[result, base]
+        base = mul[base, base]
+        q >>= 1
+    return result
+
+
+def trace(tables: tuple[np.ndarray, np.ndarray], x, q: int, m: int) -> np.ndarray:
     """Trace onto the subfield fixed by x -> x^q: sum of x^(q^j), j < m."""
-    if q ** m != x.ctx.size:
-        raise BadParams(f"q^m = {q}^{m} != field size {x.ctx.size}")
-    acc = x.ctx.zero()
-    power = x
+    add = tables[0]
+    if q ** m != len(add):
+        raise BadParams(f"q^m = {q}^{m} != field size {len(add)}")
+    acc, power = np.zeros_like(x), np.asarray(x)
     for _ in range(m):
-        acc = acc + power
-        power = frobenius(power, q)
+        acc = add[acc, power]
+        power = frobenius(tables, power, q)
     return acc
 
 
-def semilinear_map(ctx: ExtFieldCtx, q: int, m: int, a: ExtFieldElement) -> Permutation:
+def semilinear_map(tables: tuple[np.ndarray, np.ndarray], q: int, m: int, a: int) -> Permutation:
     """The field permutation x -> x^q + a, as a Permutation of element indices.
 
     For q and m powers > 1 of the characteristic p with q^m the field size and
     a outside the trace kernel, the returned permutation has order p*m and
     generates a semiregular group on all q^m field elements.
     """
-    p = ctx.p
+    size = len(tables[0])
+    p = min(factorize(size))
     if q < p or m < p or not _is_power_of(q, p) or not _is_power_of(m, p):
         raise BadParams(f"q={q} and m={m} must be powers > 1 of p={p}")
-    if q ** m != ctx.size:
-        raise BadParams(f"q^m = {q}^{m} does not match field size {ctx.size}")
-    if trace(a, q, m).is_zero():
-        raise BadParams(f"trace of a={a!r} is zero")
-    images = []
-    for idx in range(ctx.size):
-        x = ctx.from_index(idx)
-        images.append((frobenius(x, q) + a).index)
-    return Permutation(tuple(images))
+    if q ** m != size:
+        raise BadParams(f"q^m = {q}^{m} does not match field size {size}")
+    if not 0 <= a < size:
+        raise BadParams(f"a={a} is no element index of GF({size})")
+    if trace(tables, a, q, m) == 0:
+        raise BadParams(f"trace of a={a} is zero")
+    return Permutation(tuple(tables[0][frobenius(tables, np.arange(size), q), a].tolist()))

@@ -5,21 +5,22 @@ dual is a TD(k,n).  Constructions: unions of parallel classes of a
 desarguesian affine plane, nets over an extension field with a cyclic
 semiregular automorphism built from a semilinear map, componentwise net
 products, cyclic-table TDs (with a group-rotating automorphism at k=3), and
-MacNeish products of field TDs.  Every constructed object is verified
-against the net/TD axioms on the spot.
+MacNeish products of field TDs.  The field constructions share one array
+expression over GF(q)'s add and mul index tables, and the products combine
+rows by mixed-radix index arithmetic.  Every public constructor verifies what
+it returns against the net/TD axioms.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from itertools import chain, repeat
 
 import numpy as np
 
 from .errors import ActionEscape, AxiomViolation, BadParams, ParseError, Unavailable, require
 from .design import Design, pair_counts
-from .gf import ExtFieldCtx, factorize, frobenius, semilinear_map, trace
+from .gf import factorize, field_tables, frobenius, semilinear_map, trace
 from .permgrp import Permutation, set_images
 
 
@@ -63,10 +64,6 @@ class TransversalDesign:
     def point_count(self) -> int:
         return self.k * self.n
 
-    @cached_property
-    def group_of(self) -> dict[int, int]:
-        return {p: g for g, grp in enumerate(self.groups) for p in grp}
-
     def is_automorphism(self, perm: Permutation) -> bool:
         if perm.degree != self.point_count:
             return False
@@ -105,13 +102,18 @@ def _td_axioms(npts: int, groups: np.ndarray, blocks: np.ndarray) -> None:
                              f"or block, {np.count_nonzero(counts >= 2)} in two or more")
 
 
+def _line_array(net: Net) -> np.ndarray:
+    """The lines as a (lines, n) array; AxiomViolation when one is malformed."""
+    _rows(net.point_count, net.n, net.lines, "line")
+    return np.asarray(net.lines, dtype=np.int64).reshape(-1, net.n)
+
+
 def _dual(net: Net) -> tuple[np.ndarray, np.ndarray]:
     """Groups and blocks of the dual TD as canonical arrays: the classes, and
     per point the k lines through it.  AxiomViolation unless each class
     partitions the points."""
     n, k = net.n, net.k
-    _rows(n * n, n, net.lines, "line")
-    lines = np.asarray(net.lines, dtype=np.int64).reshape(k * n, n)
+    lines = _line_array(net)
     classes = _rows(k * n, n, net.classes, "class")
     cover = lines[classes].reshape(k, n * n)
     if not np.array_equal(np.sort(cover, axis=1), np.broadcast_to(np.arange(n * n), cover.shape)):
@@ -138,53 +140,48 @@ def verify_td(td: TransversalDesign) -> None:
     _td_axioms(k * n, _rows(k * n, n, td.groups, "group"), _rows(k * n, k, td.blocks, "block"))
 
 
-# -- field helper ---------------------------------------------------------------
-
-def _field_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(add, mul) index tables for the field of prime-power order n."""
-    fact = factorize(n)
-    if len(fact) != 1:
-        raise BadParams(f"{n} is not a prime power")
-    p, e = next(iter(fact.items()))
-    if e == 1:
-        idx = np.arange(n, dtype=np.int64)
-        return (idx[:, None] + idx[None, :]) % n, (idx[:, None] * idx[None, :]) % n
-    ctx = ExtFieldCtx.create(p, e)
-    elems = ctx.all_elements()
-    add = np.empty((n, n), dtype=np.int64)
-    mul = np.empty((n, n), dtype=np.int64)
-    for i, x in enumerate(elems):
-        for j, y in enumerate(elems):
-            add[i, j] = (x + y).index
-            mul[i, j] = (x * y).index
-    return add, mul
-
-
 # -- constructions ----------------------------------------------------------------
+
+def _net(n: int, k: int, lines) -> Net:
+    """The verified net with these k*n lines, classes of n in row order."""
+    net = Net(n, k, tuple(map(tuple, np.asarray(lines).tolist())),
+              tuple(tuple(range(c * n, (c + 1) * n)) for c in range(k)))
+    verify_net(net)
+    return net
+
+
+def _td(k: int, n: int, local: np.ndarray) -> TransversalDesign:
+    """The verified TD(k,n) on groups c*n + z whose blocks meet group c at
+    the local coordinates z in column c of ``local``."""
+    td = TransversalDesign(k, n, tuple(map(tuple, np.arange(k * n).reshape(k, n).tolist())),
+                           tuple(map(tuple, (local + np.arange(k) * n).tolist())))
+    verify_td(td)
+    return td
+
+
+def _slope_lines(add: np.ndarray, mul: np.ndarray, slopes) -> np.ndarray:
+    """Lines y = t*x + b of the affine plane over the field with these
+    tables: entry [i, b, x] is the point x*n + add[mul[t_i, x], b]."""
+    x = np.arange(len(add))
+    return x * len(add) + add[mul[np.asarray(slopes)][:, None, :], x[None, :, None]]
+
+
+def _mixed(left: np.ndarray, right: np.ndarray, size: int) -> np.ndarray:
+    """Mixed-radix product of two row arrays, left rows and entries
+    outermost: entry [i*r + j, a*s + b] is left[i, a] * size + right[j, b]."""
+    return (left[:, None, :, None] * size + right[None, :, None, :]).reshape(
+        len(left) * len(right), -1)
+
 
 def net_from_affine_plane(n: int, k: int) -> Net:
     """Union of the first k parallel classes of the affine plane of order n,
     in slope order 0, 1, ..., n-1 with the vertical class last."""
     if len(factorize(n)) != 1 or not 3 <= k <= n + 1:
         raise BadParams(f"need a prime power n and 3 <= k <= n+1, got n={n}, k={k}")
-    add, mul = _field_tables(n)
-    lines: list[tuple[int, ...]] = []
-    classes: list[tuple[int, ...]] = []
-    for slope in range(k) if k <= n else range(n):
-        members = []
-        for b in range(n):
-            members.append(len(lines))
-            lines.append(tuple(int(x * n + add[mul[slope, x], b]) for x in range(n)))
-        classes.append(tuple(members))
+    lines = _slope_lines(*field_tables(n), range(min(k, n))).reshape(-1, n)
     if k == n + 1:
-        members = []
-        for c in range(n):
-            members.append(len(lines))
-            lines.append(tuple(c * n + y for y in range(n)))
-        classes.append(tuple(members))
-    net = Net(n, k, tuple(lines), tuple(classes))
-    verify_net(net)
-    return net
+        lines = np.concatenate([lines, np.arange(n * n).reshape(n, n)])
+    return _net(n, k, lines)
 
 
 def dualize(net: Net) -> TransversalDesign:
@@ -231,28 +228,14 @@ def semilinear_net(q: int, m: int, k: int) -> SemilinearNet:
         raise BadParams("q and m must be powers > 1 of the same prime")
     if not 3 <= k < q:
         raise BadParams(f"need 3 <= k < q, got k={k}, q={q}")
-    e = fact_q[p]
-    ctx = ExtFieldCtx.create(p, e * m)
-    size = ctx.size
-    elems = ctx.all_elements()
-    subfield = [x.index for x in elems if frobenius(x, q) == x]
-    slopes = [t for t in subfield if t != 1][:k]
-    add = {(x.index, y.index): (x + y).index for x in elems for y in elems}
-    mul = {(x.index, y.index): (x * y).index for x in elems for y in elems}
-    lines: list[tuple[int, ...]] = []
-    classes: list[tuple[int, ...]] = []
-    for t in slopes:
-        members = []
-        for b in range(size):
-            members.append(len(lines))
-            lines.append(tuple(x * size + add[mul[t, x], b] for x in range(size)))
-        classes.append(tuple(members))
-    net = Net(size, k, tuple(lines), tuple(classes))
-    verify_net(net)
-    a = next(x for x in elems if not trace(x, q, m).is_zero())
-    h = semilinear_map(ctx, q, m, a)
-    g = Permutation(tuple(h.images[x] * size + h.images[y]
-                          for x in range(size) for y in range(size)))
+    size = q ** m
+    tables = field_tables(size)
+    elems = np.arange(size)
+    subfield = elems[frobenius(tables, elems, q) == elems]
+    net = _net(size, k, _slope_lines(*tables, subfield[subfield != 1][:k]).reshape(-1, size))
+    a = int(np.flatnonzero(trace(tables, elems, q, m))[0])
+    h = np.asarray(semilinear_map(tables, q, m, a).images)
+    g = Permutation(tuple((h[:, None] * size + h[None, :]).ravel().tolist()))
     c = g
     for _ in range(p - 1):
         c = c * g
@@ -280,33 +263,14 @@ def net_product(factors: list[tuple[Net, Permutation | None]]) -> NetProduct:
     for net, alpha in factors:
         if alpha is not None and alpha.degree != net.point_count:
             raise BadParams("automorphism degree mismatch")
-    sizes = [net.point_count for net, _ in factors]
-    strides = [1] * len(factors)
-    for i in range(len(factors) - 2, -1, -1):
-        strides[i] = strides[i + 1] * sizes[i + 1]
-    big_n = math.prod(net.n for net, _ in factors)
-
-    def encode(pts):
-        return sum(p * s for p, s in zip(pts, strides))
-
-    lines: list[tuple[int, ...]] = []
-    classes: list[tuple[int, ...]] = []
-    for j in range(k):
-        members = []
-        for combo in itertools.product(*[[net.lines[i] for i in net.classes[j]]
-                                         for net, _ in factors]):
-            members.append(len(lines))
-            lines.append(tuple(encode(pts) for pts in itertools.product(*combo)))
-        classes.append(tuple(members))
-    net = Net(big_n, k, tuple(lines), tuple(classes))
-    verify_net(net)
-
-    maps = [alpha.images if alpha is not None else tuple(range(sz))
-            for (net_, alpha), sz in zip(factors, sizes)]
-    images = np.zeros(big_n * big_n, dtype=np.int64)
-    for tup in itertools.product(*[range(sz) for sz in sizes]):
-        images[encode(tup)] = encode(tuple(m[p] for m, p in zip(maps, tup)))
-    combined = Permutation(tuple(int(x) for x in images))
+    lines = [np.zeros((1, 1), dtype=np.int64)] * k
+    images = np.zeros((1, 1), dtype=np.int64)
+    for net, alpha in factors:
+        rows, size = _line_array(net), net.point_count
+        lines = [_mixed(acc, rows[list(members)], size) for acc, members in zip(lines, net.classes)]
+        images = _mixed(images, np.asarray(alpha.images if alpha is not None else range(size))[None], size)
+    net = _net(math.prod(net.n for net, _ in factors), k, np.concatenate(lines))
+    combined = Permutation(tuple(images[0].tolist()))
     order = math.lcm(*[alpha.order() if alpha is not None else 1 for _, alpha in factors])
     return NetProduct(net, combined, order)
 
@@ -336,34 +300,20 @@ def cyclic_td(k: int, n: int) -> CyclicTd:
     for i in range(1, k - 1):
         if math.gcd(i, n) != 1:
             raise BadParams(f"{i} shares a factor with {n}")
-    groups = tuple(tuple(c * n + z for z in range(n)) for c in range(k))
-    blocks = []
-    for x in range(n):
-        for y in range(n):
-            block = [x, n + y]
-            block += [c * n + (x + (c - 1) * y) % n for c in range(2, k)]
-            blocks.append(tuple(block))
-    td = TransversalDesign(k, n, groups, tuple(blocks))
-    verify_td(td)
-
-    images = list(range(k * n))
-    for c in range(k):
-        if c == 1:
-            continue
-        for z in range(n):
-            images[c * n + z] = c * n + (z + 1) % n
-    translation = Permutation(tuple(images))
+    x, y = np.divmod(np.arange(n * n), n)
+    local = (x[:, None] + (np.arange(k) - 1) * y[:, None]) % n
+    local[:, 0], local[:, 1] = x, y
+    td = _td(k, n, local)
+    group, z = np.divmod(np.arange(k * n), n)
+    translation = Permutation(tuple((group * n + (z + (group != 1)) % n).tolist()))
     require(td.is_automorphism(translation), "cyclic TD translation is an automorphism")
     moved = tuple(c for c in range(k) if c != 1) if n > 1 else ()
 
     rotator = None
     if k == 3 and n > 1:
-        images = list(range(3 * n))
-        for z in range(n):
-            images[z] = n + z                     # (z,0) -> (z,1)
-            images[n + z] = 2 * n + (-z) % n      # (z,1) -> (-z,2)
-            images[2 * n + z] = (-z) % n          # (z,2) -> (-z,0)
-        rotator = Permutation(tuple(images))
+        z = np.arange(n)
+        # (z,0) -> (z,1), (z,1) -> (-z,2), (z,2) -> (-z,0)
+        rotator = Permutation(tuple(np.concatenate([n + z, 2 * n + -z % n, -z % n]).tolist()))
         require(td.is_automorphism(rotator), "cyclic TD rotator is an automorphism")
         require(rotator.order() == 3, "cyclic TD rotator has order 3")
     return CyclicTd(td, translation, moved, rotator)
@@ -374,65 +324,34 @@ def mols_td(k: int, n: int) -> TransversalDesign:
     factors of n; Unavailable when some factor order q^e has q^e + 1 < k."""
     if k < 2 or n < 1:
         raise BadParams(f"bad parameters k={k}, n={n}")
-    if n == 1:
-        return TransversalDesign(k, 1, tuple((c,) for c in range(k)),
-                                 (tuple(range(k)),))
     parts = sorted(q**e for q, e in factorize(n).items())
-    if min(parts) + 1 < k:
-        raise Unavailable(f"factor {min(parts)} of {n} gives MacNeish bound "
-                          f"{min(parts) + 1} < {k}")
-    td = _field_td(k, parts[0])
-    for m in parts[1:]:
-        td = _product_td(td, _field_td(k, m))
-    verify_td(td)
-    return td
+    if parts and parts[0] + 1 < k:
+        raise Unavailable(f"factor {parts[0]} of {n} gives MacNeish bound "
+                          f"{parts[0] + 1} < {k}")
+    local = np.zeros((1, k), dtype=np.int64)
+    for m in parts:
+        local = (local[:, None, :] * m + _field_td(k, m)[None, :, :]).reshape(-1, k)
+    return _td(k, n, local)
 
 
-def _field_td(k: int, m: int) -> TransversalDesign:
-    """TD(k,m) over the field of order m, k <= m+1."""
-    add, mul = _field_tables(m)
-    groups = tuple(tuple(c * m + z for z in range(m)) for c in range(k))
-    blocks = []
-    for u in range(m):
-        for w in range(m):
-            block = [c * m + int(add[mul[c, w], u]) for c in range(min(k, m))]
-            if k == m + 1:
-                block.append(m * m + w)
-            blocks.append(tuple(block))
-    td = TransversalDesign(k, m, groups, tuple(blocks))
-    verify_td(td)
-    return td
-
-
-def _product_td(t1: TransversalDesign, t2: TransversalDesign) -> TransversalDesign:
-    k = t1.k
-    n1, n2 = t1.n, t2.n
-    n = n1 * n2
-
-    def enc(g: int, z1: int, z2: int) -> int:
-        return g * n + z1 * n2 + z2
-
-    groups = tuple(tuple(g * n + z for z in range(n)) for g in range(k))
-    blocks = []
-    for b1 in t1.blocks:
-        for b2 in t2.blocks:
-            block = []
-            for p1, p2 in zip(sorted(b1), sorted(b2)):
-                g = t1.group_of[p1]
-                z1 = p1 - g * n1
-                z2 = p2 - t2.group_of[p2] * n2
-                block.append(enc(g, z1, z2))
-            blocks.append(tuple(block))
-    return TransversalDesign(k, n, groups, tuple(blocks))
+def _field_td(k: int, m: int) -> np.ndarray:
+    """Local coordinates of the blocks of TD(k,m) over GF(m), k <= m+1:
+    block (u, w) meets group c < m where the line of slope c and offset u
+    does at x = w, and group m (when k = m+1) at w."""
+    local = _slope_lines(*field_tables(m), range(min(k, m))).transpose(1, 2, 0) % m
+    if k == m + 1:
+        local = np.concatenate([local, np.broadcast_to(np.arange(m)[:, None], (m, m, 1))], axis=2)
+    return local.reshape(m * m, k)
 
 
 # -- file format -----------------------------------------------------------------
 # "TD k=<k> n=<n>": k group rows then n^2 block rows; "NET k=<k> n=<n>":
 # k class headers are implicit, k*n line rows in class-major order.
 
-def _read(text: str, tag: str, row_count) -> tuple[int, int, list[tuple[int, ...]]]:
-    """k, n and the row_count(k, n) integer rows of a TD or NET file; blank
-    lines and '#' comments are skipped."""
+def _read(text: str, tag: str, layout) -> tuple[int, int, list[tuple[int, ...]]]:
+    """k, n and the integer rows of a TD or NET file, laid out as the
+    (row count, width) runs of layout(k, n); blank lines and '#' comments are
+    skipped.  ParseError names the header or the first row that is wrong."""
     lines = [(no, ln) for no, ln in enumerate(text.splitlines(), start=1)
              if ln.strip() and not ln.lstrip().startswith("#")]
     if not lines or not lines[0][1].startswith(f"{tag} "):
@@ -443,14 +362,20 @@ def _read(text: str, tag: str, row_count) -> tuple[int, int, list[tuple[int, ...
         n = int(head[2].removeprefix("n="))
     except (IndexError, ValueError):
         raise ParseError(lines[0][0], f"bad {tag} header")
+    if k < 1 or n < 1:
+        raise ParseError(lines[0][0], f"{tag} header needs k, n >= 1, got k={k}, n={n}")
+    runs = layout(k, n)
+    expected = sum(count for count, _ in runs)
     rows = []
-    for no, ln in lines[1:]:
+    for (no, ln), width in zip(lines[1:], chain(*(repeat(w, count) for count, w in runs))):
         try:
             rows.append(tuple(int(t) for t in ln.split()))
         except ValueError:
             raise ParseError(no, f"non-integer point in {ln.strip()!r}")
-    if len(rows) != row_count(k, n):
-        raise ParseError(lines[-1][0], f"expected {row_count(k, n)} data rows, got {len(rows)}")
+        if len(rows[-1]) != width:
+            raise ParseError(no, f"expected {width} points, got {len(rows[-1])}")
+    if len(lines) - 1 != expected:
+        raise ParseError(lines[-1][0], f"expected {expected} data rows, got {len(lines) - 1}")
     return k, n, rows
 
 
@@ -462,7 +387,7 @@ def td_to_text(td: TransversalDesign) -> str:
 
 
 def td_from_text(text: str) -> TransversalDesign:
-    k, n, rows = _read(text, "TD", lambda k, n: k + n * n)
+    k, n, rows = _read(text, "TD", lambda k, n: [(k, n), (n * n, k)])
     td = TransversalDesign(k, n, tuple(rows[:k]), tuple(rows[k:]))
     verify_td(td)
     return td
@@ -476,8 +401,5 @@ def net_to_text(net: Net) -> str:
 
 
 def net_from_text(text: str) -> Net:
-    k, n, rows = _read(text, "NET", lambda k, n: k * n)
-    classes = tuple(tuple(range(c * n, (c + 1) * n)) for c in range(k))
-    net = Net(n, k, tuple(rows), classes)
-    verify_net(net)
-    return net
+    k, n, rows = _read(text, "NET", lambda k, n: [(k * n, n)])
+    return _net(n, k, rows)

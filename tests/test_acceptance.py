@@ -37,7 +37,7 @@ from steinerkit.design import (
     write_design,
 )
 from steinerkit.errors import BadParams
-from steinerkit.gf import ExtFieldCtx, semilinear_map, trace
+from steinerkit.gf import field_tables, semilinear_map, trace
 from steinerkit.netstd import cyclic_td, mols_td, net_product, semilinear_net
 from steinerkit.paramsearch import (
     cyclic_assembly_params,
@@ -173,14 +173,13 @@ def test_criterion_04_aligned_line_filling(aligned_ingredient):
 
 
 def test_criterion_05_semilinear_maps_exhaustive():
-    ctx4 = ExtFieldCtx.create(2, 2)
-    omega = ctx4.from_index(2)
-    h4 = semilinear_map(ctx4, 2, 2, omega)
+    omega = 2  # the class of x in GF(4)
+    h4 = semilinear_map(field_tables(4), 2, 2, omega)
     ok = h4.order() == 4 and len(h4.cycles()) == 1 and len(h4.cycles()[0]) == 4
 
-    ctx27 = ExtFieldCtx.create(3, 3)
-    a = next(x for x in ctx27.all_elements() if not trace(x, 3, 3).is_zero())
-    h27 = semilinear_map(ctx27, 3, 3, a)
+    tables27 = field_tables(27)
+    a = int(np.flatnonzero(trace(tables27, np.arange(27), 3, 3))[0])
+    h27 = semilinear_map(tables27, 3, 3, a)
     ok = ok and h27.order() == 9
     power = h27
     for i in range(1, 9):
