@@ -73,18 +73,8 @@ class AffineSpace:
 
 def _canonical_directions(space: AffineSpace) -> np.ndarray:
     """Direction vectors with first nonzero coordinate 1: one per line pencil."""
-    d, p = space.d, space.p
-    rows = []
-    for f in range(d):
-        tail_count = p ** (d - 1 - f)
-        for m in range(tail_count):
-            vec = [0] * f + [1]
-            rest = m
-            for _ in range(d - 1 - f):
-                vec.append(rest % p)
-                rest //= p
-            rows.append(vec)
-    return np.array(rows, dtype=np.int64)
+    coords = space.coords
+    return coords[coords[np.arange(len(coords)), (coords != 0).argmax(axis=1)] == 1]
 
 
 def all_lines(space: AffineSpace) -> np.ndarray:
@@ -122,7 +112,7 @@ def coordinate_group(group: PermGroup, space: AffineSpace) -> PermGroup:
     g moves the coordinate at position i to position g(i)."""
     if group.degree != space.d:
         raise BadParams(f"group degree {group.degree} != dimension {space.d}")
-    gens = [Permutation(tuple((space.coords[:, g.inverse().array] @ space.weights).tolist()))
+    gens = [Permutation(space.coords[:, g.inverse().images] @ space.weights)
             for g in group.generators]
     return PermGroup(space.point_count, gens)
 
@@ -130,10 +120,9 @@ def coordinate_group(group: PermGroup, space: AffineSpace) -> PermGroup:
 def induced_perm_on_line(perm: Permutation, line: np.ndarray) -> Permutation:
     """The degree-p permutation induced on a stabilized line's parametrization;
     ``line`` is the line's row of ``all_lines``."""
-    pts = line.tolist()
-    pos = {pt: x for x, pt in enumerate(pts)}
+    pos = {pt: x for x, pt in enumerate(line.tolist())}
     try:
-        return Permutation(tuple(pos[perm.images[pt]] for pt in pts))
+        return Permutation([pos[pt] for pt in perm.images[line].tolist()])
     except KeyError:
         raise BadParams("permutation does not stabilize the line")
 
@@ -180,7 +169,7 @@ def _fill(orb: _LineOrbits, plants: np.ndarray, k: int) -> LiftResult:
     parametrizations and push them over every orbit.  ``plants`` holds one
     (b, k) block array per representative, or one shared by all."""
     lines = orb.table[orb.reps]
-    point_images = np.stack([g.array for g in orb.elements])
+    point_images = np.stack([g.images for g in orb.elements])
     blocks = push(point_images, lines[np.arange(len(lines))[:, None, None], plants],
                   orb.orbit_of, orb.trans)
     design = Design(orb.space.point_count, k, blocks)
@@ -239,13 +228,11 @@ def lift_aligned(group: PermGroup, p: int, k: int, ingredient: Design,
     plants = []
     for r, stabilizers in zip(orb.reps.tolist(), orb.stabilizers):
         line = orb.table[r]
-        induced_set: dict[tuple[int, ...], Permutation] = {}
-        for g in stabilizers:
-            ind = induced_perm_on_line(g, line)
-            induced_set.setdefault(ind.images, ind)
+        induced_set = dict.fromkeys(induced_perm_on_line(g, line) for g in stabilizers)
         m = len(induced_set)
-        gen = next((induced_set[images] for images in sorted(induced_set)
-                    if induced_set[images].order() == m), None)
+        # the generator with the least image table
+        gen = min((ind for ind in induced_set if ind.order() == m),
+                  key=lambda ind: ind.images.tolist(), default=None)
         if gen is None:
             raise BadParams(f"induced action on line {r} is not cyclic")
         if m == 1:
@@ -262,7 +249,7 @@ def lift_aligned(group: PermGroup, p: int, k: int, ingredient: Design,
             except BadParams as exc:
                 raise BadParams(f"line {r}: {exc}")
             plant = ingredient.relabel(sigma.inverse())
-            for ind in induced_set.values():
+            for ind in induced_set:
                 if not is_automorphism(plant, ind):
                     raise BadParams(
                         f"aligned plant on line {r} misses an induced action")

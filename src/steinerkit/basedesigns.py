@@ -21,6 +21,8 @@ from .exactcover import solve_exact_cover
 from .gf import MultSubgroup, PrimeFieldCtx, coset_partition, is_prime, subgroup_of_order
 from .permgrp import PermGroup, Permutation, orbit_sweep, set_images
 
+MAX_BLOCK_CANDIDATES = 2_000_000  # k-subsets ``km_instance`` enumerates before Budget
+
 
 # -- difference-family base designs --------------------------------------------
 
@@ -115,8 +117,7 @@ class KMInstance:
     dropped_columns: int
 
 
-def km_instance(v: int, k: int, group: PermGroup,
-                max_block_candidates: int = 2_000_000) -> KMInstance:
+def km_instance(v: int, k: int, group: PermGroup) -> KMInstance:
     """Orbits of the group on pairs and on k-subsets, and the exact-cover
     columns: block-orbit j covers pair-orbit i when exactly one block of the
     orbit contains the representative pair; orbits covering any pair orbit
@@ -125,9 +126,8 @@ def km_instance(v: int, k: int, group: PermGroup,
     if group.degree != v:
         raise BadParams(f"group degree {group.degree} != v {v}")
     n_candidates = math.comb(v, k)
-    if n_candidates > max_block_candidates:
-        raise Budget(f"{n_candidates} candidate blocks exceeds the bound "
-                     f"{max_block_candidates}")
+    if n_candidates > MAX_BLOCK_CANDIDATES:
+        raise Budget(f"{n_candidates} candidate blocks exceeds the bound {MAX_BLOCK_CANDIDATES}")
     pair_reps, block_reps, block_orbit, bounds, row, bad = _km_orbits(v, k, group.generators)
     columns = {cid: frozenset(row[bounds[cid]:bounds[cid + 1]])
                for cid in np.flatnonzero(~bad).tolist()}
@@ -171,16 +171,14 @@ def _km_orbits(v: int, k: int, generators):
     return pair_reps, block_reps, block_orbit, bounds, row.tolist(), bad
 
 
-def km_search(v: int, k: int, group: PermGroup, forced_blocks=(),
-              max_block_candidates: int = 2_000_000,
-              max_nodes: int = 50_000_000) -> Design:
+def km_search(v: int, k: int, group: PermGroup, forced_blocks=()) -> Design:
     """Exact-cover search for a 2-(v,k,1)-design admitting the group.
 
     ``forced_blocks`` are k-subsets that must appear in the design (each
     forces its whole orbit).  Raises Unsat when the search is exhaustive and
     empty, Budget when the candidate-block count exceeds its bound.
     """
-    inst = km_instance(v, k, group, max_block_candidates)
+    inst = km_instance(v, k, group)
     orbit_of_block = {}
     for cid, blocks in enumerate(inst.orbit_blocks):
         for blk in blocks:
@@ -193,8 +191,7 @@ def km_search(v: int, k: int, group: PermGroup, forced_blocks=(),
             raise Unsat(f"forced block {key} has no usable orbit")
         if cid not in forced:
             forced.append(cid)
-    chosen = solve_exact_cover(inst.columns, range(len(inst.pair_orbit_reps)),
-                               forced=forced, max_nodes=max_nodes)
+    chosen = solve_exact_cover(inst.columns, range(len(inst.pair_orbit_reps)), forced=forced)
     if chosen is None:
         raise Unsat(f"no 2-({v},{k},1)-design with the prescribed group")
     blocks = [blk for cid in chosen for blk in inst.orbit_blocks[cid]]

@@ -225,7 +225,7 @@ def cmd_construct_aligned(args, report: Report) -> None:
     if args.ingredient:
         ingredient = read_design(args.ingredient)
     else:
-        key = f"km:v={p}:k={k}:cyclic={','.join(map(str, cyc.images))}"
+        key = f"km:v={p}:k={k}:cyclic={','.join(map(str, cyc.images.tolist()))}"
         cyc_group = PermGroup(p, [cyc])
         ingredient = _timed(report, "ingredient_search", _cached_design, report, args.cache_dir,
                             key, cyc_group, k, lambda: km_search(p, k, cyc_group))

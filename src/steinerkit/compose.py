@@ -68,12 +68,12 @@ class _Indexer:
     def bar(self, perm: Permutation) -> np.ndarray:
         """Image array extending a permutation of W's points to the product:
         fixes X, sends (a, z) to (a^g, z)."""
-        wz = self.x + perm.array[:, None] * self.zlen + np.arange(self.zlen)
+        wz = self.x + perm.images[:, None] * self.zlen + np.arange(self.zlen)
         return np.concatenate([np.arange(self.x), wz.ravel()])
 
 
 def _bar_group(idx: _Indexer, generators) -> PermGroup:
-    return PermGroup(idx.u, [Permutation(tuple(idx.bar(g).tolist())) for g in generators])
+    return PermGroup(idx.u, [Permutation(idx.bar(g)) for g in generators])
 
 
 def _check_subdesign(plan: CompositionPlan) -> None:
@@ -97,11 +97,9 @@ def _plant_td(td: TransversalDesign, idx: _Indexer, rows: np.ndarray) -> np.ndar
     lands on Z rank j of the W point A[g].  Shape (rows, n^2, k)."""
     group = np.empty(td.point_count, dtype=np.int64)
     rank = np.empty(td.point_count, dtype=np.int64)
-    for g, members in enumerate(td.groups):
-        group[list(members)] = g
-        rank[list(members)] = np.arange(len(members))
-    tblocks = np.asarray(td.blocks, dtype=np.int64)
-    return idx.x + rows[:, group[tblocks]] * idx.zlen + rank[tblocks]
+    group[td.groups] = np.arange(td.k)[:, None]
+    rank[td.groups] = np.arange(td.n)
+    return idx.x + rows[:, group[td.blocks]] * idx.zlen + rank[td.blocks]
 
 
 def _product(plan: CompositionPlan, group: PermGroup) -> tuple[Design, _Indexer]:
@@ -182,7 +180,7 @@ def cyclic_product_design(W: Design, c_w: Permutation, Y: Design,
     if td_rotator is not None:
         if not td.is_automorphism(td_rotator) or td_rotator.order() != k:
             raise BadParams("td_rotator must be an order-k TD automorphism")
-        if any(td_rotator.images[p] == p for p in range(td.point_count)):
+        if td_rotator.fixed_points():
             raise BadParams("td_rotator must be semiregular on points")
         rotation = td.group_action(td_rotator)
         if len(rotation.cycles()) != 1 or len(rotation.cycles()[0]) != k:
@@ -206,13 +204,13 @@ def cyclic_product_design(W: Design, c_w: Permutation, Y: Design,
                 f"stabilized block {ablock} needs a group-rotating TD automorphism")
         b_seq = [min(ablock)]
         for _ in range(k - 1):
-            b_seq.append(c_w.images[b_seq[-1]])
+            b_seq.append(c_w(b_seq[-1]))
         phi = np.empty(td.point_count, dtype=np.int64)
-        points = np.asarray(td.groups[0], dtype=np.int64)
+        points = td.groups[0]
         for b in b_seq:
             phi[points] = idx.x + b * idx.zlen + np.arange(len(points))
-            points = td_rotator.array[points]
-        plants[r] = phi[np.asarray(td.blocks, dtype=np.int64)]
+            points = td_rotator.images[points]
+        plants[r] = phi[td.blocks]
     pushed = push(np.stack([idx.bar(p) for p in powers]), plants, orbit_of, trans)
 
     out = Design(idx.u, k, np.concatenate([_nontd_blocks(plan, idx), pushed]))

@@ -12,7 +12,6 @@ file with numpy straight into the block array (see "file format" below).
 from __future__ import annotations
 
 import hashlib
-import itertools
 import os
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -23,7 +22,7 @@ from .errors import BadParams, Budget, ParseError
 from .permgrp import DEFAULT_CAP, PermGroup, Permutation, row_keys
 
 PAIR_TABLE_MAX_V = 20000  # a v^2/2 pair bitmap, and int64 counters on failure, fit below this
-_ROWS = 1 << 18  # rows per chunk of the row-key, automorphism, stabilizer and pair kernels
+_ROWS = 1 << 18  # rows per chunk of the row-key, automorphism and stabilizer kernels
 
 
 def _ascending(cols: Sequence[np.ndarray]) -> bool:
@@ -49,7 +48,7 @@ def _sorted_keys(rows: np.ndarray, v: int, perm: Permutation | None = None) -> n
     keys = np.empty(rows.shape[0], dtype=np.int64)
     for start in range(0, rows.shape[0], _ROWS):
         chunk = rows[start:start + _ROWS]
-        chunk = chunk if perm is None else perm.array[chunk]
+        chunk = chunk if perm is None else perm.images[chunk]
         keys[start:start + _ROWS] = row_keys(_sorted_rows(chunk), v)
     return keys
 
@@ -106,7 +105,7 @@ class Design:
     def relabel(self, perm: Permutation) -> "Design":
         if perm.degree != self.v:
             raise BadParams(f"permutation degree {perm.degree} != v {self.v}")
-        return Design(self.v, self.k, perm.array[self.blocks])
+        return Design(self.v, self.k, perm.images[self.blocks])
 
     def __eq__(self, other):
         return (isinstance(other, Design) and self.v == other.v
@@ -134,11 +133,14 @@ class VerifyReport:
 
 
 def _pair_indices(rows: np.ndarray) -> Iterator[np.ndarray]:
-    """Index j(j-1)/2 + i of each point pair {i < j} of the rows, by chunks."""
-    cols = list(itertools.combinations(range(rows.shape[1]), 2))
-    for start in range(0, rows.shape[0] if cols else 0, _ROWS):
-        chunk = rows[start:start + _ROWS]
-        yield np.concatenate([chunk[:, b] * (chunk[:, b] - 1) // 2 + chunk[:, a] for a, b in cols])
+    """Index j(j-1)/2 + i of each point pair {i < j} of the rows, by chunks of
+    about _ROWS pairs, each one gather of every column pair (no step per pair)."""
+    a, b = np.triu_indices(rows.shape[1], 1)
+    step = max(1, _ROWS // max(len(a), 1))
+    for start in range(0, rows.shape[0] if len(a) else 0, step):
+        cols = rows[start:start + step].T
+        hi = cols[b]
+        yield (hi * (hi - 1) // 2 + cols[a]).ravel()
 
 
 def pair_counts(v: int, rows: np.ndarray) -> np.ndarray:
@@ -213,9 +215,9 @@ def stabilizer_scan(design: Design, group: PermGroup):
         for start in range(0, design.b, _ROWS):
             rows = design.blocks[start:start + _ROWS]
             # g stabilizes a block only if it maps the block's first point into it
-            first = g.array[rows[:, 0]]
+            first = g.images[rows[:, 0]]
             cand = np.flatnonzero(np.logical_or.reduce([col == first for col in rows.T]))
-            rows, img = rows[cand], g.array[rows[cand]]
+            rows, img = rows[cand], g.images[rows[cand]]
             bad = np.all(np.sort(img, axis=1) == rows, axis=1) & np.any(img != rows, axis=1)
             if bad.any():
                 return False, (tuple(rows[np.argmax(bad)].tolist()), g)
@@ -258,13 +260,12 @@ def brute_aut(design: Design) -> PermGroup:
     report = verify_2design(design)
     if not report.ok:
         raise BadParams(f"not a 2-design: {report}")
-    b = design.b
-    line = -np.ones((v, v), dtype=np.int64)
-    for bi, row in enumerate(design.block_tuples()):
-        for x in range(k):
-            for y in range(x + 1, k):
-                line[row[x], row[y]] = bi
-                line[row[y], row[x]] = bi
+    # line[x][y]: the block through points x != y
+    line = np.full((v, v), -1)
+    a, b = np.triu_indices(k, 1)
+    pts, block = design.blocks, np.arange(design.b)[:, None]
+    line[pts[:, a], pts[:, b]] = line[pts[:, b], pts[:, a]] = block
+    line = line.tolist()
     found: list[Permutation] = []
     img = [-1] * v
     used = [False] * v
@@ -272,7 +273,7 @@ def brute_aut(design: Design) -> PermGroup:
 
     def extend(x: int):
         if x == v:
-            found.append(Permutation(tuple(img)))
+            found.append(Permutation(img))
             if len(found) > DEFAULT_CAP:
                 raise Budget(f"automorphism count passed cap {DEFAULT_CAP}")
             return
@@ -282,8 +283,8 @@ def brute_aut(design: Design) -> PermGroup:
             pinned: list[int] = []
             ok = True
             for x2 in range(x):
-                bi = int(line[x, x2])
-                target = int(line[y, img[x2]])
+                bi = line[x][x2]
+                target = line[y][img[x2]]
                 cur = block_img.get(bi)
                 if cur is None:
                     block_img[bi] = target
@@ -299,10 +300,9 @@ def brute_aut(design: Design) -> PermGroup:
                 used[y] = False
             for bi in pinned:
                 del block_img[bi]
-        return
 
     extend(0)
-    elems = tuple(sorted(found, key=lambda p: p.images))
+    elems = tuple(found)  # images are tried in ascending order, so found is sorted by image table
     return PermGroup(v, elems, _elements=elems)
 
 

@@ -12,10 +12,11 @@ from typing import Mapping, Sequence
 
 from .errors import Budget
 
+MAX_NODES = 50_000_000  # search nodes before Budget
+
 
 def solve_exact_cover(columns: Mapping[int, frozenset[int]], universe: Sequence[int],
-                      forced: Sequence[int] = (), max_nodes: int = 50_000_000,
-                      ) -> list[int] | None:
+                      forced: Sequence[int] = ()) -> list[int] | None:
     """First exact cover in deterministic order, or None if unsatisfiable.
 
     ``forced`` columns are selected up front (returns None if they clash).
@@ -66,8 +67,8 @@ def solve_exact_cover(columns: Mapping[int, frozenset[int]], universe: Sequence[
         if not covers:
             return True
         nodes += 1
-        if nodes > max_nodes:
-            raise Budget(f"exact cover passed node budget {max_nodes}")
+        if nodes > MAX_NODES:
+            raise Budget(f"exact cover passed node budget {MAX_NODES}")
         row = min(covers, key=lambda r: (len(covers[r]), r))
         for cid in sorted(covers[row]):
             solution.append(cid)

@@ -242,4 +242,4 @@ def semilinear_map(tables: tuple[np.ndarray, np.ndarray], q: int, m: int, a: int
         raise BadParams(f"a={a} is no element index of GF({size})")
     if trace(tables, a, q, m) == 0:
         raise BadParams(f"trace of a={a} is zero")
-    return Permutation(tuple(tables[0][frobenius(tables, np.arange(size), q), a].tolist()))
+    return Permutation(tables[0][frobenius(tables, np.arange(size), q), a])

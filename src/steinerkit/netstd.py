@@ -21,26 +21,49 @@ import numpy as np
 from .errors import ActionEscape, AxiomViolation, BadParams, ParseError, Unavailable, require
 from .design import Design, pair_counts
 from .gf import factorize, field_tables, frobenius, semilinear_map, trace
-from .permgrp import Permutation, set_images
+from .permgrp import Permutation, read_only_ints, set_images
 
 
-def _induced(family, perm: Permutation, failure: str) -> Permutation:
-    """The permutation a point permutation induces on a family of point sets;
-    AxiomViolation with ``failure`` when it maps a set outside the family."""
+def _table(rows, what: str) -> np.ndarray:
+    """Rows as a read-only 2-D int64 array in the given order; AxiomViolation
+    naming ``what`` when they are ragged or not integers."""
     try:
-        return Permutation(tuple(set_images(family, [perm])[0].tolist()))
+        return read_only_ints(rows, 2)
+    except ValueError as exc:
+        raise AxiomViolation(f"malformed {what}: {exc}")
+
+
+def _same_fields(a, b) -> bool:
+    """Equality of two nets or two TDs: equal sizes and equal arrays."""
+    return type(a) is type(b) and all(map(np.array_equal, vars(a).values(), vars(b).values()))
+
+
+def _induced(family: np.ndarray, degree: int, perm: Permutation, failure: str) -> Permutation:
+    """The permutation that a permutation of the ``degree`` points induces on a
+    family of point sets; AxiomViolation with ``failure`` when it leaves the family."""
+    if perm.degree != degree:
+        raise BadParams(f"permutation of degree {perm.degree} on {degree} points")
+    try:
+        return Permutation(set_images(family, [perm])[0])
     except ActionEscape:
         raise AxiomViolation(failure)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Net:
-    """(k,n)-net: lines indexed globally, classes list line indices."""
+    """(k,n)-net: ``lines`` is a (k*n, n) point array and ``classes`` a (k, n)
+    array of line indices, both read-only int64 in constructor order."""
 
     n: int
     k: int
-    lines: tuple[tuple[int, ...], ...]
-    classes: tuple[tuple[int, ...], ...]
+    lines: np.ndarray
+    classes: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "lines", _table(self.lines, "line"))
+        object.__setattr__(self, "classes", _table(self.classes, "class"))
+
+    __eq__ = _same_fields
 
     @property
     def point_count(self) -> int:
@@ -48,17 +71,25 @@ class Net:
 
     def line_action(self, alpha: Permutation) -> Permutation:
         """The permutation induced on line indices by a point permutation."""
-        return _induced(self.lines, alpha, "permutation is not a net automorphism")
+        return _induced(self.lines, self.point_count, alpha,
+                        "permutation is not a net automorphism")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransversalDesign:
-    """TD(k,n): k groups of n points, n^2 blocks meeting each group once."""
+    """TD(k,n): k groups of n points, n^2 blocks meeting each group once;
+    ``groups`` (k, n) and ``blocks`` (n^2, k) are read-only int64 arrays."""
 
     k: int
     n: int
-    groups: tuple[tuple[int, ...], ...]
-    blocks: tuple[tuple[int, ...], ...]
+    groups: np.ndarray
+    blocks: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "groups", _table(self.groups, "group"))
+        object.__setattr__(self, "blocks", _table(self.blocks, "block"))
+
+    __eq__ = _same_fields
 
     @property
     def point_count(self) -> int:
@@ -74,12 +105,14 @@ class TransversalDesign:
         return True
 
     def block_action(self, perm: Permutation) -> Permutation:
-        return _induced(self.blocks, perm, "permutation is not a TD automorphism")
+        return _induced(self.blocks, self.point_count, perm,
+                        "permutation is not a TD automorphism")
 
     def group_action(self, perm: Permutation) -> Permutation:
         """Induced permutation of group indices (automorphisms map groups to
         groups: two points share a group iff they share no block)."""
-        return _induced(self.groups, perm, "permutation does not preserve the group partition")
+        return _induced(self.groups, self.point_count, perm,
+                        "permutation does not preserve the group partition")
 
 
 def _rows(npts: int, width: int, rows, what: str) -> np.ndarray:
@@ -102,20 +135,14 @@ def _td_axioms(npts: int, groups: np.ndarray, blocks: np.ndarray) -> None:
                              f"or block, {np.count_nonzero(counts >= 2)} in two or more")
 
 
-def _line_array(net: Net) -> np.ndarray:
-    """The lines as a (lines, n) array; AxiomViolation when one is malformed."""
-    _rows(net.point_count, net.n, net.lines, "line")
-    return np.asarray(net.lines, dtype=np.int64).reshape(-1, net.n)
-
-
 def _dual(net: Net) -> tuple[np.ndarray, np.ndarray]:
     """Groups and blocks of the dual TD as canonical arrays: the classes, and
     per point the k lines through it.  AxiomViolation unless each class
     partitions the points."""
     n, k = net.n, net.k
-    lines = _line_array(net)
+    _rows(n * n, n, net.lines, "line")
     classes = _rows(k * n, n, net.classes, "class")
-    cover = lines[classes].reshape(k, n * n)
+    cover = net.lines[classes].reshape(k, n * n)
     if not np.array_equal(np.sort(cover, axis=1), np.broadcast_to(np.arange(n * n), cover.shape)):
         raise AxiomViolation("a parallel class fails to partition the points")
     through = np.empty((k, n * n), dtype=np.int64)
@@ -144,8 +171,7 @@ def verify_td(td: TransversalDesign) -> None:
 
 def _net(n: int, k: int, lines) -> Net:
     """The verified net with these k*n lines, classes of n in row order."""
-    net = Net(n, k, tuple(map(tuple, np.asarray(lines).tolist())),
-              tuple(tuple(range(c * n, (c + 1) * n)) for c in range(k)))
+    net = Net(n, k, lines, np.arange(k * n).reshape(k, n))
     verify_net(net)
     return net
 
@@ -153,8 +179,7 @@ def _net(n: int, k: int, lines) -> Net:
 def _td(k: int, n: int, local: np.ndarray) -> TransversalDesign:
     """The verified TD(k,n) on groups c*n + z whose blocks meet group c at
     the local coordinates z in column c of ``local``."""
-    td = TransversalDesign(k, n, tuple(map(tuple, np.arange(k * n).reshape(k, n).tolist())),
-                           tuple(map(tuple, (local + np.arange(k) * n).tolist())))
+    td = TransversalDesign(k, n, np.arange(k * n).reshape(k, n), local + np.arange(k) * n)
     verify_td(td)
     return td
 
@@ -188,17 +213,15 @@ def dualize(net: Net) -> TransversalDesign:
     """TD points = net lines, groups = parallel classes, blocks = the k lines
     through each net point (in point order, so duality round-trips exactly)."""
     verify_net(net)
-    return TransversalDesign(net.k, net.n, tuple(tuple(members) for members in net.classes),
-                             tuple(map(tuple, _dual(net)[1].tolist())))
+    return TransversalDesign(net.k, net.n, net.classes, _dual(net)[1])
 
 
 def dualize_td(td: TransversalDesign) -> Net:
     """Inverse duality: net points = TD blocks, lines = TD points."""
     verify_td(td)
     # a stable sort of the block entries by point lists each point's blocks in order
-    on_block = np.argsort(np.ravel(td.blocks), kind="stable").reshape(td.point_count, td.n) // td.k
-    net = Net(td.n, td.k, tuple(map(tuple, on_block.tolist())),
-              tuple(tuple(members) for members in td.groups))
+    on_block = np.argsort(td.blocks.ravel(), kind="stable").reshape(td.point_count, td.n) // td.k
+    net = Net(td.n, td.k, on_block, td.groups)
     verify_net(net)
     return net
 
@@ -234,8 +257,8 @@ def semilinear_net(q: int, m: int, k: int) -> SemilinearNet:
     subfield = elems[frobenius(tables, elems, q) == elems]
     net = _net(size, k, _slope_lines(*tables, subfield[subfield != 1][:k]).reshape(-1, size))
     a = int(np.flatnonzero(trace(tables, elems, q, m))[0])
-    h = np.asarray(semilinear_map(tables, q, m, a).images)
-    g = Permutation(tuple((h[:, None] * size + h[None, :]).ravel().tolist()))
+    h = semilinear_map(tables, q, m, a).images
+    g = Permutation((h[:, None] * size + h[None, :]).ravel())
     c = g
     for _ in range(p - 1):
         c = c * g
@@ -266,11 +289,11 @@ def net_product(factors: list[tuple[Net, Permutation | None]]) -> NetProduct:
     lines = [np.zeros((1, 1), dtype=np.int64)] * k
     images = np.zeros((1, 1), dtype=np.int64)
     for net, alpha in factors:
-        rows, size = _line_array(net), net.point_count
-        lines = [_mixed(acc, rows[list(members)], size) for acc, members in zip(lines, net.classes)]
-        images = _mixed(images, np.asarray(alpha.images if alpha is not None else range(size))[None], size)
+        size = net.point_count
+        lines = [_mixed(acc, net.lines[members], size) for acc, members in zip(lines, net.classes)]
+        images = _mixed(images, (np.arange(size) if alpha is None else alpha.images)[None], size)
     net = _net(math.prod(net.n for net, _ in factors), k, np.concatenate(lines))
-    combined = Permutation(tuple(images[0].tolist()))
+    combined = Permutation(images[0])
     order = math.lcm(*[alpha.order() if alpha is not None else 1 for _, alpha in factors])
     return NetProduct(net, combined, order)
 
@@ -305,7 +328,7 @@ def cyclic_td(k: int, n: int) -> CyclicTd:
     local[:, 0], local[:, 1] = x, y
     td = _td(k, n, local)
     group, z = np.divmod(np.arange(k * n), n)
-    translation = Permutation(tuple((group * n + (z + (group != 1)) % n).tolist()))
+    translation = Permutation(group * n + (z + (group != 1)) % n)
     require(td.is_automorphism(translation), "cyclic TD translation is an automorphism")
     moved = tuple(c for c in range(k) if c != 1) if n > 1 else ()
 
@@ -313,7 +336,7 @@ def cyclic_td(k: int, n: int) -> CyclicTd:
     if k == 3 and n > 1:
         z = np.arange(n)
         # (z,0) -> (z,1), (z,1) -> (-z,2), (z,2) -> (-z,0)
-        rotator = Permutation(tuple(np.concatenate([n + z, 2 * n + -z % n, -z % n]).tolist()))
+        rotator = Permutation(np.concatenate([n + z, 2 * n + -z % n, -z % n]))
         require(td.is_automorphism(rotator), "cyclic TD rotator is an automorphism")
         require(rotator.order() == 3, "cyclic TD rotator has order 3")
     return CyclicTd(td, translation, moved, rotator)
@@ -379,25 +402,24 @@ def _read(text: str, tag: str, layout) -> tuple[int, int, list[tuple[int, ...]]]
     return k, n, rows
 
 
+def _text(header: str, *tables: np.ndarray) -> str:
+    rows = [" ".join(map(str, row)) for table in tables for row in table.tolist()]
+    return "\n".join([header, *rows]) + "\n"
+
+
 def td_to_text(td: TransversalDesign) -> str:
-    rows = [f"TD k={td.k} n={td.n}"]
-    rows += [" ".join(map(str, grp)) for grp in td.groups]
-    rows += [" ".join(map(str, sorted(b))) for b in td.blocks]
-    return "\n".join(rows) + "\n"
+    return _text(f"TD k={td.k} n={td.n}", td.groups, np.sort(td.blocks, axis=1))
 
 
 def td_from_text(text: str) -> TransversalDesign:
     k, n, rows = _read(text, "TD", lambda k, n: [(k, n), (n * n, k)])
-    td = TransversalDesign(k, n, tuple(rows[:k]), tuple(rows[k:]))
+    td = TransversalDesign(k, n, rows[:k], rows[k:])
     verify_td(td)
     return td
 
 
 def net_to_text(net: Net) -> str:
-    rows = [f"NET k={net.k} n={net.n}"]
-    for members in net.classes:
-        rows += [" ".join(map(str, sorted(net.lines[i]))) for i in members]
-    return "\n".join(rows) + "\n"
+    return _text(f"NET k={net.k} n={net.n}", np.sort(net.lines[net.classes.ravel()], axis=1))
 
 
 def net_from_text(text: str) -> Net:

@@ -1,6 +1,6 @@
 """Permutations and finitely generated permutation groups.
 
-Permutations are image tables on {0..degree-1}.  Groups are given by
+Permutations are read-only int64 image arrays on {0..degree-1}.  Groups are given by
 generators and enumerated on demand by breadth-first closure under a hard
 cap.  Orbits need no enumeration: ``orbit_sweep`` takes the image table of
 the generators; only transporters need every element.
@@ -22,63 +22,79 @@ from .errors import ActionEscape, BadParams, Budget, ParseError
 DEFAULT_CAP = 10**6
 
 
-@dataclass(frozen=True)
-class Permutation:
-    """A permutation of {0..degree-1} stored as its image table."""
+def read_only_ints(values, ndim: int) -> np.ndarray:
+    """``values`` as a new read-only int64 array of ``ndim`` dimensions;
+    ValueError when they are ragged or not integers (a float is refused,
+    never truncated)."""
+    a = np.asarray(values)
+    if a.ndim != ndim or (a.size and a.dtype.kind not in "iu"):
+        raise ValueError(f"expected a {ndim}-D array of integers")
+    a = a.astype(np.int64)
+    a.setflags(write=False)
+    return a
 
-    images: tuple[int, ...]
+
+@dataclass(frozen=True, eq=False)
+class Permutation:
+    """A permutation of {0..degree-1} stored as its image table, one
+    read-only 1-D int64 array built from any integer sequence."""
+
+    images: np.ndarray
 
     def __post_init__(self):
-        n = len(self.images)
-        seen = bytearray(n)
-        for x in self.images:
-            if not 0 <= x < n or seen[x]:
-                raise ValueError("images must be a bijection on 0..degree-1")
-            seen[x] = 1
+        a = read_only_ints(self.images, 1)
+        if not np.array_equal(np.sort(a), np.arange(len(a))):
+            raise ValueError("images must be a bijection on 0..degree-1")
+        object.__setattr__(self, "images", a)
 
     @classmethod
     def identity(cls, degree: int) -> "Permutation":
-        return cls(tuple(range(degree)))
+        return cls(np.arange(degree))
 
     @classmethod
     def from_cycles(cls, degree: int, cycles: Iterable[Sequence[int]]) -> "Permutation":
-        images = list(range(degree))
+        images = np.arange(degree)
         for cyc in cycles:
-            for a, b in zip(cyc, cyc[1:]):
-                images[a] = b
-            if cyc:
-                images[cyc[-1]] = cyc[0]
-        return cls(tuple(images))
+            cyc = read_only_ints(cyc, 1)
+            if cyc.size and (cyc.min() < 0 or cyc.max() >= degree):
+                raise ValueError(f"cycle point outside 0..{degree - 1}")
+            images[cyc] = np.roll(cyc, -1)
+        return cls(images)
 
     @property
     def degree(self) -> int:
         return len(self.images)
 
     def __call__(self, x: int) -> int:
-        return self.images[x]
+        return int(self.images[x])
+
+    def __eq__(self, other):
+        return isinstance(other, Permutation) and np.array_equal(self.images, other.images)
+
+    def __hash__(self):
+        return hash(self.images.tobytes())
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         # apply self first, then other
         if other.degree != self.degree:
             raise ValueError("degree mismatch")
-        o = other.images
-        return Permutation(tuple(o[x] for x in self.images))
+        return Permutation(other.images[self.images])
 
     def inverse(self) -> "Permutation":
-        inv = [0] * self.degree
-        for i, x in enumerate(self.images):
-            inv[x] = i
-        return Permutation(tuple(inv))
+        inv = np.empty_like(self.images)
+        inv[self.images] = np.arange(self.degree)
+        return Permutation(inv)
 
     def is_identity(self) -> bool:
         return self._fixes_all
 
     @cached_property
     def _fixes_all(self) -> bool:
-        return self.images == tuple(range(self.degree))
+        return bool(np.array_equal(self.images, np.arange(self.degree)))
 
     def cycles(self, include_fixed: bool = False) -> list[tuple[int, ...]]:
         """Cycle decomposition, cycles anchored at and sorted by their minimum."""
+        images = self.images.tolist()
         seen = bytearray(self.degree)
         out = []
         for start in range(self.degree):
@@ -86,11 +102,11 @@ class Permutation:
                 continue
             cyc = [start]
             seen[start] = 1
-            x = self.images[start]
+            x = images[start]
             while not seen[x]:  # on a bijection, the first point seen again is start
                 cyc.append(x)
                 seen[x] = 1
-                x = self.images[x]
+                x = images[x]
             if len(cyc) > 1 or include_fixed:
                 out.append(tuple(cyc))
         return out
@@ -100,13 +116,7 @@ class Permutation:
         return math.lcm(*(len(c) for c in cyc)) if cyc else 1
 
     def fixed_points(self) -> tuple[int, ...]:
-        return tuple(i for i, x in enumerate(self.images) if i == x)
-
-    @cached_property
-    def array(self) -> np.ndarray:
-        a = np.asarray(self.images, dtype=np.int64)
-        a.setflags(write=False)
-        return a
+        return tuple(np.flatnonzero(self.images == np.arange(self.degree)).tolist())
 
     def __repr__(self):
         cyc = self.cycles()
@@ -142,21 +152,20 @@ class PermGroup:
         """All group elements by closure over the generators, sorted by image table."""
         if self._elements is not None:
             return self._elements
-        ident = Permutation.identity(self.degree)
-        seen = {ident.images: ident}
-        frontier = [ident]
-        while frontier:
-            nxt = []
-            for h in frontier:
-                for g in self.generators:
-                    prod = h * g
-                    if prod.images not in seen:
-                        seen[prod.images] = prod
-                        nxt.append(prod)
-                        if len(seen) > cap:
-                            raise Budget(f"group closure passed cap {cap}")
-            frontier = nxt
-        self._elements = tuple(seen[k] for k in sorted(seen))
+        gens = np.array([g.images for g in self.generators], np.int64).reshape(-1, self.degree)
+        frontier = np.arange(self.degree)[None]
+        # keyed by big-endian bytes, whose order is the image tables' integer order
+        seen = {frontier[0].astype(">i8").tobytes(): frontier[0]}
+        while len(frontier):
+            # each frontier element times each generator: gens[j][h[x]] = (h * g_j)(x)
+            products = gens[:, frontier].reshape(-1, self.degree)
+            fresh = {key: prod for key, prod in zip(map(bytes, products.astype(">i8")), products)
+                     if key not in seen}
+            seen.update(fresh)
+            if len(seen) > cap:
+                raise Budget(f"group closure passed cap {cap}")
+            frontier = np.array(list(fresh.values()), dtype=np.int64).reshape(-1, self.degree)
+        self._elements = tuple(Permutation(seen[key]) for key in sorted(seen))
         return self._elements
 
     def order(self, cap: int = DEFAULT_CAP) -> int:
@@ -204,7 +213,7 @@ def set_images(rows, perms: Sequence[Permutation]) -> np.ndarray:
     rows = np.asarray(rows, dtype=np.int64)
     if not perms:
         return np.empty((0, len(rows)), dtype=np.int64)
-    family = np.stack([rows] + [g.array[rows] for g in perms])
+    family = np.stack([rows] + [g.images[rows] for g in perms])
     family.sort(axis=2)
     # one call keys the sets and all their images, so ranks stay comparable
     keys = row_keys(family.reshape(-1, rows.shape[1]), perms[0].degree).reshape(family.shape[:2])
@@ -259,37 +268,22 @@ def is_semiregular(group: PermGroup,
 
     On failure also returns the violating (element, fixed point) pairs.
     """
-    pts = tuple(pts)
+    pts = np.fromiter(pts, dtype=np.int64)
     violations = [(g, x) for g in group.elements() if not g.is_identity()
-                  for x in pts if g.images[x] == x]
+                  for x in pts[g.images[pts] == pts].tolist()]
     return (not violations, violations)
 
 
 def _cycle_structure_on(perm: Permutation, pts: frozenset[int]):
     """Fixed points and cycles of a permutation restricted to an invariant set."""
-    fixed = []
-    cycles = []
-    seen = set()
-    for start in sorted(pts):
-        if start in seen:
-            continue
-        cyc = [start]
-        seen.add(start)
-        x = perm.images[start]
-        while x != start:
-            if x not in pts:
-                raise BadParams(f"set is not invariant under {perm!r}")
-            cyc.append(x)
-            seen.add(x)
-            x = perm.images[x]
-        if len(cyc) == 1:
-            fixed.append(start)
-        else:
-            cycles.append(cyc)
+    if not pts.issuperset(perm.images[sorted(pts)].tolist()):
+        raise BadParams(f"set is not invariant under {perm!r}")
+    on_set = [c for c in perm.cycles(include_fixed=True) if c[0] in pts]
+    cycles = [c for c in on_set if len(c) > 1]
     lengths = {len(c) for c in cycles}
     if len(lengths) > 1:
         raise BadParams(f"unequal cycle lengths {sorted(lengths)} on the set")
-    return fixed, cycles
+    return [c[0] for c in on_set if len(c) == 1], cycles
 
 
 def align_semiregular_cyclic(c: Permutation, c_target: Permutation,
@@ -310,14 +304,10 @@ def align_semiregular_cyclic(c: Permutation, c_target: Permutation,
         raise BadParams(f"cycle lengths {len_a}x{len(cycles_a)} vs {len_b}x{len(cycles_b)}")
     if len(fixed_a) != len(fixed_b):
         raise BadParams(f"fixed point counts differ: {len(fixed_a)} vs {len(fixed_b)}")
-    images = list(range(c.degree))
-    for a, b in zip(fixed_a, fixed_b):
-        images[a] = b
-    for cyc_a, cyc_b in zip(cycles_a, cycles_b):
-        for a, b in zip(cyc_a, cyc_b):
-            images[a] = b
-    sigma = Permutation(tuple(images))
-    return sigma
+    images = np.arange(c.degree)
+    for a, b in zip([fixed_a, *cycles_a], [fixed_b, *cycles_b]):
+        images[list(a)] = b
+    return Permutation(images)
 
 
 # -- group file format --------------------------------------------------------
@@ -327,7 +317,7 @@ def align_semiregular_cyclic(c: Permutation, c_target: Permutation,
 def group_to_text(group: PermGroup) -> str:
     lines = [f"PERMGROUP degree={group.degree} gens={len(group.generators)}"]
     for g in group.generators:
-        lines.append(" ".join(map(str, g.images)))
+        lines.append(" ".join(map(str, g.images.tolist())))
     return "\n".join(lines) + "\n"
 
 

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from steinerkit import basedesigns
 from steinerkit.basedesigns import (
     _coset_criterion,
     affine_maps,
@@ -138,10 +139,11 @@ def test_km_search_unsat_no_cyclic_sts9():
         km_search(9, 3, g)
 
 
-def test_km_search_infeasible_bound():
+def test_km_search_infeasible_bound(monkeypatch):
     g = PermGroup.trivial(30)
+    monkeypatch.setattr(basedesigns, "MAX_BLOCK_CANDIDATES", 100)
     with pytest.raises(Budget, match="4060 candidate blocks exceeds the bound 100"):
-        km_search(30, 3, g, max_block_candidates=100)
+        km_search(30, 3, g)
 
 
 def test_km_instance_matrix_entries_are_orbit_invariant():

@@ -190,6 +190,11 @@ def test_brute_aut_fano():
     assert brute_aut(fano()).order() == 168
 
 
+def test_brute_aut_elements_in_image_table_order():
+    els = brute_aut(fano()).elements()
+    assert [e.images.tolist() for e in els] == sorted(e.images.tolist() for e in els)
+
+
 def test_brute_aut_sts9():
     assert brute_aut(sts9()).order() == 432
 

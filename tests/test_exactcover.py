@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 from steinerkit.errors import Budget
+from steinerkit import exactcover
 from steinerkit.exactcover import solve_exact_cover
 
 
@@ -36,7 +37,7 @@ def test_forced_columns():
     assert solve_exact_cover(columns, range(3), forced=[0, 1]) is None
 
 
-def test_node_budget():
+def test_node_budget(monkeypatch):
     # perfect matchings of an odd-point complete graph: unsatisfiable, but
     # every branch fails only at the very end, so the tree is large
     n = 13
@@ -46,8 +47,9 @@ def test_node_budget():
         for b in range(a + 1, n):
             columns[cid] = frozenset({a, b})
             cid += 1
+    monkeypatch.setattr(exactcover, "MAX_NODES", 50)
     with pytest.raises(Budget, match="exact cover passed node budget 50"):
-        solve_exact_cover(columns, range(n), max_nodes=50)
+        solve_exact_cover(columns, range(n))
 
 
 def test_covers_unknown_row_rejected():

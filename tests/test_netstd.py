@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import math
 
+import numpy as np
 import pytest
 
 from steinerkit import netstd
@@ -167,6 +168,40 @@ def test_cyclic_td_3_6():
     assert td.group_action(alpha).is_identity()
 
 
+@pytest.mark.parametrize("degree", [4, 12])
+def test_induced_actions_refuse_a_permutation_of_the_wrong_degree(degree):
+    net = net_from_affine_plane(3, 3)
+    td = dualize(net)
+    wrong = Permutation.identity(degree)
+    with pytest.raises(BadParams, match=f"degree {degree} on 9 points"):
+        net.line_action(wrong)
+    with pytest.raises(BadParams, match=f"degree {degree} on 9 points"):
+        td.block_action(wrong)
+    with pytest.raises(BadParams, match=f"degree {degree} on 9 points"):
+        td.group_action(wrong)
+    assert not td.is_automorphism(wrong)
+
+
+def test_td_and_net_fields_are_read_only_int64_arrays():
+    net = net_from_affine_plane(3, 3)
+    td = cyclic_td(3, 3).td
+    for table, shape in [(net.lines, (9, 3)), (net.classes, (3, 3)),
+                         (td.groups, (3, 3)), (td.blocks, (9, 3))]:
+        assert table.dtype == np.int64 and table.shape == shape
+        assert not table.flags.writeable
+
+
+@pytest.mark.parametrize("build,what", [
+    (lambda: TransversalDesign(3, 1, [(0,), (1,), (2, 3)], [(0, 1, 2)]), "group"),
+    (lambda: TransversalDesign(3, 1, [(0,), (1,), (2,)], [(0, 1, 2.0)]), "block"),
+    (lambda: Net(2, 3, [(0, 1), (2,)], [(0, 1)]), "line"),
+    (lambda: Net(2, 3, [(0, 1), (2, 3)], [("a", "b")]), "class"),
+])
+def test_ragged_or_non_integer_rows_are_refused(build, what):
+    with pytest.raises(AxiomViolation, match=f"malformed {what}"):
+        build()
+
+
 def test_cyclic_td_rotator_properties():
     for n in (6, 18, 36):
         result = cyclic_td(3, n)
@@ -177,7 +212,7 @@ def test_cyclic_td_rotator_properties():
         ok, _ = is_semiregular(PermGroup.cyclic_from(rho), range(3 * n))
         assert ok
         ga = result.td.group_action(rho)
-        assert ga.images in {(1, 2, 0), (2, 0, 1)}
+        assert ga.images.tolist() in ([1, 2, 0], [2, 0, 1])
 
 
 def test_cyclic_td_bad_coprimality():
@@ -310,11 +345,11 @@ def _fingerprints():
     out = {}
 
     def pin_td(name, td):
-        assert all(list(r) == sorted(r) for r in td.groups + td.blocks), name
+        assert all(list(r) == sorted(r) for r in [*td.groups.tolist(), *td.blocks.tolist()]), name
         out[name] = _sha256(td_to_text(td))
 
     def pin_net(name, net):
-        assert all(list(r) == sorted(r) for r in net.lines), name
+        assert all(r == sorted(r) for r in net.lines.tolist()), name
         out[name] = _sha256(net_to_text(net))
 
     def pin_perm(name, perm):

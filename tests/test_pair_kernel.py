@@ -14,6 +14,7 @@ import itertools
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -131,13 +132,13 @@ def same_verdicts(check, reference, objects) -> int:
     return accepts
 
 
-def mutate(rows: tuple[tuple[int, ...], ...], values: range, rng: random.Random):
-    """rows with one entry of one row replaced by another value."""
-    i = rng.randrange(len(rows))
-    j = rng.randrange(len(rows[i]))
-    new = rng.choice([x for x in values if x != rows[i][j]])
-    row = rows[i][:j] + (new,) + rows[i][j + 1:]
-    return rows[:i] + (row,) + rows[i + 1:]
+def mutate(rows: np.ndarray, values: range, rng: random.Random) -> np.ndarray:
+    """A copy of rows with one entry of one row replaced by another value."""
+    i = rng.randrange(rows.shape[0])
+    j = rng.randrange(rows.shape[1])
+    out = rows.copy()
+    out[i, j] = rng.choice([x for x in values if x != rows[i, j]])
+    return out
 
 
 def td_mutations(td: TransversalDesign, count: int, rng: random.Random):
@@ -188,11 +189,11 @@ def test_malformed_td_rows_raise_axiom_violation():
         td_from_text("TD k=3 n=1\n0\n1\n2\n0 1 5\n")
     td = cyclic_td(3, 3).td
     with pytest.raises(AxiomViolation):
-        verify_td(TransversalDesign(3, 3, td.groups, ((0, 3, -1),) + td.blocks[1:]))
+        verify_td(TransversalDesign(3, 3, td.groups, [(0, 3, -1), *td.blocks[1:].tolist()]))
     with pytest.raises(AxiomViolation):
-        verify_td(TransversalDesign(3, 3, td.groups, ((0, 3, 6, 9),) + td.blocks[1:]))
+        verify_td(TransversalDesign(3, 3, td.groups, [(0, 3, 6, 9), *td.blocks[1:].tolist()]))
     with pytest.raises(AxiomViolation):
-        verify_td(TransversalDesign(3, 3, td.groups[:2] + ((6, 7),), td.blocks))
+        verify_td(TransversalDesign(3, 3, [*td.groups[:2].tolist(), (6, 7)], td.blocks))
 
 
 def _projective_sts15() -> Design:
@@ -217,7 +218,7 @@ def _designs() -> dict[str, Design]:
 def test_verify_2design_matches_reference(name):
     d = _designs()[name]
     rng = random.Random(name)
-    rows = tuple(d.block_tuples())
+    rows = d.blocks
     variants = [d]
     while len(variants) < 41:
         mutated = mutate(rows, range(d.v), rng)

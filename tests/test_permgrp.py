@@ -37,7 +37,7 @@ def test_permutation_basics():
     assert g(0) == 1 and g(2) == 0
     assert g.order() == 3
     assert (g * g * g).is_identity()
-    assert g.inverse().images == (2, 0, 1)
+    assert g.inverse().images.tolist() == [2, 0, 1]
     with pytest.raises(ValueError):
         Permutation((0, 0, 1))
 
@@ -49,9 +49,10 @@ def test_cycles_end_on_an_image_table_that_is_not_a_bijection():
     script = textwrap.dedent("""
         import resource
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        import numpy as np
         from steinerkit.permgrp import Permutation
         p = object.__new__(Permutation)
-        object.__setattr__(p, "images", (1, 2, 1, 3))
+        object.__setattr__(p, "images", np.array([1, 2, 1, 3]))
         print(repr(p))
     """)
     env = {**os.environ, "PYTHONPATH": str(Path(steinerkit.__file__).parents[1]),
@@ -84,7 +85,7 @@ def test_elements_symmetric_group_from_two_generators():
     g = PermGroup(3, [cyc(3, (0, 1)), cyc(3, (0, 1, 2))])
     els = g.elements()
     assert len(els) == 6
-    assert list(els) == sorted(els, key=lambda p: p.images)
+    assert list(els) == sorted(els, key=lambda p: p.images.tolist())
     # closed under composition and inverse, contains identity
     s = set(els)
     assert Permutation.identity(3) in s
@@ -92,6 +93,42 @@ def test_elements_symmetric_group_from_two_generators():
         assert x.inverse() in s
         for y in els:
             assert x * y in s
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Permutation((0.0, 1.0)),
+    lambda: Permutation((0, 1.5, 2)),
+    lambda: Permutation([[0, 1], [1, 0]]),
+    lambda: Permutation((0, 2)),
+    lambda: Permutation((-1, 0)),
+    lambda: Permutation("01"),
+    lambda: Permutation.from_cycles(3, [(0, 5)]),
+    lambda: Permutation.from_cycles(3, [(-1, 0)]),
+    lambda: Permutation.from_cycles(3, [(0.0, 1.0)]),
+], ids=["floats", "a-float", "2-d", "too-large", "negative", "string", "cycle-past-degree",
+        "negative-cycle-point", "float-cycle"])
+def test_permutation_refuses_bad_input_with_value_error(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_permutation_stores_one_read_only_int64_array():
+    g = Permutation(np.array([1, 2, 0], dtype=np.int32))
+    assert g.images.dtype == np.int64 and g.images.ndim == 1
+    assert not g.images.flags.writeable
+    assert g == Permutation((1, 2, 0)) and hash(g) == hash(Permutation([1, 2, 0]))
+    assert g.fixed_points() == () and cyc(3, (0, 1)).fixed_points() == (2,)
+    assert all(type(x) is int for x in cyc(3, (0, 1)).fixed_points())
+
+
+def test_elements_keep_integer_order_past_one_byte():
+    # first images 1 and 256: as little-endian bytes 256 sorts before 1
+    g = PermGroup(257, [cyc(257, (0, 1)), cyc(257, (0, 256))])
+    els = g.elements()
+    assert len(els) == 6
+    assert [e.images.tolist() for e in els] == sorted(e.images.tolist() for e in els)
+    assert [e(0) for e in els] == [0, 0, 1, 1, 256, 256]
+    assert list(els) != sorted(els, key=lambda e: e.images.tobytes())
 
 
 def test_elements_cap_exceeded():
@@ -338,8 +375,8 @@ def test_orbit_engine_matches_brute_force(action, data):
         st.lists(st.lists(st.integers(0, n - 1), min_size=3, max_size=3),
                  min_size=2, max_size=2),
         min_size=len(reps), max_size=len(reps))), dtype=np.int64)
-    point_images = np.stack([g.array for g in elements])
-    expect = np.concatenate([elements[trans[i]].array[planted[orbit_of[i]]]
+    point_images = np.stack([g.images for g in elements])
+    expect = np.concatenate([elements[trans[i]].images[planted[orbit_of[i]]]
                              for i in range(len(family))])
     assert np.array_equal(push(point_images, planted, orbit_of, trans), expect)
 

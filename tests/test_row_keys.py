@@ -53,7 +53,7 @@ def bytes_set_images(rows, perms) -> np.ndarray:
     lookup = {row.tobytes(): i for i, row in enumerate(keys)}
     out = np.empty((len(perms), len(keys)), dtype=np.int64)
     for e, g in enumerate(perms):
-        img = np.sort(g.array[keys], axis=1)
+        img = np.sort(g.images[keys], axis=1)
         try:
             out[e] = np.fromiter((lookup[row.tobytes()] for row in img),
                                  dtype=np.int64, count=len(keys))
@@ -65,7 +65,7 @@ def bytes_set_images(rows, perms) -> np.ndarray:
 def relabel_maps_onto(h: Permutation, d1: Design, d2: Design) -> bool:
     """Reference automorphism and isomorphism test: the old ``d1.relabel(h) ==
     d2``, with the image put in canonical form by the lexsort reference."""
-    image = lexsort_canonical(h.array[d1.blocks])
+    image = lexsort_canonical(h.images[d1.blocks])
     return image.shape == d2.blocks.shape and np.array_equal(image, d2.blocks)
 
 
@@ -76,7 +76,7 @@ def sorting_stabilizer_scan(d: Design, group: PermGroup):
     for g in group.elements():
         if g.is_identity():
             continue
-        img = g.array[blocks]
+        img = g.images[blocks]
         stabilized = np.all(np.sort(img, axis=1) == blocks, axis=1)
         pointwise = np.all(img == blocks, axis=1)
         bad = stabilized & ~pointwise
