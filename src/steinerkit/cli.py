@@ -18,15 +18,15 @@ from pathlib import Path
 
 import numpy as np
 
-from . import compose, paramsearch
+from . import compose, paramsearch, textfile
 from .affinelift import lift_aligned, lift_odd
 from .basedesigns import build_base_design, km_search, steiner_triple_system, wilson_base_block
 from .certify import Check, certify, entry
-from .design import Design, read_design, write_atomic, write_design
+from .design import Design, read_design, write_design
 from .errors import BadParams, SteinerError
 from .gf import is_prime
-from .netstd import (cyclic_td, mols_td, net_from_affine_plane, net_to_text, semilinear_net,
-                     td_to_text, verify_net, verify_td)
+from .netstd import (cyclic_td, mols_td, net_file, net_from_affine_plane, semilinear_net,
+                     td_file, verify_net, verify_td)
 from .permgrp import PermGroup, Permutation, group_from_text, is_semiregular, orbit_sweep
 
 
@@ -214,14 +214,11 @@ def cmd_construct_aligned(args, report: Report) -> None:
     report.param("n", n)
     if args.cyclic:
         cyc = _parse_perm(args.cyclic, "--cyclic")
+        if cyc.degree != p:
+            raise BadParams(f"--cyclic has degree {cyc.degree}, the ingredient needs degree p={p}")
     else:
         # canonical one-fixed-point, semiregular-elsewhere generator of order k-1
-        images = [0] + [0] * (p - 1)
-        for j in range(1, p, k - 1):
-            run = list(range(j, j + k - 1))
-            for a, b in zip(run, run[1:] + run[:1]):
-                images[a] = b
-        cyc = Permutation(tuple(images))
+        cyc = Permutation.from_cycles(p, [range(j, j + k - 1) for j in range(1, p, k - 1)])
     if args.ingredient:
         ingredient = read_design(args.ingredient)
     else:
@@ -388,7 +385,7 @@ def cmd_net(args, report: Report) -> None:
         report.checks([entry("c_semiregular_points", lambda: is_semiregular(*points)[0]),
                        entry("c_semiregular_lines", lambda: is_semiregular(*lines)[0])])
     if args.out:
-        report.output(args.out, write_atomic(args.out, [net_to_text(net).encode()]))
+        report.output(args.out, textfile.write(args.out, *net_file(net)))
 
 
 def cmd_td(args, report: Report) -> None:
@@ -404,7 +401,7 @@ def cmd_td(args, report: Report) -> None:
     report.param("blocks", len(td.blocks))
     report.checks([entry("td_axioms", lambda: verify_td(td) is None)])
     if args.out:
-        report.output(args.out, write_atomic(args.out, [td_to_text(td).encode()]))
+        report.output(args.out, textfile.write(args.out, *td_file(td)))
 
 
 def cmd_params(args, report: Report) -> None:

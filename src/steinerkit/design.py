@@ -5,20 +5,19 @@ Blocks are stored in canonical form: each block sorted ascending, the blocks
 in key order (``permgrp.row_keys``, which is lexicographic order).  While
 v^k <= 2^63 the keys are exact int64 base-v numbers; canonical form and the
 automorphism, stabilizer and pair checks run in chunks of rows and build no
-image design or full-size row gather.  Design files go in chunks too: the
-writer formats each by one byte-table gather, and the reader tokenizes the
-file with numpy straight into the block array (see "file format" below).
+image design or full-size row gather.  Design files are ``textfile``
+tables of one section.
 """
 from __future__ import annotations
 
 import hashlib
-import os
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import BadParams, Budget, ParseError
+from . import textfile
+from .errors import BadParams, Budget
 from .permgrp import DEFAULT_CAP, PermGroup, Permutation, row_keys
 
 PAIR_TABLE_MAX_V = 20000  # a v^2/2 pair bitmap, and int64 counters on failure, fit below this
@@ -316,191 +315,24 @@ def iso_in_group(d1: Design, d2: Design, maps: Sequence[Permutation]) -> Permuta
     return None
 
 
-# -- file format ---------------------------------------------------------------
-# Line 1: "DESIGN v=<v> k=<k> b=<b>"; then b lines of k ascending 0-based point
-# indices, one space apart; blocks in lexicographic order.  The reader also
-# takes blank lines, '#' comments (to the end of their line), runs of spaces,
-# tabs or '\r', a sign before a point and a last line without its newline;
-# any other byte in the block table, non-ASCII included, is an error, and so
-# is a point of more than 18 digits.
-#
-# The writer streams the file _WRITE_ROWS rows at a time: every point's digits
-# and separator sit NUL-padded in a (v, width) byte table, so a chunk is one
-# gather and one compaction, and the file never exists as one string.  The
-# reader allocates the (b, k) table once the header's b*k points are known to
-# fit in the file, then tokenizes the body with numpy in newline-aligned
-# chunks of _READ_BYTES bytes straight into it.
+# -- file format: "DESIGN v=<v> k=<k> b=<b>", then the b blocks in canonical form
 
-_WRITE_ROWS = 1 << 20
-_READ_BYTES = 1 << 18  # a chunk's arrays take ~20x its size; larger chunks read no faster
-_MAX_DIGITS = 18  # a point of at most 18 digits fits an int64
-_SEPARATOR = np.zeros(256, dtype=bool)
-_SEPARATOR[list(b" \t\n\r\v\f")] = True
-
-
-def _design_chunks(design: Design, comments: Sequence[str]) -> Iterator[bytes]:
-    """The bytes of a design file: comment lines and header, then the block
-    table a chunk of rows at a time."""
-    yield ("".join(f"# {c}\n" for c in comments)
-           + f"DESIGN v={design.v} k={design.k} b={design.b}\n").encode()
-    if not design.b:
-        return
-    spaced, ended = (np.array([b"%d%s" % (p, sep) for p in range(design.v)])
-                     .view(np.uint8).reshape(design.v, -1) for sep in (b" ", b"\n"))
-    for start in range(0, design.b, _WRITE_ROWS):
-        rows = design.blocks[start:start + _WRITE_ROWS]
-        cells = spaced[rows]
-        cells[:, -1] = ended[rows[:, -1]]
-        cells = cells.reshape(-1)
-        yield cells[cells != 0].tobytes()
-
-
-def write_atomic(path, chunks: Iterable[bytes]) -> str:
-    """Stream byte chunks into a sibling renamed over ``path``, so a failed
-    write never truncates it, and return the sha256 of the bytes written."""
-    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
-    digest = hashlib.sha256()
-    try:
-        with open(tmp, "wb") as fh:
-            for chunk in chunks:
-                fh.write(chunk)
-                digest.update(chunk)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-    return digest.hexdigest()
+def _design_layout(v: int, k: int, b: int) -> list[tuple[int, int, int]]:
+    if min(v, k, b) < 0:
+        raise BadParams("negative header field")
+    if k < 1:
+        raise BadParams(f"block size k={k} must be at least 1")
+    return [(b, k, v)]
 
 
 def write_design(design: Design, path, comments: Sequence[str] = ()) -> str:
     """Write a design file atomically, comment lines first; its sha256."""
-    return write_atomic(path, _design_chunks(design, comments))
-
-
-def _read_header(fh) -> tuple[int, int, int, int]:
-    """Line number and (v, k, b) of the first line not blank or a comment."""
-    line_no = 0
-    while True:
-        line_no += 1
-        line = fh.readline()
-        if not line:
-            raise ParseError(line_no, "missing DESIGN header")
-        if line.strip() and not line.lstrip().startswith(b"#"):
-            break
-    head = line.split()
-    if len(head) != 4 or head[0] != b"DESIGN":
-        raise ParseError(line_no, "expected 'DESIGN v=<v> k=<k> b=<b>'")
-    try:
-        v, k, b = (int(field.removeprefix(name))
-                   for field, name in zip(head[1:], (b"v=", b"k=", b"b=")))
-    except ValueError:
-        raise ParseError(line_no, "bad header fields")
-    if min(v, k, b) < 0:
-        raise ParseError(line_no, "negative header field")
-    if k < 1:
-        raise ParseError(line_no, f"block size k={k} must be at least 1")
-    return line_no, v, k, b
-
-
-def _blank_comments(a: np.ndarray, newlines: np.ndarray) -> np.ndarray:
-    """A copy of the bytes with every '#' up to the end of its line made a space."""
-    hashes = np.flatnonzero(a == ord("#"))
-    stops = np.append(newlines, len(a))[np.searchsorted(newlines, hashes)]
-    depth = np.zeros(len(a) + 1, dtype=np.int64)
-    np.add.at(depth, hashes, 1)
-    np.add.at(depth, stops, -1)
-    a = a.copy()
-    a[np.cumsum(depth[:-1]) > 0] = ord(" ")
-    return a
-
-
-def _table_chunk(chunk: bytes, first_line: int, v: int, k: int,
-                 room: int) -> tuple[np.ndarray, int]:
-    """The points of a newline-aligned piece of the block table, in file
-    order, and the piece's number of newlines.
-
-    ``first_line`` is the file's line number of the piece's first line and
-    ``room`` the number of points the header still allows.  A malformed piece
-    raises ParseError at its first offending line.
-    """
-    # a separator before the first point, and room to read past the last
-    a = np.frombuffer(b" " + chunk + b" " * _MAX_DIGITS, dtype=np.uint8)
-    newlines = np.flatnonzero(a == ord("\n"))
-    digit = a - np.uint8(ord("0"))  # wraps: below 10 on digits only
-    plain = (np.count_nonzero(digit < 10) + np.count_nonzero(a == ord(" "))
-             + len(newlines) == len(a))
-    if not plain:
-        a = _blank_comments(a, newlines)
-        digit = a - np.uint8(ord("0"))
-    is_digit = digit < 10
-    token = is_digit if plain else ~_SEPARATOR[a]
-    bounds = np.flatnonzero(token[1:] != token[:-1]) + 1
-    starts, ends = bounds[0::2], bounds[1::2]
-    problems = []  # (line number, reason), the first line reported
-
-    def line_of(t) -> int:
-        return first_line + int(np.searchsorted(newlines, starts[t]))
-
-    first = starts
-    if not plain:
-        signed = (a[starts] == ord("+")) | (a[starts] == ord("-"))
-        stray = token & ~is_digit
-        stray[starts[signed]] = False
-        invalid = signed & (ends - starts == 1)
-        invalid[np.searchsorted(starts, np.flatnonzero(stray), side="right") - 1] = True
-        if invalid.any():
-            problems.append((line_of(np.argmax(invalid)), "point is not an integer"))
-        first = starts + signed
-    count = ends - first
-    values = digit[first].astype(np.int64)
-    for j in range(1, min(int(count.max(initial=0)), _MAX_DIGITS)):
-        values = np.where(count > j, values * 10 + digit[j:][first], values)
-    if not plain:
-        np.negative(values, out=values, where=a[starts] == ord("-"))
-    bad = (values < 0) | (values >= v) | (count > _MAX_DIGITS)
-    if bad.any():
-        problems.append((line_of(np.argmax(bad)), "point index out of range"))
-
-    # the row width: with t = k*L points on L lines, point k*i follows newline
-    # i-1 and point k*i+k-1 precedes newline i; else count points line by line
-    lines = len(newlines) + (not chunk.endswith(b"\n") and bool(chunk))
-    t = len(starts)
-    if not (t == k * lines and (t == 0 or (np.all(starts[k - 1::k][:len(newlines)] < newlines)
-                                           and np.all(starts[k::k] > newlines[:lines - 1])))):
-        line = np.searchsorted(newlines, starts)
-        opens = np.flatnonzero(np.diff(line, prepend=-1))
-        width = np.diff(opens, append=t)
-        if (width != k).any():
-            i = int(np.argmax(width != k))
-            problems.append((first_line + int(line[opens[i]]),
-                             f"block of {width[i]} points, expected {k}"))
-    if t > room:
-        problems.append((line_of(room), "more blocks than the header's b"))
-    if problems:
-        raise ParseError(*min(problems, key=lambda p: p[0]))
-    return values, len(newlines)
+    return textfile.write(path, "DESIGN", {"v": design.v, "k": design.k, "b": design.b},
+                          [(design.blocks, design.v)], comments)
 
 
 def read_design(path) -> Design:
     """Read a design file; ParseError names the first line that is wrong."""
     with open(path, "rb") as fh:
-        line_no, v, k, b = _read_header(fh)
-        if b * k and 2 * b * k - 1 > os.fstat(fh.fileno()).st_size - fh.tell():
-            raise ParseError(line_no, f"{b} blocks of {k} points cannot fit in the file")
-        rows = np.empty((b, k), dtype=np.int64)
-        points = rows.reshape(-1)
-        filled, tail = 0, b""
-        while True:
-            data = fh.read(_READ_BYTES)
-            chunk = tail + data
-            cut = chunk.rfind(b"\n") + 1 if data else len(chunk)
-            chunk, tail = chunk[:cut], chunk[cut:]
-            values, newlines = _table_chunk(chunk, line_no + 1, v, k, points.size - filled)
-            points[filled:filled + len(values)] = values
-            filled += len(values)
-            line_no += newlines
-            if not data:
-                break
-    if filled < points.size:
-        raise ParseError(line_no + 1, f"expected {b} blocks, got {filled // k}")
+        (v, k, _), (rows,) = textfile.read(fh, "DESIGN", ("v", "k", "b"), _design_layout)
     return Design(v, k, rows)

@@ -12,13 +12,14 @@ it returns against the net/TD axioms.
 """
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass
-from itertools import chain, repeat
 
 import numpy as np
 
-from .errors import ActionEscape, AxiomViolation, BadParams, ParseError, Unavailable, require
+from . import textfile
+from .errors import ActionEscape, AxiomViolation, BadParams, Unavailable, require
 from .design import Design, pair_counts
 from .gf import factorize, field_tables, frobenius, semilinear_map, trace
 from .permgrp import Permutation, read_only_ints, set_images
@@ -367,61 +368,44 @@ def _field_td(k: int, m: int) -> np.ndarray:
     return local.reshape(m * m, k)
 
 
-# -- file format -----------------------------------------------------------------
-# "TD k=<k> n=<n>": k group rows then n^2 block rows; "NET k=<k> n=<n>":
-# k class headers are implicit, k*n line rows in class-major order.
+# -- file format: "TD k=<k> n=<n>", k group rows and n^2 block rows; "NET k=<k>
+# n=<n>", k*n line rows, class by class --------------------------------------------
 
-def _read(text: str, tag: str, layout) -> tuple[int, int, list[tuple[int, ...]]]:
-    """k, n and the integer rows of a TD or NET file, laid out as the
-    (row count, width) runs of layout(k, n); blank lines and '#' comments are
-    skipped.  ParseError names the header or the first row that is wrong."""
-    lines = [(no, ln) for no, ln in enumerate(text.splitlines(), start=1)
-             if ln.strip() and not ln.lstrip().startswith("#")]
-    if not lines or not lines[0][1].startswith(f"{tag} "):
-        raise ParseError(1, f"expected '{tag} k=<k> n=<n>' header")
-    head = lines[0][1].split()
-    try:
-        k = int(head[1].removeprefix("k="))
-        n = int(head[2].removeprefix("n="))
-    except (IndexError, ValueError):
-        raise ParseError(lines[0][0], f"bad {tag} header")
+def _sized(tag: str, k: int, n: int, sections: list) -> list:
     if k < 1 or n < 1:
-        raise ParseError(lines[0][0], f"{tag} header needs k, n >= 1, got k={k}, n={n}")
-    runs = layout(k, n)
-    expected = sum(count for count, _ in runs)
-    rows = []
-    for (no, ln), width in zip(lines[1:], chain(*(repeat(w, count) for count, w in runs))):
-        try:
-            rows.append(tuple(int(t) for t in ln.split()))
-        except ValueError:
-            raise ParseError(no, f"non-integer point in {ln.strip()!r}")
-        if len(rows[-1]) != width:
-            raise ParseError(no, f"expected {width} points, got {len(rows[-1])}")
-    if len(lines) - 1 != expected:
-        raise ParseError(lines[-1][0], f"expected {expected} data rows, got {len(lines) - 1}")
-    return k, n, rows
+        raise BadParams(f"{tag} header needs k, n >= 1, got k={k}, n={n}")
+    return sections
 
 
-def _text(header: str, *tables: np.ndarray) -> str:
-    rows = [" ".join(map(str, row)) for table in tables for row in table.tolist()]
-    return "\n".join([header, *rows]) + "\n"
+def td_file(td: TransversalDesign):
+    """The ``textfile`` tag, fields and sections of the TD."""
+    kn = td.point_count
+    return "TD", {"k": td.k, "n": td.n}, [(td.groups, kn), (np.sort(td.blocks, axis=1), kn)]
 
 
 def td_to_text(td: TransversalDesign) -> str:
-    return _text(f"TD k={td.k} n={td.n}", td.groups, np.sort(td.blocks, axis=1))
+    return b"".join(textfile.chunks(*td_file(td))).decode()
 
 
 def td_from_text(text: str) -> TransversalDesign:
-    k, n, rows = _read(text, "TD", lambda k, n: [(k, n), (n * n, k)])
-    td = TransversalDesign(k, n, rows[:k], rows[k:])
+    layout = lambda k, n: _sized("TD", k, n, [(k, n, k * n), (n * n, k, k * n)])  # noqa: E731
+    (k, n), (groups, blocks) = textfile.read(io.BytesIO(text.encode()), "TD", ("k", "n"), layout)
+    td = TransversalDesign(k, n, groups, blocks)
     verify_td(td)
     return td
 
 
+def net_file(net: Net):
+    """The ``textfile`` tag, fields and sections of the net."""
+    lines = np.sort(net.lines[net.classes.ravel()], axis=1)
+    return "NET", {"k": net.k, "n": net.n}, [(lines, net.point_count)]
+
+
 def net_to_text(net: Net) -> str:
-    return _text(f"NET k={net.k} n={net.n}", np.sort(net.lines[net.classes.ravel()], axis=1))
+    return b"".join(textfile.chunks(*net_file(net))).decode()
 
 
 def net_from_text(text: str) -> Net:
-    k, n, rows = _read(text, "NET", lambda k, n: [(k * n, n)])
-    return _net(n, k, rows)
+    (k, n), (lines,) = textfile.read(io.BytesIO(text.encode()), "NET", ("k", "n"),
+                                     lambda k, n: _sized("NET", k, n, [(k * n, n, n * n)]))
+    return _net(n, k, lines)

@@ -248,6 +248,8 @@ def spectrum_bound(k: int, w: int, x1_list: tuple[int, ...] | list[int]) -> int:
     """Least u above which every admissible u in a covered congruence class
     mod k(k-1) receives a witness: the per-class threshold is
     x1 + k(k-1)*(w*x1)^2, where a >= w*x1 first admits some 0 <= t < a."""
+    if not x1_list:
+        raise BadParams("the x1 list is empty")
     kk = k * (k - 1)
     return max(x1 + kk * (w * x1) ** 2 for x1 in x1_list)
 

@@ -10,6 +10,7 @@ exponent convention x^(gh) = (x^g)^h used throughout.
 """
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -17,7 +18,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ActionEscape, BadParams, Budget, ParseError
+from . import textfile
+from .errors import ActionEscape, BadParams, Budget
 
 DEFAULT_CAP = 10**6
 
@@ -148,7 +150,7 @@ class PermGroup:
     def cyclic_from(cls, g: Permutation) -> "PermGroup":
         return cls(g.degree, (g,))
 
-    def elements(self, cap: int = DEFAULT_CAP) -> tuple[Permutation, ...]:
+    def elements(self) -> tuple[Permutation, ...]:
         """All group elements by closure over the generators, sorted by image table."""
         if self._elements is not None:
             return self._elements
@@ -162,14 +164,14 @@ class PermGroup:
             fresh = {key: prod for key, prod in zip(map(bytes, products.astype(">i8")), products)
                      if key not in seen}
             seen.update(fresh)
-            if len(seen) > cap:
-                raise Budget(f"group closure passed cap {cap}")
+            if len(seen) > DEFAULT_CAP:
+                raise Budget(f"group closure passed cap {DEFAULT_CAP}")
             frontier = np.array(list(fresh.values()), dtype=np.int64).reshape(-1, self.degree)
         self._elements = tuple(Permutation(seen[key]) for key in sorted(seen))
         return self._elements
 
-    def order(self, cap: int = DEFAULT_CAP) -> int:
-        return len(self.elements(cap))
+    def order(self) -> int:
+        return len(self.elements())
 
     def __contains__(self, perm: Permutation) -> bool:
         return perm in self.elements()
@@ -310,43 +312,23 @@ def align_semiregular_cyclic(c: Permutation, c_target: Permutation,
     return Permutation(images)
 
 
-# -- group file format --------------------------------------------------------
-# line 1: "PERMGROUP degree=<n> gens=<m>", then m lines of n space-separated
-# 0-based images; lines starting with '#' are comments.
+# -- group file format: "PERMGROUP degree=<n> gens=<m>", then each generator's images
+
+def _group_layout(degree: int, gens: int) -> list[tuple[int, int, int]]:
+    if degree < 1 or gens < 0:
+        raise BadParams(f"PERMGROUP header needs degree >= 1 and gens >= 0, "
+                        f"got degree={degree}, gens={gens}")
+    return [(gens, degree, degree)]
+
 
 def group_to_text(group: PermGroup) -> str:
-    lines = [f"PERMGROUP degree={group.degree} gens={len(group.generators)}"]
-    for g in group.generators:
-        lines.append(" ".join(map(str, g.images.tolist())))
-    return "\n".join(lines) + "\n"
+    images = np.array([g.images for g in group.generators], np.int64).reshape(-1, group.degree)
+    return b"".join(textfile.chunks("PERMGROUP", {"degree": group.degree, "gens": len(images)},
+                                    [(images, group.degree)])).decode()
 
 
 def group_from_text(text: str) -> PermGroup:
-    lines = text.splitlines()
-    data = [(no, raw.split()) for no, raw in enumerate(lines, start=1)
-            if raw.strip() and not raw.lstrip().startswith("#")]
-    if not data:
-        raise ParseError(1, "missing PERMGROUP header")
-    header_no, header = data[0]
-    if len(header) != 3 or header[0] != "PERMGROUP":
-        raise ParseError(header_no, "expected 'PERMGROUP degree=<n> gens=<m>'")
-    try:
-        degree = int(header[1].removeprefix("degree="))
-        gens = int(header[2].removeprefix("gens="))
-    except ValueError:
-        raise ParseError(header_no, "bad degree/gens fields")
-    perms = []
-    for no, tokens in data[1:]:
-        try:
-            imgs = tuple(int(tok) for tok in tokens)
-        except ValueError:
-            raise ParseError(no, "non-integer image")
-        if len(imgs) != degree:
-            raise ParseError(no, f"expected {degree} images, got {len(imgs)}")
-        try:
-            perms.append(Permutation(imgs))
-        except ValueError as exc:
-            raise ParseError(no, str(exc))
-    if len(perms) != gens:
-        raise ParseError(len(lines), f"expected {gens} generators, got {len(perms)}")
-    return PermGroup(degree, perms)
+    """ParseError names the first wrong line, a row that is no permutation included."""
+    (degree, _), (images,) = textfile.read(io.BytesIO(text.encode()), "PERMGROUP",
+                                           ("degree", "gens"), _group_layout, distinct=True)
+    return PermGroup(degree, [Permutation(row) for row in images])

@@ -6,9 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from steinerkit import cli, permgrp
+from steinerkit import cli, permgrp, textfile
 from steinerkit import design as design_module
-from steinerkit.basedesigns import build_base_design
+from steinerkit.basedesigns import build_base_design, steiner_triple_system
 from steinerkit.cli import main
 from steinerkit.design import VerifyReport, read_design, verify_2design, write_design
 from steinerkit.errors import AxiomViolation
@@ -404,15 +404,29 @@ def test_parameter_preconditions_are_reported(capsys, argv, message):
     (["compose", "--mode", "cyclic"], "BadParams: --mode cyclic without --w needs --k --h"),
     (["compose", "--mode", "cyclic", "--k", "3"],
      "BadParams: --mode cyclic without --w needs --h"),
+    (["verify", "--design", "{fano}", "--group-file", "{degree0}"],
+     "ParseError: line 1: PERMGROUP header needs degree >= 1 and gens >= 0, "
+     "got degree=0, gens=0"),
+    (["construct-aligned", "--k", "3", "--group-file", "{z2}", "--cyclic", "0 2 1"],
+     "BadParams: --cyclic has degree 3, the ingredient needs degree p=19"),
+    (["compose", "--mode", "rc", "--w", "{fano}", "--y", "{sts9}", "--x-points", "99"],
+     "BadParams: subdesign points (99,) are not all in 0..8"),
+    (["compose", "--mode", "rc", "--w", "{fano}", "--y", "{sts9}", "--x-points", "-1"],
+     "BadParams: subdesign points (-1,) are not all in 0..8"),
+    (["plan-spectrum", "--k", "3", "--w", "7", "--x1", ""], "BadParams: the x1 list is empty"),
 ], ids=["base-block", "x-points", "cyclic", "compose-files", "x1", "missing-design",
         "aligned-p-not-prime", "aligned-p-not-1-mod-k-1", "aligned-k-1", "net-affine-no-n",
         "net-semilinear-no-q-m", "net-semilinear-no-m", "compose-cyclic-no-w-k-h",
-        "compose-cyclic-no-h"])
+        "compose-cyclic-no-h", "group-degree-0", "aligned-cyclic-degree", "x-point-past-y",
+        "x-point-negative", "x1-empty"])
 def test_malformed_input_is_reported(tmp_path, capsys, argv, message):
     paths = {"triv": write_group(tmp_path / "triv.group", Permutation.identity(1)),
              "z2": write_group(tmp_path / "z2.group", Permutation.from_cycles(2, [(0, 1)])),
-             "fano": str(tmp_path / "fano.design"), "missing": str(tmp_path / "missing.design")}
+             "fano": str(tmp_path / "fano.design"), "missing": str(tmp_path / "missing.design"),
+             "sts9": str(tmp_path / "sts9.design"), "degree0": str(tmp_path / "degree0.group")}
     write_design(build_base_design(7, 3, (0, 1, 3)).design, paths["fano"])
+    write_design(steiner_triple_system(9), paths["sts9"])
+    Path(paths["degree0"]).write_text("PERMGROUP degree=0 gens=0\n")
     code, rep = run(capsys, *(arg.format(**paths) for arg in argv))
     assert rep["error"] == message.format(**paths)
     assert rep["status"] == "fail"
@@ -442,7 +456,7 @@ def test_td_out_is_atomic(tmp_path, capsys, monkeypatch):
             self.fh.flush()
             raise OSError(28, "No space left on device")
 
-    monkeypatch.setattr(design_module, "open",
+    monkeypatch.setattr(textfile, "open",
                         lambda file, mode="r": HalfWriter(builtins.open(file, mode)),
                         raising=False)
     code, rep = run(capsys, "td", "--k", "3", "--n", "7", "--mode", "cyclic", "--out", str(path))

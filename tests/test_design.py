@@ -7,7 +7,7 @@ import itertools
 import numpy as np
 import pytest
 
-from steinerkit import design as design_module
+from steinerkit import textfile
 from steinerkit.design import (
     Design,
     brute_aut,
@@ -277,7 +277,7 @@ def test_write_design_is_atomic(tmp_path, monkeypatch):
             self.fh.flush()
             raise OSError(28, "No space left on device")
 
-    monkeypatch.setattr(design_module, "open",
+    monkeypatch.setattr(textfile, "open",
                         lambda file, mode="r": HalfWriter(builtins.open(file, mode)),
                         raising=False)
     with pytest.raises(OSError):

@@ -3,13 +3,16 @@ text-building ``serialize`` and the ``loadtxt`` parser they replaced.
 
 The references are kept here, as in ``test_row_keys.py``.  Every comparison
 runs with small write and read chunks, so that a file spans several of them
-and a malformed line can sit after the first.
+and a malformed line can sit after the first.  The TD, NET and group readers
+share the design reader's codec; the corpus cases that apply to them run
+through all four readers at the end.
 """
 from __future__ import annotations
 
 import builtins
 import hashlib
 import io
+import itertools
 import os
 import tempfile
 import warnings
@@ -21,8 +24,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steinerkit import design as design_module
+from steinerkit import textfile
 from steinerkit.design import Design, read_design, write_design
 from steinerkit.errors import ParseError, SteinerError
+from steinerkit.netstd import net_from_text, td_from_text
+from steinerkit.permgrp import group_from_text
 
 HYPOTHESIS = settings(max_examples=80, deadline=None)
 
@@ -81,8 +87,8 @@ def parse(text: str) -> Design:
 
 @pytest.fixture
 def small_chunks(monkeypatch):
-    monkeypatch.setattr(design_module, "_WRITE_ROWS", 3)
-    monkeypatch.setattr(design_module, "_READ_BYTES", 16)
+    monkeypatch.setattr(textfile, "_WRITE_ROWS", 3)
+    monkeypatch.setattr(textfile, "_READ_BYTES", 16)
 
 
 def read_text(text: str) -> Design:
@@ -122,7 +128,7 @@ COMMENT = st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=1
 def test_write_design_bytes_equal_serialize(d, comments):
     expect = ("".join(f"# {c}\n" for c in comments) + serialize(d)).encode()
     with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
-        mp.setattr(design_module, "_WRITE_ROWS", 3)
+        mp.setattr(textfile, "_WRITE_ROWS", 3)
         path = Path(tmp, "d.design")
         digest = write_design(d, path, comments)
         assert path.read_bytes() == expect
@@ -154,8 +160,8 @@ def test_write_fails_on_a_later_chunk(tmp_path, monkeypatch):
             self.fh.write(data)
             self.fh.flush()
 
-    monkeypatch.setattr(design_module, "_WRITE_ROWS", 2)
-    monkeypatch.setattr(design_module, "open",
+    monkeypatch.setattr(textfile, "_WRITE_ROWS", 2)
+    monkeypatch.setattr(textfile, "open",
                         lambda file, mode="r": FullAfterFirst(builtins.open(file, mode)),
                         raising=False)
     fano = Design(7, 3, [sorted((i % 7, (1 + i) % 7, (3 + i) % 7)) for i in range(7)])
@@ -179,7 +185,7 @@ def test_read_design_equals_parse(d, comments, data):
         lines.insert(at, data.draw(st.sampled_from(["\n", "  \n", "# note\n", "\t# 1 2\n"])))
     text = "".join(f"# {c}\n" for c in comments) + head + "\n" + "".join(lines)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(design_module, "_READ_BYTES", 16)
+        mp.setattr(textfile, "_READ_BYTES", 16)
         assert read_text(text) == parse(text) == d
 
 
@@ -208,6 +214,7 @@ CORPUS = [
     ("lone minus", with_row(9, "23 - 28"), 9),
     ("double sign", with_row(9, "23 --24 28"), 9),
     ("inner sign", with_row(9, "23 24-1 28"), 9),
+    ("underscore", with_row(9, "23 0_24 28"), 9),
     ("negative point", with_row(12, "-1 25 26"), 12),
     ("point v", with_row(8, "22 26 30"), 8),
     ("20 digits", with_row(7, "22 25 99999999999999999999"), 7),
@@ -244,7 +251,7 @@ CORPUS = [
 @pytest.mark.parametrize("case,text,line", CORPUS, ids=[c[0] for c in CORPUS])
 @pytest.mark.parametrize("read_bytes", [7, 16, 1 << 20])
 def test_corpus_verdicts_match_parse(monkeypatch, case, text, line, read_bytes):
-    monkeypatch.setattr(design_module, "_READ_BYTES", read_bytes)
+    monkeypatch.setattr(textfile, "_READ_BYTES", read_bytes)
     # a rejection must come from the reader's own checks, whatever the
     # warning filter says
     with warnings.catch_warnings():
@@ -293,3 +300,84 @@ def test_round_trip_across_many_chunks(tmp_path, small_chunks):
     path = tmp_path / "d.design"
     write_design(d, path, ["made by a test"])
     assert read_design(path) == d
+
+
+# -- one corpus, four readers ------------------------------------------------
+# Each format's legal file has 12 rows of 3 points on lines 2..13, like TEXT,
+# so a corpus case is the same edit of the same line in every format.
+
+def _rows(*rows) -> list[str]:
+    return [" ".join(map(str, row)) for row in rows]
+
+
+FORMATS = {  # header, rows, point bound, reader to arrays
+    "design": ("DESIGN v=30 k=3 b=12", ROWS, 30, lambda text: read_text(text).blocks),
+    "td": ("TD k=3 n=3",
+           _rows(*[range(g, g + 3) for g in (0, 3, 6)],
+                 *[(x, 3 + y, 6 + (x + y) % 3) for x in range(3) for y in range(3)]),
+           9, lambda text: np.concatenate([(td := td_from_text(text)).groups, td.blocks])),
+    "net": ("NET k=4 n=3",
+            _rows((0, 1, 2), (3, 4, 5), (6, 7, 8), (0, 3, 6), (1, 4, 7), (2, 5, 8),
+                  (0, 4, 8), (1, 5, 6), (2, 3, 7), (0, 5, 7), (1, 3, 8), (2, 4, 6)),
+            9, lambda text: net_from_text(text).lines),
+    "group": ("PERMGROUP degree=3 gens=12", _rows(*itertools.permutations(range(3))) * 2, 3,
+              lambda text: np.stack([g.images for g in group_from_text(text).generators])),
+}
+
+# corpus case: (line, its new text from the row's points p and the bound v)
+ROW_EDITS = {
+    "decimal point": (10, lambda p, v: f"{p[0]} {p[1]} 2.5"),
+    "letter": (13, lambda p, v: f"{p[0]} x {p[2]}"),
+    "lone minus": (9, lambda p, v: f"{p[0]} - {p[2]}"),
+    "double sign": (9, lambda p, v: f"{p[0]} --{p[1]} {p[2]}"),
+    "underscore": (9, lambda p, v: f"{p[0]} 0_{p[1]} {p[2]}"),
+    "negative point": (12, lambda p, v: f"-1 {p[1]} {p[2]}"),
+    "point v": (8, lambda p, v: f"{p[0]} {p[1]} {v}"),
+    "two points": (11, lambda p, v: f"{p[0]} {p[1]}"),
+    "four points": (12, lambda p, v: f"{p[0]} {p[1]} {p[2]} {p[0]}"),
+    "two points, first line": (2, lambda p, v: f"{p[0]} {p[1]}"),
+    "tabs": (6, lambda p, v: "\t".join(p)),
+    "comment after a row": (5, lambda p, v: " ".join(p) + " # a line"),
+}
+FILE_EDITS = {
+    "too few rows": lambda text: text.rsplit("\n", 2)[0] + "\n",
+    "too many rows": lambda text: text + text.split("\n")[3] + "\n",
+    "carriage returns": lambda text: text.replace("\n", "\r\n"),
+    "no final newline": lambda text: text[:-1],
+}
+# a TD's section boundary: the last group row is n points wide, the first block row k
+TD_EDITS = {
+    "wrong-width last group row": (4, lambda p, v: f"{p[0]} {p[1]}"),
+    "wrong-width first block row": (5, lambda p, v: f"{p[0]} {p[1]} {p[2]} {p[0]}"),
+}
+LINES = {case: line for case, _, line in CORPUS} | {case: line for case, (line, _) in TD_EDITS.items()}
+
+
+def edited(fmt: str, case: str) -> str:
+    head, rows, bound, _ = FORMATS[fmt]
+    rows = list(rows)
+    if case in FILE_EDITS:
+        return FILE_EDITS[case](head + "\n" + "".join(f"{r}\n" for r in rows))
+    line, edit = (ROW_EDITS | TD_EDITS)[case]
+    rows[line - 2] = edit(rows[line - 2].split(), bound)
+    return head + "\n" + "".join(f"{r}\n" for r in rows)
+
+
+@pytest.mark.parametrize("fmt, case", [(fmt, case) for fmt in FORMATS
+                                       for case in [*ROW_EDITS, *FILE_EDITS]]
+                         + [("td", case) for case in TD_EDITS])
+def test_every_reader_meets_the_corpus_alike(fmt, case):
+    head, rows, _, read = FORMATS[fmt]
+    text = edited(fmt, case)
+    if LINES[case] is None:
+        legal = head + "\n" + "".join(f"{r}\n" for r in rows)
+        assert np.array_equal(read(text), read(legal))
+    else:
+        with pytest.raises(ParseError) as exc:
+            read(text)
+        assert exc.value.line_no == LINES[case]
+
+
+def test_group_row_that_is_no_permutation_names_its_line():
+    with pytest.raises(ParseError, match="^line 5: repeated point in a row$"):
+        group_from_text("PERMGROUP degree=3 gens=2\n# c\n1 2 0\n\n0 0 1\n")

@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import itertools
 
+import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from steinerkit import permgrp
 from steinerkit.basedesigns import KMInstance, km_instance, multiplier_group
 from steinerkit.errors import Budget
 from steinerkit.permgrp import PermGroup, Permutation
@@ -81,7 +83,9 @@ def km_groups(draw):
     gens = draw(st.lists(st.permutations(range(v)), max_size=2))
     group = PermGroup(v, [Permutation(tuple(g)) for g in gens])
     try:
-        group.elements(cap=5040)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(permgrp, "DEFAULT_CAP", 5040)
+            group.elements()
     except Budget:
         assume(False)
     return group, draw(st.sampled_from((3, 4)))
@@ -131,7 +135,7 @@ def test_large_group_is_never_enumerated(monkeypatch):
     assert group.order() == 1027
     want = ref_km_instance(79, 3, group)
 
-    def refuse(self, cap=None):
+    def refuse(self):
         raise AssertionError("km_instance enumerated the group")
 
     monkeypatch.setattr(PermGroup, "elements", refuse)

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from steinerkit.basedesigns import build_base_design, steiner_triple_system, wilson_base_block
 from steinerkit.design import Design, is_subdesign, verify_2design
-from steinerkit.errors import AxiomViolation
+from steinerkit.errors import AxiomViolation, ParseError
 from steinerkit.gf import PrimeFieldCtx, is_prime, subgroup_of_order
 from steinerkit.netstd import (
     Net,
@@ -185,7 +185,8 @@ def test_verify_net_matches_reference(name):
 
 
 def test_malformed_td_rows_raise_axiom_violation():
-    with pytest.raises(AxiomViolation):
+    # a TD file's points are bounded by its header, so the reader names the line
+    with pytest.raises(ParseError, match="^line 5: point index out of range$"):
         td_from_text("TD k=3 n=1\n0\n1\n2\n0 1 5\n")
     td = cyclic_td(3, 3).td
     with pytest.raises(AxiomViolation):

@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import steinerkit
+from steinerkit import permgrp
 from steinerkit.errors import ActionEscape, BadParams, Budget, ParseError
 from steinerkit.permgrp import (
     PermGroup,
@@ -71,9 +72,10 @@ def test_composition_is_left_to_right():
     assert (b * a)(0) == 1
 
 
-def test_elements_cyclic_group():
+def test_elements_cyclic_group(monkeypatch):
+    monkeypatch.setattr(permgrp, "DEFAULT_CAP", 10)
     g = PermGroup(3, [cyc(3, (0, 1, 2))])
-    assert len(g.elements(cap=10)) == 3
+    assert len(g.elements()) == 3
 
 
 def test_elements_trivial_group():
@@ -131,10 +133,11 @@ def test_elements_keep_integer_order_past_one_byte():
     assert list(els) != sorted(els, key=lambda e: e.images.tobytes())
 
 
-def test_elements_cap_exceeded():
+def test_elements_cap_exceeded(monkeypatch):
+    monkeypatch.setattr(permgrp, "DEFAULT_CAP", 10)
     g = PermGroup(5, [cyc(5, (0, 1, 2, 3, 4)), cyc(5, (0, 1))])
     with pytest.raises(Budget, match="group closure passed cap 10"):
-        g.elements(cap=10)
+        g.elements()
 
 
 def point_table(group):
@@ -338,7 +341,9 @@ def subset_actions(draw):
     gens = draw(st.lists(st.permutations(range(n)), min_size=1, max_size=2))
     group = PermGroup(n, [Permutation(tuple(g)) for g in gens])
     try:
-        elements = group.elements(cap=5040)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(permgrp, "DEFAULT_CAP", 5040)
+            elements = group.elements()
     except Budget:
         assume(False)
     family = list(itertools.combinations(range(n), draw(st.sampled_from((2, 3)))))
