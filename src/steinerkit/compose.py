@@ -57,6 +57,8 @@ class _Indexer:
     def __init__(self, plan: CompositionPlan):
         if not all(0 <= x < plan.Y.v for x in plan.x_points):
             raise BadParams(f"subdesign points {plan.x_points} are not all in 0..{plan.Y.v - 1}")
+        if len(set(plan.x_points)) < len(plan.x_points):
+            raise BadParams(f"subdesign points {plan.x_points} repeat a point")
         self.k = plan.W.k
         self.w = plan.W.v
         self.in_x = np.zeros(plan.Y.v, dtype=bool)

@@ -4,24 +4,27 @@ design files.
 Blocks are stored in canonical form: each block sorted ascending, the blocks
 in key order (``permgrp.row_keys``, which is lexicographic order).  While
 v^k <= 2^63 the keys are exact int64 base-v numbers; canonical form and the
-automorphism, stabilizer and pair checks run in chunks of rows and build no
-image design or full-size row gather.  Design files are ``textfile``
-tables of one section.
+automorphism, stabilizer and pair checks run in chunks of rows, spread over
+the CPUs by ``chunkmap.chunk_map``, and build no image design or full-size
+row gather.  Design files are ``textfile`` tables of one section.
 """
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from functools import partial
+from typing import Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
 from . import textfile
+from .chunkmap import chunk_map, chunk_stream
 from .errors import BadParams, Budget
 from .permgrp import DEFAULT_CAP, PermGroup, Permutation, row_keys
 
 PAIR_TABLE_MAX_V = 20000  # a v^2/2 pair bitmap, and int64 counters on failure, fit below this
-_ROWS = 1 << 18  # rows per chunk of the row-key, automorphism and stabilizer kernels
+_ROWS = 1 << 16  # rows per chunk of the row-key, automorphism, pair and stabilizer kernels
+T = TypeVar("T")
 
 
 def _ascending(cols: Sequence[np.ndarray]) -> bool:
@@ -42,14 +45,29 @@ def _sorted_rows(rows: np.ndarray) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
-def _sorted_keys(rows: np.ndarray, v: int, perm: Permutation | None = None) -> np.ndarray:
-    """Exact row keys (v^k <= 2^63) of the rows mapped through ``perm``, sorted."""
+def _row_map(fn: Callable[[slice], T], n_rows: int) -> list[T]:
+    """``chunk_map`` over the row chunks: fn of each slice of _ROWS rows, in order."""
+    step = _ROWS
+    return chunk_map(lambda i: fn(slice(i * step, (i + 1) * step)), -(-n_rows // step))
+
+
+def _sorted_keys(rows: np.ndarray, v: int,
+                 perm: Permutation | None = None) -> tuple[np.ndarray, bool]:
+    """Exact row keys (v^k <= 2^63) of the rows mapped through ``perm``, each
+    row sorted first; and whether the rows were canonical already: each row
+    ascending and the keys strictly increasing."""
     keys = np.empty(rows.shape[0], dtype=np.int64)
-    for start in range(0, rows.shape[0], _ROWS):
-        chunk = rows[start:start + _ROWS]
-        chunk = chunk if perm is None else perm.images[chunk]
-        keys[start:start + _ROWS] = row_keys(_sorted_rows(chunk), v)
-    return keys
+
+    def chunk(part: slice) -> bool:
+        img = rows[part] if perm is None else perm.images[rows[part]]
+        cols = _sorted_rows(img)
+        mine = keys[part]
+        mine[:] = row_keys(cols, v)
+        return cols is img and bool(np.all(mine[1:] > mine[:-1]))
+
+    ascending = all(_row_map(chunk, len(keys)))
+    seams = np.arange(_ROWS, len(keys), _ROWS)
+    return keys, ascending and bool(np.all(keys[seams] > keys[seams - 1]))
 
 
 class Design:
@@ -75,12 +93,17 @@ class Design:
         if arr.size and (arr.min() < 0 or arr.max() >= v):
             raise BadParams("point index out of range")
         if v**k <= 2**63:  # exact keys: sort them, then decode the rows in place
-            keys = _sorted_keys(arr, v)
-            if not _ascending(list(arr.T)) or np.any(keys[1:] <= keys[:-1]):
+            keys, canonical = _sorted_keys(arr, v)
+            if not canonical:
                 keys.sort()
                 arr = np.empty((len(keys), k), dtype=np.int64)
-                for col in range(k - 1, -1, -1):
-                    np.divmod(keys, v, out=(keys, arr[:, col]))
+
+                def decode(part: slice) -> None:
+                    mine, rows = keys[part], arr[part]
+                    for col in range(k - 1, -1, -1):
+                        np.divmod(mine, v, out=(mine, rows[:, col]))
+
+                _row_map(decode, len(keys))
         else:
             arr = _sorted_rows(arr)
             keys = row_keys(arr, v)
@@ -131,15 +154,19 @@ class VerifyReport:
     block_count: int
 
 
-def _pair_indices(rows: np.ndarray) -> Iterator[np.ndarray]:
-    """Index j(j-1)/2 + i of each point pair {i < j} of the rows, by chunks of
-    about _ROWS pairs, each one gather of every column pair (no step per pair)."""
+def _pair_chunks(rows: np.ndarray) -> list[Callable[[], np.ndarray]]:
+    """Calls that give index j(j-1)/2 + i of each point pair {i < j} of the
+    rows, by chunks of about _ROWS pairs, each one gather of every column
+    pair (no step per pair)."""
     a, b = np.triu_indices(rows.shape[1], 1)
     step = max(1, _ROWS // max(len(a), 1))
-    for start in range(0, rows.shape[0] if len(a) else 0, step):
+
+    def pairs(start: int) -> np.ndarray:
         cols = rows[start:start + step].T
         hi = cols[b]
-        yield (hi * (hi - 1) // 2 + cols[a]).ravel()
+        return (hi * (hi - 1) // 2 + cols[a]).ravel()
+
+    return [partial(pairs, start) for start in range(0, rows.shape[0] if len(a) else 0, step)]
 
 
 def pair_counts(v: int, rows: np.ndarray) -> np.ndarray:
@@ -149,8 +176,12 @@ def pair_counts(v: int, rows: np.ndarray) -> np.ndarray:
     array holds s distinct points of 0..v-1 in ascending order.
     """
     counts = np.zeros(v * (v - 1) // 2, dtype=np.int64)
-    for idx in _pair_indices(rows):
-        np.add.at(counts, idx, 1)
+
+    def count(made: list[np.ndarray]) -> None:
+        for idx in made:
+            np.add.at(counts, idx, 1)
+
+    chunk_stream(_pair_chunks(rows), count)
     return counts
 
 
@@ -165,8 +196,12 @@ def verify_2design(design: Design) -> VerifyReport:
         raise Budget(f"pair table for v={v} exceeds the in-memory budget")
     if b * (k * (k - 1) // 2) == v * (v - 1) // 2:
         covered = np.zeros(v * (v - 1) // 2, dtype=bool)
-        for idx in _pair_indices(design.blocks):
-            covered[idx] = True
+
+        def cover(made: list[np.ndarray]) -> None:
+            for idx in made:
+                covered[idx] = True
+
+        chunk_stream(_pair_chunks(design.blocks), cover)
         if covered.all():
             return VerifyReport(True, 0, 0, b)
     counts = pair_counts(v, design.blocks)
@@ -182,9 +217,12 @@ def _maps_onto(h: Permutation, d1: Design, d2: Design) -> bool:
         raise BadParams(f"permutation degree {h.degree} != v {d1.v}")
     if d1.v**d1.k > 2**63:
         return d1.relabel(h) == d2
-    keys = _sorted_keys(d1.blocks, d1.v, h)
+    if d1.b != d2.b:
+        return False
+    keys, _ = _sorted_keys(d1.blocks, d1.v, h)
     keys.sort()
-    return np.array_equal(keys, row_keys(d2.blocks, d2.v))
+    return all(_row_map(lambda part: np.array_equal(keys[part], row_keys(d2.blocks[part], d2.v)),
+                        d2.b))
 
 
 def is_automorphism(design: Design, perm: Permutation) -> bool:
@@ -208,18 +246,21 @@ def stabilizer_scan(design: Design, group: PermGroup):
     """The scan behind ``is_1_blocked``, for a group already known to act by
     automorphisms: (True, None), or (False, (block, element)) for a block
     whose set-stabilizer moves one of its points."""
+    def violation(g: Permutation, part: slice):
+        rows = design.blocks[part]
+        # g stabilizes a block only if it maps the block's first point into it
+        first = g.images[rows[:, 0]]
+        cand = np.flatnonzero(np.logical_or.reduce([col == first for col in rows.T]))
+        rows, img = rows[cand], g.images[rows[cand]]
+        bad = np.all(np.sort(img, axis=1) == rows, axis=1) & np.any(img != rows, axis=1)
+        return (tuple(rows[np.argmax(bad)].tolist()), g) if bad.any() else None
+
     for g in group.elements():
         if g.is_identity():
             continue
-        for start in range(0, design.b, _ROWS):
-            rows = design.blocks[start:start + _ROWS]
-            # g stabilizes a block only if it maps the block's first point into it
-            first = g.images[rows[:, 0]]
-            cand = np.flatnonzero(np.logical_or.reduce([col == first for col in rows.T]))
-            rows, img = rows[cand], g.images[rows[cand]]
-            bad = np.all(np.sort(img, axis=1) == rows, axis=1) & np.any(img != rows, axis=1)
-            if bad.any():
-                return False, (tuple(rows[np.argmax(bad)].tolist()), g)
+        for found in _row_map(lambda part: violation(g, part), design.b):
+            if found is not None:
+                return False, found
     return True, None
 
 

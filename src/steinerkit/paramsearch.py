@@ -283,6 +283,8 @@ def spectrum_plan(k: int, w: int, x1_list: list[int], u_window: tuple[int, int],
     if not is_admissible(w, k):
         raise BadParams(f"w={w} must be admissible")
     lo, hi = u_window
+    if hi < lo:
+        raise BadParams(f"window [{lo}, {hi}] is empty")
     bound = spectrum_bound(k, w, x1_list)
     if lo < bound:
         raise BadParams(f"window starts below coverage bound {bound}")

@@ -5,23 +5,29 @@ puts a space between points and a newline after each row; the reader also
 takes blank lines, '#' comments to the end of their line, runs of spaces,
 tabs or '\\r', a sign before a point and a last line without its newline.
 Any other byte, '_' and non-ASCII included, or a point of more than 18
-digits, is a ParseError naming the first line that is wrong.  Both stream:
-the writer gathers _WRITE_ROWS rows at a time from a per-point byte table,
-the reader tokenizes newline-aligned chunks of _READ_BYTES bytes with numpy.
+digits, is a ParseError naming the first line that is wrong.  Both stream,
+one batch of chunks at a time, one chunk per CPU through ``chunk_map``: the
+writer gathers _WRITE_ROWS rows a chunk from a per-point byte table, and
+writes and hashes a batch while the next is made; the reader tokenizes
+newline-aligned chunks of _READ_BYTES bytes with numpy, a batch together
+while it cannot reach the end of a section, else one chunk at a time.
 """
 from __future__ import annotations
 
 import hashlib
 import os
 import re
-from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
+from functools import partial
+from typing import BinaryIO, Callable, Iterable, Sequence
 
 import numpy as np
 
+from . import chunkmap
+from .chunkmap import chunk_map, chunk_stream
 from .errors import BadParams, ParseError
 
-_WRITE_ROWS = 1 << 20
-_READ_BYTES = 1 << 18  # a chunk's arrays take ~20x its size; larger chunks read no faster
+_WRITE_ROWS = 1 << 17
+_READ_BYTES = 1 << 17  # a chunk's arrays take ~20x its size; larger chunks read no faster
 _MAX_DIGITS = 18  # a point of at most 18 digits fits an int64
 _SEPARATOR = np.zeros(256, dtype=bool)
 _SEPARATOR[list(b" \t\n\r\v\f")] = True
@@ -35,32 +41,53 @@ def _cells(bound: int) -> np.ndarray:
     return np.pad(digits, ((0, 0), (0, 1)), constant_values=ord(" ")).astype(np.uint8)
 
 
-def chunks(tag: str, fields: dict[str, int], sections: Iterable[tuple[np.ndarray, int]],
-           comments: Sequence[str] = ()) -> Iterator[bytes]:
-    """The bytes of a file: comment lines and header, then the rows of each
-    section, a (rows, width) array of points below the bound it comes with."""
-    yield "".join([*(f"# {c}\n" for c in comments), tag,
-                   *(f" {name}={value}" for name, value in fields.items()), "\n"]).encode()
+def _text(point_cells: np.ndarray, rows: np.ndarray) -> bytes:
+    """The lines of the rows: their points' cells, the NULs dropped."""
+    cells = point_cells[rows]
+    cells[:, -1, -1] = ord("\n")
+    cells = cells.reshape(-1)
+    return cells[cells != 0].tobytes()
+
+
+def _stream(tag: str, fields: dict[str, int], sections: Iterable[tuple[np.ndarray, int]],
+            comments: Sequence[str], consume: Callable[[list[bytes]], None]) -> None:
+    """``consume`` a file's bytes in order: comment lines and header, then the
+    rows of each section, a (rows, width) array of points below the bound it
+    comes with, in chunks of _WRITE_ROWS rows made beside the consuming."""
+    consume(["".join([*(f"# {c}\n" for c in comments), tag,
+                      *(f" {name}={value}" for name, value in fields.items()), "\n"]).encode()])
+    parts = []
     for table, bound in sections:
         point_cells = _cells(bound)
-        for start in range(0, len(table), _WRITE_ROWS):
-            cells = point_cells[table[start:start + _WRITE_ROWS]]
-            cells[:, -1, -1] = ord("\n")
-            cells = cells.reshape(-1)
-            yield cells[cells != 0].tobytes()
+        parts += [partial(_text, point_cells, table[start:start + _WRITE_ROWS])
+                  for start in range(0, len(table), _WRITE_ROWS)]
+    chunk_stream(parts, consume)
+
+
+def chunks(tag: str, fields: dict[str, int], sections: Iterable[tuple[np.ndarray, int]],
+           comments: Sequence[str] = ()) -> list[bytes]:
+    """The bytes of a file (see ``_stream``), chunk by chunk."""
+    made: list[bytes] = []
+    _stream(tag, fields, sections, comments, made.extend)
+    return made
 
 
 def write(path, tag: str, fields: dict[str, int], sections: Iterable[tuple[np.ndarray, int]],
           comments: Sequence[str] = ()) -> str:
     """Stream the file into a sibling renamed over ``path``, so a failed
-    write never truncates it; the sha256 of the bytes written."""
+    write never truncates it; the sha256 of the bytes written.  Each batch of
+    chunks is written and hashed beside the making of the next."""
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     digest = hashlib.sha256()
+
+    def save(made: list[bytes]) -> None:
+        for chunk in made:
+            fh.write(chunk)
+            digest.update(chunk)
+
     try:
         with open(tmp, "wb") as fh:
-            for chunk in chunks(tag, fields, sections, comments):
-                fh.write(chunk)
-                digest.update(chunk)
+            _stream(tag, fields, sections, comments, save)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
@@ -176,24 +203,39 @@ def read(fh: BinaryIO, tag: str, names: Sequence[str],
         raise ParseError(line_no, f"{total} points cannot fit in the file")
     fh.seek(here)
     tables = [np.empty((rows, width), dtype=np.int64) for rows, width, _ in sections]
-    s, filled, tail = 0, 0, b""
-    while True:
-        data = fh.read(_READ_BYTES)
-        chunk = tail + data
-        cut = chunk.rfind(b"\n") + 1 if data else len(chunk)
-        chunk, tail = chunk[:cut], chunk[cut:]
-        while chunk:
+    s, filled, tail, end = 0, 0, b"", False
+    while not end:
+        pieces = []  # newline-aligned chunks, WORKERS at a time
+        while not end and len(pieces) < chunkmap.WORKERS:
+            data = fh.read(_READ_BYTES)
+            chunk, end = tail + data, not data
+            cut = len(chunk) if end else chunk.rfind(b"\n") + 1
+            if cut:
+                pieces.append(chunk[:cut])
+            tail = chunk[cut:]
+        while pieces:
             while s < len(tables) - 1 and filled == tables[s].size:
                 s, filled = s + 1, 0
             _, width, bound = sections[s]
-            got, newlines, used = _table_chunk(chunk, line_no + 1, bound, width,
-                                               tables[s].size - filled, distinct)
-            tables[s].reshape(-1)[filled:filled + len(got)] = got
-            filled += len(got)
-            line_no += newlines
-            chunk = chunk[used:]
-        if not data:
-            break
+            room = tables[s].size - filled
+            # n bytes hold at most (n + 1) // 2 points: pieces that cannot reach the
+            # section's end are read together, else one at a time
+            n = len(pieces) if (sum(map(len, pieces)) + 1) // 2 <= room else 1
+
+            def tokens(i: int) -> tuple[np.ndarray, int, int]:
+                try:
+                    return _table_chunk(pieces[i], line_no + 1, bound, width, room, distinct)
+                except ParseError:  # again, numbered by the newlines of the pieces before it
+                    first = line_no + 1 + sum(piece.count(b"\n") for piece in pieces[:i])
+                    return _table_chunk(pieces[i], first, bound, width, room, distinct)
+
+            done = chunk_map(tokens, n)
+            for got, newlines, _ in done:
+                tables[s].reshape(-1)[filled:filled + len(got)] = got
+                filled += len(got)
+                line_no += newlines
+            rest = pieces[n - 1][done[-1][2]:]
+            pieces = [rest, *pieces[n:]] if rest else pieces[n:]
     rows, expected = sum(map(len, tables[:s])) + filled // sections[s][1], sum(map(len, tables))
     if rows < expected:
         raise ParseError(line_no + 1, f"expected {expected} rows, got {rows}")

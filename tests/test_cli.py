@@ -413,12 +413,16 @@ def test_parameter_preconditions_are_reported(capsys, argv, message):
      "BadParams: subdesign points (99,) are not all in 0..8"),
     (["compose", "--mode", "rc", "--w", "{fano}", "--y", "{sts9}", "--x-points", "-1"],
      "BadParams: subdesign points (-1,) are not all in 0..8"),
+    (["compose", "--mode", "rc", "--w", "{fano}", "--y", "{fano}", "--x-points", "0,0"],
+     "BadParams: subdesign points (0, 0) repeat a point"),
     (["plan-spectrum", "--k", "3", "--w", "7", "--x1", ""], "BadParams: the x1 list is empty"),
+    (["plan-spectrum", "--k", "3", "--w", "7", "--x1", "7", "--width", "-5", "--x0", "1"],
+     "BadParams: window [14413, 14408] is empty"),
 ], ids=["base-block", "x-points", "cyclic", "compose-files", "x1", "missing-design",
         "aligned-p-not-prime", "aligned-p-not-1-mod-k-1", "aligned-k-1", "net-affine-no-n",
         "net-semilinear-no-q-m", "net-semilinear-no-m", "compose-cyclic-no-w-k-h",
         "compose-cyclic-no-h", "group-degree-0", "aligned-cyclic-degree", "x-point-past-y",
-        "x-point-negative", "x1-empty"])
+        "x-point-negative", "x-point-repeated", "x1-empty", "window-empty"])
 def test_malformed_input_is_reported(tmp_path, capsys, argv, message):
     paths = {"triv": write_group(tmp_path / "triv.group", Permutation.identity(1)),
              "z2": write_group(tmp_path / "z2.group", Permutation.from_cycles(2, [(0, 1)])),

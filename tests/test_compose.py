@@ -44,6 +44,12 @@ def test_product_degenerate_x1():
     assert verify_2design(d).ok
 
 
+def test_product_rejects_a_repeated_subdesign_point():
+    f = fano()
+    with pytest.raises(BadParams, match=r"^subdesign points \(0, 0\) repeat a point$"):
+        product_design(CompositionPlan(f, f, (0, 0)))
+
+
 def test_product_rejects_non_subdesign():
     sts9 = steiner_triple_system(9)
     blk = sts9.block_tuples()[0]

@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 
 from steinerkit import design as design_module
 from steinerkit import textfile
+from steinerkit.basedesigns import build_base_design, wilson_base_block
 from steinerkit.design import Design, read_design, write_design
 from steinerkit.errors import ParseError, SteinerError
 from steinerkit.netstd import net_from_text, td_from_text
@@ -381,3 +382,54 @@ def test_every_reader_meets_the_corpus_alike(fmt, case):
 def test_group_row_that_is_no_permutation_names_its_line():
     with pytest.raises(ParseError, match="^line 5: repeated point in a row$"):
         group_from_text("PERMGROUP degree=3 gens=2\n# c\n1 2 0\n\n0 0 1\n")
+
+
+# -- one worker or two -------------------------------------------------------
+# The reader and the writer run their chunks through ``chunkmap.chunk_map``;
+# forced to 1 worker and to 2, with small chunks, they give the same bytes,
+# tables and errors.
+
+def test_write_gives_the_same_bytes_on_one_worker_or_two(tmp_path, monkeypatch,
+                                                         one_and_two_workers):
+    d = build_base_design(31, 3, wilson_base_block(31, 3)).design  # 155 rows
+    path = tmp_path / "d.design"
+    monkeypatch.setattr(textfile, "_WRITE_ROWS", 3)
+    one, two = one_and_two_workers(lambda: (write_design(d, path, ["c"]), path.read_bytes()))
+    assert one == two
+    assert one == (hashlib.sha256(one[1]).hexdigest(), ("# c\n" + serialize(d)).encode())
+
+
+def test_read_gives_the_same_tables_on_one_worker_or_two(monkeypatch, one_and_two_workers):
+    d = build_base_design(31, 3, wilson_base_block(31, 3)).design
+    texts = {fmt: head + "\n" + "".join(f"{r}\n" for r in rows)
+             for fmt, (head, rows, _, _) in FORMATS.items()}
+    monkeypatch.setattr(textfile, "_READ_BYTES", 16)
+    for fmt, text in texts.items():
+        one, two = one_and_two_workers(lambda: FORMATS[fmt][3](text).tobytes())
+        assert one == two == FORMATS[fmt][3](texts[fmt]).tobytes()
+    one, two = one_and_two_workers(lambda: read_text(serialize(d)).blocks.tobytes())
+    assert one == two == d.blocks.tobytes()
+
+
+def test_a_bad_line_in_a_batch_is_named_alike_on_one_worker_or_two(monkeypatch,
+                                                                    one_and_two_workers):
+    # rows of 12 bytes read 12 bytes at a time: on 2 workers a batch is two
+    # lines, and line 3 is the second chunk of the first batch
+    rows = [f"{100 + 3 * i} {101 + 3 * i} {102 + 3 * i}" for i in range(20)]
+    monkeypatch.setattr(textfile, "_READ_BYTES", 12)
+    for line in range(2, 22):
+        bad = rows.copy()
+        bad[line - 2] = bad[line - 2].replace(" 1", " x", 1)
+        text = "DESIGN v=1000 k=3 b=20\n" + "".join(f"{r}\n" for r in bad)
+        one, two = one_and_two_workers(lambda: read_text(text))
+        assert one == two == (ParseError, f"line {line}: point is not an integer")
+
+
+@pytest.mark.parametrize("case", TD_EDITS)
+@pytest.mark.parametrize("read_bytes", [6, 16, 64])
+def test_a_bad_line_at_a_td_section_boundary_is_named_alike(monkeypatch, one_and_two_workers,
+                                                            case, read_bytes):
+    monkeypatch.setattr(textfile, "_READ_BYTES", read_bytes)
+    one, two = one_and_two_workers(lambda: td_from_text(edited("td", case)))
+    assert one == two
+    assert one[0] is ParseError and one[1].startswith(f"line {LINES[case]}: expected 3 points")

@@ -193,3 +193,10 @@ def test_spectrum_plan_window_below_bound():
     bound = spectrum_bound(3, 7, [7])
     with pytest.raises(BadParams, match=f"^window starts below coverage bound {bound}$"):
         spectrum_plan(3, 7, [7], (100, 200))
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+def test_spectrum_plan_refuses_an_empty_window():
+    bound = spectrum_bound(3, 7, [7])
+    with pytest.raises(BadParams, match=rf"^window \[{bound}, {bound - 5}\] is empty$"):
+        spectrum_plan(3, 7, [7], (bound, bound - 5))

@@ -32,7 +32,7 @@ from steinerkit.design import (
     verify_2design,
     write_design,
 )
-from steinerkit.errors import ActionEscape
+from steinerkit.errors import ActionEscape, BadParams
 from steinerkit.netstd import mols_td
 from steinerkit.permgrp import PermGroup, Permutation, row_keys, set_images
 
@@ -382,3 +382,53 @@ def test_symmetry_checks_build_no_image_design(monkeypatch):
     assert iso_in_group(d, d, [swap, g]) == g
     assert stabilizer_scan(d, PermGroup(d.v, [g])) == (True, None)
     assert stabilizer_scan(d, PermGroup(d.v, [swap])) == (False, (late, swap))
+
+
+# -- one worker or two -----------------------------------------------------------
+# The kernels run their chunks through ``chunkmap.chunk_map``; forced to 1
+# worker and to 2, on 20 chunks, they give the same answers.
+
+@pytest.fixture
+def twenty_chunks(monkeypatch):
+    monkeypatch.setattr(design, "_ROWS", 1000)
+
+
+def test_canonical_form_is_the_same_on_one_worker_or_two(twenty_chunks, one_and_two_workers):
+    d = lifted()
+    rng = np.random.default_rng(7)
+    shuffled = np.array([rng.permutation(row) for row in d.blocks[rng.permutation(d.b)]])
+    one, two = one_and_two_workers(lambda: Design(d.v, d.k, shuffled).blocks.tobytes())
+    assert one == two == d.blocks.tobytes()
+    repeated = shuffled.copy()
+    repeated[12_345, 1] = repeated[12_345, 0]
+    one, two = one_and_two_workers(lambda: Design(d.v, d.k, repeated))
+    assert one == two == (BadParams, "repeated point inside a block")
+
+
+def test_failing_verify_is_the_same_on_one_worker_or_two(twenty_chunks, one_and_two_workers):
+    d = lifted()
+    blocks = d.blocks.copy()
+    blocks[12_345] = blocks[3]
+    mutant = Design(d.v, d.k, blocks)
+    one, two = one_and_two_workers(lambda: verify_2design(mutant))
+    assert one == two == counting_verify(mutant) == VerifyReport(False, 3, 3, d.b)
+
+
+def test_failing_automorphism_is_the_same_on_one_worker_or_two(twenty_chunks,
+                                                                 one_and_two_workers):
+    d, g = lifted(), translation(7, 3)
+    blocks = d.blocks.copy()
+    blocks[9_999] = [0, 1, 2]
+    mutant = Design(d.v, d.k, blocks)
+    assert one_and_two_workers(lambda: is_automorphism(d, g)) == [True, True]
+    assert one_and_two_workers(lambda: is_automorphism(mutant, g)) == [False, False]
+
+
+def test_first_stabilizer_violation_is_the_same_on_one_worker_or_two(twenty_chunks,
+                                                                      one_and_two_workers):
+    d = lifted()
+    late, swap, early, turn = stabilizing(d)
+    group = PermGroup(d.v, [swap, turn])
+    one, two = one_and_two_workers(lambda: stabilizer_scan(d, group))
+    assert one == two == sorting_stabilizer_scan(d, group)
+    assert not one[0]
