@@ -5,6 +5,9 @@ subgroup acts block-regularly, a prescribed-automorphism exact-cover search
 (the Kramer-Mesner method) for designs with a given group, and a small
 library of Steiner triple systems via difference triples.  A relabeling
 trick produces pairwise affinely-inequivalent variants of a prime design.
+
+The search holds its candidates as one block array, every k-subset a row
+with its orbit number; a design found is the rows of the chosen orbits.
 """
 from __future__ import annotations
 
@@ -104,17 +107,31 @@ def build_base_design(p: int, k: int, base_block) -> BaseBlockDesign:
 
 # -- prescribed-automorphism search --------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KMInstance:
-    """Orbit data for a prescribed-group design search on (v, k)."""
+    """Orbit data for a prescribed-group design search on (v, k): every
+    k-subset as a read-only row of ``blocks`` in combinations order, each
+    row's orbit number, and the least pair of each pair orbit."""
 
     v: int
     k: int
-    pair_orbit_reps: tuple[tuple[int, int], ...]
-    block_orbit_reps: tuple[tuple[int, ...], ...]
+    blocks: np.ndarray
+    block_orbit: np.ndarray
+    pair_reps: np.ndarray
     columns: dict[int, frozenset[int]]
-    orbit_blocks: tuple[tuple[tuple[int, ...], ...], ...]
     dropped_columns: int
+
+
+def _subsets(v: int, s: int) -> np.ndarray:
+    """The s-subsets of range(v) as rows, in itertools.combinations order:
+    each level puts a before every row of the last level that starts above a."""
+    rows = np.arange(v)[:, None]
+    for _ in range(s - 1):
+        start = np.searchsorted(rows[:, 0], np.arange(v), side="right")
+        count = len(rows) - start
+        tail = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count - start, count)
+        rows = np.column_stack((np.repeat(np.arange(v), count), rows[tail]))
+    return rows
 
 
 def km_instance(v: int, k: int, group: PermGroup) -> KMInstance:
@@ -128,37 +145,12 @@ def km_instance(v: int, k: int, group: PermGroup) -> KMInstance:
     n_candidates = math.comb(v, k)
     if n_candidates > MAX_BLOCK_CANDIDATES:
         raise Budget(f"{n_candidates} candidate blocks exceeds the bound {MAX_BLOCK_CANDIDATES}")
-    pair_reps, block_reps, block_orbit, bounds, row, bad = _km_orbits(v, k, group.generators)
-    columns = {cid: frozenset(row[bounds[cid]:bounds[cid + 1]])
-               for cid in np.flatnonzero(~bad).tolist()}
-    order = np.argsort(block_orbit, kind="stable")
-    starts = np.searchsorted(block_orbit[order], np.arange(len(block_reps) + 1)).tolist()
-    pairs = tuple(itertools.combinations(range(v), 2))
-    blocks = tuple(itertools.combinations(range(v), k))
-    by_orbit = tuple(map(blocks.__getitem__, order.tolist()))
-    return KMInstance(v, k, tuple(map(pairs.__getitem__, pair_reps.tolist())),
-                      tuple(map(blocks.__getitem__, block_reps.tolist())), columns,
-                      tuple(by_orbit[s:e] for s, e in zip(starts, starts[1:])),
-                      int(bad.sum()))
-
-
-def _subsets(v: int, s: int) -> np.ndarray:
-    """The s-subsets of range(v) as rows, in itertools.combinations order."""
-    n = math.comb(v, s)
-    flat = itertools.chain.from_iterable(itertools.combinations(range(v), s))
-    return np.fromiter(flat, dtype=np.int64, count=n * s).reshape(n, s)
-
-
-def _km_orbits(v: int, k: int, generators):
-    """Orbits on the pairs and the k-subsets of range(v), in combinations
-    order, and the cover counts of (block orbit, representative pair): per
-    block orbit, its covered pair orbits' bounds in the row list, and whether
-    it covers one of them twice."""
-    pair_reps, pair_orbit = orbit_sweep(set_images(_subsets(v, 2), generators))
-    rows = _subsets(v, k)
-    block_reps, block_orbit = orbit_sweep(set_images(rows, generators))
+    pairs, blocks = _subsets(v, 2), _subsets(v, k)
+    pair_reps, pair_orbit = orbit_sweep(set_images(pairs, group.generators))
+    block_reps, block_orbit = orbit_sweep(set_images(blocks, group.generators))
+    # cover counts of (block orbit, representative pair) over every block
     a, b = np.triu_indices(k, 1)
-    x, y = rows[:, a], rows[:, b]
+    x, y = blocks[:, a], blocks[:, b]
     pair = x * (2 * v - x - 1) // 2 + y - x - 1  # index in combinations order
     hit = np.isin(pair, pair_reps)
     n = len(pair_reps)
@@ -168,7 +160,13 @@ def _km_orbits(v: int, k: int, generators):
     bad = np.zeros(len(block_reps), dtype=bool)
     bad[orbit[counts > 1]] = True
     bounds = np.searchsorted(orbit, np.arange(len(block_reps) + 1)).tolist()
-    return pair_reps, block_reps, block_orbit, bounds, row.tolist(), bad
+    row = row.tolist()
+    columns = {cid: frozenset(row[bounds[cid]:bounds[cid + 1]])
+               for cid in np.flatnonzero(~bad).tolist()}
+    pair_reps = pairs[pair_reps]
+    for arr in (blocks, block_orbit, pair_reps):
+        arr.setflags(write=False)
+    return KMInstance(v, k, blocks, block_orbit, pair_reps, columns, int(bad.sum()))
 
 
 def km_search(v: int, k: int, group: PermGroup, forced_blocks=()) -> Design:
@@ -176,26 +174,26 @@ def km_search(v: int, k: int, group: PermGroup, forced_blocks=()) -> Design:
 
     ``forced_blocks`` are k-subsets that must appear in the design (each
     forces its whole orbit).  Raises Unsat when the search is exhaustive and
-    empty, Budget when the candidate-block count exceeds its bound.
+    empty, or a forced block is no k-subset of range(v) or lies in a dropped
+    orbit; Budget when the candidate-block count exceeds its bound.
     """
     inst = km_instance(v, k, group)
-    orbit_of_block = {}
-    for cid, blocks in enumerate(inst.orbit_blocks):
-        for blk in blocks:
-            orbit_of_block[blk] = cid
     forced = []
     for blk in forced_blocks:
         key = tuple(sorted(blk))
-        cid = orbit_of_block.get(key)
-        if cid is None or cid not in inst.columns:
+        lo, hi = 0, len(inst.blocks) if len(key) == k else 0
+        for col, x in enumerate(key[:k]):  # the rows ascend: narrow one column at a time
+            part = inst.blocks[lo:hi, col]
+            lo, hi = lo + np.searchsorted(part, x), lo + np.searchsorted(part, x, "right")
+        cid = int(inst.block_orbit[lo]) if lo < hi else None
+        if cid not in inst.columns:
             raise Unsat(f"forced block {key} has no usable orbit")
         if cid not in forced:
             forced.append(cid)
-    chosen = solve_exact_cover(inst.columns, range(len(inst.pair_orbit_reps)), forced=forced)
+    chosen = solve_exact_cover(inst.columns, range(len(inst.pair_reps)), forced=forced)
     if chosen is None:
         raise Unsat(f"no 2-({v},{k},1)-design with the prescribed group")
-    blocks = [blk for cid in chosen for blk in inst.orbit_blocks[cid]]
-    design = Design(v, k, blocks)
+    design = Design(v, k, inst.blocks[np.isin(inst.block_orbit, chosen)])
     require_certified(certify(design, group), "km_search result")
     return design
 

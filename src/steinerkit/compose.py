@@ -81,7 +81,7 @@ def _bar_group(idx: _Indexer, generators) -> PermGroup:
 
 
 def _check_subdesign(plan: CompositionPlan) -> None:
-    if is_subdesign(plan.Y, plan.x_points) is None:
+    if not is_subdesign(plan.Y, plan.x_points):
         raise BadParams(f"points {tuple(sorted(plan.x_points))} are not a subdesign of Y")
 
 

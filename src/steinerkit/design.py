@@ -121,9 +121,6 @@ class Design:
     def block_tuples(self) -> list[tuple[int, ...]]:
         return [tuple(row) for row in self.blocks.tolist()]
 
-    def block_set(self) -> frozenset[tuple[int, ...]]:
-        return frozenset(self.block_tuples())
-
     def relabel(self, perm: Permutation) -> "Design":
         if perm.degree != self.v:
             raise BadParams(f"permutation degree {perm.degree} != v {self.v}")
@@ -172,7 +169,7 @@ def _pair_chunks(rows: np.ndarray) -> list[Callable[[], np.ndarray]]:
 def pair_counts(v: int, rows: np.ndarray) -> np.ndarray:
     """How many rows contain each point pair {i < j}, at index j(j-1)/2 + i.
 
-    The lambda=1 kernel of designs, TDs and nets: each row of the (m, s)
+    The failure path of the lambda=1 check: each row of the (m, s)
     array holds s distinct points of 0..v-1 in ascending order.
     """
     counts = np.zeros(v * (v - 1) // 2, dtype=np.int64)
@@ -185,28 +182,32 @@ def pair_counts(v: int, rows: np.ndarray) -> np.ndarray:
     return counts
 
 
-def verify_2design(design: Design) -> VerifyReport:
-    """Exhaustive lambda=1 check: every point pair covered exactly once.
+def _pair_cover(v: int, tables: Sequence[np.ndarray]) -> tuple[int, int]:
+    """How many point pairs the rows of the tables leave uncovered, and how
+    many they cover twice or more: (0, 0) is lambda = 1.
 
-    If b*C(k,2) = C(v,2) and a pair bitmap leaves no pair uncovered, no pair
-    is covered twice; only a failure counts pairs, for its deficit and surplus.
+    If the rows hold C(v,2) pairs in all and a pair bitmap leaves no pair
+    uncovered, no pair is covered twice; only a failure counts pairs.
     """
-    v, k, b = design.v, design.k, design.b
-    if v > PAIR_TABLE_MAX_V:
-        raise Budget(f"pair table for v={v} exceeds the in-memory budget")
-    if b * (k * (k - 1) // 2) == v * (v - 1) // 2:
+    if sum(len(t) * (t.shape[1] * (t.shape[1] - 1) // 2) for t in tables) == v * (v - 1) // 2:
         covered = np.zeros(v * (v - 1) // 2, dtype=bool)
 
         def cover(made: list[np.ndarray]) -> None:
             for idx in made:
                 covered[idx] = True
 
-        chunk_stream(_pair_chunks(design.blocks), cover)
+        chunk_stream([c for t in tables for c in _pair_chunks(t)], cover)
         if covered.all():
-            return VerifyReport(True, 0, 0, b)
-    counts = pair_counts(v, design.blocks)
-    deficit = int(np.count_nonzero(counts == 0))
-    surplus = int(np.count_nonzero(counts >= 2))
+            return 0, 0
+    counts = sum(pair_counts(v, t) for t in tables)
+    return int(np.count_nonzero(counts == 0)), int(np.count_nonzero(counts >= 2))
+
+
+def verify_2design(design: Design) -> VerifyReport:
+    """Exhaustive lambda=1 check: every point pair covered exactly once."""
+    if design.v > PAIR_TABLE_MAX_V:
+        raise Budget(f"pair table for v={design.v} exceeds the in-memory budget")
+    deficit, surplus = _pair_cover(design.v, [design.blocks])
     return VerifyReport(deficit == 0 and surplus == 0, deficit, surplus, design.b)
 
 
@@ -264,27 +265,12 @@ def stabilizer_scan(design: Design, group: PermGroup):
     return True, None
 
 
-@dataclass(frozen=True)
-class SubdesignEmbedding:
-    """A point subset closed under the parent design's pair coverage."""
-
-    parent: Design
-    points: tuple[int, ...]
-    induced_blocks: tuple[tuple[int, ...], ...]
-
-
-def is_subdesign(design: Design, pts: Iterable[int]) -> SubdesignEmbedding | None:
-    """Embedding if every pair inside pts is covered by a block inside pts.
-
-    A singleton (or empty) subset embeds degenerately with no blocks.  Returns
-    None when some pair's block leaves the subset.
-    """
-    pset = tuple(sorted(set(pts)))
-    hits = np.isin(design.blocks, pset).sum(axis=1)
-    if np.any((hits >= 2) & (hits < design.k)):
-        return None
-    blocks = design.blocks[hits == design.k]
-    return SubdesignEmbedding(design, pset, tuple(map(tuple, blocks.tolist())))
+def is_subdesign(design: Design, pts: Iterable[int]) -> bool:
+    """True iff every pair inside pts is covered by a block inside pts: no
+    block meets pts in two points or more without lying inside it.  A
+    singleton (or empty) subset is a degenerate subdesign."""
+    hits = np.isin(design.blocks, list(set(pts))).sum(axis=1)
+    return not np.any((hits >= 2) & (hits < design.k))
 
 
 def brute_aut(design: Design) -> PermGroup:

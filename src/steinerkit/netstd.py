@@ -20,7 +20,7 @@ import numpy as np
 
 from . import textfile
 from .errors import ActionEscape, AxiomViolation, BadParams, Unavailable, require
-from .design import Design, pair_counts
+from .design import Design, _pair_cover
 from .gf import factorize, field_tables, frobenius, semilinear_map, trace
 from .permgrp import Permutation, read_only_ints, set_images
 
@@ -105,10 +105,6 @@ class TransversalDesign:
             return False
         return True
 
-    def block_action(self, perm: Permutation) -> Permutation:
-        return _induced(self.blocks, self.point_count, perm,
-                        "permutation is not a TD automorphism")
-
     def group_action(self, perm: Permutation) -> Permutation:
         """Induced permutation of group indices (automorphisms map groups to
         groups: two points share a group iff they share no block)."""
@@ -130,10 +126,10 @@ def _td_axioms(npts: int, groups: np.ndarray, blocks: np.ndarray) -> None:
     one group or block (so each block meets each group once)."""
     if not np.all(np.bincount(groups.ravel(), minlength=npts) == 1):
         raise AxiomViolation("groups fail to partition the points")
-    counts = pair_counts(npts, groups) + pair_counts(npts, blocks)
-    if np.any(counts != 1):
-        raise AxiomViolation(f"{np.count_nonzero(counts == 0)} point pairs lie in no group "
-                             f"or block, {np.count_nonzero(counts >= 2)} in two or more")
+    deficit, surplus = _pair_cover(npts, [groups, blocks])
+    if deficit or surplus:
+        raise AxiomViolation(f"{deficit} point pairs lie in no group "
+                             f"or block, {surplus} in two or more")
 
 
 def _dual(net: Net) -> tuple[np.ndarray, np.ndarray]:
@@ -208,23 +204,6 @@ def net_from_affine_plane(n: int, k: int) -> Net:
     if k == n + 1:
         lines = np.concatenate([lines, np.arange(n * n).reshape(n, n)])
     return _net(n, k, lines)
-
-
-def dualize(net: Net) -> TransversalDesign:
-    """TD points = net lines, groups = parallel classes, blocks = the k lines
-    through each net point (in point order, so duality round-trips exactly)."""
-    verify_net(net)
-    return TransversalDesign(net.k, net.n, net.classes, _dual(net)[1])
-
-
-def dualize_td(td: TransversalDesign) -> Net:
-    """Inverse duality: net points = TD blocks, lines = TD points."""
-    verify_td(td)
-    # a stable sort of the block entries by point lists each point's blocks in order
-    on_block = np.argsort(td.blocks.ravel(), kind="stable").reshape(td.point_count, td.n) // td.k
-    net = Net(td.n, td.k, on_block, td.groups)
-    verify_net(net)
-    return net
 
 
 @dataclass(frozen=True)

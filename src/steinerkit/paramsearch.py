@@ -21,16 +21,6 @@ SCAN_LIMIT = 10**7
 S_LIMIT = 10**5
 
 
-@dataclass(frozen=True)
-class AdmissiblePair:
-    v: int
-    k: int
-
-    def __post_init__(self):
-        if not is_admissible(self.v, self.k):
-            raise BadParams(f"({self.v},{self.k}) violates the divisibility conditions")
-
-
 def is_admissible(v: int, k: int) -> bool:
     """Divisibility conditions for a 2-(v,k,1)-design."""
     if v < k or k < 2:
@@ -238,10 +228,6 @@ class SpectrumPlan:
     bound: int
     witnesses: tuple[SpectrumWitness, ...]
     uncovered: tuple[int, ...]
-
-
-def realized_order(k: int, w: int, x1: int, a: int, t: int) -> int:
-    return x1 + w * x1 * k * (k - 1) * a + k * (k - 1) * t
 
 
 def spectrum_bound(k: int, w: int, x1_list: tuple[int, ...] | list[int]) -> int:

@@ -313,7 +313,7 @@ def test_lift_aligned_double_transporter_consistency(reverse_sts19):
     result = lift_aligned(g, 19, 3, ingredient, inv)
     table = all_lines(AffineSpace(2, 19))
     reps, orbit_of = line_decomposition(table, result.group)
-    blocks = result.design.block_set()
+    blocks = set(result.design.block_tuples())
     stabilized = reps[np.bincount(orbit_of) == 1].tolist()
     assert len(stabilized) == 20  # the swap fixes the diagonal and 19 cross lines
     nontrivial = result.group.elements()[1]

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import re
 
 import pytest
 
@@ -123,7 +124,7 @@ def test_km_search_sts21_with_semiregular_z3_orbit_blocks():
     d = km_search(21, 3, g, forced_blocks=orbit_blocks)
     assert verify_2design(d).ok
     assert is_automorphism(d, shift)
-    blockset = d.block_set()
+    blockset = set(d.block_tuples())
     for blk in orbit_blocks:
         assert blk in blockset
     # stabilizer dichotomy: every block is fixed by all of Z3 or by nothing
@@ -131,6 +132,18 @@ def test_km_search_sts21_with_semiregular_z3_orbit_blocks():
         stab = [g_ for g_ in g.elements()
                 if tuple(sorted(g_.images[x] for x in blk)) == blk]
         assert len(stab) in (1, 3)
+
+
+@pytest.mark.parametrize("block", [
+    (0, 1),  # the wrong width
+    (0, 1, 19),  # a point outside range(19)
+    (17, 2, 1),  # its orbit {1,2,17}, {2,17,18} covers the pair {2,17} twice: dropped
+])
+def test_km_search_refuses_a_forced_block_without_a_usable_orbit(block):
+    g = PermGroup(19, [Permutation(tuple((-x) % 19 for x in range(19)))])
+    key = tuple(sorted(block))
+    with pytest.raises(Unsat, match=re.escape(f"forced block {key} has no usable orbit")):
+        km_search(19, 3, g, forced_blocks=[(0, 1, 4), block])
 
 
 def test_km_search_unsat_no_cyclic_sts9():
@@ -151,11 +164,10 @@ def test_km_instance_matrix_entries_are_orbit_invariant():
     g = PermGroup(13, [inv])
     inst = km_instance(13, 3, g)
     # recompute each usable column from a different orbit member
-    rep_pairs = {pair: i for i, pair in enumerate(inst.pair_orbit_reps)}
+    rep_pairs = {tuple(pair): i for i, pair in enumerate(inst.pair_reps.tolist())}
     for cid, rows in list(inst.columns.items())[:40]:
-        blocks = inst.orbit_blocks[cid]
         cover: dict[int, int] = {}
-        for blk in blocks:
+        for blk in inst.blocks[inst.block_orbit == cid].tolist():
             for pair in itertools.combinations(blk, 2):
                 row = rep_pairs.get(pair)
                 if row is not None:
@@ -184,7 +196,7 @@ def test_inequivalent_variants_p19():
     assert len(maps) == 342
     for d1, d2 in itertools.combinations(variants, 2):
         assert iso_in_group(d1, d2, maps) is None
-        assert d1.block_set() != d2.block_set()
+        assert set(d1.block_tuples()) != set(d2.block_tuples())
     for d in variants:
         assert verify_2design(d).ok
 

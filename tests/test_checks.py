@@ -40,6 +40,37 @@ def test_every_error_class_is_raised_or_caught():
     assert not defined - used, f"error classes never raised or caught: {defined - used}"
 
 
+# acceptance-criteria API that only tests call
+ONLY_TESTS_CALL = {"brute_aut", "inequivalent_variants", "net_product", "td_to_text",
+                   "td_from_text", "net_to_text", "net_from_text"}
+
+
+def test_every_public_function_and_class_has_a_caller():
+    # a public name nothing outside the tests uses adds a concept and no behaviour
+    package = Path(steinerkit.__file__).parent
+    callers = sorted(package.glob("*.py")) + sorted(
+        path for path in (package.parents[1] / "certbench").glob("*.py")
+        if not path.name.startswith("test_"))
+    defined, used = set(), set()
+    for path in callers:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        if path.parent == package:
+            defined |= {f"{path.stem}.{node.name}" for node in tree.body
+                        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                        and not node.name.startswith("_")}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used |= {alias.name for alias in node.names}
+    assert len(callers) > 10
+    unused = sorted(name for name in defined
+                    if name.split(".")[1] not in used | ONLY_TESTS_CALL)
+    assert not unused, f"public names only tests use: {unused}"
+
+
 def test_require_names_the_condition():
     require(True, "never shown")
     with pytest.raises(SteinerError, match="w = q k"):

@@ -234,7 +234,7 @@ def test_km_search_orbit_blocks_flag(tmp_path, capsys):
     assert code == 0
     assert rep["forced_orbit_blocks"] == "7"
     d = read_design(out)
-    assert (0, 7, 14) in d.block_set()
+    assert (0, 7, 14) in set(d.block_tuples())
 
 
 def test_construct_aligned_end_to_end(tmp_path, capsys):

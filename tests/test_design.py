@@ -167,23 +167,19 @@ def test_even_order_never_1_blocked():
 
 def test_is_subdesign_block():
     d = sts9()
-    block = d.block_tuples()[0]
-    emb = is_subdesign(d, block)
-    assert emb is not None
-    assert emb.induced_blocks == (block,)
+    assert is_subdesign(d, d.block_tuples()[0]) is True
 
 
 def test_is_subdesign_not_closed():
     d = sts9()
     block = d.block_tuples()[0]
     off = next(p for p in range(9) if p not in block)
-    assert is_subdesign(d, list(block[:2]) + [off]) is None
+    assert is_subdesign(d, list(block[:2]) + [off]) is False
 
 
 def test_is_subdesign_degenerate():
     d = sts9()
-    emb = is_subdesign(d, [4])
-    assert emb is not None and emb.induced_blocks == ()
+    assert is_subdesign(d, [4]) is True
 
 
 def test_brute_aut_fano():

@@ -4,12 +4,14 @@
 ``orbit_sweep`` over the generators' image tables and its cover counts from
 one ``np.unique``; it never enumerates the group.  The reference below is
 the earlier version: every k-subset and every group element in Python, with
-tuple orbits and dict cover counts.  Both must give identical instances.
+tuple orbits and dict cover counts, put into the instance's arrays at the
+end.  Both must give identical instances.
 """
 from __future__ import annotations
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
@@ -36,40 +38,40 @@ def ref_km_instance(v: int, k: int, group: PermGroup) -> KMInstance:
             img = (g.images[pair[0]], g.images[pair[1]])
             pair_row[(min(img), max(img))] = row
 
-    block_reps: list[tuple[int, ...]] = []
-    orbit_blocks: list[tuple[tuple[int, ...], ...]] = []
+    orbit_of: dict[tuple[int, ...], int] = {}
     columns: dict[int, frozenset[int]] = {}
-    seen: set[tuple[int, ...]] = set()
     rep_pairs = {pair: i for i, pair in enumerate(pair_reps)}
-    dropped = 0
-    for combo in itertools.combinations(range(v), k):
-        if combo in seen:
+    dropped = n_orbits = 0
+    combos = list(itertools.combinations(range(v), k))
+    for combo in combos:
+        if combo in orbit_of:
             continue
         orbit = {tuple(sorted(g.images[x] for x in combo)) for g in elements}
-        seen.update(orbit)
+        cid = n_orbits
+        n_orbits += 1
+        orbit_of.update(dict.fromkeys(orbit, cid))
         cover: dict[int, int] = {}
         for blk in orbit:
             for pair in itertools.combinations(blk, 2):
                 row = rep_pairs.get(pair)
                 if row is not None:
                     cover[row] = cover.get(row, 0) + 1
-        cid = len(block_reps)
-        block_reps.append(combo)
-        orbit_blocks.append(tuple(sorted(orbit)))
         if any(c > 1 for c in cover.values()):
             dropped += 1
             continue
         columns[cid] = frozenset(cover)
-    return KMInstance(v, k, tuple(pair_reps), tuple(block_reps), columns,
-                      tuple(orbit_blocks), dropped)
+    return KMInstance(v, k, np.array(combos, dtype=np.int64).reshape(-1, k),
+                      np.array([orbit_of[c] for c in combos], dtype=np.int64),
+                      np.array(pair_reps, dtype=np.int64).reshape(-1, 2), columns, dropped)
 
 
 def assert_same(got: KMInstance, want: KMInstance) -> None:
-    assert got.pair_orbit_reps == want.pair_orbit_reps
-    assert got.block_orbit_reps == want.block_orbit_reps
+    for name in ("blocks", "block_orbit", "pair_reps"):
+        arr = getattr(got, name)
+        assert arr.dtype == np.int64 and not arr.flags.writeable
+        np.testing.assert_array_equal(arr, getattr(want, name))
     assert got.columns == want.columns
     assert list(got.columns) == list(want.columns)
-    assert got.orbit_blocks == want.orbit_blocks
     assert got.dropped_columns == want.dropped_columns
 
 

@@ -13,8 +13,6 @@ from steinerkit.netstd import (
     Net,
     TransversalDesign,
     cyclic_td,
-    dualize,
-    dualize_td,
     mols_td,
     net_from_affine_plane,
     net_from_text,
@@ -26,7 +24,7 @@ from steinerkit.netstd import (
     verify_net,
     verify_td,
 )
-from steinerkit.permgrp import PermGroup, Permutation, is_semiregular
+from steinerkit.permgrp import PermGroup, Permutation, is_semiregular, set_images
 
 
 def test_net_from_affine_plane_order3():
@@ -54,27 +52,6 @@ def test_net_bad_order():
         net_from_affine_plane(5, 7)
 
 
-def test_dualize_round_trip():
-    net = net_from_affine_plane(3, 3)
-    td = dualize(net)
-    assert (td.k, td.n) == (3, 3)
-    assert len(td.blocks) == 9
-    verify_td(td)
-    back = dualize_td(td)
-    assert back == net
-
-
-def test_dualize_transports_automorphisms():
-    # a translation of the plane acts on the net; its line action is an
-    # automorphism of the dual TD and conjugates through the duality
-    net = net_from_affine_plane(3, 3)
-    shift = Permutation(tuple((x + 1) % 3 * 3 + y for x in range(3) for y in range(3)))
-    line_perm = net.line_action(shift)
-    td = dualize(net)
-    assert td.is_automorphism(line_perm)
-    assert td.block_action(line_perm).degree == 9
-
-
 def test_semilinear_net_q4_m2_k3():
     result = semilinear_net(4, 2, 3)
     net = result.net
@@ -91,17 +68,6 @@ def test_semilinear_net_q4_m2_k3():
     assert ok
     for members in net.classes:
         assert {int(line_perm.images[i]) for i in members} == set(members)
-
-
-def test_semilinear_net_dualizes_with_transported_automorphism():
-    result = semilinear_net(4, 2, 3)
-    td = dualize(result.net)
-    assert (td.k, td.n) == (3, 16)
-    transported = result.net.line_action(result.c)
-    assert td.is_automorphism(transported)
-    block_perm = td.block_action(transported)
-    ok, _ = is_semiregular(PermGroup.cyclic_from(block_perm), range(len(td.blocks)))
-    assert ok
 
 
 def test_semilinear_net_rejects_small_q():
@@ -159,7 +125,7 @@ def test_cyclic_td_3_6():
     assert alpha.order() == 6
     # every nontrivial power is semiregular on blocks and on moved-group points
     moved_points = [p for c in result.moved_groups for p in td.groups[c]]
-    block_perm = td.block_action(alpha)
+    block_perm = Permutation(set_images(td.blocks, [alpha])[0])
     ok, _ = is_semiregular(PermGroup.cyclic_from(block_perm), range(36))
     assert ok
     ok, _ = is_semiregular(PermGroup.cyclic_from(alpha), moved_points)
@@ -171,12 +137,10 @@ def test_cyclic_td_3_6():
 @pytest.mark.parametrize("degree", [4, 12])
 def test_induced_actions_refuse_a_permutation_of_the_wrong_degree(degree):
     net = net_from_affine_plane(3, 3)
-    td = dualize(net)
+    td = cyclic_td(3, 3).td
     wrong = Permutation.identity(degree)
     with pytest.raises(BadParams, match=f"degree {degree} on 9 points"):
         net.line_action(wrong)
-    with pytest.raises(BadParams, match=f"degree {degree} on 9 points"):
-        td.block_action(wrong)
     with pytest.raises(BadParams, match=f"degree {degree} on 9 points"):
         td.group_action(wrong)
     assert not td.is_automorphism(wrong)
@@ -227,7 +191,7 @@ def test_cyclic_td_3_36_power_of_translation():
     for _ in range(12 - 1):
         cube = cube * alpha
     assert cube.order() == 3
-    block_perm = result.td.block_action(cube)
+    block_perm = Permutation(set_images(result.td.blocks, [cube])[0])
     ok, _ = is_semiregular(PermGroup.cyclic_from(block_perm), range(36 * 36))
     assert ok
 
@@ -378,9 +342,6 @@ def _fingerprints():
         prod = net_product(factors)
         pin_net(f"net_product({name})", prod.net)
         pin_perm(f"net_product({name}).automorphism", prod.automorphism)
-    td = dualize(net_from_affine_plane(4, 5))
-    pin_td("dualize(plane(4,5))", td)
-    pin_net("dualize_td(dualize(plane(4,5)))", dualize_td(td))
     return out
 
 
@@ -474,10 +435,6 @@ _PINNED = {
         "aab55cdf7aacf863f5001a02eae8cb59fd3db9bc0bc134a698747f3ac618d7a4",
     "net_product(plane x plane).automorphism":
         "9620e4d26c53d8b8ecd417f00db13d1cd7110f199b2639c8595c390475427a94",
-    "dualize(plane(4,5))":
-        "ef44b32350bf5c7fc098a8c40e6f2f830123d389e1fe15d9245e2b1da556d23d",
-    "dualize_td(dualize(plane(4,5)))":
-        "af9de8f7e22f9b23bd6750a6d8f77c02c0455841288893ef9f90a260d7276c66",
 }
 
 

@@ -13,7 +13,6 @@ from steinerkit.paramsearch import (
     is_admissible,
     prime_for_even_group,
     prime_for_odd_group,
-    realized_order,
     spectrum_bound,
     spectrum_plan,
     split_by_prime_support,
@@ -28,14 +27,6 @@ def test_is_admissible():
     assert is_admissible(6859, 3)
     assert is_admissible(13, 4)
     assert not is_admissible(10, 4)
-
-
-def test_admissible_pair_type():
-    from steinerkit.paramsearch import AdmissiblePair
-
-    assert AdmissiblePair(7, 3).v == 7
-    with pytest.raises(ValueError):
-        AdmissiblePair(8, 3)
 
 
 def test_prime_for_odd_group_examples():
@@ -141,25 +132,26 @@ def test_td_available():
 
 
 def test_realized_order_formula():
-    # plug a=49, t=0 and a=49, t=48 into the realized-order formula
-    assert realized_order(3, 7, 7, 49, 0) == 7 + 7 * 7 * 6 * 49 == 14413
-    assert realized_order(3, 7, 7, 49, 48) == 14413 + 6 * 48
-    # consecutive a intervals abut: max at a meets min at a+1
-    assert realized_order(3, 7, 7, 49, 48) + 6 == realized_order(3, 7, 7, 50, 0)
+    # u = x1 + w*x1*k(k-1)*a + k(k-1)*t: a=49, t=0 is 14413 = 7 + 7*7*6*49;
+    # consecutive a intervals abut: one step past a=49, t=48 is a=50, t=0
+    for u, a, t in [(14413, 49, 0), (14413 + 6 * 48, 49, 48), (14413 + 6 * 49, 50, 0)]:
+        w = witness_for(3, 7, 7, u)
+        assert (w.a, w.t, w.u) == (a, t, u)
 
 
 def test_interval_abutment_inequality():
-    # for a >= w*x1, interval [a] end + k(k-1) >= interval [a+1] start
+    # for a >= w*x1 the intervals of consecutive a abut, so from the first
+    # one on every order in the class of x1 mod k(k-1) has a witness
     k, w, x1 = 3, 7, 7
     kk = k * (k - 1)
-    for a in range(w * x1, w * x1 + 20):
-        end_a = realized_order(k, w, x1, a, a - 1)
-        start_next = realized_order(k, w, x1, a + 1, 0)
-        assert end_a + kk >= start_next
+    start = x1 + kk * (w * x1) ** 2
+    assert all(witness_for(k, w, x1, u) is not None
+               for u in range(start, start + 20 * w * x1 * kk, kk))
 
 
 def test_witness_invariants():
-    w = witness_for(3, 7, 7, realized_order(3, 7, 7, 49, 17))
+    # u = x1 + w*x1*k(k-1)*a + k(k-1)*t = 7 + 294*49 + 6*17
+    w = witness_for(3, 7, 7, 14413 + 6 * 17)
     assert isinstance(w, SpectrumWitness)
     assert (w.a, w.t) == (49, 17)
     assert w.y > 3 * w.x and w.a >= 49
