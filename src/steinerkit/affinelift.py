@@ -9,7 +9,9 @@ group.  The lines are one (lines, p) point array from ``all_lines``, whose
 rows are the parametrizations; the coordinate group is a point permutation
 group from ``coordinate_group``.  The orbits and the push are permgrp's
 ``set_images``, ``orbit_sweep`` and ``push``, shared with the product
-constructions.
+constructions.  The line table stays int64; the representatives' lines, the
+point images, the plants and the pushed blocks are ``point_dtype(p^d)``
+tables, as the design's blocks are.
 
 Two variants: the odd-order lift plants a multiplier-invariant base design
 directly (every induced line action of odd order dividing t is already an
@@ -36,8 +38,10 @@ from .permgrp import (
     set_images,
     transporters,
 )
+from .textfile import point_dtype
 
-# the most lines ``all_lines`` builds: 2M rows of 19 int64 points take 300 MB
+# the most lines ``all_lines`` builds: 2M rows of 19 int64 points take 300 MB,
+# and each element's uint16 image rows in ``set_images`` a quarter of that
 DEFAULT_LINE_BUDGET = 2_000_000
 
 
@@ -138,11 +142,13 @@ class LiftResult:
 
 
 class _LineOrbits(NamedTuple):
-    """Orbits of the coordinate image of a group on the lines of AG(d,p);
-    ``stabilizers`` lists each representative's stabilizer in element order."""
+    """Orbits of the coordinate image of a group on the lines of AG(d,p):
+    ``lines`` holds each representative's row of ``all_lines`` in the point
+    dtype of the space, and ``stabilizers`` each representative's stabilizer
+    in element order.  The full line table is dropped once the orbits are known."""
 
     space: AffineSpace
-    table: np.ndarray
+    lines: np.ndarray
     group: PermGroup
     elements: tuple[Permutation, ...]
     reps: np.ndarray
@@ -161,19 +167,21 @@ def _line_orbits(group: PermGroup, p: int) -> _LineOrbits:
     trans = transporters(images, reps, orbit_of)
     stabilizers = [[elements[e] for e, j in enumerate(col) if j == r]
                    for r, col in zip(reps.tolist(), images[:, reps].T.tolist())]
-    return _LineOrbits(space, table, coord, elements, reps, orbit_of, trans, stabilizers)
+    lines = table[reps].astype(point_dtype(space.point_count))
+    return _LineOrbits(space, lines, coord, elements, reps, orbit_of, trans, stabilizers)
 
 
 def _fill(orb: _LineOrbits, plants: np.ndarray, k: int) -> LiftResult:
     """Plant ingredient blocks on the representatives through their line
-    parametrizations and push them over every orbit.  ``plants`` holds one
-    (b, k) block array per representative, or one shared by all."""
-    lines = orb.table[orb.reps]
-    point_images = np.stack([g.images for g in orb.elements])
+    parametrizations and push them over every orbit, in the point dtype of
+    the space.  ``plants`` holds one (b, k) block array per representative,
+    or one shared by all."""
+    lines = orb.lines
+    point_images = np.stack([g.images for g in orb.elements]).astype(lines.dtype)
     blocks = push(point_images, lines[np.arange(len(lines))[:, None, None], plants],
                   orb.orbit_of, orb.trans)
     design = Design(orb.space.point_count, k, blocks)
-    return LiftResult(design, orb.group, len(orb.table), len(orb.reps))
+    return LiftResult(design, orb.group, len(orb.orbit_of), len(orb.reps))
 
 
 def lift_odd(group: PermGroup, p: int, k: int, base: BaseBlockDesign) -> LiftResult:
@@ -193,11 +201,11 @@ def lift_odd(group: PermGroup, p: int, k: int, base: BaseBlockDesign) -> LiftRes
     if base.p != p or base.k != k:
         raise BadParams("base design parameters disagree with (p, k)")
     orb = _line_orbits(group, p)
-    for r, stabilizers in zip(orb.reps.tolist(), orb.stabilizers):
+    for r, line, stabilizers in zip(orb.reps.tolist(), orb.lines, orb.stabilizers):
         for g in stabilizers:
             if g.is_identity():
                 continue
-            ind = induced_perm_on_line(g, orb.table[r])
+            ind = induced_perm_on_line(g, line)
             if not is_automorphism(base.design, ind):
                 raise BadParams(
                     f"induced action on line {r} is outside the base design's "
@@ -226,8 +234,7 @@ def lift_aligned(group: PermGroup, p: int, k: int, ingredient: Design,
             "cyclic_gen must fix exactly one point and be semiregular elsewhere")
     orb = _line_orbits(group, p)
     plants = []
-    for r, stabilizers in zip(orb.reps.tolist(), orb.stabilizers):
-        line = orb.table[r]
+    for r, line, stabilizers in zip(orb.reps.tolist(), orb.lines, orb.stabilizers):
         induced_set = dict.fromkeys(induced_perm_on_line(g, line) for g in stabilizers)
         m = len(induced_set)
         # the generator with the least image table

@@ -27,6 +27,7 @@ from .design import Design, is_1_blocked, is_automorphism, is_subdesign
 from .errors import BadParams, Unavailable
 from .netstd import TransversalDesign, cyclic_td, mols_td, verify_td
 from .permgrp import PermGroup, Permutation, orbit_sweep, push, set_images, transporters
+from .textfile import point_dtype
 
 
 def default_td_supplier(k: int, n: int) -> TransversalDesign:
@@ -70,10 +71,10 @@ class _Indexer:
         self.u = self.x + self.w * self.zlen
 
     def bar(self, perm: Permutation) -> np.ndarray:
-        """Image array extending a permutation of W's points to the product:
-        fixes X, sends (a, z) to (a^g, z)."""
+        """Image array extending a permutation of W's points to the product,
+        in ``point_dtype(u)``: fixes X, sends (a, z) to (a^g, z)."""
         wz = self.x + perm.images[:, None] * self.zlen + np.arange(self.zlen)
-        return np.concatenate([np.arange(self.x), wz.ravel()])
+        return np.concatenate([np.arange(self.x), wz.ravel()]).astype(point_dtype(self.u))
 
 
 def _bar_group(idx: _Indexer, generators) -> PermGroup:
@@ -90,6 +91,7 @@ def _nontd_blocks(plan: CompositionPlan, idx: _Indexer) -> np.ndarray:
     not inside X (the subdesign check leaves at most one X point in these)."""
     a = np.arange(idx.w)[:, None]
     copies = np.where(idx.in_x, idx.rank, idx.x + a * idx.zlen + idx.rank)
+    copies = copies.astype(point_dtype(idx.u))
     yblocks = plan.Y.blocks
     inside = idx.in_x[yblocks].all(axis=1)
     return np.concatenate([copies[0][yblocks[inside]],
@@ -98,12 +100,14 @@ def _nontd_blocks(plan: CompositionPlan, idx: _Indexer) -> np.ndarray:
 
 def _plant_td(td: TransversalDesign, idx: _Indexer, rows: np.ndarray) -> np.ndarray:
     """One TD copy on A x Z per W-block row A: the j-th point of TD group g
-    lands on Z rank j of the W point A[g].  Shape (rows, n^2, k)."""
+    lands on Z rank j of the W point A[g].  Shape (rows, n^2, k), in
+    ``point_dtype(u)``; the W points are widened to int64 first."""
     group = np.empty(td.point_count, dtype=np.int64)
     rank = np.empty(td.point_count, dtype=np.int64)
     group[td.groups] = np.arange(td.k)[:, None]
     rank[td.groups] = np.arange(td.n)
-    return idx.x + rows[:, group[td.blocks]] * idx.zlen + rank[td.blocks]
+    points = idx.x + rows.astype(np.int64)[:, group[td.blocks]] * idx.zlen + rank[td.blocks]
+    return points.astype(point_dtype(idx.u))
 
 
 def _product(plan: CompositionPlan, group: PermGroup) -> tuple[Design, _Indexer]:

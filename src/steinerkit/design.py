@@ -7,6 +7,11 @@ v^k <= 2^63 the keys are exact int64 base-v numbers; canonical form and the
 automorphism, stabilizer and pair checks run in chunks of rows, spread over
 the CPUs by ``chunkmap.chunk_map``, and build no image design or full-size
 row gather.  Design files are ``textfile`` tables of one section.
+
+A block table holds its points in ``point_dtype(v)``: uint16 while v <=
+65,536, else uint32.  Every kernel widens a chunk of points to int64 before
+any arithmetic on them (keys, pair indices, product points), and
+``Design.digest`` hashes the int64 bytes, so the dtype changes no output.
 """
 from __future__ import annotations
 
@@ -21,6 +26,7 @@ from . import textfile
 from .chunkmap import chunk_map, chunk_stream
 from .errors import BadParams, Budget
 from .permgrp import DEFAULT_CAP, PermGroup, Permutation, row_keys
+from .textfile import point_dtype
 
 PAIR_TABLE_MAX_V = 20000  # a v^2/2 pair bitmap, and int64 counters on failure, fit below this
 _ROWS = 1 << 16  # rows per chunk of the row-key, automorphism, pair and stabilizer kernels
@@ -75,8 +81,9 @@ class Design:
 
     Canonical order is key order.  Exact keys (v^k <= 2^63) are sorted and
     decoded back into rows; wider rows are gathered in the order of their
-    rank-compressed keys.  Blocks already in canonical form, given as an int64
-    array that owns its data, are adopted without a copy and made read-only.
+    rank-compressed keys.  Blocks already in canonical form, given as a
+    ``point_dtype(v)`` array that owns its data, are adopted without a copy
+    and made read-only.
     """
 
     __slots__ = ("v", "k", "blocks")
@@ -85,23 +92,28 @@ class Design:
         v, k = int(v), int(k)
         if k < 1:
             raise BadParams(f"block size k={k} must be at least 1")
-        arr = np.asarray(blocks, dtype=np.int64)
+        dtype = point_dtype(v)
+        compact = isinstance(blocks, np.ndarray) and blocks.dtype == dtype
+        arr = blocks if compact else np.asarray(blocks, dtype=np.int64)
         if arr.ndim == 1 and arr.size == 0:
             arr = arr.reshape(0, k)
         if arr.ndim != 2 or arr.shape[1] != k:
             raise BadParams(f"blocks must be rows of {k} points")
         if arr.size and (arr.min() < 0 or arr.max() >= v):
             raise BadParams("point index out of range")
+        arr = arr.astype(dtype, copy=False)
         if v**k <= 2**63:  # exact keys: sort them, then decode the rows in place
             keys, canonical = _sorted_keys(arr, v)
             if not canonical:
                 keys.sort()
-                arr = np.empty((len(keys), k), dtype=np.int64)
+                arr = np.empty((len(keys), k), dtype=dtype)
 
                 def decode(part: slice) -> None:
                     mine, rows = keys[part], arr[part]
+                    point = np.empty_like(mine)
                     for col in range(k - 1, -1, -1):
-                        np.divmod(mine, v, out=(mine, rows[:, col]))
+                        np.divmod(mine, v, out=(mine, point))
+                        rows[:, col] = point
 
                 _row_map(decode, len(keys))
         else:
@@ -139,7 +151,8 @@ class Design:
     def digest(self) -> str:
         h = hashlib.sha256()
         h.update(f"DESIGN v={self.v} k={self.k} b={self.b}\n".encode())
-        h.update(np.ascontiguousarray(self.blocks))  # in place: tobytes() copies the table
+        for start in range(0, self.b, _ROWS):  # the int64 bytes, a chunk at a time
+            h.update(self.blocks[start:start + _ROWS].astype(np.int64))
         return h.hexdigest()
 
 
@@ -159,7 +172,7 @@ def _pair_chunks(rows: np.ndarray) -> list[Callable[[], np.ndarray]]:
     step = max(1, _ROWS // max(len(a), 1))
 
     def pairs(start: int) -> np.ndarray:
-        cols = rows[start:start + step].T
+        cols = rows[start:start + step].T.astype(np.int64, copy=False)
         hi = cols[b]
         return (hi * (hi - 1) // 2 + cols[a]).ravel()
 

@@ -113,10 +113,10 @@ class TransversalDesign:
 
 
 def _rows(npts: int, width: int, rows, what: str) -> np.ndarray:
-    """Rows as a canonical block array on npts points, checked as a Design's
-    blocks are; AxiomViolation naming ``what`` when a row is malformed."""
+    """Rows as a canonical int64 block array on npts points, checked as a
+    Design's blocks are; AxiomViolation naming ``what`` when a row is malformed."""
     try:
-        return Design(npts, width, rows).blocks
+        return Design(npts, width, rows).blocks.astype(np.int64)
     except (ValueError, TypeError) as exc:
         raise AxiomViolation(f"malformed {what}: {exc}")
 

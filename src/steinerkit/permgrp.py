@@ -20,6 +20,7 @@ import numpy as np
 
 from . import textfile
 from .errors import ActionEscape, BadParams, Budget
+from .textfile import point_dtype
 
 DEFAULT_CAP = 10**6
 
@@ -186,7 +187,9 @@ class PermGroup:
 # on each representative, push the plant to every member by its transporter.
 
 def row_keys(rows: np.ndarray, n: int) -> np.ndarray:
-    """One int64 key per row of an (m, s) array of points in 0..n-1.
+    """One int64 key per row of an (m, s) array of points in 0..n-1, of any
+    integer dtype: the points are added into the int64 keys, never multiplied
+    in their own dtype.
 
     Equal rows get equal keys and keys order the rows lexicographically.  The
     key is the rows' base-n number; where n^s would overflow int64 the partial
@@ -211,16 +214,29 @@ def set_images(rows, perms: Sequence[Permutation]) -> np.ndarray:
     ``rows`` is an (n, s) array read as n point sets.  Entry [e, i] of the
     (len(perms), n) result is the index of the row equal, as a set, to row i's
     image under perms[e].  Raises ActionEscape if an image is not a row.
+
+    The sets and their images fill one (len(perms) + 1, n, s) family in the
+    ``point_dtype`` of the degree, element by element; rows that ascend
+    already skip the sort, and sets whose keys increase skip the argsort.
     """
-    rows = np.asarray(rows, dtype=np.int64)
+    rows = np.asarray(rows)
     if not perms:
         return np.empty((0, len(rows)), dtype=np.int64)
-    family = np.stack([rows] + [g.images[rows] for g in perms])
-    family.sort(axis=2)
+    degree = perms[0].degree
+    if rows.size and (rows.min() < 0 or rows.max() >= degree):
+        raise BadParams(f"a set has a point outside 0..{degree - 1}")
+    family = np.empty((len(perms) + 1, *rows.shape), dtype=point_dtype(degree))
+    family[0] = rows
+    for slab, g in zip(family[1:], perms):
+        slab[:] = g.images.astype(family.dtype)[rows]
+    for slab in family:
+        if not np.all(slab[:, 1:] > slab[:, :-1]):
+            slab.sort(axis=1)
     # one call keys the sets and all their images, so ranks stay comparable
-    keys = row_keys(family.reshape(-1, rows.shape[1]), perms[0].degree).reshape(family.shape[:2])
-    order = np.argsort(keys[0])
-    index = order[np.minimum(np.searchsorted(keys[0], keys[1:], sorter=order), len(rows) - 1)]
+    keys = row_keys(family.reshape(-1, rows.shape[1]), degree).reshape(family.shape[:2])
+    order = None if np.all(keys[0][1:] > keys[0][:-1]) else np.argsort(keys[0])
+    found = np.minimum(np.searchsorted(keys[0], keys[1:], sorter=order), len(rows) - 1)
+    index = found if order is None else order[found]
     escaped = (keys[0][index] != keys[1:]).any(axis=1)
     if escaped.any():
         raise ActionEscape(f"element {np.argmax(escaped)} maps a set outside the family")
@@ -258,7 +274,7 @@ def push(point_images: np.ndarray, planted: np.ndarray, orbit_of: np.ndarray,
 
     ``point_images`` holds one point image table per group element,
     ``planted`` one (blocks, k) plant per orbit; the rows come out member by
-    member, unsorted.
+    member, unsorted, in the dtype of ``point_images``.
     """
     out = point_images[trans[:, None, None], planted[orbit_of]]
     return out.reshape(-1, planted.shape[-1])

@@ -33,6 +33,12 @@ _SEPARATOR = np.zeros(256, dtype=bool)
 _SEPARATOR[list(b" \t\n\r\v\f")] = True
 
 
+def point_dtype(bound: int) -> np.dtype:
+    """The dtype of a table of points below ``bound``: uint16 while bound <=
+    65,536, else uint32 (int64 past 2^32)."""
+    return np.dtype(np.uint16 if bound <= 1 << 16 else np.uint32 if bound <= 1 << 32 else np.int64)
+
+
 def _cells(bound: int) -> np.ndarray:
     """Row p of the (bound, width) uint8 table: NULs, p's digits, a space."""
     points = np.arange(bound)[:, None]
@@ -182,8 +188,9 @@ def read(fh: BinaryIO, tag: str, names: Sequence[str],
          layout: Callable[..., list[tuple[int, int, int]]],
          distinct: bool = False) -> tuple[list[int], list[np.ndarray]]:
     """The values of the header (the first line not blank or a comment) and a
-    (rows, width) int64 array per section of ``layout(*values)``, which raises
-    BadParams on values it refuses.  With ``distinct`` no row repeats a point."""
+    (rows, width) array in ``point_dtype(bound)`` per (rows, width, bound)
+    section of ``layout(*values)``, which raises BadParams on values it
+    refuses.  With ``distinct`` no row repeats a point."""
     line_no, line = 0, b""
     while not line.strip() or line.lstrip().startswith(b"#"):
         line_no, line = line_no + 1, fh.readline()
@@ -202,7 +209,7 @@ def read(fh: BinaryIO, tag: str, names: Sequence[str],
     if total > fh.seek(0, os.SEEK_END) - here:  # a point takes a byte at least
         raise ParseError(line_no, f"{total} points cannot fit in the file")
     fh.seek(here)
-    tables = [np.empty((rows, width), dtype=np.int64) for rows, width, _ in sections]
+    tables = [np.empty((rows, width), dtype=point_dtype(bound)) for rows, width, bound in sections]
     s, filled, tail, end = 0, 0, b"", False
     while not end:
         pieces = []  # newline-aligned chunks, WORKERS at a time

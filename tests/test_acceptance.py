@@ -27,7 +27,6 @@ from steinerkit.compose import (
     product_design_1blocked,
 )
 from steinerkit.design import (
-    Design,
     brute_aut,
     is_1_blocked,
     is_automorphism,
@@ -43,10 +42,8 @@ from steinerkit.paramsearch import (
     cyclic_assembly_params,
     is_admissible,
     prime_for_even_group,
-    prime_for_odd_group,
     spectrum_bound,
     spectrum_plan,
-    witness_for,
 )
 from steinerkit.permgrp import PermGroup, Permutation, is_semiregular, orbit_sweep, set_images
 

@@ -154,13 +154,14 @@ def test_coordinate_group_matches_reference_on_s4():
 def test_induced_group_on_pointwise_fixed_diagonal_is_trivial():
     g = PermGroup(2, [Permutation.from_cycles(2, [(0, 1)])])
     orb = affinelift._line_orbits(g, 19)
-    diagonal = next(i for i, row in enumerate(orb.table)
+    table = all_lines(orb.space)
+    diagonal = next(i for i, row in enumerate(table)
                     if row[0] == 0 and direction(orb.space, row) == (1, 1))
     r = int(orb.orbit_of[diagonal])
-    assert orb.reps[r] == diagonal
+    assert orb.reps[r] == diagonal and np.array_equal(orb.lines[r], table[diagonal])
     assert len(orb.stabilizers[r]) == 2  # the swap fixes the diagonal setwise
     # and pointwise: every induced action is the identity
-    assert all(induced_perm_on_line(h, orb.table[diagonal]).is_identity()
+    assert all(induced_perm_on_line(h, orb.lines[r]).is_identity()
                for h in orb.stabilizers[r])
 
 

@@ -13,7 +13,6 @@ from steinerkit.basedesigns import (
     inequivalent_variants,
     km_instance,
     km_search,
-    multiplier_group,
     steiner_triple_system,
     wilson_base_block,
 )

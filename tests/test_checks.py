@@ -71,6 +71,45 @@ def test_every_public_function_and_class_has_a_caller():
     assert not unused, f"public names only tests use: {unused}"
 
 
+def _imports(tree: ast.Module):
+    """(line, name) of each name an import statement binds."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from ((node.lineno, alias.asname or alias.name.split(".")[0])
+                        for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from ((node.lineno, alias.asname or alias.name) for alias in node.names)
+
+
+def _reads(tree: ast.Module) -> set[str]:
+    """Every name the module reads: in code, in quoted annotations, and as a
+    parameter (a pytest fixture is read by naming it)."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.arg):
+            names.add(node.arg)
+        for note in (getattr(node, "annotation", None), getattr(node, "returns", None)):
+            if isinstance(note, ast.Constant) and isinstance(note.value, str):
+                names |= _reads(ast.parse(note.value))
+    return names
+
+
+def test_every_imported_name_is_read():
+    # an import nothing reads is a dependency and a concept the module does not have
+    package = Path(steinerkit.__file__).parent
+    modules = sorted(package.glob("*.py")) + sorted(Path(__file__).parent.glob("*.py"))
+    assert len(modules) > 30
+    unread = []
+    for path in modules:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        reads = _reads(tree)
+        unread += [f"{path.parent.name}/{path.name}:{line} {name}"
+                   for line, name in _imports(tree) if name not in reads]
+    assert not unread, f"imported names never read: {unread}"
+
+
 def test_require_names_the_condition():
     require(True, "never shown")
     with pytest.raises(SteinerError, match="w = q k"):

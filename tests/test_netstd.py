@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import hashlib
-import math
 
 import numpy as np
 import pytest
@@ -9,7 +8,6 @@ import pytest
 from steinerkit import netstd
 from steinerkit.errors import AxiomViolation, BadParams, ParseError, Unavailable
 from steinerkit.netstd import (
-    CyclicTd,
     Net,
     TransversalDesign,
     cyclic_td,

@@ -7,6 +7,8 @@ block arrays.  The reference implementations below are the earlier
 Python-dict and tuple versions; every valid object and every single-point
 mutation must get the same verdict from both.  Where a reference leaked a
 KeyError or IndexError on a malformed object, the kernel must reject it.
+The pair counts and the mutated designs also draw their points in uint16,
+uint32 or int64.
 """
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steinerkit.basedesigns import build_base_design, steiner_triple_system, wilson_base_block
-from steinerkit.design import Design, is_subdesign, verify_2design
+from steinerkit.design import Design, is_subdesign, pair_counts, verify_2design
 from steinerkit.errors import AxiomViolation, ParseError
 from steinerkit.gf import PrimeFieldCtx, is_prime, subgroup_of_order
 from steinerkit.netstd import (
@@ -232,6 +234,24 @@ def test_verify_2design_matches_reference(name):
     assert verify_2design(d).ok and not any(verify_2design(x).ok for x in variants[1:])
 
 
+DTYPES = (np.uint16, np.uint32, np.int64)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_pair_counts_match_reference_in_every_dtype(data):
+    # past v = 363 an unwidened uint16 product j(j-1) would wrap
+    v = data.draw(st.integers(2, 400), label="v")
+    k = data.draw(st.integers(2, min(v, 5)), label="k")
+    subset = st.lists(st.integers(0, v - 1), min_size=k, max_size=k, unique=True).map(sorted)
+    rows = data.draw(st.lists(subset, max_size=30), label="rows")
+    expect = np.zeros(v * (v - 1) // 2, dtype=np.int64)
+    for i, j in (pair for row in rows for pair in itertools.combinations(row, 2)):
+        expect[j * (j - 1) // 2 + i] += 1
+    table = np.array(rows, dtype=data.draw(st.sampled_from(DTYPES), label="dtype"))
+    assert np.array_equal(pair_counts(v, table.reshape(-1, k)), expect)
+
+
 @functools.cache
 def _design(name: str) -> Design:
     return _designs()[name]
@@ -245,7 +265,7 @@ def test_verify_2design_single_point_mutation(data):
     j = data.draw(st.integers(0, d.k - 1), label="position")
     row = d.blocks[i].tolist()
     row[j] = data.draw(st.sampled_from([x for x in range(d.v) if x not in row]), label="point")
-    blocks = d.blocks.copy()
+    blocks = d.blocks.astype(data.draw(st.sampled_from(DTYPES), label="dtype"))
     blocks[i] = row
     mutated = Design(d.v, d.k, blocks)
     rep = verify_2design(mutated)

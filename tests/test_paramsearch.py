@@ -4,10 +4,9 @@ import math
 
 import pytest
 
-from steinerkit.errors import BadParams, Budget
+from steinerkit.errors import BadParams
 from steinerkit.gf import is_prime
 from steinerkit.paramsearch import (
-    CyclicAssemblyParams,
     SpectrumWitness,
     cyclic_assembly_params,
     is_admissible,

@@ -6,7 +6,8 @@
 Each test draws point counts n and row widths s with n^s both below and above
 2^63, where the keys need rank compression, and compares the kernel with the
 old code, kept here as references.  The chunked kernels also run with
-``design._ROWS`` patched small, so every chunk boundary is crossed.
+``design._ROWS`` patched small, so every chunk boundary is crossed, and on
+points drawn in uint16, uint32 or int64.
 """
 from __future__ import annotations
 
@@ -115,6 +116,13 @@ def point_count(draw, overflow: bool):
     return draw(st.integers(s, min(least_overflowing(s) - 1, 300))), s
 
 
+def in_any_dtype(draw, rows, n: int) -> np.ndarray:
+    """The rows as an array of a drawn integer dtype that holds every point
+    below n: the kernels widen compact point tables before any arithmetic."""
+    dtypes = [t for t in (np.uint16, np.uint32, np.int64) if np.iinfo(t).max >= n - 1]
+    return np.asarray(rows, dtype=draw(st.sampled_from(dtypes), label="dtype"))
+
+
 def subsets(draw, n: int, s: int, max_size: int = 25) -> list[list[int]]:
     """Up to max_size s-subsets of range(n), in random order, possibly repeated."""
     subset = st.lists(st.integers(0, n - 1), min_size=s, max_size=s, unique=True)
@@ -172,10 +180,10 @@ def closed_family(draw, overflow: bool):
 @given(data=st.data())
 def test_row_keys_order_rows_lexicographically(overflow, data):
     n, s = data.draw(point_count(overflow))
-    rows = np.array(data.draw(st.lists(st.lists(st.integers(0, n - 1), min_size=s,
-                                                max_size=s), max_size=25)),
-                    dtype=np.int64).reshape(-1, s)
+    rows = in_any_dtype(data.draw, data.draw(st.lists(st.lists(
+        st.integers(0, n - 1), min_size=s, max_size=s), max_size=25)), n).reshape(-1, s)
     keys = row_keys(rows, n)
+    assert np.array_equal(keys, row_keys(rows.astype(np.int64), n))
     pairs = sorted(set(zip(map(tuple, rows.tolist()), keys.tolist())))
     assert len({row for row, _ in pairs}) == len(pairs)  # equal rows, equal keys
     assert all(a[1] < b[1] for a, b in zip(pairs, pairs[1:]))  # key order is row order
@@ -186,9 +194,10 @@ def test_row_keys_order_rows_lexicographically(overflow, data):
 @given(data=st.data())
 def test_canonical_form_matches_lexsort(overflow, data):
     v, k = data.draw(point_count(overflow))
-    rows = np.array(subsets(data.draw, v, k), dtype=np.int64).reshape(-1, k)
+    rows = in_any_dtype(data.draw, subsets(data.draw, v, k), v).reshape(-1, k)
     with small_chunks(data):
-        assert np.array_equal(Design(v, k, rows).blocks, lexsort_canonical(rows))
+        blocks = Design(v, k, rows).blocks
+        assert np.array_equal(blocks, lexsort_canonical(rows)) and blocks.dtype == np.uint16
 
 
 @pytest.mark.parametrize("overflow", [False, True])
@@ -196,7 +205,7 @@ def test_canonical_form_matches_lexsort(overflow, data):
 @given(data=st.data())
 def test_set_images_matches_bytes_lookup(overflow, data):
     n, s, family, perms = data.draw(closed_family(overflow))
-    rows = np.array(family, dtype=np.int64).reshape(-1, s)
+    rows = in_any_dtype(data.draw, family, n).reshape(-1, s)
     try:
         expect = bytes_set_images(rows, perms)
     except ActionEscape:
@@ -211,7 +220,7 @@ def test_set_images_matches_bytes_lookup(overflow, data):
 @given(data=st.data())
 def test_is_automorphism_matches_block_sets(overflow, data):
     v, k, family, perms = data.draw(closed_family(overflow))
-    d = Design(v, k, np.array(family, dtype=np.int64).reshape(-1, k))
+    d = Design(v, k, in_any_dtype(data.draw, family, v).reshape(-1, k))
     with small_chunks(data):
         for g in perms:
             image = frozenset(tuple(sorted(g(x) for x in row)) for row in d.block_tuples())
@@ -233,7 +242,7 @@ def test_scan_and_verify_match_references_on_families(overflow, data):
             planted += sorted(orbit)
     if len(planted) == k and frozenset(planted) not in map(frozenset, family):
         family.insert(data.draw(st.integers(0, len(family))), planted)
-    d = Design(v, k, np.array(family, dtype=np.int64).reshape(-1, k))
+    d = Design(v, k, in_any_dtype(data.draw, family, v).reshape(-1, k))
     group = PermGroup(v, perms, _elements=(Permutation.identity(v), *perms))
     with small_chunks(data):
         assert stabilizer_scan(d, group) == sorting_stabilizer_scan(d, group)
@@ -274,13 +283,34 @@ def test_kernels_match_references_on_affine_plane_mutants(q, data):
 @given(data=st.data())
 def test_parse_inverts_serialize(overflow, data, tmp_path_factory):
     v, k = data.draw(point_count(overflow))
-    d = Design(v, k, np.array(subsets(data.draw, v, k), dtype=np.int64).reshape(-1, k))
+    d = Design(v, k, in_any_dtype(data.draw, subsets(data.draw, v, k), v).reshape(-1, k))
     path = tmp_path_factory.mktemp("designs") / "d.design"
     write_design(d, path)
     assert read_design(path) == d
     head, _, body = path.read_text().partition("\n")
     path.write_text(f"# before\n{head}\n# after the header\n\n{body}")
     assert read_design(path) == d
+
+
+@pytest.mark.parametrize("overflow", [False, True])
+@HYPOTHESIS
+@given(data=st.data())
+def test_set_images_fast_paths_match_bytes_lookup(overflow, data):
+    # rows that ascend skip the sort, and a family in key order the argsort:
+    # the family as drawn, with each row sorted, and also in key order
+    n, s, family, perms = data.draw(closed_family(overflow))
+    if data.draw(st.booleans(), label="identity"):  # its images ascend too
+        perms = [Permutation.identity(n), *perms]
+    rows = np.array(family, dtype=np.int64).reshape(-1, s)
+    for variant in (rows, np.sort(rows, axis=1), lexsort_canonical(rows)):
+        variant = in_any_dtype(data.draw, variant, n)
+        try:
+            expect = bytes_set_images(variant, perms)
+        except ActionEscape:
+            with pytest.raises(ActionEscape):
+                set_images(variant, perms)
+        else:
+            assert np.array_equal(set_images(variant, perms), expect)
 
 
 def test_empty_family_has_empty_image_table():
