@@ -5,13 +5,16 @@ a coordinate-permuting group on the lines of AG(d,p), plant a copy of a
 p-point ingredient design on each representative through the line's affine
 parametrization, and push it to the rest of the orbit by transporters.  With
 the right ingredient the filled space is a 2-(p^d,k,1)-design admitting the
-group.  The lines are one (lines, p) point array from ``all_lines``, whose
-rows are the parametrizations; the coordinate group is a point permutation
-group from ``coordinate_group``.  The orbits and the push are permgrp's
-``set_images``, ``orbit_sweep`` and ``push``, shared with the product
-constructions.  The line table stays int64; the representatives' lines, the
-point images, the plants and the pushed blocks are ``point_dtype(p^d)``
-tables, as the design's blocks are.
+group.  A line is base + x*direction, and ``all_lines`` gives each line
+as one int64 key, code(base)*p^d + code(direction), in ascending order; the
+coordinate group is a point permutation group from ``coordinate_group``.
+Its elements are linear, so ``line_images`` finds each image line from the
+images of the base and the direction alone, by coordinate arithmetic and a
+key lookup.  The orbits and the push are permgrp's ``orbit_sweep`` and
+``push``, shared with the product constructions.  Point rows are built
+(``line_points``) only for the orbit representatives; they, the point
+images, the plants and the pushed blocks are ``point_dtype(p^d)`` tables,
+as the design's blocks are.
 
 Two variants: the odd-order lift plants a multiplier-invariant base design
 directly (every induced line action of odd order dividing t is already an
@@ -22,26 +25,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .basedesigns import BaseBlockDesign
 from .design import Design, is_automorphism
-from .errors import BadParams, Budget
+from .errors import ActionEscape, BadParams, Budget
 from .permgrp import (
     PermGroup,
     Permutation,
     align_semiregular_cyclic,
     orbit_sweep,
     push,
-    set_images,
     transporters,
 )
 from .textfile import point_dtype
 
-# the most lines ``all_lines`` builds: 2M rows of 19 int64 points take 300 MB,
-# and each element's uint16 image rows in ``set_images`` a quarter of that
+# the most lines ``all_lines`` keys: 2M lines are 16 MB of int64 keys, and each
+# element's row of the line image table as much again
 DEFAULT_LINE_BUDGET = 2_000_000
 
 
@@ -75,40 +77,85 @@ class AffineSpace:
         return np.array([self.p**j for j in range(self.d)], dtype=np.int64)
 
 
-def _canonical_directions(space: AffineSpace) -> np.ndarray:
-    """Direction vectors with first nonzero coordinate 1: one per line pencil."""
-    coords = space.coords
-    return coords[coords[np.arange(len(coords)), (coords != 0).argmax(axis=1)] == 1]
+def _directions(space: AffineSpace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every point y read as a direction: the code of y scaled so that its first
+    nonzero coordinate is 1 (0 for y = 0), the index of its last nonzero
+    coordinate, and the inverse mod p of that coordinate."""
+    p, coords = space.p, space.coords
+    rows, nonzero = np.arange(len(coords)), coords != 0
+    inv = np.array([0] + [pow(x, -1, p) for x in range(1, p)], dtype=np.int64)
+    norm = coords * inv[coords[rows, nonzero.argmax(axis=1)]][:, None] % p @ space.weights
+    last = space.d - 1 - nonzero[:, ::-1].argmax(axis=1)
+    return norm, last, inv[coords[rows, last]]
 
 
 def all_lines(space: AffineSpace) -> np.ndarray:
-    """Every line of AG(d,p) exactly once, as a (lines, p) int64 point array.
+    """Every line of AG(d,p) exactly once, as one int64 key per line, ascending.
 
-    Row i is line i's parametrization: its x-th entry is base + x*direction,
-    where the base is the line's least point and the direction's first
-    nonzero coordinate is 1.  Rows are sorted by (base, encoded direction).
-    Refuses more than DEFAULT_LINE_BUDGET lines before building any.
+    A line is base + x*direction: the direction's first nonzero coordinate is
+    1, and the base is the line's least point, the one whose coordinate is 0
+    where the direction's last nonzero coordinate is.  Its key is
+    code(base)*p^d + code(direction), so keys order the lines by (base,
+    encoded direction); ``line_points`` gives their point rows.  Refuses more
+    than DEFAULT_LINE_BUDGET lines before building any.
     """
     if space.line_count > DEFAULT_LINE_BUDGET:
         raise Budget(f"{space.line_count} lines exceeds the budget {DEFAULT_LINE_BUDGET}")
-    p = space.p
+    n = space.point_count
+    norm, last, _ = _directions(space)
+    dirs = np.flatnonzero(norm == np.arange(n))[1:]  # the normalized directions but 0
+    # the bases of the directions whose last nonzero coordinate is l: coordinate l is 0
+    keys = [np.add.outer(np.flatnonzero(space.coords[:, l] == 0) * n,
+                         dirs[last[dirs] == l]).ravel() for l in range(space.d)]
+    return np.sort(np.concatenate(keys))
+
+
+def line_points(space: AffineSpace, keys: np.ndarray) -> np.ndarray:
+    """The (len(keys), p) point rows of the lines with these keys, in
+    ``point_dtype(p^d)``: entry x of a row is base + x*direction.  Every line
+    walks one step at a time, each coordinate wrapping at p."""
+    base, dirs = np.divmod(np.asarray(keys, dtype=np.int64), space.point_count)
+    point, step = space.coords[base].T.copy(), space.coords[dirs].T
+    weights = space.weights.tolist()
+    out = np.empty((space.p, len(base)), dtype=point_dtype(space.point_count))
+    for col in out:
+        col[:] = sum(c * w for c, w in zip(point, weights))
+        point += step
+        point[point >= space.p] -= space.p
+    return out.T.copy()
+
+
+def line_images(space: AffineSpace, keys: np.ndarray,
+                elements: Sequence[Permutation]) -> np.ndarray:
+    """Image-index table of coordinate permutations on lines given by their
+    ascending keys: entry [e, i] is the index of the image of line i under
+    elements[e].
+
+    Each element must be a coordinate permutation, its point table read off
+    the images of the unit points p^j; it is then linear, so a line's image is
+    fixed by the images of its base and direction.  The image direction is
+    normalized, the image line re-based at its least point and its key looked
+    up.  Raises BadParams naming an element that is no coordinate permutation,
+    and ActionEscape if an image key is not among the keys.
+    """
+    n, p = space.point_count, space.p
     coords = space.coords
-    weights = space.weights
-    all_points = []
-    all_codes = []
-    for vec in _canonical_directions(space):
-        f = int(np.flatnonzero(vec)[0])
-        anchors = coords[coords[:, f] == 0]
-        cols = [((anchors + x * vec) % p) @ weights for x in range(p)]
-        pts = np.stack(cols, axis=1)
-        all_points.append(pts)
-        all_codes.append(np.full(len(pts), vec @ weights))
-    points = np.concatenate(all_points, axis=0)
-    # re-anchor each row at its minimal point, preserving the parametrization
-    x0 = np.argmin(points, axis=1)
-    roll = (x0[:, None] + np.arange(p)[None, :]) % p
-    points = points[np.arange(points.shape[0])[:, None], roll]
-    return points[np.lexsort((np.concatenate(all_codes), points[:, 0]))]
+    norm, last, last_inv = _directions(space)
+    base, dirs = np.divmod(keys, n)
+    rows = np.arange(len(keys))
+    out = np.empty((len(elements), len(keys)), dtype=np.int64)
+    for e, (slot, g) in enumerate(zip(out, elements)):
+        if g.degree != n or not np.array_equal(coords @ g.images[space.weights], g.images):
+            raise BadParams(f"element {e} {g!r} is not a coordinate permutation "
+                            f"of AG({space.d},{p})")
+        step = norm[g.images[dirs]]
+        start = coords[g.images[base]]
+        shift = start[rows, last[step]] * last_inv[step] % p
+        image = (start - shift[:, None] * coords[step]) % p @ space.weights * n + step
+        slot[:] = np.minimum(np.searchsorted(keys, image), len(keys) - 1)
+        if np.any(keys[slot] != image):
+            raise ActionEscape(f"element {e} maps a line outside the given lines")
+    return out
 
 
 def coordinate_group(group: PermGroup, space: AffineSpace) -> PermGroup:
@@ -123,7 +170,7 @@ def coordinate_group(group: PermGroup, space: AffineSpace) -> PermGroup:
 
 def induced_perm_on_line(perm: Permutation, line: np.ndarray) -> Permutation:
     """The degree-p permutation induced on a stabilized line's parametrization;
-    ``line`` is the line's row of ``all_lines``."""
+    ``line`` is the line's point row from ``line_points``."""
     pos = {pt: x for x, pt in enumerate(line.tolist())}
     try:
         return Permutation([pos[pt] for pt in perm.images[line].tolist()])
@@ -143,9 +190,9 @@ class LiftResult:
 
 class _LineOrbits(NamedTuple):
     """Orbits of the coordinate image of a group on the lines of AG(d,p):
-    ``lines`` holds each representative's row of ``all_lines`` in the point
-    dtype of the space, and ``stabilizers`` each representative's stabilizer
-    in element order.  The full line table is dropped once the orbits are known."""
+    ``lines`` holds each representative's point row from ``line_points``, and
+    ``stabilizers`` each representative's stabilizer in element order.  No
+    point row is built for any other line."""
 
     space: AffineSpace
     lines: np.ndarray
@@ -159,15 +206,17 @@ class _LineOrbits(NamedTuple):
 
 def _line_orbits(group: PermGroup, p: int) -> _LineOrbits:
     space = AffineSpace(group.degree, p)
-    table = all_lines(space)
+    keys = all_lines(space)
     coord = coordinate_group(group, space)
     elements = coord.elements()
-    images = set_images(table, elements)
+    images = line_images(space, keys, elements)
     reps, orbit_of = orbit_sweep(images)
     trans = transporters(images, reps, orbit_of)
-    stabilizers = [[elements[e] for e, j in enumerate(col) if j == r]
-                   for r, col in zip(reps.tolist(), images[:, reps].T.tolist())]
-    lines = table[reps].astype(point_dtype(space.point_count))
+    rep_of, element_of = np.nonzero((images[:, reps] == reps).T)  # by rep, then element
+    fixing = [elements[e] for e in element_of.tolist()]
+    bounds = np.searchsorted(rep_of, np.arange(len(reps) + 1)).tolist()
+    stabilizers = [fixing[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+    lines = line_points(space, keys[reps])
     return _LineOrbits(space, lines, coord, elements, reps, orbit_of, trans, stabilizers)
 
 

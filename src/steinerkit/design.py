@@ -16,6 +16,7 @@ any arithmetic on them (keys, pair indices, product points), and
 from __future__ import annotations
 
 import hashlib
+import threading
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable, Sequence, TypeVar
@@ -57,23 +58,42 @@ def _row_map(fn: Callable[[slice], T], n_rows: int) -> list[T]:
     return chunk_map(lambda i: fn(slice(i * step, (i + 1) * step)), -(-n_rows // step))
 
 
-def _sorted_keys(rows: np.ndarray, v: int,
-                 perm: Permutation | None = None) -> tuple[np.ndarray, bool]:
+def _sorted_keys(rows: np.ndarray, v: int, perm: Permutation | None = None) -> np.ndarray | None:
     """Exact row keys (v^k <= 2^63) of the rows mapped through ``perm``, each
-    row sorted first; and whether the rows were canonical already: each row
-    ascending and the keys strictly increasing."""
-    keys = np.empty(rows.shape[0], dtype=np.int64)
+    row sorted first; None if those rows are canonical already: each row
+    ascending and the keys strictly increasing.
 
-    def chunk(part: slice) -> bool:
+    Each chunk is keyed on its own.  The first chunk that is not canonical
+    makes the full key array, every chunk after it writes its keys there, and
+    the chunks keyed before it are keyed again; canonical rows never need it.
+    """
+    n = rows.shape[0]
+    keys = None
+    making = threading.Lock()
+
+    def chunk(part: slice) -> tuple[int, int] | None:
+        """The chunk's first and last key if it is canonical and no key array
+        is made yet, else None once its keys are written."""
+        nonlocal keys
         img = rows[part] if perm is None else perm.images[rows[part]]
         cols = _sorted_rows(img)
-        mine = keys[part]
-        mine[:] = row_keys(cols, v)
-        return cols is img and bool(np.all(mine[1:] > mine[:-1]))
+        mine = row_keys(cols, v)
+        if keys is None and cols is img and np.all(mine[1:] > mine[:-1]):
+            return mine[0], mine[-1]
+        with making:
+            if keys is None:
+                keys = np.empty(n, dtype=np.int64)
+        keys[part] = mine
+        return None
 
-    ascending = all(_row_map(chunk, len(keys)))
-    seams = np.arange(_ROWS, len(keys), _ROWS)
-    return keys, ascending and bool(np.all(keys[seams] > keys[seams - 1]))
+    ends = _row_map(chunk, n)
+    if keys is None:
+        if all(a[1] < b[0] for a, b in zip(ends, ends[1:])):
+            return None
+        keys = np.empty(n, dtype=np.int64)
+    again = [i for i, e in enumerate(ends) if e is not None]
+    chunk_map(lambda j: chunk(slice(again[j] * _ROWS, (again[j] + 1) * _ROWS)), len(again))
+    return keys
 
 
 class Design:
@@ -103,8 +123,8 @@ class Design:
             raise BadParams("point index out of range")
         arr = arr.astype(dtype, copy=False)
         if v**k <= 2**63:  # exact keys: sort them, then decode the rows in place
-            keys, canonical = _sorted_keys(arr, v)
-            if not canonical:
+            keys = _sorted_keys(arr, v)
+            if keys is not None:
                 keys.sort()
                 arr = np.empty((len(keys), k), dtype=dtype)
 
@@ -233,7 +253,10 @@ def _maps_onto(h: Permutation, d1: Design, d2: Design) -> bool:
         return d1.relabel(h) == d2
     if d1.b != d2.b:
         return False
-    keys, _ = _sorted_keys(d1.blocks, d1.v, h)
+    keys = _sorted_keys(d1.blocks, d1.v, h)
+    if keys is None:  # the image rows are canonical as they stand
+        return all(_row_map(lambda part: np.array_equal(h.images[d1.blocks[part]],
+                                                        d2.blocks[part]), d2.b))
     keys.sort()
     return all(_row_map(lambda part: np.array_equal(keys[part], row_keys(d2.blocks[part], d2.v)),
                         d2.b))

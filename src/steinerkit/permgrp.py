@@ -274,9 +274,16 @@ def push(point_images: np.ndarray, planted: np.ndarray, orbit_of: np.ndarray,
 
     ``point_images`` holds one point image table per group element,
     ``planted`` one (blocks, k) plant per orbit; the rows come out member by
-    member, unsorted, in the dtype of ``point_images``.
+    member, unsorted, in the dtype of ``point_images``.  The members are
+    grouped by transporter, and each element's members take their rows from
+    one 1-D gather through that element's point images.
     """
-    out = point_images[trans[:, None, None], planted[orbit_of]]
+    out = np.empty((len(orbit_of), *planted.shape[1:]), dtype=point_images.dtype)
+    order = np.argsort(trans, kind="stable")
+    bounds = np.searchsorted(trans[order], np.arange(len(point_images) + 1))
+    for images, lo, hi in zip(point_images, bounds[:-1], bounds[1:]):
+        members = order[lo:hi]
+        out[members] = images[planted[orbit_of[members]]]
     return out.reshape(-1, planted.shape[-1])
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -13,10 +14,12 @@ from steinerkit.affinelift import (
     induced_perm_on_line,
     lift_aligned,
     lift_odd,
+    line_images,
+    line_points,
 )
 from steinerkit.basedesigns import build_base_design, km_search
 from steinerkit.design import Design, is_automorphism, verify_2design
-from steinerkit.errors import BadParams, Budget
+from steinerkit.errors import ActionEscape, BadParams, Budget
 from steinerkit.permgrp import PermGroup, Permutation, orbit_sweep, set_images
 
 
@@ -80,10 +83,66 @@ def test_all_lines_counts():
 @pytest.mark.parametrize("d", [2, 3])
 def test_all_lines_is_the_reference_array(d):
     sp = AffineSpace(d, 5)
-    table = all_lines(sp)
-    assert isinstance(table, np.ndarray) and table.dtype == np.int64
+    keys = all_lines(sp)
+    assert isinstance(keys, np.ndarray) and keys.dtype == np.int64
+    assert np.all(keys[1:] > keys[:-1])
+    table = line_points(sp, keys)
+    assert table.dtype == np.uint16
     assert table.shape == (sp.line_count, 5)
     assert table.tolist() == reference_lines(sp)
+
+
+@pytest.mark.parametrize("d, p", [(d, p) for d in (1, 2, 3) for p in (3, 7)])
+def test_line_points_of_every_key_are_the_reference_lines(d, p):
+    sp = AffineSpace(d, p)
+    assert line_points(sp, all_lines(sp)).tolist() == reference_lines(sp)
+
+
+SWAP, Z3, S3 = ([Permutation.from_cycles(3, cycles) for cycles in gens]
+                for gens in ([[(0, 1)]], [[(0, 1, 2)]], [[(0, 1, 2)], [(0, 1)]]))
+GROUPS = {1: [[]], 2: [[], [Permutation.from_cycles(2, [(0, 1)])]], 3: [[], SWAP, Z3, S3]}
+
+
+@pytest.mark.parametrize("d, p", [(d, p) for d in (1, 2, 3) for p in (3, 5, 7, 19)])
+def test_line_images_equal_the_set_lookup(d, p):
+    sp = AffineSpace(d, p)
+    keys = all_lines(sp)
+    rows = line_points(sp, keys)
+    for gens in GROUPS[d]:
+        group = PermGroup(d, gens) if gens else PermGroup.trivial(d)
+        elements = coordinate_group(group, sp).elements()
+        assert np.array_equal(line_images(sp, keys, elements), set_images(rows, elements))
+
+
+def test_line_orbits_stabilizers_are_the_fixing_elements():
+    orb = affinelift._line_orbits(PermGroup(3, S3), 5)
+    for line, stabilizer in zip(orb.lines.tolist(), orb.stabilizers):
+        expect = [g for g in orb.elements if set(g.images[line].tolist()) == set(line)]
+        assert [id(g) for g in stabilizer] == [id(g) for g in expect]
+    assert sum(map(len, orb.stabilizers)) > len(orb.reps)  # some line has a stabilizer
+
+
+def test_line_images_refuse_a_point_permutation_that_moves_no_coordinates():
+    sp = AffineSpace(2, 3)
+    keys = all_lines(sp)
+    ident = Permutation.identity(9)
+    for bad in (Permutation.from_cycles(9, [(1, 2)]),  # a transposition of two points
+                Permutation([(2 * x) % 3 + 3 * ((2 * y) % 3) for y in range(3) for x in range(3)]),
+                Permutation.identity(27)):
+        with pytest.raises(BadParams, match=rf"^element 1 {re.escape(repr(bad))} is not a "
+                                            r"coordinate permutation of AG\(2,3\)$"):
+            line_images(sp, keys, [ident, bad])
+
+
+def test_line_images_escape():
+    sp = AffineSpace(2, 3)
+    keys = all_lines(sp)
+    swap, = coordinate_group(PermGroup(2, [Permutation.from_cycles(2, [(0, 1)])]), sp).generators
+    image = line_images(sp, keys, [swap])[0]
+    moved = int(np.argmax(image != np.arange(len(keys))))
+    # without the image of a moved line among the keys, the moved line escapes
+    with pytest.raises(ActionEscape, match="^element 0 maps a line outside the given lines$"):
+        line_images(sp, np.delete(keys, image[moved]), [swap])
 
 
 def test_all_lines_budget():
@@ -96,7 +155,7 @@ def test_all_lines_budget():
 
 def test_lines_canonical_and_partition():
     sp = AffineSpace(2, 5)
-    table = all_lines(sp)
+    table = line_points(sp, all_lines(sp))
     assert len(table) == 30
     seen = set()
     for row in table.tolist():
@@ -154,7 +213,7 @@ def test_coordinate_group_matches_reference_on_s4():
 def test_induced_group_on_pointwise_fixed_diagonal_is_trivial():
     g = PermGroup(2, [Permutation.from_cycles(2, [(0, 1)])])
     orb = affinelift._line_orbits(g, 19)
-    table = all_lines(orb.space)
+    table = line_points(orb.space, all_lines(orb.space))
     diagonal = next(i for i, row in enumerate(table)
                     if row[0] == 0 and direction(orb.space, row) == (1, 1))
     r = int(orb.orbit_of[diagonal])
@@ -167,14 +226,14 @@ def test_induced_group_on_pointwise_fixed_diagonal_is_trivial():
 
 def test_induced_affine_identity():
     sp = AffineSpace(2, 19)
-    table = all_lines(sp)
+    table = line_points(sp, all_lines(sp))
     ident, = coordinate_group(PermGroup.trivial(2), sp).generators
     assert induced_perm_on_line(ident, table[0]).is_identity()
 
 
 def test_induced_affine_swap_on_diagonal():
     sp = AffineSpace(2, 19)
-    table = all_lines(sp)
+    table = line_points(sp, all_lines(sp))
     swap, = coordinate_group(PermGroup(2, [Permutation.from_cycles(2, [(0, 1)])]),
                              sp).generators
     diag = next(row for row in table if direction(sp, row) == (1, 1) and row[0] == 0)
@@ -186,7 +245,7 @@ def test_induced_affine_swap_on_diagonal():
 
 def test_induced_affine_translation_by_direction():
     sp = AffineSpace(2, 7)
-    line = all_lines(sp)[0]
+    line = line_points(sp, all_lines(sp))[0]
     shift = ((sp.coords + direction(sp, line)) % sp.p) @ sp.weights
     trans = Permutation(tuple(shift.tolist()))
     assert induced_perm_on_line(trans, line).images.tolist() == [(x + 1) % 7 for x in range(7)]
@@ -200,7 +259,7 @@ def line_decomposition(table, group):
 def test_line_orbits_matches_generic_machinery():
     g = PermGroup(2, [Permutation.from_cycles(2, [(0, 1)])])
     sp = AffineSpace(2, 19)
-    table = all_lines(sp)
+    table = line_points(sp, all_lines(sp))
     coord = coordinate_group(g, sp)
     # independent check: each line's orbit by set lookup under every element
     rows = table.tolist()
@@ -270,7 +329,8 @@ def test_lifted_blocks_are_collinear(reverse_sts19):
     ingredient, inv = reverse_sts19
     g = PermGroup(2, [Permutation.from_cycles(2, [(0, 1)])])
     result = lift_aligned(g, 19, 3, ingredient, inv)
-    rows = all_lines(AffineSpace(2, 19)).tolist()
+    sp = AffineSpace(2, 19)
+    rows = line_points(sp, all_lines(sp)).tolist()
     lines_by_pair = {}
     for i, row in enumerate(rows):
         for a in row:
@@ -312,7 +372,8 @@ def test_lift_aligned_double_transporter_consistency(reverse_sts19):
     ingredient, inv = reverse_sts19
     g = PermGroup(2, [Permutation.from_cycles(2, [(0, 1)])])
     result = lift_aligned(g, 19, 3, ingredient, inv)
-    table = all_lines(AffineSpace(2, 19))
+    sp = AffineSpace(2, 19)
+    table = line_points(sp, all_lines(sp))
     reps, orbit_of = line_decomposition(table, result.group)
     blocks = set(result.design.block_tuples())
     stabilized = reps[np.bincount(orbit_of) == 1].tolist()

@@ -3,11 +3,13 @@ from __future__ import annotations
 import builtins
 import hashlib
 import itertools
+import sys
 
 import numpy as np
 import pytest
 
-from steinerkit import textfile
+from steinerkit import chunkmap, design, textfile
+from steinerkit.basedesigns import build_base_design
 from steinerkit.design import (
     Design,
     brute_aut,
@@ -77,6 +79,43 @@ def test_canonical_blocks_are_adopted():
     assert Design(9, 3, canonical[::-1]) == Design(9, 3, canonical[:, ::-1]) == sts9()
     with pytest.raises(BadParams, match="point index out of range"):
         Design(9, 3, [[0, 1, 9]])
+
+
+@pytest.mark.parametrize("swap", [3, 4, 9])  # at the first seam, inside a chunk, the last rows
+def test_rows_out_of_order_at_a_chunk_seam_are_sorted(monkeypatch, swap):
+    monkeypatch.setattr(design, "_ROWS", 4)  # seams after rows 3 and 7 of sts9's 12
+    canonical = np.array(sts9().blocks)
+    rows = canonical.copy()
+    rows[[swap - 1, swap]] = rows[[swap, swap - 1]]
+    d = Design(9, 3, rows)
+    assert d == sts9() and d.blocks is not rows
+    # canonical chunks key no full array, and the canonical table is adopted
+    assert design._sorted_keys(canonical, 9) is None
+    assert Design(9, 3, canonical).blocks is canonical
+    # a canonical image of canonical rows is compared as it stands
+    assert is_automorphism(sts9(), Permutation.identity(9))
+    assert not is_automorphism(sts9(), Permutation.from_cycles(9, [(0, 1)]))
+
+
+def test_rows_keyed_on_more_workers_than_cores_lose_no_key(monkeypatch):
+    """Chunks key their rows while one of them makes the shared key array: with
+    four workers, two-row chunks and a short switch interval, every input
+    order still gives the canonical design."""
+    monkeypatch.setattr(chunkmap, "WORKERS", 4)
+    monkeypatch.setattr(design, "_ROWS", 2)
+    sts19 = build_base_design(19, 3, (0, 1, 4)).design  # 57 rows, 29 chunks
+    canonical = np.array(sts19.blocks)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for swap in range(1, len(canonical)):
+            rows = canonical.copy()
+            rows[[swap - 1, swap]] = rows[[swap, swap - 1]]
+            assert Design(19, 3, rows) == sts19
+        assert Design(19, 3, canonical[::-1]) == sts19
+        assert Design(19, 3, canonical).blocks is canonical
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_verify_fano_ok():
