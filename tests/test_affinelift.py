@@ -122,13 +122,14 @@ def test_line_orbits_stabilizers_are_the_fixing_elements():
     assert sum(map(len, orb.stabilizers)) > len(orb.reps)  # some line has a stabilizer
 
 
-def test_line_images_refuse_a_point_permutation_that_moves_no_coordinates():
+def test_line_images_refuse_an_element_that_is_no_coordinate_permutation():
     sp = AffineSpace(2, 3)
     keys = all_lines(sp)
     ident = Permutation.identity(9)
     for bad in (Permutation.from_cycles(9, [(1, 2)]),  # a transposition of two points
+                # x -> 2x: linear, but it moves no coordinate to another
                 Permutation([(2 * x) % 3 + 3 * ((2 * y) % 3) for y in range(3) for x in range(3)]),
-                Permutation.identity(27)):
+                Permutation.identity(27)):  # a point permutation of another space
         with pytest.raises(BadParams, match=rf"^element 1 {re.escape(repr(bad))} is not a "
                                             r"coordinate permutation of AG\(2,3\)$"):
             line_images(sp, keys, [ident, bad])
