@@ -160,8 +160,6 @@ def _lift_group(args, report: Report) -> tuple[PermGroup, int]:
     report.param("k", args.k)
     report.param("group_order", h)
     report.param("d", group.degree)
-    if args.d is not None and args.d != group.degree:
-        raise SteinerError(f"--d {args.d} disagrees with group degree {group.degree}")
     return group, h
 
 
@@ -248,18 +246,14 @@ def cmd_compose(args, report: Report) -> None:
     report.param("w", w.v)
     report.param("y", y.v)
     report.param("x", len(x_points))
-    supplier = compose.default_td_supplier
-    if args.td_n:
-        bundle = cyclic_td(w.k, args.td_n)
-        supplier = lambda *_: bundle.td  # noqa: E731
     if mode == "rc":
-        plan = compose.CompositionPlan(w, y, x_points, td_supplier=supplier)
+        plan = compose.CompositionPlan(w, y, x_points)
         out = _timed(report, "compose", compose.product_design, plan, check=False)
         report.param("v", out.v)
         _certified(report, out, args.out, f"product of w={w.v} and y={y.v}, x={len(x_points)}")
     elif mode == "1blocked":
         group = _load_group(args.group_file)
-        plan = compose.CompositionPlan(w, y, x_points, td_supplier=supplier, group=group)
+        plan = compose.CompositionPlan(w, y, x_points, group=group)
         out, bar = _timed(report, "compose", compose.product_design_1blocked, plan, check=False)
         report.param("v", out.v)
         _certified(report, out, args.out,
@@ -436,7 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("construct-odd", help="line filling for odd-order groups")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--group-file", required=True)
-    p.add_argument("--d", type=int)
     p.add_argument("--p", type=int)
     p.add_argument("--base-block")
     p.add_argument("--out", help="output design file")
@@ -445,7 +438,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("construct-aligned", help="line filling via cyclic alignment")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--group-file", required=True)
-    p.add_argument("--d", type=int)
     p.add_argument("--p", type=int)
     p.add_argument("--ingredient", help="design file on p points")
     p.add_argument("--cyclic", help="images of the ingredient's cyclic automorphism")
@@ -460,7 +452,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x-points", default="0", help="comma-separated subdesign points of Y")
     p.add_argument("--group-file", help="1-blocked group on W's points")
     p.add_argument("--cyclic", help="images of the semiregular cyclic generator on W")
-    p.add_argument("--td-n", type=int, help="force a cyclic-table TD of this order")
     p.add_argument("--k", type=int, help="auto cyclic pipeline: block size")
     p.add_argument("--h", type=int, help="auto cyclic pipeline: group-order parameter")
     p.add_argument("--s-min", type=int, default=1)

@@ -2,18 +2,20 @@
 
 The product construction takes a 2-(w,k,1)-design W, a 2-(y,k,1)-design Y
 with an x-point subdesign X, and a TD(k, y-x), and produces a
-2-(w(y-x)+x, k, 1)-design on X u (W x Z), Z = Y - X.  Blocks come in four
+2-(w(y-x)+x, k, 1)-design on X u (W x Z), Z = Y - X.  Blocks come in three
 sorts: X's own blocks, per W-point copies of Y's remaining blocks, and a TD
 copy on A x Z per W-block A.
 
-Two symmetry-preserving refinements: a 1-blocked automorphism group of W
-extends to a 1-blocked group of the product (TD copies planted per block
-orbit and pushed by transporters), and a semiregular cyclic group of order k
-on W extends to a cyclic group fixing one point and semiregular elsewhere,
-by aligning each stabilized TD copy with a group-rotating automorphism of
-the TD ingredient.  Block orbits and the push are permgrp's ``set_images``,
-``orbit_sweep`` and ``push``, shared with the line-filling lifts; every
-route builds its blocks as arrays.
+Every product takes one route: check the ingredients, the TD by
+``verify_td`` among them; sweep W's blocks into orbits under a group of W;
+plant a TD copy on each orbit representative and push it to the rest of the
+orbit by transporters (permgrp's ``set_images``, ``orbit_sweep``,
+``transporters`` and ``push``, shared with the lifts).  The plain product
+uses the trivial group.  A 1-blocked group of W extends to a 1-blocked group
+of the product.  A semiregular cyclic group of order k on W extends to a
+cyclic group fixing one point and semiregular elsewhere; its plant aligns
+the TD copy on each stabilized block with a group-rotating automorphism of
+the TD.
 """
 from __future__ import annotations
 
@@ -26,7 +28,8 @@ from .certify import certify, require_certified
 from .design import Design, is_1_blocked, is_automorphism, is_subdesign
 from .errors import BadParams, Unavailable
 from .netstd import TransversalDesign, cyclic_td, mols_td, verify_td
-from .permgrp import PermGroup, Permutation, orbit_sweep, push, set_images, transporters
+from .permgrp import (PermGroup, Permutation, is_semiregular, orbit_sweep, push, set_images,
+                      transporters)
 from .textfile import point_dtype
 
 
@@ -81,11 +84,6 @@ def _bar_group(idx: _Indexer, generators) -> PermGroup:
     return PermGroup(idx.u, [Permutation(idx.bar(g)) for g in generators])
 
 
-def _check_subdesign(plan: CompositionPlan) -> None:
-    if not is_subdesign(plan.Y, plan.x_points):
-        raise BadParams(f"points {tuple(sorted(plan.x_points))} are not a subdesign of Y")
-
-
 def _nontd_blocks(plan: CompositionPlan, idx: _Indexer) -> np.ndarray:
     """Sorts one and two: X's blocks, and per W-point copies of Y's blocks
     not inside X (the subdesign check leaves at most one X point in these)."""
@@ -110,12 +108,18 @@ def _plant_td(td: TransversalDesign, idx: _Indexer, rows: np.ndarray) -> np.ndar
     return points.astype(point_dtype(idx.u))
 
 
-def _product(plan: CompositionPlan, group: PermGroup) -> tuple[Design, _Indexer]:
-    """Check the ingredients, then plant a TD copy per W-block orbit and push it."""
+def _product(plan: CompositionPlan, group: PermGroup,
+             plant=lambda td, idx, rows, sizes: _plant_td(td, idx, rows)
+             ) -> tuple[Design, _Indexer]:
+    """Check the ingredients, then plant a TD copy per W-block orbit and push
+    it by transporters.  ``plant(td, idx, rows, sizes)`` gives the copies at
+    the representative rows from the orbit sizes; by default the canonical
+    copy at every representative."""
     idx = _Indexer(plan)
     if plan.W.k != plan.Y.k:
         raise BadParams("W and Y must share the block size")
-    _check_subdesign(plan)
+    if not is_subdesign(plan.Y, plan.x_points):
+        raise BadParams(f"points {tuple(sorted(plan.x_points))} are not a subdesign of Y")
     td = plan.td_supplier(idx.k, idx.zlen)
     verify_td(td)
     if td.n != idx.zlen or td.k != idx.k:
@@ -123,9 +127,9 @@ def _product(plan: CompositionPlan, group: PermGroup) -> tuple[Design, _Indexer]
     elements = group.elements()
     images = set_images(plan.W.blocks, elements)
     reps, orbit_of = orbit_sweep(images)
-    trans = transporters(images, reps, orbit_of)
-    pushed = push(np.stack([idx.bar(g) for g in elements]),
-                  _plant_td(td, idx, plan.W.blocks[reps]), orbit_of, trans)
+    plants = plant(td, idx, plan.W.blocks[reps], np.bincount(orbit_of))
+    pushed = push(np.stack([idx.bar(g) for g in elements]), plants, orbit_of,
+                  transporters(images, reps, orbit_of))
     return Design(idx.u, idx.k, np.concatenate([_nontd_blocks(plan, idx), pushed])), idx
 
 
@@ -174,17 +178,10 @@ def cyclic_product_design(W: Design, c_w: Permutation, Y: Design,
     order = c_w.order()
     if order not in (1, k):
         raise BadParams(f"c_w must have order {k} (or 1), got {order}")
-    powers = [Permutation.identity(W.v)]
-    for _ in range(order - 1):
-        powers.append(powers[-1] * c_w)
-    if order > 1 and any(p.fixed_points() for p in powers[1:]):
+    group = PermGroup.cyclic_from(c_w)
+    if not is_semiregular(group, range(W.v))[0]:
         raise BadParams("c_w must be semiregular on W's points")
 
-    plan = CompositionPlan(W, Y, (0,), td_supplier=lambda *_: td)
-    idx = _Indexer(plan)
-    _check_subdesign(plan)
-
-    rotation = None
     if td_rotator is not None:
         if not td.is_automorphism(td_rotator) or td_rotator.order() != k:
             raise BadParams("td_rotator must be an order-k TD automorphism")
@@ -194,34 +191,27 @@ def cyclic_product_design(W: Design, c_w: Permutation, Y: Design,
         if len(rotation.cycles()) != 1 or len(rotation.cycles()[0]) != k:
             raise BadParams("td_rotator must rotate the k groups in one cycle")
 
-    images = set_images(W.blocks, powers)
-    reps, orbit_of = orbit_sweep(images)
-    trans = transporters(images, reps, orbit_of)
-    # free orbits: the canonical copy at the representative, pushed around
-    plants = _plant_td(td, idx, W.blocks[reps])
-    sizes = np.bincount(orbit_of)
-    for r in np.flatnonzero(sizes != order).tolist():
-        ablock = tuple(W.blocks[reps[r]].tolist())
-        stab_size = order // int(sizes[r])
-        if stab_size != order:
-            raise BadParams(
-                f"block {ablock} has stabilizer of size {stab_size}")
-        # the block is a <c_w>-orbit: align the TD copy with the rotator
-        if rotation is None:
-            raise BadParams(
-                f"stabilized block {ablock} needs a group-rotating TD automorphism")
-        b_seq = [min(ablock)]
-        for _ in range(k - 1):
-            b_seq.append(c_w(b_seq[-1]))
-        phi = np.empty(td.point_count, dtype=np.int64)
-        points = td.groups[0]
-        for b in b_seq:
-            phi[points] = idx.x + b * idx.zlen + np.arange(len(points))
-            points = td_rotator.images[points]
-        plants[r] = phi[td.blocks]
-    pushed = push(np.stack([idx.bar(p) for p in powers]), plants, orbit_of, trans)
+    def plant(td, idx, rows, sizes):
+        """The canonical copy on free orbits; a block that is a <c_w>-orbit
+        gets its copy aligned with the rotator."""
+        plants = _plant_td(td, idx, rows)
+        for r in np.flatnonzero(sizes != order).tolist():
+            ablock = tuple(rows[r].tolist())
+            stab_size = order // int(sizes[r])
+            if stab_size != order:
+                raise BadParams(f"block {ablock} has stabilizer of size {stab_size}")
+            if td_rotator is None:
+                raise BadParams(
+                    f"stabilized block {ablock} needs a group-rotating TD automorphism")
+            phi = np.empty(td.point_count, dtype=np.int64)
+            b, points = min(ablock), td.groups[0]
+            for _ in range(k):
+                phi[points] = idx.x + b * idx.zlen + np.arange(len(points))
+                b, points = c_w(b), td_rotator.images[points]
+            plants[r] = phi[td.blocks]
+        return plants
 
-    out = Design(idx.u, k, np.concatenate([_nontd_blocks(plan, idx), pushed]))
+    out, idx = _product(CompositionPlan(W, Y, (0,), td_supplier=lambda *_: td), group, plant)
     cbar = _bar_group(idx, [c_w])
     if check:
         require_certified(certify(out, cbar, fixed=(0,)), "cyclic product")

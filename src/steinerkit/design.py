@@ -181,7 +181,6 @@ class VerifyReport:
     ok: bool
     pair_deficit: int
     pair_surplus: int
-    block_count: int
 
 
 def _pair_chunks(rows: np.ndarray) -> list[Callable[[], np.ndarray]]:
@@ -241,7 +240,7 @@ def verify_2design(design: Design) -> VerifyReport:
     if design.v > PAIR_TABLE_MAX_V:
         raise Budget(f"pair table for v={design.v} exceeds the in-memory budget")
     deficit, surplus = _pair_cover(design.v, [design.blocks])
-    return VerifyReport(deficit == 0 and surplus == 0, deficit, surplus, design.b)
+    return VerifyReport(deficit == 0 and surplus == 0, deficit, surplus)
 
 
 def _maps_onto(h: Permutation, d1: Design, d2: Design) -> bool:

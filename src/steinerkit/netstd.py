@@ -293,7 +293,6 @@ class CyclicTd:
 
     td: TransversalDesign
     translation: Permutation
-    moved_groups: tuple[int, ...]
     rotator: Permutation | None
 
 
@@ -310,7 +309,6 @@ def cyclic_td(k: int, n: int) -> CyclicTd:
     group, z = np.divmod(np.arange(k * n), n)
     translation = Permutation(group * n + (z + (group != 1)) % n)
     require(td.is_automorphism(translation), "cyclic TD translation is an automorphism")
-    moved = tuple(c for c in range(k) if c != 1) if n > 1 else ()
 
     rotator = None
     if k == 3 and n > 1:
@@ -319,7 +317,7 @@ def cyclic_td(k: int, n: int) -> CyclicTd:
         rotator = Permutation(np.concatenate([n + z, 2 * n + -z % n, -z % n]))
         require(td.is_automorphism(rotator), "cyclic TD rotator is an automorphism")
         require(rotator.order() == 3, "cyclic TD rotator has order 3")
-    return CyclicTd(td, translation, moved, rotator)
+    return CyclicTd(td, translation, rotator)
 
 
 def mols_td(k: int, n: int) -> TransversalDesign:

@@ -69,7 +69,7 @@ def test_entry_turns_an_axiom_violation_into_a_failed_entry():
 
 
 FAILING = {
-    "verify_2design": lambda d: VerifyReport(False, 1, 0, d.b),
+    "verify_2design": lambda d: VerifyReport(False, 1, 0),
     "is_automorphism": lambda d, g: False,
     "stabilizer_scan": lambda d, group: (False, ((0, 1, 2), group.generators[0])),
 }

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -125,3 +126,17 @@ def test_cli_checks_designs_only_through_the_checker():
               for alias in node.names}
     kernels = {"verify_2design", "is_automorphism", "is_1_blocked"}
     assert not names & kernels, f"cli.py calls a design kernel directly: {names & kernels}"
+
+
+def test_every_cli_option_is_passed_by_a_test():
+    # an option no test passes is a configuration nothing exercises
+    path = Path(steinerkit.__file__).parent / "cli.py"
+    options = {arg.value for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+               if isinstance(node, ast.Call) and getattr(node.func, "attr", "") == "add_argument"
+               for arg in node.args
+               if isinstance(arg, ast.Constant) and str(arg.value).startswith("--")}
+    assert len(options) > 20
+    tests = "\n".join(t.read_text() for t in sorted(Path(__file__).parent.glob("*.py")))
+    unused = sorted(option for option in options
+                    if not re.search(rf"(?<![\w-]){re.escape(option)}(?![\w-])", tests))
+    assert not unused, f"CLI options no test passes: {unused}"

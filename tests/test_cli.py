@@ -153,6 +153,18 @@ def test_plan_spectrum_warning_is_a_report_line(capsys, x1, code):
             "above it embeds") in out.splitlines()
 
 
+@pytest.mark.parametrize("lo, outcome", [
+    ("30001", ("witnesses", "668")),
+    ("20000", ("error", "BadParams: window starts below coverage bound 23823")),
+], ids=["above-bound", "below-bound"])
+def test_plan_spectrum_lo_sets_the_window(capsys, lo, outcome):
+    code, rep = run(capsys, "plan-spectrum", "--k", "3", "--w", "7", "--x1", "7,9",
+                    "--width", "2000", "--lo", lo)
+    assert rep["bound"] == "23823"
+    assert rep[outcome[0]] == outcome[1]
+    assert code == (outcome[0] == "error")
+
+
 def test_compose_rc_and_1blocked(tmp_path, capsys):
     fano = tmp_path / "fano.design"
     run(capsys, "search-base-block", "--p", "7", "--k", "3", "--out", str(fano))
@@ -174,11 +186,19 @@ def test_compose_rc_and_1blocked(tmp_path, capsys):
     assert rep["check.one_blocked"].startswith("ok")
 
 
+# sha256 of the files `compose --mode cyclic --k 3 --h 2` writes, and of
+# `construct-aligned --k 3` with Z2
+CYCLIC_379 = "3449d9a7ac033b850ef256a77add071ee20ea98f6b5cd5642f7d6b702c360190"
+CYCLIC_757 = "4aec8c19f7fbc8396b4b05ab386a9751552f48624bf878bacd6c057ce715e313"
+ALIGNED_361 = "8aa22802285b425cd82ea6f5c171ddcc59ac35a21d09f189a67c25ac257cd63c"
+
+
 def test_compose_cyclic_auto_pipeline(tmp_path, capsys):
     out = tmp_path / "sts379.design"
     code, rep = run(capsys, "compose", "--mode", "cyclic", "--k", "3", "--h", "2",
                     "--out", str(out), "--cache-dir", str(tmp_path / "cache"))
     assert code == 0
+    assert rep["sha256"] == CYCLIC_379
     assert rep["cache"] == "miss"
     assert rep["p"] == "379"
     assert rep["check.fixes_exactly_one_point"].startswith("ok")
@@ -192,6 +212,15 @@ def test_compose_cyclic_auto_pipeline(tmp_path, capsys):
                      "--out", str(out2), "--cache-dir", str(tmp_path / "cache"))
     assert code == 0 and rep2["sha256"] == digest
     assert rep2["cache"] == "hit"
+
+
+def test_compose_cyclic_auto_pipeline_s_min(tmp_path, capsys):
+    out = tmp_path / "sts757.design"
+    code, rep = run(capsys, "compose", "--mode", "cyclic", "--k", "3", "--h", "2",
+                    "--s-min", "2", "--out", str(out))
+    assert code == 0
+    assert rep["p"] == "757" and rep["v"] == "757"
+    assert rep["sha256"] == CYCLIC_757
 
 
 def test_cache_hit_is_reverified(tmp_path, capsys):
@@ -247,6 +276,23 @@ def test_construct_aligned_end_to_end(tmp_path, capsys):
     assert rep["check.pairs_once"].startswith("ok")
     assert rep["check.group_is_automorphisms"].startswith("ok")
     assert read_design(out).v == 361
+    assert rep["sha256"] == ALIGNED_361
+
+
+def test_construct_aligned_with_searched_ingredient_file(tmp_path, capsys):
+    # the ingredient the cache would hold, searched by km-search under the
+    # canonical order-(k-1) generator on p = 19 points and read back
+    cyc = Permutation.from_cycles(19, [(j, j + 1) for j in range(1, 19, 2)])
+    ingredient = tmp_path / "e19.design"
+    code, _ = run(capsys, "km-search", "--v", "19", "--k", "3", "--group-file",
+                  write_group(tmp_path / "cyc.group", cyc), "--out", str(ingredient))
+    assert code == 0
+    gf = write_group(tmp_path / "z2.group", Permutation.from_cycles(2, [(0, 1)]))
+    code, rep = run(capsys, "construct-aligned", "--k", "3", "--group-file", gf,
+                    "--ingredient", str(ingredient), "--out", str(tmp_path / "sts361.design"))
+    assert code == 0
+    assert "cache" not in rep and "time.ingredient_search" not in rep
+    assert rep["sha256"] == ALIGNED_361
 
 
 def test_construct_aligned_gcd_precondition(tmp_path, capsys):
@@ -513,7 +559,7 @@ def _fano_and_z7(tmp_path, capsys) -> list[str]:
 CYCLIC_PIPELINE = ["compose", "--mode", "cyclic", "--k", "3", "--h", "2"]
 FAILING_KERNELS = {
     "pairs_once": (design_module, "verify_2design",
-                   lambda d: VerifyReport(False, 1, 0, d.b), None),
+                   lambda d: VerifyReport(False, 1, 0), None),
     "group_is_automorphisms": (design_module, "is_automorphism", lambda d, g: False, None),
     "one_blocked": (design_module, "stabilizer_scan",
                     lambda d, group: (False, ((0, 1, 3), group.generators[0])), None),

@@ -9,9 +9,9 @@ from steinerkit.compose import (
     product_design,
     product_design_1blocked,
 )
-from steinerkit.design import Design, is_1_blocked, is_automorphism, verify_2design
-from steinerkit.errors import BadParams
-from steinerkit.netstd import cyclic_td, mols_td
+from steinerkit.design import Design, brute_aut, is_1_blocked, is_automorphism, verify_2design
+from steinerkit.errors import AxiomViolation, BadParams
+from steinerkit.netstd import TransversalDesign, cyclic_td, mols_td
 from steinerkit.permgrp import PermGroup, Permutation
 
 
@@ -169,3 +169,33 @@ def test_cyclic_product_rejects_non_semiregular_cw(sts21_with_z3):
     bad = Permutation.from_cycles(21, [(0, 1, 2)])
     with pytest.raises(BadParams, match="c_w is not an automorphism of W"):
         cyclic_product_design(w, bad, y, bundle.td, bundle.rotator)
+
+
+def test_cyclic_product_refusals_name_the_condition():
+    w, td = fano(), cyclic_td(3, 6).td
+    involution = next(g for g in brute_aut(w).elements() if g.order() == 2)
+    doubling = Permutation(tuple(2 * x % 7 for x in range(7)))  # fixes 0, order 3
+    cases = [
+        ((w, Permutation.identity(7), steiner_triple_system(9), td, None),
+         "ingredients disagree on k or the TD group size"),
+        ((w, involution, w, td, None), "c_w must have order 3 (or 1), got 2"),
+        ((w, doubling, w, td, None), "c_w must be semiregular on W's points"),
+        ((w, Permutation.identity(7), w, td, Permutation.identity(18)),
+         "td_rotator must be an order-k TD automorphism"),
+    ]
+    for args, message in cases:
+        with pytest.raises(BadParams) as caught:
+            cyclic_product_design(*args)
+        assert str(caught.value) == message
+
+
+def test_cyclic_product_refuses_a_broken_td():
+    td = cyclic_td(3, 6).td
+    blocks = td.blocks.copy()
+    # blocks (0, 6, 12) and (0, 7, 13) swap their group-2 points: pairs
+    # {6, 12} and {7, 13} lose their block, {6, 13} and {7, 12} get a second
+    blocks[[0, 1], 2] = blocks[[1, 0], 2]
+    bad = TransversalDesign(3, 6, td.groups, blocks)
+    with pytest.raises(AxiomViolation, match="2 point pairs lie in no group or block"):
+        cyclic_product_design(steiner_triple_system(9), Permutation.identity(9),
+                              steiner_triple_system(7), bad, None, check=False)

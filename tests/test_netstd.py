@@ -122,7 +122,9 @@ def test_cyclic_td_3_6():
     assert td.is_automorphism(alpha)
     assert alpha.order() == 6
     # every nontrivial power is semiregular on blocks and on moved-group points
-    moved_points = [p for c in result.moved_groups for p in td.groups[c]]
+    moved = [c for c in range(3) if (alpha.images[td.groups[c]] != td.groups[c]).any()]
+    assert moved == [0, 2]
+    moved_points = td.groups[moved].ravel().tolist()
     block_perm = Permutation(set_images(td.blocks, [alpha])[0])
     ok, _ = is_semiregular(PermGroup.cyclic_from(block_perm), range(36))
     assert ok

@@ -92,7 +92,7 @@ def counting_verify(d: Design) -> VerifyReport:
     counts = pair_counts(d.v, d.blocks)
     deficit = int(np.count_nonzero(counts == 0))
     surplus = int(np.count_nonzero(counts >= 2))
-    return VerifyReport(deficit == 0 and surplus == 0, deficit, surplus, d.b)
+    return VerifyReport(deficit == 0 and surplus == 0, deficit, surplus)
 
 
 def least_overflowing(s: int) -> int:
@@ -441,7 +441,7 @@ def test_failing_verify_is_the_same_on_one_worker_or_two(twenty_chunks, one_and_
     blocks[12_345] = blocks[3]
     mutant = Design(d.v, d.k, blocks)
     one, two = one_and_two_workers(lambda: verify_2design(mutant))
-    assert one == two == counting_verify(mutant) == VerifyReport(False, 3, 3, d.b)
+    assert one == two == counting_verify(mutant) == VerifyReport(False, 3, 3)
 
 
 def test_failing_automorphism_is_the_same_on_one_worker_or_two(twenty_chunks,
