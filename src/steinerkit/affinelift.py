@@ -12,9 +12,9 @@ Its elements are linear, so ``line_images`` finds each image line from the
 images of the base and the direction alone, by coordinate arithmetic and a
 key lookup.  The orbits and the push are permgrp's ``orbit_sweep`` and
 ``push``, shared with the product constructions.  Point rows are built
-(``line_points``) only for the orbit representatives; they, the point
-images, the plants and the pushed blocks are ``point_dtype(p^d)`` tables,
-as the design's blocks are.
+(``line_points``) only for the orbit representatives; they and the point
+images are ``point_dtype(p^d)`` tables, and the design is built from the
+pushed row parts, with no table of the plants or of the unsorted blocks.
 
 Two variants: the odd-order lift plants a multiplier-invariant base design
 directly (every induced line action of odd order dividing t is already an
@@ -220,16 +220,13 @@ def _line_orbits(group: PermGroup, p: int) -> _LineOrbits:
     return _LineOrbits(space, lines, coord, elements, reps, orbit_of, trans, stabilizers)
 
 
-def _fill(orb: _LineOrbits, plants: np.ndarray, k: int) -> LiftResult:
-    """Plant ingredient blocks on the representatives through their line
-    parametrizations and push them over every orbit, in the point dtype of
-    the space.  ``plants`` holds one (b, k) block array per representative,
-    or one shared by all."""
-    lines = orb.lines
+def _fill(orb: _LineOrbits, lines: np.ndarray, plant: np.ndarray, k: int) -> LiftResult:
+    """Plant the ingredient blocks ``plant`` on each representative through
+    its row of ``lines`` and push them over every orbit, in the point dtype of
+    the space: the design is built from the pushed row parts."""
     point_images = np.stack([g.images for g in orb.elements]).astype(lines.dtype)
-    blocks = push(point_images, lines[np.arange(len(lines))[:, None, None], plants],
-                  orb.orbit_of, orb.trans)
-    design = Design(orb.space.point_count, k, blocks)
+    design = Design(orb.space.point_count, k,
+                    push(point_images, lines, plant, orb.orbit_of, orb.trans))
     return LiftResult(design, orb.group, len(orb.orbit_of), len(orb.reps))
 
 
@@ -259,7 +256,7 @@ def lift_odd(group: PermGroup, p: int, k: int, base: BaseBlockDesign) -> LiftRes
                 raise BadParams(
                     f"induced action on line {r} is outside the base design's "
                     f"automorphisms")
-    return _fill(orb, base.design.blocks, k)
+    return _fill(orb, orb.lines, base.design.blocks, k)
 
 
 def lift_aligned(group: PermGroup, p: int, k: int, ingredient: Design,
@@ -282,8 +279,8 @@ def lift_aligned(group: PermGroup, p: int, k: int, ingredient: Design,
         raise BadParams(
             "cyclic_gen must fix exactly one point and be semiregular elsewhere")
     orb = _line_orbits(group, p)
-    plants = []
-    for r, line, stabilizers in zip(orb.reps.tolist(), orb.lines, orb.stabilizers):
+    lines = orb.lines.copy()
+    for r, line, stabilizers in zip(orb.reps.tolist(), lines, orb.stabilizers):
         induced_set = dict.fromkeys(induced_perm_on_line(g, line) for g in stabilizers)
         m = len(induced_set)
         # the generator with the least image table
@@ -292,22 +289,21 @@ def lift_aligned(group: PermGroup, p: int, k: int, ingredient: Design,
         if gen is None:
             raise BadParams(f"induced action on line {r} is not cyclic")
         if m == 1:
-            plant = ingredient
-        else:
-            if n % m != 0:
+            continue
+        if n % m != 0:
+            raise BadParams(
+                f"induced order {m} on line {r} does not divide {n}")
+        target = cyclic_gen
+        for _ in range(n // m - 1):
+            target = target * cyclic_gen
+        try:
+            sigma = align_semiregular_cyclic(gen, target, range(p))
+        except BadParams as exc:
+            raise BadParams(f"line {r}: {exc}")
+        plant = ingredient.relabel(sigma.inverse())
+        for ind in induced_set:
+            if not is_automorphism(plant, ind):
                 raise BadParams(
-                    f"induced order {m} on line {r} does not divide {n}")
-            target = cyclic_gen
-            for _ in range(n // m - 1):
-                target = target * cyclic_gen
-            try:
-                sigma = align_semiregular_cyclic(gen, target, range(p))
-            except BadParams as exc:
-                raise BadParams(f"line {r}: {exc}")
-            plant = ingredient.relabel(sigma.inverse())
-            for ind in induced_set:
-                if not is_automorphism(plant, ind):
-                    raise BadParams(
-                        f"aligned plant on line {r} misses an induced action")
-        plants.append(plant.blocks)
-    return _fill(orb, np.stack(plants), k)
+                    f"aligned plant on line {r} misses an induced action")
+        line[:] = line[sigma.inverse().images]  # plants the ingredient relabelled by sigma^-1
+    return _fill(orb, lines, ingredient.blocks, k)

@@ -10,7 +10,8 @@ Every product takes one route: check the ingredients, the TD by
 ``verify_td`` among them; sweep W's blocks into orbits under a group of W;
 plant a TD copy on each orbit representative and push it to the rest of the
 orbit by transporters (permgrp's ``set_images``, ``orbit_sweep``,
-``transporters`` and ``push``, shared with the lifts).  The plain product
+``transporters`` and ``push``, shared with the lifts).  The design is built
+from the pushed row parts of all three sorts of blocks.  The plain product
 uses the trivial group.  A 1-blocked group of W extends to a 1-blocked group
 of the product.  A semiregular cyclic group of order k on W extends to a
 cyclic group fixing one point and semiregular elsewhere; its plant aligns
@@ -28,8 +29,8 @@ from .certify import certify, require_certified
 from .design import Design, is_1_blocked, is_automorphism, is_subdesign
 from .errors import BadParams, Unavailable
 from .netstd import TransversalDesign, cyclic_td, mols_td, verify_td
-from .permgrp import (PermGroup, Permutation, is_semiregular, orbit_sweep, push, set_images,
-                      transporters)
+from .permgrp import (PermGroup, Permutation, RowPart, is_semiregular, orbit_sweep, push,
+                      set_images, transporters)
 from .textfile import point_dtype
 
 
@@ -84,27 +85,29 @@ def _bar_group(idx: _Indexer, generators) -> PermGroup:
     return PermGroup(idx.u, [Permutation(idx.bar(g)) for g in generators])
 
 
-def _nontd_blocks(plan: CompositionPlan, idx: _Indexer) -> np.ndarray:
-    """Sorts one and two: X's blocks, and per W-point copies of Y's blocks
-    not inside X (the subdesign check leaves at most one X point in these)."""
-    a = np.arange(idx.w)[:, None]
-    copies = np.where(idx.in_x, idx.rank, idx.x + a * idx.zlen + idx.rank)
+def _nontd_parts(plan: CompositionPlan, idx: _Indexer) -> list[RowPart]:
+    """Sorts one and two, pushed: X's blocks, and per W-point copies of Y's
+    blocks not inside X (the subdesign check leaves at most one X point in
+    these).  Row a of ``copies`` holds W point a's copy of Y's points; each W
+    point is its own orbit, the identity its transporter."""
+    copies = np.where(idx.in_x, idx.rank, idx.x + np.arange(idx.w)[:, None] * idx.zlen + idx.rank)
     copies = copies.astype(point_dtype(idx.u))
-    yblocks = plan.Y.blocks
-    inside = idx.in_x[yblocks].all(axis=1)
-    return np.concatenate([copies[0][yblocks[inside]],
-                           copies[:, yblocks[~inside]].reshape(-1, idx.k)])
+    identity, zeros = np.arange(idx.u, dtype=copies.dtype)[None], np.zeros(idx.w, np.int64)
+    inside = idx.in_x[plan.Y.blocks].all(axis=1)
+    return [*push(identity, copies, plan.Y.blocks[inside], zeros[:1], zeros[:1]),
+            *push(identity, copies, plan.Y.blocks[~inside], np.arange(idx.w), zeros)]
 
 
 def _plant_td(td: TransversalDesign, idx: _Indexer, rows: np.ndarray) -> np.ndarray:
-    """One TD copy on A x Z per W-block row A: the j-th point of TD group g
-    lands on Z rank j of the W point A[g].  Shape (rows, n^2, k), in
-    ``point_dtype(u)``; the W points are widened to int64 first."""
+    """One TD copy on A x Z per W-block row A, as the product point of each TD
+    point: the j-th point of TD group g lands on Z rank j of the W point A[g].
+    Shape (rows, kn), in ``point_dtype(u)``; the W points are widened to int64
+    first."""
     group = np.empty(td.point_count, dtype=np.int64)
     rank = np.empty(td.point_count, dtype=np.int64)
     group[td.groups] = np.arange(td.k)[:, None]
     rank[td.groups] = np.arange(td.n)
-    points = idx.x + rows.astype(np.int64)[:, group[td.blocks]] * idx.zlen + rank[td.blocks]
+    points = idx.x + rows.astype(np.int64)[:, group] * idx.zlen + rank
     return points.astype(point_dtype(idx.u))
 
 
@@ -113,8 +116,8 @@ def _product(plan: CompositionPlan, group: PermGroup,
              ) -> tuple[Design, _Indexer]:
     """Check the ingredients, then plant a TD copy per W-block orbit and push
     it by transporters.  ``plant(td, idx, rows, sizes)`` gives the copies at
-    the representative rows from the orbit sizes; by default the canonical
-    copy at every representative."""
+    the representative rows from the orbit sizes, as ``_plant_td`` does; by
+    default the canonical copy at every representative."""
     idx = _Indexer(plan)
     if plan.W.k != plan.Y.k:
         raise BadParams("W and Y must share the block size")
@@ -127,10 +130,10 @@ def _product(plan: CompositionPlan, group: PermGroup,
     elements = group.elements()
     images = set_images(plan.W.blocks, elements)
     reps, orbit_of = orbit_sweep(images)
-    plants = plant(td, idx, plan.W.blocks[reps], np.bincount(orbit_of))
-    pushed = push(np.stack([idx.bar(g) for g in elements]), plants, orbit_of,
+    copies = plant(td, idx, plan.W.blocks[reps], np.bincount(orbit_of))
+    pushed = push(np.stack([idx.bar(g) for g in elements]), copies, td.blocks, orbit_of,
                   transporters(images, reps, orbit_of))
-    return Design(idx.u, idx.k, np.concatenate([_nontd_blocks(plan, idx), pushed])), idx
+    return Design(idx.u, idx.k, [*_nontd_parts(plan, idx), *pushed]), idx
 
 
 def product_design(plan: CompositionPlan, check: bool = True) -> Design:
@@ -203,12 +206,10 @@ def cyclic_product_design(W: Design, c_w: Permutation, Y: Design,
             if td_rotator is None:
                 raise BadParams(
                     f"stabilized block {ablock} needs a group-rotating TD automorphism")
-            phi = np.empty(td.point_count, dtype=np.int64)
             b, points = min(ablock), td.groups[0]
             for _ in range(k):
-                phi[points] = idx.x + b * idx.zlen + np.arange(len(points))
+                plants[r, points] = idx.x + b * idx.zlen + np.arange(len(points))
                 b, points = c_w(b), td_rotator.images[points]
-            plants[r] = phi[td.blocks]
         return plants
 
     out, idx = _product(CompositionPlan(W, Y, (0,), td_supplier=lambda *_: td), group, plant)

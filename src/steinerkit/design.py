@@ -3,10 +3,11 @@ design files.
 
 Blocks are stored in canonical form: each block sorted ascending, the blocks
 in key order (``permgrp.row_keys``, which is lexicographic order).  While
-v^k <= 2^63 the keys are exact int64 base-v numbers; canonical form and the
-automorphism, stabilizer and pair checks run in chunks of rows, spread over
-the CPUs by ``chunkmap.chunk_map``, and build no image design or full-size
-row gather.  Design files are ``textfile`` tables of one section.
+v^k <= 2^63 the keys are exact int64 base-v numbers; canonical form (of one
+array of rows, or of the ``RowPart``s ``push`` gives, each keyed into its
+slice of one key array) and the automorphism, stabilizer and pair checks run
+in chunks of rows, spread over the CPUs by ``chunkmap.chunk_map``, and build
+no image design or full-size row gather.  Design files are ``textfile`` tables of one section.
 
 A block table holds its points in ``point_dtype(v)``: uint16 while v <=
 65,536, else uint32.  Every kernel widens a chunk of points to int64 before
@@ -26,7 +27,7 @@ import numpy as np
 from . import textfile
 from .chunkmap import chunk_map, chunk_stream
 from .errors import BadParams, Budget
-from .permgrp import DEFAULT_CAP, PermGroup, Permutation, row_keys
+from .permgrp import DEFAULT_CAP, PermGroup, Permutation, RowPart, row_keys
 from .textfile import point_dtype
 
 PAIR_TABLE_MAX_V = 20000  # a v^2/2 pair bitmap, and int64 counters on failure, fit below this
@@ -34,20 +35,20 @@ _ROWS = 1 << 16  # rows per chunk of the row-key, automorphism, pair and stabili
 T = TypeVar("T")
 
 
-def _ascending(cols: Sequence[np.ndarray]) -> bool:
-    return all(np.all(a < b) for a, b in zip(cols, cols[1:]))
-
-
-def _sorted_rows(rows: np.ndarray) -> np.ndarray:
-    """The rows, each sorted ascending (BadParams on a repeated point) by an
-    odd-even transposition network: numpy's row sort pays a call per row."""
+def _sorted_rows(rows: np.ndarray, v: int) -> np.ndarray:
+    """The rows, each sorted ascending by an odd-even transposition network
+    (numpy's row sort pays a call per row); BadParams on a point outside
+    0..v-1, then on a point repeated inside a row."""
     cols = list(rows.T)
-    if _ascending(cols):
-        return rows
-    for step in range(len(cols)):
+    ascending = all(np.all(a < b) for a, b in zip(cols, cols[1:]))
+    for step in range(0 if ascending else len(cols)):
         for j in range(step % 2, len(cols) - 1, 2):
             cols[j:j + 2] = np.minimum(*cols[j:j + 2]), np.maximum(*cols[j:j + 2])
-    if not _ascending(cols):
+    if rows.size and (cols[0].min() < 0 or cols[-1].max() >= v):
+        raise BadParams("point index out of range")
+    if ascending:
+        return rows
+    if any(np.any(a == b) for a, b in zip(cols, cols[1:])):
         raise BadParams("repeated point inside a block")
     return np.stack(cols, axis=1)
 
@@ -58,53 +59,94 @@ def _row_map(fn: Callable[[slice], T], n_rows: int) -> list[T]:
     return chunk_map(lambda i: fn(slice(i * step, (i + 1) * step)), -(-n_rows // step))
 
 
-def _sorted_keys(rows: np.ndarray, v: int, perm: Permutation | None = None) -> np.ndarray | None:
-    """Exact row keys (v^k <= 2^63) of the rows mapped through ``perm``, each
-    row sorted first; None if those rows are canonical already: each row
-    ascending and the keys strictly increasing.
+def _parts(rows: np.ndarray, perm: Permutation | None = None) -> list[RowPart]:
+    """The rows, mapped through ``perm``, as parts of _ROWS rows."""
+    chunks = [rows[start:start + _ROWS] for start in range(0, len(rows), _ROWS)]
+    return [RowPart(len(c), c.view if perm is None else partial(perm.images.__getitem__, c))
+            for c in chunks]
 
-    Each chunk is keyed on its own.  The first chunk that is not canonical
-    makes the full key array, every chunk after it writes its keys there, and
-    the chunks keyed before it are keyed again; canonical rows never need it.
-    """
-    n = rows.shape[0]
+
+def _sorted_keys(parts: Sequence[RowPart], v: int) -> np.ndarray | None:
+    """Exact keys (v^k <= 2^63) of the parts' rows in order, each row sorted
+    by ``_sorted_rows`` first; None if the rows are canonical already: each
+    ascending and the keys strictly increasing.  Each part is made and keyed
+    on its own; the first that is not canonical makes the full key array, the
+    parts after it write their keys into their own slices there, and those
+    keyed before it are made and keyed again."""
+    ends = np.cumsum([0, *(part.count for part in parts)]).tolist()
     keys = None
     making = threading.Lock()
 
-    def chunk(part: slice) -> tuple[int, int] | None:
-        """The chunk's first and last key if it is canonical and no key array
+    def key(i: int) -> tuple[int, int] | None:
+        """The part's first and last key if it is canonical and no key array
         is made yet, else None once its keys are written."""
         nonlocal keys
-        img = rows[part] if perm is None else perm.images[rows[part]]
-        cols = _sorted_rows(img)
+        rows = parts[i].make()
+        cols = _sorted_rows(rows, v)
         mine = row_keys(cols, v)
-        if keys is None and cols is img and np.all(mine[1:] > mine[:-1]):
+        if keys is None and cols is rows and np.all(mine[1:] > mine[:-1]):
             return mine[0], mine[-1]
         with making:
             if keys is None:
-                keys = np.empty(n, dtype=np.int64)
-        keys[part] = mine
+                keys = np.empty(ends[-1], dtype=np.int64)
+        keys[ends[i]:ends[i + 1]] = mine
         return None
 
-    ends = _row_map(chunk, n)
+    firsts = chunk_map(key, len(parts))
     if keys is None:
-        if all(a[1] < b[0] for a, b in zip(ends, ends[1:])):
+        if all(a[1] < b[0] for a, b in zip(firsts, firsts[1:])):
             return None
-        keys = np.empty(n, dtype=np.int64)
-    again = [i for i, e in enumerate(ends) if e is not None]
-    chunk_map(lambda j: chunk(slice(again[j] * _ROWS, (again[j] + 1) * _ROWS)), len(again))
+        keys = np.empty(ends[-1], dtype=np.int64)
+    again = [i for i, e in enumerate(firsts) if e is not None]
+    chunk_map(lambda j: key(again[j]), len(again))
     return keys
 
 
-class Design:
-    """A 2-(v,k,1)-design candidate: v points and a list of k-subsets.
+def _canonical(v: int, k: int, blocks) -> np.ndarray:
+    """The blocks, one array of rows or a list of ``RowPart``s, as a read-only
+    canonical ``point_dtype(v)`` table: exact keys are sorted in place and
+    decoded, wider rows gathered in rank-compressed key order.  Canonical
+    blocks stay as they are, a ``point_dtype(v)`` array owning its data."""
+    dtype = point_dtype(v)
+    if isinstance(blocks, list) and blocks and isinstance(blocks[0], RowPart):
+        table, parts = None, blocks
+    else:
+        compact = isinstance(blocks, np.ndarray) and blocks.dtype == dtype
+        table = blocks if compact else np.asarray(blocks, dtype=np.int64)
+        if table.ndim == 1 and table.size == 0:
+            table = table.reshape(0, k)
+        if table.ndim != 2 or table.shape[1] != k:
+            raise BadParams(f"blocks must be rows of {k} points")
+        parts = _parts(table)
+    if v**k > 2**63:
+        table = _sorted_rows(np.concatenate([np.empty((0, k), dtype),
+                                             *(part.make() for part in parts)]), v)
+        table = table[np.argsort(row_keys(table, v))]
+    elif (keys := _sorted_keys(parts, v)) is not None:
+        parts = table = None  # the rows' sources go before the sort
+        keys.sort()
+        table = np.empty((len(keys), k), dtype=dtype)
 
-    Canonical order is key order.  Exact keys (v^k <= 2^63) are sorted and
-    decoded back into rows; wider rows are gathered in the order of their
-    rank-compressed keys.  Blocks already in canonical form, given as a
-    ``point_dtype(v)`` array that owns its data, are adopted without a copy
-    and made read-only.
-    """
+        def decode(part: slice) -> None:
+            mine, rows = keys[part], table[part]
+            point = np.empty_like(mine)
+            for col in range(k - 1, -1, -1):
+                np.divmod(mine, v, out=(mine, point))
+                rows[:, col] = point
+
+        _row_map(decode, len(keys))
+    elif table is None:
+        table = np.concatenate([part.make() for part in parts])
+    table = table.astype(dtype, copy=False)
+    if table.base is not None:  # canonical input, but a view: copy it
+        table = table.copy()
+    table.setflags(write=False)
+    return table
+
+
+class Design:
+    """A 2-(v,k,1)-design candidate: v points and a list of k-subsets, kept
+    in canonical form (``_canonical``): key order."""
 
     __slots__ = ("v", "k", "blocks")
 
@@ -112,39 +154,7 @@ class Design:
         v, k = int(v), int(k)
         if k < 1:
             raise BadParams(f"block size k={k} must be at least 1")
-        dtype = point_dtype(v)
-        compact = isinstance(blocks, np.ndarray) and blocks.dtype == dtype
-        arr = blocks if compact else np.asarray(blocks, dtype=np.int64)
-        if arr.ndim == 1 and arr.size == 0:
-            arr = arr.reshape(0, k)
-        if arr.ndim != 2 or arr.shape[1] != k:
-            raise BadParams(f"blocks must be rows of {k} points")
-        if arr.size and (arr.min() < 0 or arr.max() >= v):
-            raise BadParams("point index out of range")
-        arr = arr.astype(dtype, copy=False)
-        if v**k <= 2**63:  # exact keys: sort them, then decode the rows in place
-            keys = _sorted_keys(arr, v)
-            if keys is not None:
-                keys.sort()
-                arr = np.empty((len(keys), k), dtype=dtype)
-
-                def decode(part: slice) -> None:
-                    mine, rows = keys[part], arr[part]
-                    point = np.empty_like(mine)
-                    for col in range(k - 1, -1, -1):
-                        np.divmod(mine, v, out=(mine, point))
-                        rows[:, col] = point
-
-                _row_map(decode, len(keys))
-        else:
-            arr = _sorted_rows(arr)
-            keys = row_keys(arr, v)
-            if np.any(keys[1:] <= keys[:-1]):
-                arr = arr[np.argsort(keys)]
-        if arr.base is not None:  # canonical input, but a view: copy it
-            arr = arr.copy()
-        arr.setflags(write=False)
-        self.v, self.k, self.blocks = v, k, arr
+        self.v, self.k, self.blocks = v, k, _canonical(v, k, blocks)
 
     @property
     def b(self) -> int:
@@ -252,7 +262,7 @@ def _maps_onto(h: Permutation, d1: Design, d2: Design) -> bool:
         return d1.relabel(h) == d2
     if d1.b != d2.b:
         return False
-    keys = _sorted_keys(d1.blocks, d1.v, h)
+    keys = _sorted_keys(_parts(d1.blocks, h), d1.v)
     if keys is None:  # the image rows are canonical as they stand
         return all(_row_map(lambda part: np.array_equal(h.images[d1.blocks[part]],
                                                         d2.blocks[part]), d2.b))

@@ -13,8 +13,8 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Sequence
+from functools import cached_property, partial
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from .errors import ActionEscape, BadParams, Budget
 from .textfile import point_dtype
 
 DEFAULT_CAP = 10**6
+_PART_ROWS = 1 << 16  # about this many rows in each part that ``push`` gives
 
 
 def read_only_ints(values, ndim: int) -> np.ndarray:
@@ -268,23 +269,31 @@ def transporters(images: np.ndarray, reps: np.ndarray, orbit_of: np.ndarray) -> 
     return (images[:, reps[orbit_of]] == np.arange(images.shape[1])).argmax(axis=0)
 
 
-def push(point_images: np.ndarray, planted: np.ndarray, orbit_of: np.ndarray,
-         trans: np.ndarray) -> np.ndarray:
-    """Blocks of every member: its orbit's plant under its transporter.
+class RowPart(NamedTuple):
+    """``count`` rows of points, gathered when ``make()`` is called."""
 
-    ``point_images`` holds one point image table per group element,
-    ``planted`` one (blocks, k) plant per orbit; the rows come out member by
-    member, unsorted, in the dtype of ``point_images``.  The members are
-    grouped by transporter, and each element's members take their rows from
-    one 1-D gather through that element's point images.
-    """
-    out = np.empty((len(orbit_of), *planted.shape[1:]), dtype=point_images.dtype)
+    count: int
+    make: Callable[[], np.ndarray]
+
+
+def push(point_images: np.ndarray, lines: np.ndarray, plant: np.ndarray,
+         orbit_of: np.ndarray, trans: np.ndarray) -> list[RowPart]:
+    """Blocks of every member: its orbit's plant under its transporter, in
+    parts of one element and about _PART_ROWS rows, each gathered by index
+    when it is made.  ``point_images`` holds one point image table per
+    element, ``lines`` one row of points per orbit, and ``plant`` (blocks, k)
+    positions in a row, the same for every orbit: member i's blocks are
+    point_images[trans[i]][lines[orbit_of[i]][plant]]."""
+    def make(images: np.ndarray, orbits: np.ndarray) -> np.ndarray:
+        return images[lines[orbits]][:, plant].reshape(-1, plant.shape[1])
+
     order = np.argsort(trans, kind="stable")
-    bounds = np.searchsorted(trans[order], np.arange(len(point_images) + 1))
-    for images, lo, hi in zip(point_images, bounds[:-1], bounds[1:]):
-        members = order[lo:hi]
-        out[members] = images[planted[orbit_of[members]]]
-    return out.reshape(-1, planted.shape[-1])
+    bounds = np.searchsorted(trans[order], np.arange(len(point_images) + 1)).tolist()
+    step = max(1, _PART_ROWS // max(len(plant), 1))
+    return [RowPart(len(orbits) * len(plant), partial(make, images, orbits))
+            for images, lo, hi in zip(point_images, bounds[:-1], bounds[1:])
+            for orbits in (orbit_of[order[start:min(start + step, hi)]]
+                           for start in range(lo, hi if len(plant) else lo, step))]
 
 
 def is_semiregular(group: PermGroup,

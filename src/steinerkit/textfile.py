@@ -40,11 +40,16 @@ def point_dtype(bound: int) -> np.dtype:
 
 
 def _cells(bound: int) -> np.ndarray:
-    """Row p of the (bound, width) uint8 table: NULs, p's digits, a space."""
-    points = np.arange(bound)[:, None]
-    places = 10 ** np.arange(len(str(max(bound - 1, 0))))[::-1]
-    digits = np.where((points >= places) | (places == 1), points // places % 10 + ord("0"), 0)
-    return np.pad(digits, ((0, 0), (0, 1)), constant_values=ord(" ")).astype(np.uint8)
+    """Row p of the (bound, width) uint8 table: NULs, p's digits, a space;
+    one digit column at a time, by divmod in ``point_dtype(bound)``."""
+    width = len(str(max(bound - 1, 0)))
+    cells = np.full((bound, width + 1), ord(" "), dtype=np.uint8)
+    rest = np.arange(bound, dtype=point_dtype(bound))
+    for col in range(width - 1, -1, -1):
+        above = (rest == 0) & (col < width - 1)  # places above the leading digit are NUL
+        rest, digit = np.divmod(rest, 10)
+        cells[:, col] = np.where(above, 0, digit + ord("0"))
+    return cells
 
 
 def _text(point_cells: np.ndarray, rows: np.ndarray) -> bytes:

@@ -90,7 +90,7 @@ def test_rows_out_of_order_at_a_chunk_seam_are_sorted(monkeypatch, swap):
     d = Design(9, 3, rows)
     assert d == sts9() and d.blocks is not rows
     # canonical chunks key no full array, and the canonical table is adopted
-    assert design._sorted_keys(canonical, 9) is None
+    assert design._sorted_keys(design._parts(canonical), 9) is None
     assert Design(9, 3, canonical).blocks is canonical
     # a canonical image of canonical rows is compared as it stands
     assert is_automorphism(sts9(), Permutation.identity(9))

@@ -84,6 +84,14 @@ def parse(text: str) -> Design:
     return Design(v, k, rows)
 
 
+def cells(bound: int) -> np.ndarray:
+    """Reference per-point byte table: every place of every point at once."""
+    points = np.arange(bound)[:, None]
+    places = 10 ** np.arange(len(str(max(bound - 1, 0))))[::-1]
+    digits = np.where((points >= places) | (places == 1), points // places % 10 + ord("0"), 0)
+    return np.pad(digits, ((0, 0), (0, 1)), constant_values=ord(" ")).astype(np.uint8)
+
+
 # -- helpers -----------------------------------------------------------------
 
 @pytest.fixture
@@ -134,6 +142,12 @@ def test_write_design_bytes_equal_serialize(d, comments):
         digest = write_design(d, path, comments)
         assert path.read_bytes() == expect
     assert digest == hashlib.sha256(expect).hexdigest()
+
+
+@pytest.mark.parametrize("bound", [0, 1, 2, 10, 11, 6859, 531_441, 10**6 + 3])
+def test_point_cells_equal_the_reference(bound):
+    got = textfile._cells(bound)
+    assert got.dtype == np.uint8 and np.array_equal(got, cells(bound))
 
 
 def test_write_fails_on_a_later_chunk(tmp_path, monkeypatch):

@@ -374,16 +374,21 @@ def test_orbit_engine_matches_brute_force(action, data):
         assert image(elements[trans[i]], rep) == s
         assert all(image(g, rep) != s for g in elements[:trans[i]])
 
-    # push equals the per-member loop
+    # push's parts hold the per-member loop's rows
     n = elements[0].degree
-    planted = np.array(data.draw(st.lists(
-        st.lists(st.lists(st.integers(0, n - 1), min_size=3, max_size=3),
-                 min_size=2, max_size=2),
-        min_size=len(reps), max_size=len(reps))), dtype=np.int64)
+    lines = np.array(data.draw(st.lists(st.lists(st.integers(0, n - 1), min_size=4, max_size=4),
+                                        min_size=len(reps), max_size=len(reps))), dtype=np.int64)
+    plant = np.array(data.draw(st.lists(st.lists(st.integers(0, 3), min_size=3, max_size=3),
+                                        min_size=1, max_size=3)), dtype=np.int64)
     point_images = np.stack([g.images for g in elements])
-    expect = np.concatenate([elements[trans[i]].images[planted[orbit_of[i]]]
-                             for i in range(len(family))])
-    assert np.array_equal(push(point_images, planted, orbit_of, trans), expect)
+    expect = sorted(tuple(row) for i in range(len(family))
+                    for row in elements[trans[i]].images[lines[orbit_of[i]][plant]].tolist())
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(permgrp, "_PART_ROWS", data.draw(st.integers(1, 7), label="_PART_ROWS"))
+        parts = push(point_images, lines, plant, orbit_of, trans)
+    made = [part.make() for part in parts]
+    assert [len(rows) for rows in made] == [part.count for part in parts]
+    assert sorted(tuple(row) for rows in made for row in rows.tolist()) == expect
 
 
 def test_set_images_escape():
