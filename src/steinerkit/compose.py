@@ -103,12 +103,9 @@ def _plant_td(td: TransversalDesign, idx: _Indexer, rows: np.ndarray) -> np.ndar
     point: the j-th point of TD group g lands on Z rank j of the W point A[g].
     Shape (rows, kn), in ``point_dtype(u)``; the W points are widened to int64
     first."""
-    group = np.empty(td.point_count, dtype=np.int64)
-    rank = np.empty(td.point_count, dtype=np.int64)
-    group[td.groups] = np.arange(td.k)[:, None]
-    rank[td.groups] = np.arange(td.n)
-    points = idx.x + rows.astype(np.int64)[:, group] * idx.zlen + rank
-    return points.astype(point_dtype(idx.u))
+    points = np.empty((len(rows), td.point_count), dtype=point_dtype(idx.u))
+    points[:, td.groups] = idx.x + rows.astype(np.int64)[:, :, None] * idx.zlen + np.arange(td.n)
+    return points
 
 
 def _product(plan: CompositionPlan, group: PermGroup,
