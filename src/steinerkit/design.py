@@ -10,8 +10,9 @@ in chunks of rows, spread over the CPUs by ``chunkmap.chunk_map``, and build
 no image design or full-size row gather.  Design files are ``textfile`` tables of one section.
 
 A block table holds its points in ``point_dtype(v)``: uint16 while v <=
-65,536, else uint32.  Every kernel widens a chunk of points to int64 before
-any arithmetic on them (keys, pair indices, product points), and
+65,536, else uint32, and so do the images a check or ``relabel`` gathers
+through.  Every kernel widens a chunk of points to int64 before any
+arithmetic on them (keys, pair indices, product points), and
 ``Design.digest`` hashes the int64 bytes, so the dtype changes no output.
 """
 from __future__ import annotations
@@ -61,9 +62,9 @@ def _row_map(fn: Callable[[slice], T], n_rows: int) -> list[T]:
 
 def _parts(rows: np.ndarray, perm: Permutation | None = None) -> list[RowPart]:
     """The rows, mapped through ``perm``, as parts of _ROWS rows."""
+    gather = None if perm is None else perm.images.astype(point_dtype(perm.degree)).__getitem__
     chunks = [rows[start:start + _ROWS] for start in range(0, len(rows), _ROWS)]
-    return [RowPart(len(c), c.view if perm is None else partial(perm.images.__getitem__, c))
-            for c in chunks]
+    return [RowPart(len(c), c.view if gather is None else partial(gather, c)) for c in chunks]
 
 
 def _sorted_keys(parts: Sequence[RowPart], v: int) -> np.ndarray | None:
@@ -166,7 +167,7 @@ class Design:
     def relabel(self, perm: Permutation) -> "Design":
         if perm.degree != self.v:
             raise BadParams(f"permutation degree {perm.degree} != v {self.v}")
-        return Design(self.v, self.k, perm.images[self.blocks])
+        return Design(self.v, self.k, _parts(self.blocks, perm))
 
     def __eq__(self, other):
         return (isinstance(other, Design) and self.v == other.v
@@ -264,7 +265,8 @@ def _maps_onto(h: Permutation, d1: Design, d2: Design) -> bool:
         return False
     keys = _sorted_keys(_parts(d1.blocks, h), d1.v)
     if keys is None:  # the image rows are canonical as they stand
-        return all(_row_map(lambda part: np.array_equal(h.images[d1.blocks[part]],
+        images = h.images.astype(point_dtype(d1.v))
+        return all(_row_map(lambda part: np.array_equal(images[d1.blocks[part]],
                                                         d2.blocks[part]), d2.b))
     keys.sort()
     return all(_row_map(lambda part: np.array_equal(keys[part], row_keys(d2.blocks[part], d2.v)),
@@ -292,19 +294,20 @@ def stabilizer_scan(design: Design, group: PermGroup):
     """The scan behind ``is_1_blocked``, for a group already known to act by
     automorphisms: (True, None), or (False, (block, element)) for a block
     whose set-stabilizer moves one of its points."""
-    def violation(g: Permutation, part: slice):
+    def violation(g: Permutation, images: np.ndarray, part: slice):
         rows = design.blocks[part]
         # g stabilizes a block only if it maps the block's first point into it
-        first = g.images[rows[:, 0]]
+        first = images[rows[:, 0]]
         cand = np.flatnonzero(np.logical_or.reduce([col == first for col in rows.T]))
-        rows, img = rows[cand], g.images[rows[cand]]
-        bad = np.all(np.sort(img, axis=1) == rows, axis=1) & np.any(img != rows, axis=1)
+        rows, img = rows[cand], images[rows[cand]]
+        bad = np.all(_sorted_rows(img, design.v) == rows, axis=1) & np.any(img != rows, axis=1)
         return (tuple(rows[np.argmax(bad)].tolist()), g) if bad.any() else None
 
     for g in group.elements():
         if g.is_identity():
             continue
-        for found in _row_map(lambda part: violation(g, part), design.b):
+        images = g.images.astype(point_dtype(design.v))
+        for found in _row_map(lambda part: violation(g, images, part), design.b):
             if found is not None:
                 return False, found
     return True, None

@@ -7,10 +7,12 @@ tabs or '\\r', a sign before a point and a last line without its newline.
 Any other byte, '_' and non-ASCII included, or a point of more than 18
 digits, is a ParseError naming the first line that is wrong.  Both stream,
 one batch of chunks at a time, one chunk per CPU through ``chunk_map``: the
-writer gathers _WRITE_ROWS rows a chunk from a per-point byte table, and
-writes and hashes a batch while the next is made; the reader tokenizes
-newline-aligned chunks of _READ_BYTES bytes with numpy, a batch together
-while it cannot reach the end of a section, else one chunk at a time.
+writer takes the cells of _WRITE_ROWS rows a chunk from a per-point byte
+table along its one axis, and writes and hashes a batch while the next is
+made; the reader tokenizes newline-aligned chunks of _READ_BYTES bytes with
+numpy, in int32 while no point has over 9 digits, each returned in the
+table's dtype, a batch together while it cannot reach the end of a section,
+else one chunk at a time.
 """
 from __future__ import annotations
 
@@ -26,8 +28,8 @@ from . import chunkmap
 from .chunkmap import chunk_map, chunk_stream
 from .errors import BadParams, ParseError
 
-_WRITE_ROWS = 1 << 17
-_READ_BYTES = 1 << 17  # a chunk's arrays take ~20x its size; larger chunks read no faster
+_WRITE_ROWS = 1 << 16  # 2^17 writes no faster and leaves a larger heap behind
+_READ_BYTES = 1 << 18  # a chunk's arrays take ~13x its size; 2^19 reads no faster, 2^17 slower
 _MAX_DIGITS = 18  # a point of at most 18 digits fits an int64
 _SEPARATOR = np.zeros(256, dtype=bool)
 _SEPARATOR[list(b" \t\n\r\v\f")] = True
@@ -52,16 +54,16 @@ def _cells(bound: int) -> np.ndarray:
     return cells
 
 
-def _text(point_cells: np.ndarray, rows: np.ndarray) -> bytes:
-    """The lines of the rows: their points' cells, the NULs dropped."""
-    cells = point_cells[rows]
+def _text(point_cells: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The bytes of the rows' lines, as uint8: their points' cells, the NULs dropped."""
+    cells = np.take(point_cells, rows, axis=0)
     cells[:, -1, -1] = ord("\n")
     cells = cells.reshape(-1)
-    return cells[cells != 0].tobytes()
+    return cells[cells != 0]
 
 
 def _stream(tag: str, fields: dict[str, int], sections: Iterable[tuple[np.ndarray, int]],
-            comments: Sequence[str], consume: Callable[[list[bytes]], None]) -> None:
+            comments: Sequence[str], consume: Callable[[list[bytes | np.ndarray]], None]) -> None:
     """``consume`` a file's bytes in order: comment lines and header, then the
     rows of each section, a (rows, width) array of points below the bound it
     comes with, in chunks of _WRITE_ROWS rows made beside the consuming."""
@@ -76,9 +78,9 @@ def _stream(tag: str, fields: dict[str, int], sections: Iterable[tuple[np.ndarra
 
 
 def chunks(tag: str, fields: dict[str, int], sections: Iterable[tuple[np.ndarray, int]],
-           comments: Sequence[str] = ()) -> list[bytes]:
-    """The bytes of a file (see ``_stream``), chunk by chunk."""
-    made: list[bytes] = []
+           comments: Sequence[str] = ()) -> list[bytes | np.ndarray]:
+    """The bytes of a file (see ``_stream``), chunk by chunk: bytes, then uint8 arrays."""
+    made: list[bytes | np.ndarray] = []
     _stream(tag, fields, sections, comments, made.extend)
     return made
 
@@ -91,7 +93,7 @@ def write(path, tag: str, fields: dict[str, int], sections: Iterable[tuple[np.nd
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     digest = hashlib.sha256()
 
-    def save(made: list[bytes]) -> None:
+    def save(made: list[bytes | np.ndarray]) -> None:
         for chunk in made:
             fh.write(chunk)
             digest.update(chunk)
@@ -155,8 +157,9 @@ def _table_chunk(chunk: bytes, first_line: int, v: int, k: int, room: int,
             problems.append((line_of(np.argmax(invalid)), "point is not an integer"))
         first = starts + signed
     count = ends - first
-    values = digit[first].astype(np.int64)
-    for j in range(1, min(int(count.max(initial=0)), _MAX_DIGITS)):
+    longest = int(count.max(initial=0))
+    values = digit[first].astype(np.int32 if longest <= 9 else np.int64)  # int32 holds 9 digits
+    for j in range(1, min(longest, _MAX_DIGITS)):
         values = np.where(count > j, values * 10 + digit[j:][first], values)
     if not plain:
         np.negative(values, out=values, where=a[starts] == ord("-"))
@@ -186,7 +189,7 @@ def _table_chunk(chunk: bytes, first_line: int, v: int, k: int, room: int,
         problems.append((line_of(room), "more rows than the header gives"))
     if problems:
         raise ParseError(*min(problems, key=lambda p: p[0]))
-    return values, len(newlines), len(chunk)
+    return values.astype(point_dtype(v), copy=False), len(newlines), len(chunk)
 
 
 def read(fh: BinaryIO, tag: str, names: Sequence[str],

@@ -10,6 +10,7 @@ import pytest
 
 from steinerkit import chunkmap, design, textfile
 from steinerkit.basedesigns import build_base_design
+from steinerkit.compose import CompositionPlan, product_design_1blocked
 from steinerkit.design import (
     Design,
     brute_aut,
@@ -172,6 +173,13 @@ def test_is_automorphism_transposition_fails():
 def test_is_1_blocked_fano_z7():
     ok, witness = is_1_blocked(fano(), PermGroup(7, [shift7()]))
     assert ok and witness is None
+
+
+def test_is_1_blocked_z7_product_sts45():
+    y, z7 = sts9(), PermGroup(7, [shift7()])
+    d, bar = product_design_1blocked(CompositionPlan(fano(), y, y.block_tuples()[0], group=z7))
+    assert d.v == 45 and bar.order() == 7
+    assert is_1_blocked(d, bar) == (True, None)
 
 
 def test_is_1_blocked_block_stabilizer_fails():

@@ -28,8 +28,8 @@ from steinerkit import textfile
 from steinerkit.basedesigns import build_base_design, wilson_base_block
 from steinerkit.design import Design, read_design, write_design
 from steinerkit.errors import ParseError, SteinerError
-from steinerkit.netstd import net_from_text, td_from_text
-from steinerkit.permgrp import group_from_text
+from steinerkit.netstd import mols_td, net_from_text, td_from_text, td_to_text
+from steinerkit.permgrp import PermGroup, Permutation, group_from_text, group_to_text
 
 HYPOTHESIS = settings(max_examples=80, deadline=None)
 
@@ -148,6 +148,32 @@ def test_write_design_bytes_equal_serialize(d, comments):
 def test_point_cells_equal_the_reference(bound):
     got = textfile._cells(bound)
     assert got.dtype == np.uint8 and np.array_equal(got, cells(bound))
+
+
+def plain_lines(rows) -> str:
+    return "".join(" ".join(map(str, row)) + "\n" for row in rows)
+
+
+@pytest.mark.parametrize("v", [65_536, 65_537])  # the last uint16 table, the first uint32
+def test_write_design_equals_plain_lines_at_uint32_width(tmp_path, monkeypatch, v):
+    monkeypatch.setattr(textfile, "_WRITE_ROWS", 3)
+    rng = np.random.default_rng(v)
+    rows = [rng.choice(v, 4, replace=False) for _ in range(20)] + [[0, 9, v - 2, v - 1]]
+    d = Design(v, 4, rows)
+    path = tmp_path / "d.design"
+    write_design(d, path)
+    assert path.read_text() == f"DESIGN v={v} k=4 b=21\n" + plain_lines(d.blocks.tolist())
+
+
+def test_td_and_group_files_equal_plain_lines():
+    td = mols_td(4, 5)
+    assert td.groups.dtype == td.blocks.dtype == np.int64
+    assert td_to_text(td) == ("TD k=4 n=5\n" + plain_lines(td.groups.tolist())
+                              + plain_lines(sorted(row) for row in td.blocks.tolist()))
+    images = np.random.default_rng(1).permutation(65_537)
+    gens = [Permutation(images), Permutation.identity(65_537)]
+    assert group_to_text(PermGroup(65_537, gens)) == (
+        "PERMGROUP degree=65537 gens=2\n" + plain_lines([images.tolist(), range(65_537)]))
 
 
 def test_write_fails_on_a_later_chunk(tmp_path, monkeypatch):
@@ -307,6 +333,21 @@ def test_header_block_size_below_1_is_refused(tmp_path):
     path.write_text("# blocks of no points\nDESIGN v=5 k=0 b=3\n\n\n\n")
     with pytest.raises(ParseError, match="^line 2: block size k=0 must be at least 1$"):
         read_design(path)
+
+
+# a 9-digit point is read in int32, a longer one in int64
+WIDE = "DESIGN v=1000000000000000000 k=1 b=5\n" + plain_lines(
+    [[999_999_999], [2**31 - 1], [2**31], [9_999_999_999], [10**18 - 1]])
+
+
+@pytest.mark.parametrize("chunked", [True, False])
+def test_points_past_int32_read_back_exactly(monkeypatch, one_and_two_workers, chunked):
+    if chunked:  # the 9-digit row is a chunk of its own
+        monkeypatch.setattr(textfile, "_READ_BYTES", 16)
+    one, two = one_and_two_workers(lambda: read_text(WIDE).blocks.tobytes())
+    assert one == two
+    assert np.frombuffer(one, np.int64).tolist() == [999_999_999, 2**31 - 1, 2**31,
+                                                     9_999_999_999, 10**18 - 1]
 
 
 def test_round_trip_across_many_chunks(tmp_path, small_chunks):

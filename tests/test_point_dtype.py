@@ -133,6 +133,42 @@ def test_lift_odd_blocks_are_compact():
     assert d.blocks.dtype == np.uint16 and d.v == 343
 
 
+# -- symmetry checks on points past 65,535: a few disjoint blocks of 70,000 points,
+# checked against Python sets of sorted tuples
+
+WIDE = [(0, 1, 2), (3, 4, 5), (65_534, 65_535, 65_536), (69_997, 69_998, 69_999)]
+SWAP = Permutation.from_cycles(70_000, [(0, 69_998), (1, 69_999), (2, 69_997),
+                                        (65_534, 65_535, 65_536)])  # permutes the blocks
+BREAK = Permutation.from_cycles(70_000, [(5, 6)])  # breaks {3, 4, 5} alone
+
+
+def image_set(g: Permutation) -> set[tuple[int, ...]]:
+    return {tuple(sorted(g.images[list(row)].tolist())) for row in WIDE}
+
+
+def test_symmetry_checks_past_65535_match_python_sets():
+    d = Design(70_000, 3, WIDE)
+    assert d.blocks.dtype == np.uint32
+    for g in (SWAP, BREAK):
+        assert design.is_automorphism(d, g) == (image_set(g) == set(WIDE))
+        image = d.relabel(g)
+        assert image.blocks.dtype == np.uint32 and image.block_tuples() == sorted(image_set(g))
+    broken = Design(70_000, 3, sorted(image_set(BREAK)))
+    assert design.is_automorphism(d, SWAP) and not design.is_automorphism(d, BREAK)
+    assert design.iso_in_group(d, d, [BREAK, SWAP]) is SWAP
+    assert design.iso_in_group(d, broken, [SWAP, BREAK]) is BREAK
+    assert design.iso_in_group(d, broken, [SWAP]) is None
+
+
+def test_stabilizer_scan_past_65535_names_the_python_witness():
+    d, group = Design(70_000, 3, WIDE), PermGroup(70_000, [SWAP])
+    witness = next((row, g) for g in group.elements() if not g.is_identity()
+                   for row in d.block_tuples()
+                   if sorted(img := g.images[list(row)].tolist()) == list(row) and img != list(row))
+    assert design.is_1_blocked(d, group) == (False, witness)
+    assert witness[0] == (65_534, 65_535, 65_536)
+
+
 # -- products whose points pass 65,535 from uint16 W blocks -----------------------
 # W is a block list on 12,000 points (a design candidate, not a design) and Y the
 # Fano plane with X = {0}: the product lives on 1 + 12,000 * 6 = 72,001 points, so
