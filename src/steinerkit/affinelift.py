@@ -191,8 +191,9 @@ class LiftResult:
 class _LineOrbits(NamedTuple):
     """Orbits of the coordinate image of a group on the lines of AG(d,p):
     ``lines`` holds each representative's point row from ``line_points``, and
-    ``stabilizers`` each representative's stabilizer in element order.  No
-    point row is built for any other line."""
+    ``rep_of``, ``element_of`` the (representative, element) pairs whose
+    element fixes the representative's line, by representative, then
+    element.  No point row is built for any other line."""
 
     space: AffineSpace
     lines: np.ndarray
@@ -201,7 +202,8 @@ class _LineOrbits(NamedTuple):
     reps: np.ndarray
     orbit_of: np.ndarray
     trans: np.ndarray
-    stabilizers: list[list[Permutation]]
+    rep_of: np.ndarray
+    element_of: np.ndarray
 
 
 def _line_orbits(group: PermGroup, p: int) -> _LineOrbits:
@@ -213,11 +215,8 @@ def _line_orbits(group: PermGroup, p: int) -> _LineOrbits:
     reps, orbit_of = orbit_sweep(images)
     trans = transporters(images, reps, orbit_of)
     rep_of, element_of = np.nonzero((images[:, reps] == reps).T)  # by rep, then element
-    fixing = [elements[e] for e in element_of.tolist()]
-    bounds = np.searchsorted(rep_of, np.arange(len(reps) + 1)).tolist()
-    stabilizers = [fixing[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
     lines = line_points(space, keys[reps])
-    return _LineOrbits(space, lines, coord, elements, reps, orbit_of, trans, stabilizers)
+    return _LineOrbits(space, lines, coord, elements, reps, orbit_of, trans, rep_of, element_of)
 
 
 def _fill(orb: _LineOrbits, lines: np.ndarray, plant: np.ndarray, k: int) -> LiftResult:
@@ -247,15 +246,13 @@ def lift_odd(group: PermGroup, p: int, k: int, base: BaseBlockDesign) -> LiftRes
     if base.p != p or base.k != k:
         raise BadParams("base design parameters disagree with (p, k)")
     orb = _line_orbits(group, p)
-    for r, line, stabilizers in zip(orb.reps.tolist(), orb.lines, orb.stabilizers):
-        for g in stabilizers:
-            if g.is_identity():
-                continue
-            ind = induced_perm_on_line(g, line)
-            if not is_automorphism(base.design, ind):
-                raise BadParams(
-                    f"induced action on line {r} is outside the base design's "
-                    f"automorphisms")
+    for r, e in zip(orb.rep_of.tolist(), orb.element_of.tolist()):
+        g = orb.elements[e]
+        if g.is_identity():
+            continue
+        if not is_automorphism(base.design, induced_perm_on_line(g, orb.lines[r])):
+            raise BadParams(f"induced action on line {orb.reps[r]} is outside the base "
+                            f"design's automorphisms")
     return _fill(orb, orb.lines, base.design.blocks, k)
 
 
@@ -280,8 +277,10 @@ def lift_aligned(group: PermGroup, p: int, k: int, ingredient: Design,
             "cyclic_gen must fix exactly one point and be semiregular elsewhere")
     orb = _line_orbits(group, p)
     lines = orb.lines.copy()
-    for r, line, stabilizers in zip(orb.reps.tolist(), lines, orb.stabilizers):
-        induced_set = dict.fromkeys(induced_perm_on_line(g, line) for g in stabilizers)
+    runs = np.searchsorted(orb.rep_of, np.arange(len(orb.reps) + 1)).tolist()
+    for r, line, lo, hi in zip(orb.reps.tolist(), lines, runs, runs[1:]):
+        induced_set = dict.fromkeys(induced_perm_on_line(orb.elements[e], line)
+                                    for e in orb.element_of[lo:hi].tolist())
         m = len(induced_set)
         # the generator with the least image table
         gen = min((ind for ind in induced_set if ind.order() == m),

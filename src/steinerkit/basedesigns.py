@@ -44,6 +44,16 @@ def _coset_criterion(block: tuple[int, ...], p: int, lookup: dict[int, int],
     return count == n_cosets
 
 
+def _multiplier_cosets(p: int, k: int) -> tuple[int, MultSubgroup, dict[int, int]]:
+    """t = (p-1)/k(k-1), the order-t multiplier subgroup and the coset of
+    each nonzero residue, for a prime p = 1 mod k(k-1)."""
+    if not is_prime(p) or (p - 1) % (k * (k - 1)) != 0:
+        raise BadParams(f"need p prime with p = 1 mod {k * (k - 1)}, got {p}")
+    t = (p - 1) // (k * (k - 1))
+    sub = subgroup_of_order(PrimeFieldCtx.create(p), t)
+    return t, sub, coset_partition(sub)[1]
+
+
 def wilson_base_block(p: int, k: int) -> tuple[int, ...] | None:
     """Lexicographically least base block A with 0 in A whose signed
     differences represent each multiplier-subgroup coset exactly once.
@@ -51,16 +61,10 @@ def wilson_base_block(p: int, k: int) -> tuple[int, ...] | None:
     Requires p prime with p = 1 mod k(k-1).  Returns None if the exhaustive
     scan finds nothing (the caller should pick another prime).
     """
-    if not is_prime(p) or (p - 1) % (k * (k - 1)) != 0:
-        raise BadParams(f"need p prime with p = 1 mod {k * (k - 1)}, got {p}")
-    t = (p - 1) // (k * (k - 1))
-    ctx = PrimeFieldCtx.create(p)
-    sub = subgroup_of_order(ctx, t)
-    _, lookup = coset_partition(sub)
-    n_cosets = k * (k - 1)
+    _, _, lookup = _multiplier_cosets(p, k)
     for rest in itertools.combinations(range(1, p), k - 1):
         block = (0,) + rest
-        if _coset_criterion(block, p, lookup, n_cosets):
+        if _coset_criterion(block, p, lookup, k * (k - 1)):
             return block
     return None
 
@@ -92,10 +96,7 @@ class BaseBlockDesign:
 
 def build_base_design(p: int, k: int, base_block) -> BaseBlockDesign:
     """Expand a base block to its p*t-block orbit design and verify it."""
-    t = (p - 1) // (k * (k - 1))
-    ctx = PrimeFieldCtx.create(p)
-    sub = subgroup_of_order(ctx, t)
-    _, lookup = coset_partition(sub)
+    t, sub, lookup = _multiplier_cosets(p, k)
     block = tuple(sorted(x % p for x in base_block))
     if len(block) != k or not _coset_criterion(block, p, lookup, k * (k - 1)):
         raise BadParams(f"base block {block} fails the coset criterion at p={p}")

@@ -170,6 +170,9 @@ def cmd_construct_odd(args, report: Report) -> None:
         raise BadParams(f"group order {h} is even")
     if args.p is not None:
         p = args.p
+        if k < 3 or not is_prime(p) or (p - 1) % (k * (k - 1)) != 0:
+            raise BadParams(f"need k >= 3 and --p a prime with (p-1) mod k(k-1) = 0; "
+                            f"got k={k}, p={p}")
         t = (p - 1) // (k * (k - 1))
     else:
         p, t = _timed(report, "prime_search", paramsearch.prime_for_odd_group, k, h)

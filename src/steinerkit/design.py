@@ -392,18 +392,19 @@ def iso_in_group(d1: Design, d2: Design, maps: Sequence[Permutation]) -> Permuta
 
 # -- file format: "DESIGN v=<v> k=<k> b=<b>", then the b blocks in canonical form
 
-def _design_layout(v: int, k: int, b: int) -> list[tuple[int, int, int]]:
+def _design_layout(v: int, k: int, b: int) -> tuple[int, list[tuple[int, int]]]:
+    """The ``textfile`` layout: points below v, one section of b rows of k."""
     if min(v, k, b) < 0:
         raise BadParams("negative header field")
     if k < 1:
         raise BadParams(f"block size k={k} must be at least 1")
-    return [(b, k, v)]
+    return v, [(b, k)]
 
 
 def write_design(design: Design, path, comments: Sequence[str] = ()) -> str:
     """Write a design file atomically, comment lines first; its sha256."""
     return textfile.write(path, "DESIGN", {"v": design.v, "k": design.k, "b": design.b},
-                          [(design.blocks, design.v)], comments)
+                          design.v, [design.blocks], comments)
 
 
 def read_design(path) -> Design:

@@ -348,16 +348,16 @@ def _field_td(k: int, m: int) -> np.ndarray:
 # -- file format: "TD k=<k> n=<n>", k group rows and n^2 block rows; "NET k=<k>
 # n=<n>", k*n line rows, class by class --------------------------------------------
 
-def _sized(tag: str, k: int, n: int, sections: list) -> list:
+def _sized(tag: str, k: int, n: int, layout: tuple) -> tuple:
+    """The ``textfile`` layout (bound, [(rows, width), ...]) once k, n >= 1."""
     if k < 1 or n < 1:
         raise BadParams(f"{tag} header needs k, n >= 1, got k={k}, n={n}")
-    return sections
+    return layout
 
 
 def td_file(td: TransversalDesign):
-    """The ``textfile`` tag, fields and sections of the TD."""
-    kn = td.point_count
-    return "TD", {"k": td.k, "n": td.n}, [(td.groups, kn), (np.sort(td.blocks, axis=1), kn)]
+    """The ``textfile`` tag, fields, point bound and tables of the TD."""
+    return "TD", {"k": td.k, "n": td.n}, td.point_count, [td.groups, np.sort(td.blocks, axis=1)]
 
 
 def td_to_text(td: TransversalDesign) -> str:
@@ -365,7 +365,7 @@ def td_to_text(td: TransversalDesign) -> str:
 
 
 def td_from_text(text: str) -> TransversalDesign:
-    layout = lambda k, n: _sized("TD", k, n, [(k, n, k * n), (n * n, k, k * n)])  # noqa: E731
+    layout = lambda k, n: _sized("TD", k, n, (k * n, [(k, n), (n * n, k)]))  # noqa: E731
     (k, n), (groups, blocks) = textfile.read(io.BytesIO(text.encode()), "TD", ("k", "n"), layout)
     td = TransversalDesign(k, n, groups, blocks)
     verify_td(td)
@@ -373,9 +373,9 @@ def td_from_text(text: str) -> TransversalDesign:
 
 
 def net_file(net: Net):
-    """The ``textfile`` tag, fields and sections of the net."""
+    """The ``textfile`` tag, fields, point bound and table of the net."""
     lines = np.sort(net.lines[net.classes.ravel()], axis=1)
-    return "NET", {"k": net.k, "n": net.n}, [(lines, net.point_count)]
+    return "NET", {"k": net.k, "n": net.n}, net.point_count, [lines]
 
 
 def net_to_text(net: Net) -> str:
@@ -384,5 +384,5 @@ def net_to_text(net: Net) -> str:
 
 def net_from_text(text: str) -> Net:
     (k, n), (lines,) = textfile.read(io.BytesIO(text.encode()), "NET", ("k", "n"),
-                                     lambda k, n: _sized("NET", k, n, [(k * n, n, n * n)]))
+                                     lambda k, n: _sized("NET", k, n, (n * n, [(k * n, n)])))
     return _net(n, k, lines)

@@ -346,17 +346,18 @@ def align_semiregular_cyclic(c: Permutation, c_target: Permutation,
 
 # -- group file format: "PERMGROUP degree=<n> gens=<m>", then each generator's images
 
-def _group_layout(degree: int, gens: int) -> list[tuple[int, int, int]]:
+def _group_layout(degree: int, gens: int) -> tuple[int, list[tuple[int, int]]]:
+    """The ``textfile`` layout: points below degree, gens rows of degree."""
     if degree < 1 or gens < 0:
         raise BadParams(f"PERMGROUP header needs degree >= 1 and gens >= 0, "
                         f"got degree={degree}, gens={gens}")
-    return [(gens, degree, degree)]
+    return degree, [(gens, degree)]
 
 
 def group_to_text(group: PermGroup) -> str:
     images = np.array([g.images for g in group.generators], np.int64).reshape(-1, group.degree)
     return b"".join(textfile.chunks("PERMGROUP", {"degree": group.degree, "gens": len(images)},
-                                    [(images, group.degree)])).decode()
+                                    group.degree, [images])).decode()
 
 
 def group_from_text(text: str) -> PermGroup:

@@ -1,18 +1,18 @@
 """The one file format of designs, TDs, nets and groups: a header line
-``TAG name=value ...``, then the (rows, width, bound) sections its values
-lay out, each ``rows`` rows of ``width`` points in 0..bound-1.  The writer
-puts a space between points and a newline after each row; the reader also
-takes blank lines, '#' comments to the end of their line, runs of spaces,
-tabs or '\\r', a sign before a point and a last line without its newline.
-Any other byte, '_' and non-ASCII included, or a point of more than 18
-digits, is a ParseError naming the first line that is wrong.  Both stream,
-one batch of chunks at a time, one chunk per CPU through ``chunk_map``: the
-writer takes the cells of _WRITE_ROWS rows a chunk from a per-point byte
+``TAG name=value ...``, then the (rows, width) sections its values lay out,
+each ``rows`` rows of ``width`` points, and one bound the values give for
+every point of the file: each is in 0..bound-1.  The writer puts a space
+between points and a newline after each row; the reader also takes blank
+lines, '#' comments to the end of their line, runs of spaces, tabs or '\\r',
+a sign before a point and a last line without its newline.  Any other byte,
+'_' and non-ASCII included, or a point of more than 18 digits, is a
+ParseError naming the first line that is wrong.  Both stream, one batch of
+chunks at a time, one chunk per CPU through ``chunk_map``: the writer takes
+the cells of _WRITE_ROWS rows a chunk from the file's one per-point byte
 table along its one axis, and writes and hashes a batch while the next is
 made; the reader tokenizes newline-aligned chunks of _READ_BYTES bytes with
 numpy, in int32 while no point has over 9 digits, each returned in the
-table's dtype, a batch together while it cannot reach the end of a section,
-else one chunk at a time.
+table's dtype, and takes each batch's chunks in order.
 """
 from __future__ import annotations
 
@@ -62,30 +62,27 @@ def _text(point_cells: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return cells[cells != 0]
 
 
-def _stream(tag: str, fields: dict[str, int], sections: Iterable[tuple[np.ndarray, int]],
+def _stream(tag: str, fields: dict[str, int], bound: int, tables: Iterable[np.ndarray],
             comments: Sequence[str], consume: Callable[[list[bytes | np.ndarray]], None]) -> None:
     """``consume`` a file's bytes in order: comment lines and header, then the
-    rows of each section, a (rows, width) array of points below the bound it
-    comes with, in chunks of _WRITE_ROWS rows made beside the consuming."""
+    rows of each section, a (rows, width) array of points below ``bound``, in
+    chunks of _WRITE_ROWS rows made beside the consuming."""
     consume(["".join([*(f"# {c}\n" for c in comments), tag,
                       *(f" {name}={value}" for name, value in fields.items()), "\n"]).encode()])
-    parts = []
-    for table, bound in sections:
-        point_cells = _cells(bound)
-        parts += [partial(_text, point_cells, table[start:start + _WRITE_ROWS])
-                  for start in range(0, len(table), _WRITE_ROWS)]
-    chunk_stream(parts, consume)
+    point_cells = _cells(bound)
+    chunk_stream([partial(_text, point_cells, table[start:start + _WRITE_ROWS])
+                  for table in tables for start in range(0, len(table), _WRITE_ROWS)], consume)
 
 
-def chunks(tag: str, fields: dict[str, int], sections: Iterable[tuple[np.ndarray, int]],
+def chunks(tag: str, fields: dict[str, int], bound: int, tables: Iterable[np.ndarray],
            comments: Sequence[str] = ()) -> list[bytes | np.ndarray]:
     """The bytes of a file (see ``_stream``), chunk by chunk: bytes, then uint8 arrays."""
     made: list[bytes | np.ndarray] = []
-    _stream(tag, fields, sections, comments, made.extend)
+    _stream(tag, fields, bound, tables, comments, made.extend)
     return made
 
 
-def write(path, tag: str, fields: dict[str, int], sections: Iterable[tuple[np.ndarray, int]],
+def write(path, tag: str, fields: dict[str, int], bound: int, tables: Iterable[np.ndarray],
           comments: Sequence[str] = ()) -> str:
     """Stream the file into a sibling renamed over ``path``, so a failed
     write never truncates it; the sha256 of the bytes written.  Each batch of
@@ -100,7 +97,7 @@ def write(path, tag: str, fields: dict[str, int], sections: Iterable[tuple[np.nd
 
     try:
         with open(tmp, "wb") as fh:
-            _stream(tag, fields, sections, comments, save)
+            _stream(tag, fields, bound, tables, comments, save)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
@@ -116,15 +113,15 @@ def _blank_comments(a: np.ndarray) -> np.ndarray:
     return np.where(hash_ > newline, np.uint8(ord(" ")), a)
 
 
-def _table_chunk(chunk: bytes, first_line: int, v: int, k: int, room: int,
-                 distinct: bool) -> tuple[np.ndarray, int, int]:
-    """The points, newlines and bytes of a newline-aligned piece, starting at
-    line ``first_line``, of a section of rows of k points below v with room
-    for ``room`` more points: a piece with more ends at the line of the last,
-    if the next starts a later line.  A malformed piece, or with ``distinct``
-    a row that repeats a point, raises ParseError at its first wrong line."""
+def _tokens(piece: bytes, bound: int, width: int) -> tuple[np.ndarray, np.ndarray | None,
+                                                          int, list[tuple[int, int, str]]]:
+    """A newline-aligned piece's points in ``point_dtype(bound)``; None when
+    every line is a row of ``width`` points, else the points on each line;
+    its newlines; and its problems, each (line, rank, reason) with lines
+    counted from 0 at the piece's start: the first point that is not an
+    integer (rank 0) and the first outside 0..bound-1 (rank 2)."""
     # a separator before the first point, and room to read past the last
-    a = np.frombuffer(b" " + chunk + b" " * _MAX_DIGITS, dtype=np.uint8)
+    a = np.frombuffer(b" " + piece + b" " * _MAX_DIGITS, dtype=np.uint8)
     newlines = np.flatnonzero(a == ord("\n"))
     digit = a - np.uint8(ord("0"))  # wraps: below 10 on digits only
     plain = (np.count_nonzero(digit < 10) + np.count_nonzero(a == ord(" "))
@@ -136,15 +133,10 @@ def _table_chunk(chunk: bytes, first_line: int, v: int, k: int, room: int,
     token = is_digit if plain else ~_SEPARATOR[a]
     bounds = np.flatnonzero(token[1:] != token[:-1]) + 1
     starts, ends = bounds[0::2], bounds[1::2]
-    if 0 < room < len(starts):  # the next section starts in this piece
-        end = np.searchsorted(newlines, starts[room - 1])
-        if end < len(newlines) and newlines[end] < starts[room]:
-            # a's newline i is byte i - 1 of the chunk
-            return _table_chunk(chunk[:newlines[end]], first_line, v, k, room, distinct)
-    problems = []  # (line number, reason), the first line reported
+    problems = []
 
     def line_of(t) -> int:
-        return first_line + int(np.searchsorted(newlines, starts[t]))
+        return int(np.searchsorted(newlines, starts[t]))
 
     first = starts
     if not plain:
@@ -154,7 +146,7 @@ def _table_chunk(chunk: bytes, first_line: int, v: int, k: int, room: int,
         invalid = signed & (ends - starts == 1)
         invalid[np.searchsorted(starts, np.flatnonzero(stray), side="right") - 1] = True
         if invalid.any():
-            problems.append((line_of(np.argmax(invalid)), "point is not an integer"))
+            problems.append((line_of(np.argmax(invalid)), 0, "point is not an integer"))
         first = starts + signed
     count = ends - first
     longest = int(count.max(initial=0))
@@ -163,42 +155,30 @@ def _table_chunk(chunk: bytes, first_line: int, v: int, k: int, room: int,
         values = np.where(count > j, values * 10 + digit[j:][first], values)
     if not plain:
         np.negative(values, out=values, where=a[starts] == ord("-"))
-
-    # the row width: with t = k*L points on L lines, point k*i follows newline
-    # i-1 and point k*i+k-1 precedes newline i; else count points line by line
-    lines = len(newlines) + (not chunk.endswith(b"\n") and bool(chunk))
-    t = len(starts)
-    if not (t == k * lines and (t == 0 or (np.all(starts[k - 1::k][:len(newlines)] < newlines)
-                                           and np.all(starts[k::k] > newlines[:lines - 1])))):
-        line = np.searchsorted(newlines, starts)
-        opens = np.flatnonzero(np.diff(line, prepend=-1))
-        width = np.diff(opens, append=t)
-        if (width != k).any():
-            i = int(np.argmax(width != k))
-            problems.append((first_line + int(line[opens[i]]),
-                             f"expected {k} points, got {width[i]}"))
-    bad = (values < 0) | (values >= v) | (count > _MAX_DIGITS)
+    bad = (values < 0) | (values >= bound) | (count > _MAX_DIGITS)
     if bad.any():
-        problems.append((line_of(np.argmax(bad)), "point index out of range"))
-    if distinct:  # rows before a width error are the file's rows
-        rows = np.sort(values[:t - t % k].reshape(-1, k), axis=1)
-        repeats = np.any(rows[:, 1:] == rows[:, :-1], axis=1)
-        if repeats.any():
-            problems.append((line_of(np.argmax(repeats) * k), "repeated point in a row"))
-    if t > room:
-        problems.append((line_of(room), "more rows than the header gives"))
-    if problems:
-        raise ParseError(*min(problems, key=lambda p: p[0]))
-    return values.astype(point_dtype(v), copy=False), len(newlines), len(chunk)
+        problems.append((line_of(np.argmax(bad)), 2, "point index out of range"))
+
+    # with t = width*L points on L lines, point width*i follows newline i-1
+    # and point width*i+width-1 precedes newline i; else count points line by line
+    lines = len(newlines) + (not piece.endswith(b"\n") and bool(piece))
+    t, w = len(starts), width
+    rows = (t == w * lines and np.all(starts[w - 1::w][:len(newlines)] < newlines)
+            and np.all(starts[w::w] > newlines[:lines - 1]))
+    per_line = None if rows else np.bincount(np.searchsorted(newlines, starts), minlength=lines)
+    return values.astype(point_dtype(bound), copy=False), per_line, len(newlines), problems
 
 
 def read(fh: BinaryIO, tag: str, names: Sequence[str],
-         layout: Callable[..., list[tuple[int, int, int]]],
+         layout: Callable[..., tuple[int, list[tuple[int, int]]]],
          distinct: bool = False) -> tuple[list[int], list[np.ndarray]]:
-    """The values of the header (the first line not blank or a comment) and a
-    (rows, width) array in ``point_dtype(bound)`` per (rows, width, bound)
-    section of ``layout(*values)``, which raises BadParams on values it
-    refuses.  With ``distinct`` no row repeats a point."""
+    """The values of the header (the first line not blank or a comment) and,
+    for ``(bound, sections) = layout(*values)``, which raises BadParams on
+    values it refuses, a (rows, width) array in ``point_dtype(bound)`` per
+    section.  With ``distinct`` no row repeats a point.  A piece whose lines
+    are rows of its section's width, with no problem and ending inside that
+    section, is copied straight into its table; any other is checked row by
+    row, each row in the section its index gives."""
     line_no, line = 0, b""
     while not line.strip() or line.lstrip().startswith(b"#"):
         line_no, line = line_no + 1, fh.readline()
@@ -209,16 +189,40 @@ def read(fh: BinaryIO, tag: str, names: Sequence[str],
     if match is None:
         raise ParseError(line_no, f"expected '{' '.join([tag, *(f'{n}=<{n}>' for n in names)])}'")
     values = [int(value) for value in match.groups()]
-    try:  # after the last section, one of no points refuses any further row
-        sections = [*layout(*values), (0, 1, 0)]
+    try:
+        bound, sections = layout(*values)
     except BadParams as exc:
         raise ParseError(line_no, str(exc))
-    total, here = sum(rows * width for rows, width, _ in sections), fh.tell()
+    total, here = sum(rows * width for rows, width in sections), fh.tell()
     if total > fh.seek(0, os.SEEK_END) - here:  # a point takes a byte at least
         raise ParseError(line_no, f"{total} points cannot fit in the file")
     fh.seek(here)
-    tables = [np.empty((rows, width), dtype=point_dtype(bound)) for rows, width, bound in sections]
-    s, filled, tail, end = 0, 0, b"", False
+    tables = [np.empty((rows, width), dtype=point_dtype(bound)) for rows, width in sections]
+    row_ends = np.cumsum([rows for rows, _ in sections])
+    widths = np.array([width for _, width in sections] + [0])  # none past the last row
+    s = filled = rows_read = 0  # the section filling, its points filled, the rows read
+
+    def check(got: np.ndarray, per_line: np.ndarray, problems: list) -> None:
+        """Raise the piece's problem least by (line, rank), rows in their sections."""
+        at = np.flatnonzero(per_line)  # the lines that are rows
+        count = per_line[at]
+        section = np.searchsorted(row_ends, rows_read + np.arange(len(at)), side="right")
+        if (wrong := (count != widths[section]) & (section < len(sections))).any():
+            i = np.argmax(wrong)
+            problems.append((at[i], 1, f"expected {widths[section[i]]} points, got {count[i]}"))
+        if distinct:  # each row's points sorted: a repeat equals the point before it
+            row = np.repeat(np.arange(len(at)), count)
+            point = got[np.lexsort((got, row))]
+            repeats = row[1:][(row[1:] == row[:-1]) & (point[1:] == point[:-1])]
+            if len(repeats):
+                problems.append((at[repeats[0]], 3, "repeated point in a row"))
+        if (past := section == len(sections)).any():
+            problems.append((at[np.argmax(past)], 4, "more rows than the header gives"))
+        if problems:
+            at_line, _, reason = min(problems)
+            raise ParseError(line_no + 1 + int(at_line), reason)
+
+    tail, end = b"", False
     while not end:
         pieces = []  # newline-aligned chunks, WORKERS at a time
         while not end and len(pieces) < chunkmap.WORKERS:
@@ -228,30 +232,20 @@ def read(fh: BinaryIO, tag: str, names: Sequence[str],
             if cut:
                 pieces.append(chunk[:cut])
             tail = chunk[cut:]
-        while pieces:
-            while s < len(tables) - 1 and filled == tables[s].size:
-                s, filled = s + 1, 0
-            _, width, bound = sections[s]
-            room = tables[s].size - filled
-            # n bytes hold at most (n + 1) // 2 points: pieces that cannot reach the
-            # section's end are read together, else one at a time
-            n = len(pieces) if (sum(map(len, pieces)) + 1) // 2 <= room else 1
-
-            def tokens(i: int) -> tuple[np.ndarray, int, int]:
-                try:
-                    return _table_chunk(pieces[i], line_no + 1, bound, width, room, distinct)
-                except ParseError:  # again, numbered by the newlines of the pieces before it
-                    first = line_no + 1 + sum(piece.count(b"\n") for piece in pieces[:i])
-                    return _table_chunk(pieces[i], first, bound, width, room, distinct)
-
-            done = chunk_map(tokens, n)
-            for got, newlines, _ in done:
-                tables[s].reshape(-1)[filled:filled + len(got)] = got
-                filled += len(got)
-                line_no += newlines
-            rest = pieces[n - 1][done[-1][2]:]
-            pieces = [rest, *pieces[n:]] if rest else pieces[n:]
-    rows, expected = sum(map(len, tables[:s])) + filled // sections[s][1], sum(map(len, tables))
-    if rows < expected:
-        raise ParseError(line_no + 1, f"expected {expected} rows, got {rows}")
-    return values, tables[:-1]
+        width = int(widths[s])
+        for got, per_line, newlines, problems in chunk_map(
+                lambda i: _tokens(pieces[i], bound, width), len(pieces)):
+            if (per_line is not None or problems or distinct or width != widths[s]
+                    or filled + len(got) > tables[s].size):  # not a straight copy
+                check(got, np.full(len(got) // width, width) if per_line is None else per_line,
+                      problems)
+            while len(got):  # whole rows, each inside its section
+                n = min(len(got), tables[s].size - filled)
+                tables[s].reshape(-1)[filled:filled + n] = got[:n]
+                got, filled, rows_read = got[n:], filled + n, rows_read + n // widths[s]
+                while filled == tables[s].size and s < len(tables) - 1:
+                    s, filled = s + 1, 0
+            line_no += newlines
+    if rows_read < row_ends[-1]:
+        raise ParseError(line_no + 1, f"expected {row_ends[-1]} rows, got {rows_read}")
+    return values, tables

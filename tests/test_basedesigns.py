@@ -56,6 +56,11 @@ def test_build_base_design_fano():
     assert verify_2design(bd.design).ok
 
 
+def test_build_base_design_names_a_bad_prime():
+    with pytest.raises(BadParams, match=r"^need p prime with p = 1 mod 6, got 23$"):
+        build_base_design(23, 3, (0, 1, 3))
+
+
 def test_build_base_design_rejects_bad_block():
     with pytest.raises(BadParams, match=r"base block \(0, 1, 2\) fails the coset criterion at p=19"):
         build_base_design(19, 3, (0, 1, 2))

@@ -464,11 +464,18 @@ def test_parameter_preconditions_are_reported(capsys, argv, message):
     (["plan-spectrum", "--k", "3", "--w", "7", "--x1", ""], "BadParams: the x1 list is empty"),
     (["plan-spectrum", "--k", "3", "--w", "7", "--x1", "7", "--width", "-5", "--x0", "1"],
      "BadParams: window [14413, 14408] is empty"),
+    (["construct-odd", "--k", "3", "--group-file", "{triv}", "--p", "23", "--base-block", "0,1,3"],
+     "BadParams: need k >= 3 and --p a prime with (p-1) mod k(k-1) = 0; got k=3, p=23"),
+    (["construct-odd", "--k", "3", "--group-file", "{triv}", "--p", "21"],
+     "BadParams: need k >= 3 and --p a prime with (p-1) mod k(k-1) = 0; got k=3, p=21"),
+    (["construct-odd", "--k", "1", "--group-file", "{triv}", "--p", "7"],
+     "BadParams: need k >= 3 and --p a prime with (p-1) mod k(k-1) = 0; got k=1, p=7"),
 ], ids=["base-block", "x-points", "cyclic", "compose-files", "x1", "missing-design",
         "aligned-p-not-prime", "aligned-p-not-1-mod-k-1", "aligned-k-1", "net-affine-no-n",
         "net-semilinear-no-q-m", "net-semilinear-no-m", "compose-cyclic-no-w-k-h",
         "compose-cyclic-no-h", "group-degree-0", "aligned-cyclic-degree", "x-point-past-y",
-        "x-point-negative", "x-point-repeated", "x1-empty", "window-empty"])
+        "x-point-negative", "x-point-repeated", "x1-empty", "window-empty", "odd-p-not-1-mod-6",
+        "odd-p-not-prime", "odd-k-1-with-p"])
 def test_malformed_input_is_reported(tmp_path, capsys, argv, message):
     paths = {"triv": write_group(tmp_path / "triv.group", Permutation.identity(1)),
              "z2": write_group(tmp_path / "z2.group", Permutation.from_cycles(2, [(0, 1)])),
@@ -481,6 +488,12 @@ def test_malformed_input_is_reported(tmp_path, capsys, argv, message):
     assert rep["error"] == message.format(**paths)
     assert rep["status"] == "fail"
     assert code == 1
+
+
+def test_construct_odd_checks_p_before_reporting_t(tmp_path, capsys):
+    group = write_group(tmp_path / "triv.group", Permutation.identity(1))
+    code, rep = run(capsys, "construct-odd", "--k", "3", "--group-file", group, "--p", "23")
+    assert code == 1 and "t" not in rep and "p" not in rep
 
 
 def test_td_out_is_atomic(tmp_path, capsys, monkeypatch):

@@ -24,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steinerkit import design as design_module
-from steinerkit import textfile
+from steinerkit import chunkmap, textfile
 from steinerkit.basedesigns import build_base_design, wilson_base_block
 from steinerkit.design import Design, read_design, write_design
 from steinerkit.errors import ParseError, SteinerError
@@ -488,3 +488,107 @@ def test_a_bad_line_at_a_td_section_boundary_is_named_alike(monkeypatch, one_and
     one, two = one_and_two_workers(lambda: td_from_text(edited("td", case)))
     assert one == two
     assert one[0] is ParseError and one[1].startswith(f"line {LINES[case]}: expected 3 points")
+
+
+# -- where the bytes are cut -------------------------------------------------
+# Read 1..64 bytes at a time, and at the default, a TD's section boundary and
+# every bad line fall at each offset of a chunk and of a batch; the verdict
+# is the same at every cut, on 1 worker and on 2.
+
+def design_tables(text: str) -> list[np.ndarray]:
+    return textfile.read(io.BytesIO(text.encode()), "DESIGN", ("v", "k", "b"),
+                         design_module._design_layout)[1]
+
+
+def td_tables(text: str) -> list[np.ndarray]:
+    td = td_from_text(text)
+    return [td.groups, td.blocks]
+
+
+TD_TEXT = FORMATS["td"][0] + "\n" + "".join(f"{r}\n" for r in FORMATS["td"][1])
+# group rows 4 points wide, block rows 3
+CUT_BASES = [(design_tables, text) for _, text, _ in CORPUS] + [
+    (td_tables, TD_TEXT), (td_tables, td_to_text(mols_td(3, 4)))]
+
+
+@st.composite
+def cut_cases(draw):
+    """A corpus text or a legal TD text, unedited or with one byte replaced,
+    inserted or deleted."""
+    read, text = draw(st.sampled_from(CUT_BASES))
+    edit = draw(st.sampled_from(["none", "replace", "insert", "delete"]))
+    at = draw(st.integers(0, max(len(text) - 1, 0)))
+    byte = draw(st.sampled_from(" \n\t\r#x-+.0123456789"))
+    if edit == "insert":
+        text = text[:at] + byte + text[at:]
+    elif edit != "none" and text:
+        text = text[:at] + (byte if edit == "replace" else "") + text[at + 1:]
+    return read, text
+
+
+@HYPOTHESIS
+@given(case=cut_cases())
+def test_the_verdict_does_not_depend_on_where_the_bytes_are_cut(case):
+    read, text = case
+
+    def outcome():
+        try:
+            return [table.tobytes() for table in read(text)]
+        except SteinerError as exc:
+            return type(exc), str(exc)
+
+    seen = set()
+    with pytest.MonkeyPatch.context() as mp:
+        for read_bytes in [*range(1, 65), textfile._READ_BYTES]:
+            mp.setattr(textfile, "_READ_BYTES", read_bytes)
+            for workers in (1, 2):
+                mp.setattr(chunkmap, "WORKERS", workers)
+                seen.add(repr(outcome()))
+    assert len(seen) == 1, seen
+
+
+# a line with two problems names the first of: not an integer, wrong width,
+# out of range, repeated point, more rows than the header gives
+TIES = [
+    ("DESIGN", "23 30", "expected 3 points, got 2"),
+    ("DESIGN", "x 23 24 25", "point is not an integer"),
+    ("DESIGN", "23 23 31", "point index out of range"),
+    ("PERMGROUP", "0 0", "expected 3 points, got 2"),
+    ("PERMGROUP", "0 0 1 2", "expected 3 points, got 4"),
+    ("PERMGROUP", "1 1 9", "point index out of range"),
+]
+
+
+@pytest.mark.parametrize("fmt, row, reason", TIES)
+@pytest.mark.parametrize("read_bytes", [7, 1 << 20])
+def test_a_line_with_two_problems_names_the_first_by_rank(monkeypatch, fmt, row, reason,
+                                                          read_bytes):
+    monkeypatch.setattr(textfile, "_READ_BYTES", read_bytes)
+    if fmt == "DESIGN":
+        read, text, line = read_text, with_row(9, row), 9
+    else:
+        read, text, line = group_from_text, f"PERMGROUP degree=3 gens=2\n1 2 0\n{row}\n", 3
+    with pytest.raises(ParseError, match=f"^line {line}: {reason}$"):
+        read(text)
+
+
+@pytest.mark.parametrize("read, text, line", [
+    (read_text, TEXT + "21 25\n", 14),
+    (read_text, "DESIGN v=4 k=2 b=0\n\n0 1 2\n", 3),
+    (td_from_text, TD_TEXT + "0 3\n", 14),
+], ids=["design", "no rows", "td"])
+def test_a_row_past_the_last_section_is_one_more_than_the_header_gives(read, text, line):
+    with pytest.raises(ParseError, match=f"^line {line}: more rows than the header gives$"):
+        read(text)
+
+
+def test_block_rows_as_wide_as_group_rows_are_refused_at_every_cut(monkeypatch,
+                                                                    one_and_two_workers):
+    # k=3, n=4: each block row gets a fourth point, so a batch that starts
+    # among the group rows can hold block rows of the group rows' width
+    head, *rows = td_to_text(mols_td(3, 4)).splitlines()
+    text = "\n".join([head, *rows[:3], *(f"{row} 0" for row in rows[3:])]) + "\n"
+    for read_bytes in range(1, 65):
+        monkeypatch.setattr(textfile, "_READ_BYTES", read_bytes)
+        assert one_and_two_workers(lambda: td_from_text(text)) == [
+            (ParseError, "line 5: expected 3 points, got 4")] * 2
