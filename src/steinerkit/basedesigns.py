@@ -18,11 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certify import certify, require_certified
-from .design import Design, iso_in_group
+from .design import Design, _sorted_rows, iso_in_group
 from .errors import BadParams, Budget, Unsat
 from .exactcover import solve_exact_cover
 from .gf import MultSubgroup, PrimeFieldCtx, coset_partition, is_prime, subgroup_of_order
-from .permgrp import PermGroup, Permutation, orbit_sweep, set_images
+from .permgrp import PermGroup, Permutation, orbit_sweep
 
 MAX_BLOCK_CANDIDATES = 2_000_000  # k-subsets ``km_instance`` enumerates before Budget
 
@@ -46,7 +46,9 @@ def _coset_criterion(block: tuple[int, ...], p: int, lookup: dict[int, int],
 
 def _multiplier_cosets(p: int, k: int) -> tuple[int, MultSubgroup, dict[int, int]]:
     """t = (p-1)/k(k-1), the order-t multiplier subgroup and the coset of
-    each nonzero residue, for a prime p = 1 mod k(k-1)."""
+    each nonzero residue, for k >= 2 and a prime p = 1 mod k(k-1)."""
+    if k < 2:
+        raise BadParams(f"need block size k >= 2, got {k}")
     if not is_prime(p) or (p - 1) % (k * (k - 1)) != 0:
         raise BadParams(f"need p prime with p = 1 mod {k * (k - 1)}, got {p}")
     t = (p - 1) // (k * (k - 1))
@@ -112,14 +114,19 @@ def build_base_design(p: int, k: int, base_block) -> BaseBlockDesign:
 class KMInstance:
     """Orbit data for a prescribed-group design search on (v, k): every
     k-subset as a read-only row of ``blocks`` in combinations order, each
-    row's orbit number, and the least pair of each pair orbit."""
+    row's orbit number, the least pair of each pair orbit, the kept block
+    orbits (``columns``, ascending) and the exact-cover incidence: block
+    orbit ``cover_col[i]`` covers pair orbit ``cover_row[i]``, sorted by
+    column and then by row."""
 
     v: int
     k: int
     blocks: np.ndarray
     block_orbit: np.ndarray
     pair_reps: np.ndarray
-    columns: dict[int, frozenset[int]]
+    columns: np.ndarray
+    cover_col: np.ndarray
+    cover_row: np.ndarray
     dropped_columns: int
 
 
@@ -135,9 +142,26 @@ def _subsets(v: int, s: int) -> np.ndarray:
     return rows
 
 
+def _subset_rank(points, v: int) -> np.ndarray:
+    """Index in itertools.combinations(range(v), s) order of s-subsets given
+    as s arrays of points c_0 < ... < c_(s-1): C(v, s) - 1 - sum_i C(v-1-c_i, s-i)."""
+    s = len(points)
+    binom = np.array([[math.comb(n, r) for r in range(s + 1)] for n in range(v)], dtype=np.int64)
+    return math.comb(v, s) - 1 - sum(binom[v - 1 - c, s - i] for i, c in enumerate(points))
+
+
+def _rank_images(rows: np.ndarray, v: int, perms) -> np.ndarray:
+    """The (len(perms), n) image-index table of the s-subsets of range(v)
+    in combinations order: entry [e, i] is the rank of row i's image."""
+    out = np.empty((len(perms), len(rows)), dtype=np.int64)
+    for slab, g in zip(out, perms):
+        slab[:] = _subset_rank(_sorted_rows(g.images[rows], v).T, v)
+    return out
+
+
 def km_instance(v: int, k: int, group: PermGroup) -> KMInstance:
     """Orbits of the group on pairs and on k-subsets, and the exact-cover
-    columns: block-orbit j covers pair-orbit i when exactly one block of the
+    incidence: block-orbit j covers pair-orbit i when exactly one block of the
     orbit contains the representative pair; orbits covering any pair orbit
     more than once can never appear in a lambda = 1 solution and are dropped.
     """
@@ -147,12 +171,11 @@ def km_instance(v: int, k: int, group: PermGroup) -> KMInstance:
     if n_candidates > MAX_BLOCK_CANDIDATES:
         raise Budget(f"{n_candidates} candidate blocks exceeds the bound {MAX_BLOCK_CANDIDATES}")
     pairs, blocks = _subsets(v, 2), _subsets(v, k)
-    pair_reps, pair_orbit = orbit_sweep(set_images(pairs, group.generators))
-    block_reps, block_orbit = orbit_sweep(set_images(blocks, group.generators))
+    pair_reps, pair_orbit = orbit_sweep(_rank_images(pairs, v, group.generators))
+    block_reps, block_orbit = orbit_sweep(_rank_images(blocks, v, group.generators))
     # cover counts of (block orbit, representative pair) over every block
     a, b = np.triu_indices(k, 1)
-    x, y = blocks[:, a], blocks[:, b]
-    pair = x * (2 * v - x - 1) // 2 + y - x - 1  # index in combinations order
+    pair = _subset_rank((blocks[:, a], blocks[:, b]), v)
     hit = np.isin(pair, pair_reps)
     n = len(pair_reps)
     keys, counts = np.unique(np.broadcast_to(block_orbit[:, None], pair.shape)[hit] * n
@@ -160,14 +183,13 @@ def km_instance(v: int, k: int, group: PermGroup) -> KMInstance:
     orbit, row = np.divmod(keys, n)
     bad = np.zeros(len(block_reps), dtype=bool)
     bad[orbit[counts > 1]] = True
-    bounds = np.searchsorted(orbit, np.arange(len(block_reps) + 1)).tolist()
-    row = row.tolist()
-    columns = {cid: frozenset(row[bounds[cid]:bounds[cid + 1]])
-               for cid in np.flatnonzero(~bad).tolist()}
+    keep = ~bad[orbit]
+    columns, cover_col, cover_row = np.flatnonzero(~bad), orbit[keep], row[keep]
     pair_reps = pairs[pair_reps]
-    for arr in (blocks, block_orbit, pair_reps):
+    for arr in (blocks, block_orbit, pair_reps, columns, cover_col, cover_row):
         arr.setflags(write=False)
-    return KMInstance(v, k, blocks, block_orbit, pair_reps, columns, int(bad.sum()))
+    return KMInstance(v, k, blocks, block_orbit, pair_reps, columns, cover_col, cover_row,
+                      int(bad.sum()))
 
 
 def km_search(v: int, k: int, group: PermGroup, forced_blocks=()) -> Design:
@@ -191,7 +213,7 @@ def km_search(v: int, k: int, group: PermGroup, forced_blocks=()) -> Design:
             raise Unsat(f"forced block {key} has no usable orbit")
         if cid not in forced:
             forced.append(cid)
-    chosen = solve_exact_cover(inst.columns, range(len(inst.pair_reps)), forced=forced)
+    chosen = solve_exact_cover(inst.cover_col, inst.cover_row, len(inst.pair_reps), forced=forced)
     if chosen is None:
         raise Unsat(f"no 2-({v},{k},1)-design with the prescribed group")
     design = Design(v, k, inst.blocks[np.isin(inst.block_orbit, chosen)])

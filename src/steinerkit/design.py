@@ -300,7 +300,7 @@ def stabilizer_scan(design: Design, group: PermGroup):
         first = images[rows[:, 0]]
         cand = np.flatnonzero(np.logical_or.reduce([col == first for col in rows.T]))
         rows, img = rows[cand], images[rows[cand]]
-        bad = np.all(_sorted_rows(img, design.v) == rows, axis=1) & np.any(img != rows, axis=1)
+        bad = np.all(np.sort(img, axis=1) == rows, axis=1) & np.any(img != rows, axis=1)
         return (tuple(rows[np.argmax(bad)].tolist()), g) if bad.any() else None
 
     for g in group.elements():

@@ -1,37 +1,49 @@
 """Exact cover by a column-count-minimum backtracker (Algorithm X).
 
-Columns are candidate sets over a universe of row ids; a solution is a set
-of column ids whose sets partition the universe.  Branching always targets
-the uncovered row with the fewest remaining candidate columns; ties and the
-candidate order are broken by column id, so the first solution found is
-deterministic.
+The input is an incidence given as pairs: column ``cols[i]`` covers row
+``rows[i]``, sorted by column and then by row, over the universe of rows
+``range(n_rows)``; a solution is a set of column ids whose rows partition
+the universe.  Branching always targets the uncovered row with the fewest
+remaining candidate columns, the least row id among ties, picked by one
+``min`` over (count, row) of the uncovered rows; candidates are tried in
+column-id order, so the first solution found is deterministic.
 """
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Sequence
+
+import numpy as np
 
 from .errors import Budget
 
 MAX_NODES = 50_000_000  # search nodes before Budget
 
 
-def solve_exact_cover(columns: Mapping[int, frozenset[int]], universe: Sequence[int],
+def solve_exact_cover(cols: np.ndarray, rows: np.ndarray, n_rows: int,
                       forced: Sequence[int] = ()) -> list[int] | None:
     """First exact cover in deterministic order, or None if unsatisfiable.
 
-    ``forced`` columns are selected up front (returns None if they clash).
-    Raises Budget if the node budget runs out before the search
-    space is settled.
+    ``forced`` columns are selected up front (returns None if they clash or
+    cover no row).  Raises ValueError if a row lies outside range(n_rows) or
+    the pairs are not strictly ascending by (column, row); Budget if the node
+    budget runs out before the search space is settled.
     """
-    covers: dict[int, set[int]] = {r: set() for r in universe}
-    col_rows: dict[int, list[int]] = {}
-    for cid, rows in columns.items():
-        for r in rows:
-            if r not in covers:
-                raise ValueError(f"column {cid} covers unknown row {r}")
-        col_rows[cid] = sorted(rows)
-        for r in rows:
-            covers[r].add(cid)
+    cols, rows = np.asarray(cols, dtype=np.int64), np.asarray(rows, dtype=np.int64)
+    if rows.size and (rows.min() < 0 or rows.max() >= n_rows):
+        raise ValueError(f"a column covers a row outside range({n_rows})")
+    key = cols * n_rows + rows
+    if np.any(key[1:] <= key[:-1]):
+        raise ValueError("incidence pairs must ascend by (column, row)")
+    first = np.flatnonzero(np.diff(cols, prepend=cols[:1] - 1))  # each column's first pair
+    col_bounds = [*first.tolist(), len(cols)]
+    rows_list = rows.tolist()
+    col_rows = {cid: rows_list[a:b] for cid, a, b in
+                zip(cols[first].tolist(), col_bounds, col_bounds[1:])}
+    by_row = np.argsort(rows)
+    row_bounds = np.searchsorted(rows[by_row], np.arange(n_rows + 1)).tolist()
+    cols_list = cols[by_row].tolist()
+    covers = {r: set(cols_list[a:b]) for r, a, b in
+              zip(range(n_rows), row_bounds, row_bounds[1:])}
 
     solution: list[int] = []
 
@@ -69,7 +81,7 @@ def solve_exact_cover(columns: Mapping[int, frozenset[int]], universe: Sequence[
         nodes += 1
         if nodes > MAX_NODES:
             raise Budget(f"exact cover passed node budget {MAX_NODES}")
-        row = min(covers, key=lambda r: (len(covers[r]), r))
+        _, row = min(zip(map(len, covers.values()), covers))
         for cid in sorted(covers[row]):
             solution.append(cid)
             removed = select(cid)

@@ -1,15 +1,18 @@
 """The Kramer-Mesner instance against the Python loops it replaced.
 
 ``basedesigns.km_instance`` takes its pair and block orbits from
-``orbit_sweep`` over the generators' image tables and its cover counts from
-one ``np.unique``; it never enumerates the group.  The reference below is
-the earlier version: every k-subset and every group element in Python, with
-tuple orbits and dict cover counts, put into the instance's arrays at the
-end.  Both must give identical instances.
+``orbit_sweep`` over the generators' image tables, indexed by a closed-form
+subset rank, and its cover counts from one ``np.unique``; it never
+enumerates the group, and it keeps the incidence as sorted arrays.  The
+reference below is the earlier version: every k-subset and every group
+element in Python, with tuple orbits, dict cover counts and a dict of
+frozensets for the columns.  Both must give identical instances once the
+arrays are read back as such a dict.
 """
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -17,14 +20,24 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from steinerkit import permgrp
-from steinerkit.basedesigns import KMInstance, km_instance, multiplier_group
+from steinerkit.basedesigns import (KMInstance, _subset_rank, _subsets, km_instance,
+                                    multiplier_group)
 from steinerkit.errors import Budget
 from steinerkit.permgrp import PermGroup, Permutation
 
 # -- reference implementation --------------------------------------------------
 
 
-def ref_km_instance(v: int, k: int, group: PermGroup) -> KMInstance:
+@dataclass(frozen=True, eq=False)
+class RefInstance:
+    blocks: np.ndarray
+    block_orbit: np.ndarray
+    pair_reps: np.ndarray
+    columns: dict[int, frozenset[int]]
+    dropped_columns: int
+
+
+def ref_km_instance(v: int, k: int, group: PermGroup) -> RefInstance:
     elements = group.elements()
 
     pair_row: dict[tuple[int, int], int] = {}
@@ -60,18 +73,29 @@ def ref_km_instance(v: int, k: int, group: PermGroup) -> KMInstance:
             dropped += 1
             continue
         columns[cid] = frozenset(cover)
-    return KMInstance(v, k, np.array(combos, dtype=np.int64).reshape(-1, k),
-                      np.array([orbit_of[c] for c in combos], dtype=np.int64),
-                      np.array(pair_reps, dtype=np.int64).reshape(-1, 2), columns, dropped)
+    return RefInstance(np.array(combos, dtype=np.int64).reshape(-1, k),
+                       np.array([orbit_of[c] for c in combos], dtype=np.int64),
+                       np.array(pair_reps, dtype=np.int64).reshape(-1, 2), columns, dropped)
 
 
-def assert_same(got: KMInstance, want: KMInstance) -> None:
-    for name in ("blocks", "block_orbit", "pair_reps"):
+def columns_dict(inst: KMInstance) -> dict[int, frozenset[int]]:
+    """The instance's incidence arrays read back as the reference's dict."""
+    bounds = np.searchsorted(inst.cover_col, np.append(inst.columns, inst.columns[-1:] + 1))
+    return {cid: frozenset(inst.cover_row[bounds[i]:bounds[i + 1]].tolist())
+            for i, cid in enumerate(inst.columns.tolist())}
+
+
+def assert_same(got: KMInstance, want: RefInstance) -> None:
+    for name in ("blocks", "block_orbit", "pair_reps", "columns", "cover_col", "cover_row"):
         arr = getattr(got, name)
         assert arr.dtype == np.int64 and not arr.flags.writeable
-        np.testing.assert_array_equal(arr, getattr(want, name))
-    assert got.columns == want.columns
-    assert list(got.columns) == list(want.columns)
+    for name in ("blocks", "block_orbit", "pair_reps"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+    key = got.cover_col * len(got.pair_reps) + got.cover_row
+    assert np.all(key[1:] > key[:-1])
+    np.testing.assert_array_equal(got.columns, np.unique(got.cover_col))
+    assert columns_dict(got) == want.columns
+    assert list(columns_dict(got)) == list(want.columns)
     assert got.dropped_columns == want.dropped_columns
 
 
@@ -98,6 +122,16 @@ def km_groups(draw):
 def test_km_instance_matches_reference(case):
     group, k = case
     assert_same(km_instance(group.degree, k, group), ref_km_instance(group.degree, k, group))
+
+
+# -- the closed-form subset rank -----------------------------------------------
+
+@pytest.mark.parametrize("s", [2, 3, 4])
+def test_subset_rank_is_the_combinations_index(s):
+    for v in range(s, 13):
+        rows = np.array(list(itertools.combinations(range(v), s)), dtype=np.int64)
+        np.testing.assert_array_equal(_subset_rank(rows.T, v), np.arange(len(rows)))
+        np.testing.assert_array_equal(_subsets(v, s), rows)
 
 
 # -- the benchmark's instance shapes -------------------------------------------
