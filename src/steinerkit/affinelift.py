@@ -24,7 +24,7 @@ into a prescribed cyclic automorphism of the ingredient.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -32,6 +32,7 @@ import numpy as np
 from .basedesigns import BaseBlockDesign
 from .design import Design, is_automorphism
 from .errors import ActionEscape, BadParams, Budget
+from .gf import is_prime
 from .permgrp import (
     PermGroup,
     Permutation,
@@ -54,6 +55,10 @@ class AffineSpace:
 
     d: int
     p: int
+
+    def __post_init__(self):
+        if not is_prime(self.p):
+            raise BadParams(f"AG(d,p) needs a prime p, got p={self.p}")
 
     @property
     def point_count(self) -> int:
@@ -262,25 +267,26 @@ def lift_aligned(group: PermGroup, p: int, k: int, ingredient: Design,
     into a prescribed cyclic automorphism of the ingredient design.
 
     ``cyclic_gen`` generates a cyclic automorphism group of the ingredient
-    with one fixed point, semiregular on the rest.  Per orbit representative,
-    the induced action (cyclic of order m, one fixed point) is aligned with
-    the order-m power subgroup of the prescribed group before planting.
+    with one fixed point, semiregular on the rest.  Per representative with a
+    non-trivial stabilizer, the induced action (cyclic of order m, one fixed
+    point) is aligned with the order-m power subgroup of the prescribed group
+    before planting; the other lines keep the canonical parametrization.
     """
     if ingredient.v != p or ingredient.k != k:
         raise BadParams("ingredient design must live on p points with block size k")
     if not is_automorphism(ingredient, cyclic_gen):
         raise BadParams("cyclic_gen is not an automorphism of the ingredient")
     n = cyclic_gen.order()
-    cycles = cyclic_gen.cycles()
-    if len(cyclic_gen.fixed_points()) != 1 or any(len(c) != n for c in cycles):
+    if len(cyclic_gen.fixed_points()) != 1 or any(len(c) != n for c in cyclic_gen.cycles()):
         raise BadParams(
             "cyclic_gen must fix exactly one point and be semiregular elsewhere")
     orb = _line_orbits(group, p)
     lines = orb.lines.copy()
-    runs = np.searchsorted(orb.rep_of, np.arange(len(orb.reps) + 1)).tolist()
-    for r, line, lo, hi in zip(orb.reps.tolist(), lines, runs, runs[1:]):
+    runs = np.searchsorted(orb.rep_of, np.arange(len(orb.reps) + 1))
+    for i in np.flatnonzero(np.diff(runs) > 1).tolist():
+        r, line = int(orb.reps[i]), lines[i]
         induced_set = dict.fromkeys(induced_perm_on_line(orb.elements[e], line)
-                                    for e in orb.element_of[lo:hi].tolist())
+                                    for e in orb.element_of[runs[i]:runs[i + 1]].tolist())
         m = len(induced_set)
         # the generator with the least image table
         gen = min((ind for ind in induced_set if ind.order() == m),
@@ -292,17 +298,16 @@ def lift_aligned(group: PermGroup, p: int, k: int, ingredient: Design,
         if n % m != 0:
             raise BadParams(
                 f"induced order {m} on line {r} does not divide {n}")
-        target = cyclic_gen
-        for _ in range(n // m - 1):
-            target = target * cyclic_gen
+        target = reduce(Permutation.__mul__, [cyclic_gen] * (n // m))  # cyclic_gen^(n/m)
         try:
-            sigma = align_semiregular_cyclic(gen, target, range(p))
+            sigma = align_semiregular_cyclic(gen, target)
         except BadParams as exc:
             raise BadParams(f"line {r}: {exc}")
-        plant = ingredient.relabel(sigma.inverse())
+        # ind preserves the plant iff sigma^-1 * ind * sigma preserves the ingredient
+        sigma_inv = sigma.inverse()
         for ind in induced_set:
-            if not is_automorphism(plant, ind):
+            if not is_automorphism(ingredient, sigma_inv * ind * sigma):
                 raise BadParams(
                     f"aligned plant on line {r} misses an induced action")
-        line[:] = line[sigma.inverse().images]  # plants the ingredient relabelled by sigma^-1
+        line[:] = line[sigma_inv.images]  # plants the ingredient relabelled by sigma^-1
     return _fill(orb, lines, ingredient.blocks, k)

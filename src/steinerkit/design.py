@@ -294,6 +294,9 @@ def stabilizer_scan(design: Design, group: PermGroup):
     """The scan behind ``is_1_blocked``, for a group already known to act by
     automorphisms: (True, None), or (False, (block, element)) for a block
     whose set-stabilizer moves one of its points."""
+    if group.degree != design.v:
+        raise BadParams(f"group degree {group.degree} != v {design.v}")
+
     def violation(g: Permutation, images: np.ndarray, part: slice):
         rows = design.blocks[part]
         # g stabilizes a block only if it maps the block's first point into it
@@ -316,8 +319,12 @@ def stabilizer_scan(design: Design, group: PermGroup):
 def is_subdesign(design: Design, pts: Iterable[int]) -> bool:
     """True iff every pair inside pts is covered by a block inside pts: no
     block meets pts in two points or more without lying inside it.  A
-    singleton (or empty) subset is a degenerate subdesign."""
-    hits = np.isin(design.blocks, list(set(pts))).sum(axis=1)
+    singleton (or empty) subset is a degenerate subdesign.  BadParams for a
+    point outside 0..v-1."""
+    pts = np.fromiter(set(pts), dtype=np.int64)
+    if pts.size and (pts.min() < 0 or pts.max() >= design.v):
+        raise BadParams(f"a point outside 0..{design.v - 1}")
+    hits = np.isin(design.blocks, pts).sum(axis=1)
     return not np.any((hits >= 2) & (hits < design.k))
 
 

@@ -57,11 +57,14 @@ class Permutation:
 
     @classmethod
     def from_cycles(cls, degree: int, cycles: Iterable[Sequence[int]]) -> "Permutation":
-        images = np.arange(degree)
+        images, used = np.arange(degree), np.zeros(degree, dtype=bool)
         for cyc in cycles:
             cyc = read_only_ints(cyc, 1)
             if cyc.size and (cyc.min() < 0 or cyc.max() >= degree):
                 raise ValueError(f"cycle point outside 0..{degree - 1}")
+            if len(np.unique(cyc)) != len(cyc) or used[cyc].any():
+                raise ValueError(f"cycle {tuple(cyc.tolist())} repeats a point")
+            used[cyc] = True
             images[cyc] = np.roll(cyc, -1)
         return cls(images)
 
@@ -96,8 +99,8 @@ class Permutation:
     def _fixes_all(self) -> bool:
         return bool(np.array_equal(self.images, np.arange(self.degree)))
 
-    def cycles(self, include_fixed: bool = False) -> list[tuple[int, ...]]:
-        """Cycle decomposition, cycles anchored at and sorted by their minimum."""
+    def cycles(self) -> list[tuple[int, ...]]:
+        """Cycles of length two or more, anchored at and sorted by their minimum."""
         images = self.images.tolist()
         seen = bytearray(self.degree)
         out = []
@@ -111,7 +114,7 @@ class Permutation:
                 cyc.append(x)
                 seen[x] = 1
                 x = images[x]
-            if len(cyc) > 1 or include_fixed:
+            if len(cyc) > 1:
                 out.append(tuple(cyc))
         return out
 
@@ -300,38 +303,28 @@ def is_semiregular(group: PermGroup,
                    pts: Iterable[int]) -> tuple[bool, list[tuple[Permutation, int]]]:
     """True iff no nonidentity element fixes any point of the set.
 
-    On failure also returns the violating (element, fixed point) pairs.
+    On failure also returns the violating (element, fixed point) pairs;
+    BadParams for a point outside 0..degree-1.
     """
     pts = np.fromiter(pts, dtype=np.int64)
+    if pts.size and (pts.min() < 0 or pts.max() >= group.degree):
+        raise BadParams(f"a point outside 0..{group.degree - 1}")
     violations = [(g, x) for g in group.elements() if not g.is_identity()
                   for x in pts[g.images[pts] == pts].tolist()]
     return (not violations, violations)
 
 
-def _cycle_structure_on(perm: Permutation, pts: frozenset[int]):
-    """Fixed points and cycles of a permutation restricted to an invariant set."""
-    if not pts.issuperset(perm.images[sorted(pts)].tolist()):
-        raise BadParams(f"set is not invariant under {perm!r}")
-    on_set = [c for c in perm.cycles(include_fixed=True) if c[0] in pts]
-    cycles = [c for c in on_set if len(c) > 1]
-    lengths = {len(c) for c in cycles}
-    if len(lengths) > 1:
-        raise BadParams(f"unequal cycle lengths {sorted(lengths)} on the set")
-    return [c[0] for c in on_set if len(c) == 1], cycles
-
-
-def align_semiregular_cyclic(c: Permutation, c_target: Permutation,
-                             pts: Iterable[int]) -> Permutation:
-    """Conjugator sigma with sigma^-1 * c * sigma == c_target on the given set.
-
-    Both permutations must leave the set invariant with matching cycle
-    structure there: equal common cycle length and equally many fixed points.
-    Deterministic: cycles sorted by minimum element and anchored at it, fixed
-    points matched in sorted order.  sigma is the identity off the set.
-    """
-    pts = frozenset(pts)
-    fixed_a, cycles_a = _cycle_structure_on(c, pts)
-    fixed_b, cycles_b = _cycle_structure_on(c_target, pts)
+def align_semiregular_cyclic(c: Permutation, c_target: Permutation) -> Permutation:
+    """Conjugator sigma with sigma^-1 * c * sigma == c_target, for two
+    permutations with one common length of their cycles, as many cycles and
+    as many fixed points.  Deterministic: cycles sorted by minimum element and
+    anchored at it, fixed points matched in sorted order."""
+    structure = [(perm.fixed_points(), perm.cycles()) for perm in (c, c_target)]
+    for _, cycles in structure:
+        lengths = {len(cyc) for cyc in cycles}
+        if len(lengths) > 1:
+            raise BadParams(f"unequal cycle lengths {sorted(lengths)}")
+    (fixed_a, cycles_a), (fixed_b, cycles_b) = structure
     len_a = len(cycles_a[0]) if cycles_a else 1
     len_b = len(cycles_b[0]) if cycles_b else 1
     if len_a != len_b or len(cycles_a) != len(cycles_b):

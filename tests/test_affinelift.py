@@ -17,8 +17,8 @@ from steinerkit.affinelift import (
     line_images,
     line_points,
 )
-from steinerkit.basedesigns import build_base_design, km_search
-from steinerkit.design import Design, is_automorphism, verify_2design
+from steinerkit.basedesigns import build_base_design, km_search, steiner_triple_system
+from steinerkit.design import Design, brute_aut, is_automorphism, verify_2design
 from steinerkit.errors import ActionEscape, BadParams, Budget
 from steinerkit.permgrp import PermGroup, Permutation, orbit_sweep, set_images
 
@@ -386,3 +386,64 @@ def test_lift_aligned_double_transporter_consistency(reverse_sts19):
         assert len(line_blocks) == 57
         pushed = {tuple(sorted(nontrivial.images[p] for p in blk)) for blk in line_blocks}
         assert pushed == set(line_blocks)
+
+
+def test_affine_space_refuses_a_non_prime_p():
+    with pytest.raises(BadParams, match=r"AG\(d,p\) needs a prime p, got p=9"):
+        AffineSpace(2, 9)
+    # every ingredient check passes: AG(2,3) with x -> -x, on p = 9 points
+    neg = Permutation([(-x) % 3 + 3 * ((-y) % 3) for y in range(3) for x in range(3)])
+    swap = PermGroup(2, [Permutation.from_cycles(2, [(0, 1)])])
+    with pytest.raises(BadParams, match=r"AG\(d,p\) needs a prime p, got p=9"):
+        lift_aligned(swap, 9, 3, steiner_triple_system(9), neg)
+
+
+def plant_has_automorphism(ingredient: Design, sigma: Permutation, ind: Permutation) -> bool:
+    """Reference for the aligned lift's check: build the plant, the ingredient
+    relabelled by sigma^-1, and test ind on it."""
+    return is_automorphism(ingredient.relabel(sigma.inverse()), ind)
+
+
+@pytest.mark.parametrize("name", ["fano", "sts9", "reverse-sts19"])
+def test_conjugate_check_matches_the_relabelled_plant(name, reverse_sts19):
+    if name == "reverse-sts19":  # the lifts' ingredient, with the group x -> -x makes
+        ingredient, auts = reverse_sts19[0], PermGroup.cyclic_from(reverse_sts19[1]).elements()
+    else:
+        ingredient = (build_base_design(7, 3, (0, 1, 3)).design if name == "fano"
+                      else steiner_triple_system(9))
+        auts = brute_aut(ingredient).elements()
+    rng = np.random.default_rng(sum(map(ord, name)))
+    v, seen = ingredient.v, set()
+    for draw in range(60):
+        sigma = Permutation(rng.permutation(v))
+        if draw % 2:  # conjugate an automorphism onto the plant
+            ind = sigma * auts[rng.integers(len(auts))] * sigma.inverse()
+        else:
+            ind = Permutation(rng.permutation(v))
+        got = is_automorphism(ingredient, sigma.inverse() * ind * sigma)
+        assert got is plant_has_automorphism(ingredient, sigma, ind)
+        seen.add(got)
+    assert seen == {True, False}
+
+
+def test_lift_aligned_refuses_a_wrong_alignment(reverse_sts19, monkeypatch):
+    ingredient, inv = reverse_sts19
+    g = PermGroup(2, [Permutation.from_cycles(2, [(0, 1)])])
+    align = affinelift.align_semiregular_cyclic
+    monkeypatch.setattr(affinelift, "align_semiregular_cyclic",
+                        lambda c, target: align(c, target) * Permutation.from_cycles(19, [(0, 1)]))
+    with pytest.raises(BadParams, match="^aligned plant on line 19 misses an induced action$"):
+        lift_aligned(g, 19, 3, ingredient, inv)
+
+
+def test_lift_aligned_induces_only_on_stabilized_lines(reverse_sts19, monkeypatch):
+    ingredient, inv = reverse_sts19
+    g = PermGroup(2, [Permutation.from_cycles(2, [(0, 1)])])
+    lines = []
+    induced = affinelift.induced_perm_on_line
+    monkeypatch.setattr(affinelift, "induced_perm_on_line",
+                        lambda perm, line: lines.append(line.tolist()) or induced(perm, line))
+    result = lift_aligned(g, 19, 3, ingredient, inv)
+    # 20 stabilized lines, each seen under the identity and the swap
+    assert len(lines) == 40 and len({tuple(line) for line in lines}) == 20
+    assert result.orbit_count == 200

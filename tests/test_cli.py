@@ -191,6 +191,7 @@ def test_compose_rc_and_1blocked(tmp_path, capsys):
 CYCLIC_379 = "3449d9a7ac033b850ef256a77add071ee20ea98f6b5cd5642f7d6b702c360190"
 CYCLIC_757 = "4aec8c19f7fbc8396b4b05ab386a9751552f48624bf878bacd6c057ce715e313"
 ALIGNED_361 = "8aa22802285b425cd82ea6f5c171ddcc59ac35a21d09f189a67c25ac257cd63c"
+ALIGNED_6859 = "57e8d79c7d5812f18aa7b43a3b3b3eb6372fa036086441ea62b6a0b9e27de062"
 
 
 def test_compose_cyclic_auto_pipeline(tmp_path, capsys):
@@ -277,6 +278,19 @@ def test_construct_aligned_end_to_end(tmp_path, capsys):
     assert rep["check.group_is_automorphisms"].startswith("ok")
     assert read_design(out).v == 361
     assert rep["sha256"] == ALIGNED_361
+
+
+def test_construct_aligned_z2_on_three_coordinates_v6859(tmp_path, capsys):
+    # the aligned instance with hundreds of stabilized lines: 741 of 69,141
+    gf = write_group(tmp_path / "z2.group", Permutation.from_cycles(3, [(0, 1)]))
+    out = tmp_path / "sts6859.design"
+    code, rep = run(capsys, "construct-aligned", "--k", "3", "--p", "19", "--group-file", gf,
+                    "--out", str(out), "--cache-dir", str(tmp_path / "cache"))
+    out.unlink(missing_ok=True)  # about 110 MB
+    assert code == 0
+    assert rep["v"] == "6859" and rep["blocks"] == "7839837"
+    assert rep["check.pairs_once"].startswith("ok")
+    assert rep["sha256"] == ALIGNED_6859
 
 
 def test_construct_aligned_with_searched_ingredient_file(tmp_path, capsys):

@@ -19,6 +19,7 @@ from steinerkit.design import (
     is_subdesign,
     iso_in_group,
     read_design,
+    stabilizer_scan,
     verify_2design,
     write_design,
 )
@@ -227,6 +228,11 @@ def test_is_subdesign_not_closed():
 def test_is_subdesign_degenerate():
     d = sts9()
     assert is_subdesign(d, [4]) is True
+
+
+def test_stabilizer_scan_refuses_a_group_of_another_degree():
+    with pytest.raises(BadParams, match="^group degree 3 != v 7$"):
+        stabilizer_scan(fano(), PermGroup(3, [Permutation.from_cycles(3, [(1, 2)])]))
 
 
 def test_brute_aut_fano():

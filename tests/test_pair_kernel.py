@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 from steinerkit.basedesigns import build_base_design, steiner_triple_system, wilson_base_block
 from steinerkit.design import Design, is_subdesign, pair_counts, verify_2design
-from steinerkit.errors import AxiomViolation, ParseError
+from steinerkit.errors import AxiomViolation, BadParams, ParseError
 from steinerkit.gf import PrimeFieldCtx, is_prime, subgroup_of_order
 from steinerkit.netstd import (
     Net,
@@ -289,7 +289,10 @@ def _closure(d: Design, pts: set[int]) -> set[int]:
 def test_is_subdesign_matches_reference(name):
     d = _designs()[name]
     rng = random.Random(name)
-    subsets = [[], [0], [d.v, -1, 0]] + [list(row) for row in d.block_tuples()[:10]]
+    for off in ([d.v, 0], [-1, 0]):  # points off the design are refused, not ignored
+        with pytest.raises(BadParams, match=f"a point outside 0..{d.v - 1}"):
+            is_subdesign(d, off)
+    subsets = [[], [0], [d.v - 1, 0]] + [list(row) for row in d.block_tuples()[:10]]
     for _ in range(60):
         pts = rng.sample(range(d.v), rng.randrange(1, d.v + 1))
         subsets += [pts, sorted(_closure(d, set(pts[:3])))]

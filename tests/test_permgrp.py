@@ -114,6 +114,14 @@ def test_permutation_refuses_bad_input_with_value_error(build):
         build()
 
 
+@pytest.mark.parametrize("cycles, bad", [([(0, 0, 1)], "0, 0, 1"), ([(0, 1), (1, 0)], "1, 0")],
+                         ids=["within-a-cycle", "across-cycles"])
+def test_from_cycles_refuses_a_cycle_that_repeats_a_point(cycles, bad):
+    # written into the image table as they stand, both would read as (0 1)
+    with pytest.raises(ValueError, match=rf"^cycle \({bad}\) repeats a point$"):
+        Permutation.from_cycles(3, cycles)
+
+
 def test_permutation_stores_one_read_only_int64_array():
     g = Permutation(np.array([1, 2, 0], dtype=np.int32))
     assert g.images.dtype == np.int64 and g.images.ndim == 1
@@ -261,6 +269,13 @@ def test_is_semiregular_witness():
     assert (swap, 2) in viol
 
 
+@pytest.mark.parametrize("pts", [[5], [-3]], ids=["past-degree", "negative"])
+def test_is_semiregular_refuses_points_off_the_group(pts):
+    # -3 would wrap to point 0, which the group fixes
+    with pytest.raises(BadParams, match=r"^a point outside 0\.\.2$"):
+        is_semiregular(PermGroup(3, [cyc(3, (1, 2))]), pts)
+
+
 def test_semiregular_cycle_lengths_equal_order():
     g = Permutation.from_cycles(9, [(0, 1, 2), (3, 4, 5), (6, 7, 8)])
     grp = PermGroup(9, [g])
@@ -273,27 +288,27 @@ def test_semiregular_cycle_lengths_equal_order():
 def test_align_semiregular_cyclic_three_cycles():
     c = cyc(6, (0, 1, 2), (3, 4, 5))
     c2 = cyc(6, (0, 3, 1), (2, 4, 5))
-    sigma = align_semiregular_cyclic(c, c2, range(6))
+    sigma = align_semiregular_cyclic(c, c2)
     assert sigma.inverse() * c * sigma == c2
 
 
 def test_align_identity_when_equal():
     c = cyc(6, (0, 1, 2), (3, 4, 5))
-    sigma = align_semiregular_cyclic(c, c, range(6))
+    sigma = align_semiregular_cyclic(c, c)
     assert sigma.is_identity()
 
 
 def test_align_involutions():
     c = cyc(4, (0, 1), (2, 3))
     c2 = cyc(4, (0, 2), (1, 3))
-    sigma = align_semiregular_cyclic(c, c2, range(4))
+    sigma = align_semiregular_cyclic(c, c2)
     assert sigma.inverse() * c * sigma == c2
 
 
 def test_align_with_fixed_points():
     c = cyc(5, (1, 2), (3, 4))
     c2 = cyc(5, (0, 1), (2, 3))
-    sigma = align_semiregular_cyclic(c, c2, range(5))
+    sigma = align_semiregular_cyclic(c, c2)
     conj = sigma.inverse() * c * sigma
     assert conj == c2
 
@@ -302,13 +317,13 @@ def test_align_order_mismatch():
     c = cyc(6, (0, 1, 2), (3, 4, 5))
     c2 = cyc(6, (0, 1), (2, 3), (4, 5))
     with pytest.raises(BadParams, match="cycle lengths 3x2 vs 2x3"):
-        align_semiregular_cyclic(c, c2, range(6))
+        align_semiregular_cyclic(c, c2)
 
 
 def test_align_rejects_unequal_cycles():
     bad = cyc(5, (0, 1, 2), (3, 4))
-    with pytest.raises(BadParams, match=r"unequal cycle lengths \[2, 3\] on the set"):
-        align_semiregular_cyclic(bad, bad, range(5))
+    with pytest.raises(BadParams, match=r"unequal cycle lengths \[2, 3\]"):
+        align_semiregular_cyclic(bad, bad)
 
 
 def test_group_file_round_trip():
