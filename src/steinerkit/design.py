@@ -2,22 +2,28 @@
 design files.
 
 Blocks are stored in canonical form: each block sorted ascending, the blocks
-in key order (``permgrp.row_keys``, which is lexicographic order).  While
-v^k <= 2^63 the keys are exact int64 base-v numbers; canonical form (of one
-array of rows, or of the ``RowPart``s ``push`` gives, each keyed into its
-slice of one key array) and the automorphism, stabilizer and pair checks run
-in chunks of rows, spread over the CPUs by ``chunkmap.chunk_map``, and build
-no image design or full-size row gather.  Design files are ``textfile`` tables of one section.
+in key order (``permgrp.row_keys``, which is lexicographic order).  While k
+fields of (v-1).bit_length() bits fit in 63 (``_exact``), the keys are exact
+int64 bit fields; canonical form (of one array of rows, or of the
+``RowPart``s ``push`` gives, each keyed into its slice of one key array,
+which ``_sort`` sorts on every CPU) and the automorphism, stabilizer and pair
+checks run in chunks of rows, spread over the CPUs by ``chunkmap.chunk_map``,
+and build no image design or full-size row gather.  Wider keys are
+rank-compressed, and the rows gathered in their order; the exact bound is
+v <= 2^21 at k=3, 32,768 at k=4, 4,096 at k=5 and 1,024 at k=6.  Design files
+are ``textfile`` tables of one section.
 
 A block table holds its points in ``point_dtype(v)``: uint16 while v <=
 65,536, else uint32, and so do the images a check or ``relabel`` gathers
-through.  Every kernel widens a chunk of points to int64 before any
-arithmetic on them (keys, pair indices, product points), and
-``Design.digest`` hashes the int64 bytes, so the dtype changes no output.
+through, with ``np.take`` on the flat image table.  Keys are or-ed into
+int64; pair indices of uint16 rows are computed in uint32 (C(65,536, 2) <
+2^32), of wider rows in int64, and widened to int64.  ``Design.digest``
+hashes the int64 bytes, so the dtype changes no output.
 """
 from __future__ import annotations
 
 import hashlib
+import operator
 import threading
 from dataclasses import dataclass
 from functools import partial
@@ -25,7 +31,7 @@ from typing import Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
-from . import textfile
+from . import chunkmap, textfile
 from .chunkmap import chunk_map, chunk_stream
 from .errors import BadParams, Budget
 from .permgrp import DEFAULT_CAP, PermGroup, Permutation, RowPart, row_keys
@@ -54,6 +60,23 @@ def _sorted_rows(rows: np.ndarray, v: int) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
+def _exact(v: int, k: int) -> bool:
+    """True iff ``row_keys`` of rows of k points below v are exact: k fields
+    of (v-1).bit_length() bits fit in 63."""
+    return k * (v - 1).bit_length() <= 63
+
+
+def _sort(keys: np.ndarray) -> None:
+    """Sort the keys in place, as ``keys.sort()`` would: from _ROWS keys on,
+    one partition at the WORKERS-1 order statistics, then each slice sorted
+    in ``chunk_map``; fewer keys are sorted in the calling thread."""
+    n, workers = len(keys), chunkmap.WORKERS if len(keys) >= _ROWS else 1
+    cuts = [n * i // workers for i in range(workers + 1)]
+    if workers > 1:
+        keys.partition(cuts[1:-1])
+    chunk_map(lambda i: keys[cuts[i]:cuts[i + 1]].sort(), workers)
+
+
 def _row_map(fn: Callable[[slice], T], n_rows: int) -> list[T]:
     """``chunk_map`` over the row chunks: fn of each slice of _ROWS rows, in order."""
     step = _ROWS
@@ -62,13 +85,14 @@ def _row_map(fn: Callable[[slice], T], n_rows: int) -> list[T]:
 
 def _parts(rows: np.ndarray, perm: Permutation | None = None) -> list[RowPart]:
     """The rows, mapped through ``perm``, as parts of _ROWS rows."""
-    gather = None if perm is None else perm.images.astype(point_dtype(perm.degree)).__getitem__
+    images = None if perm is None else perm.images.astype(point_dtype(perm.degree))
     chunks = [rows[start:start + _ROWS] for start in range(0, len(rows), _ROWS)]
-    return [RowPart(len(c), c.view if gather is None else partial(gather, c)) for c in chunks]
+    return [RowPart(len(c), c.view if images is None else partial(np.take, images, c))
+            for c in chunks]
 
 
 def _sorted_keys(parts: Sequence[RowPart], v: int) -> np.ndarray | None:
-    """Exact keys (v^k <= 2^63) of the parts' rows in order, each row sorted
+    """Exact keys (``_exact``) of the parts' rows in order, each row sorted
     by ``_sorted_rows`` first; None if the rows are canonical already: each
     ascending and the keys strictly increasing.  Each part is made and keyed
     on its own; the first that is not canonical makes the full key array, the
@@ -106,8 +130,9 @@ def _sorted_keys(parts: Sequence[RowPart], v: int) -> np.ndarray | None:
 def _canonical(v: int, k: int, blocks) -> np.ndarray:
     """The blocks, one array of rows or a list of ``RowPart``s, as a read-only
     canonical ``point_dtype(v)`` table: exact keys are sorted in place and
-    decoded, wider rows gathered in rank-compressed key order.  Canonical
-    blocks stay as they are, a ``point_dtype(v)`` array owning its data."""
+    decoded by mask and shift, wider rows gathered in rank-compressed key
+    order.  Canonical blocks stay as they are, a ``point_dtype(v)`` array
+    owning its data."""
     dtype = point_dtype(v)
     if isinstance(blocks, list) and blocks and isinstance(blocks[0], RowPart):
         table, parts = None, blocks
@@ -119,21 +144,22 @@ def _canonical(v: int, k: int, blocks) -> np.ndarray:
         if table.ndim != 2 or table.shape[1] != k:
             raise BadParams(f"blocks must be rows of {k} points")
         parts = _parts(table)
-    if v**k > 2**63:
+    if not _exact(v, k):
         table = _sorted_rows(np.concatenate([np.empty((0, k), dtype),
                                              *(part.make() for part in parts)]), v)
         table = table[np.argsort(row_keys(table, v))]
     elif (keys := _sorted_keys(parts, v)) is not None:
         parts = table = None  # the rows' sources go before the sort
-        keys.sort()
+        _sort(keys)
         table = np.empty((len(keys), k), dtype=dtype)
+        bits = (v - 1).bit_length()
 
         def decode(part: slice) -> None:
             mine, rows = keys[part], table[part]
             point = np.empty_like(mine)
             for col in range(k - 1, -1, -1):
-                np.divmod(mine, v, out=(mine, point))
-                rows[:, col] = point
+                rows[:, col] = np.bitwise_and(mine, (1 << bits) - 1, out=point)
+                mine >>= bits
 
         _row_map(decode, len(keys))
     elif table is None:
@@ -152,7 +178,12 @@ class Design:
     __slots__ = ("v", "k", "blocks")
 
     def __init__(self, v: int, k: int, blocks):
-        v, k = int(v), int(k)
+        try:
+            v, k = operator.index(v), operator.index(k)
+        except TypeError:
+            raise BadParams(f"v={v!r} and k={k!r} must be integers") from None
+        if v < 0:
+            raise BadParams(f"point count v={v} must not be negative")
         if k < 1:
             raise BadParams(f"block size k={k} must be at least 1")
         self.v, self.k, self.blocks = v, k, _canonical(v, k, blocks)
@@ -200,11 +231,15 @@ def _pair_chunks(rows: np.ndarray) -> list[Callable[[], np.ndarray]]:
     pair (no step per pair)."""
     a, b = np.triu_indices(rows.shape[1], 1)
     step = max(1, _ROWS // max(len(a), 1))
+    wide = np.uint32 if rows.dtype == np.uint16 else np.int64  # C(65536, 2) < 2^32
 
     def pairs(start: int) -> np.ndarray:
-        cols = rows[start:start + step].T.astype(np.int64, copy=False)
+        cols = rows[start:start + step].T.astype(wide, copy=False)
         hi = cols[b]
-        return (hi * (hi - 1) // 2 + cols[a]).ravel()
+        idx = hi * (hi - 1)
+        idx >>= 1
+        idx += cols[a]
+        return idx.ravel().astype(np.int64, copy=False)
 
     return [partial(pairs, start) for start in range(0, rows.shape[0] if len(a) else 0, step)]
 
@@ -259,16 +294,16 @@ def _maps_onto(h: Permutation, d1: Design, d2: Design) -> bool:
     exact keys, the sorted keys of the image rows are d2's, which ascend."""
     if h.degree != d1.v:
         raise BadParams(f"permutation degree {h.degree} != v {d1.v}")
-    if d1.v**d1.k > 2**63:
+    if not _exact(d1.v, d1.k):
         return d1.relabel(h) == d2
     if d1.b != d2.b:
         return False
     keys = _sorted_keys(_parts(d1.blocks, h), d1.v)
     if keys is None:  # the image rows are canonical as they stand
         images = h.images.astype(point_dtype(d1.v))
-        return all(_row_map(lambda part: np.array_equal(images[d1.blocks[part]],
+        return all(_row_map(lambda part: np.array_equal(np.take(images, d1.blocks[part]),
                                                         d2.blocks[part]), d2.b))
-    keys.sort()
+    _sort(keys)
     return all(_row_map(lambda part: np.array_equal(keys[part], row_keys(d2.blocks[part], d2.v)),
                         d2.b))
 
@@ -300,9 +335,10 @@ def stabilizer_scan(design: Design, group: PermGroup):
     def violation(g: Permutation, images: np.ndarray, part: slice):
         rows = design.blocks[part]
         # g stabilizes a block only if it maps the block's first point into it
-        first = images[rows[:, 0]]
+        first = np.take(images, rows[:, 0])
         cand = np.flatnonzero(np.logical_or.reduce([col == first for col in rows.T]))
-        rows, img = rows[cand], images[rows[cand]]
+        rows = rows[cand]
+        img = np.take(images, rows)
         bad = np.all(np.sort(img, axis=1) == rows, axis=1) & np.any(img != rows, axis=1)
         return (tuple(rows[np.argmax(bad)].tolist()), g) if bad.any() else None
 

@@ -192,23 +192,24 @@ class PermGroup:
 
 def row_keys(rows: np.ndarray, n: int) -> np.ndarray:
     """One int64 key per row of an (m, s) array of points in 0..n-1, of any
-    integer dtype: the points are added into the int64 keys, never multiplied
+    integer dtype: the points are or-ed into the int64 keys, never shifted
     in their own dtype.
 
     Equal rows get equal keys and keys order the rows lexicographically.  The
-    key is the rows' base-n number; where n^s would overflow int64 the partial
+    key is the row's points' bits side by side, (n-1).bit_length() bits a
+    point, exact while s such fields fit in 63 bits; past that the partial
     keys are replaced by their ranks first, so keys from separate calls are
     comparable only when no rank compression happened.
     """
     keys = np.zeros(rows.shape[0], dtype=np.int64)
-    bound, n = 1, int(n)  # every key is below bound
+    bound, bits = 1, (int(n) - 1).bit_length()  # every key is below bound
     for col in rows.T:
-        if bound * n > 2**63:
+        if bound << bits > 2**63:
             keys = np.unique(keys, return_inverse=True)[1]
             bound = int(keys.max(initial=0)) + 1
-        keys *= n
-        keys += col
-        bound *= n
+        keys <<= bits
+        keys |= col
+        bound <<= bits
     return keys
 
 

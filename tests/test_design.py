@@ -68,6 +68,21 @@ def test_design_block_size_below_1_is_refused(k, blocks):
         Design(5, k, blocks)
 
 
+@pytest.mark.parametrize("v, k, message", [
+    (-3, 3, r"^point count v=-3 must not be negative$"),
+    (7.5, 3, r"^v=7\.5 and k=3 must be integers$"),
+    (7, 3.0, r"^v=7 and k=3\.0 must be integers$"),
+])
+def test_design_refuses_a_negative_or_non_integral_v_or_k(v, k, message):
+    with pytest.raises(BadParams, match=message):
+        Design(v, k, [])
+
+
+def test_design_takes_numpy_integers():
+    d = Design(np.int64(7), np.uint8(3), fano().blocks)
+    assert (type(d.v), type(d.k)) == (int, int) and d == fano()
+
+
 def test_canonical_blocks_are_adopted():
     canonical = np.array(sts9().blocks)
     d = Design(9, 3, canonical)

@@ -1,6 +1,7 @@
 """Compact point storage: block tables hold their points in ``point_dtype(v)``,
-uint16 while v <= 65,536, else uint32, and every kernel widens them to int64
-before any arithmetic.
+uint16 while v <= 65,536, else uint32, and every kernel does its arithmetic
+in a dtype that holds the results: int64, or uint32 for the pair indices of
+uint16 rows.
 
 The kernels run on points near 65,535 in uint16, uint32 and int64 and are
 compared with Python-integer references, where an unwidened uint16 product
@@ -63,8 +64,9 @@ def test_row_keys_near_65535_match_the_python_reference(n, s):
     for dtype in holding(n):
         keys = row_keys(rows.astype(dtype), n)
         assert keys.dtype == np.int64
-        if n**s <= 2**63:  # exact: the base-n number of the row
-            assert keys.tolist() == [sum(x * n**(s - 1 - i) for i, x in enumerate(row))
+        bits = (n - 1).bit_length()
+        if s * bits <= 63:  # exact: the row's points as bit fields, side by side
+            assert keys.tolist() == [sum(x << (bits * (s - 1 - i)) for i, x in enumerate(row))
                                      for row in rows.tolist()]
         else:  # rank-compressed: the same order as the rows
             pairs = sorted(set(zip(map(tuple, rows.tolist()), keys.tolist())))

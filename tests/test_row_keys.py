@@ -4,8 +4,9 @@
 (``is_automorphism``, ``iso_in_group``) and set lookups (``set_images``);
 ``stabilizer_scan`` and ``verify_2design`` run over the same chunks of rows.
 Each test draws point counts n and row widths s with n^s both below and above
-2^63, where the keys need rank compression, and compares the kernel with the
-old code, kept here as references.  The chunked kernels also run with
+2^63; above it, s bit fields of (n-1).bit_length() bits overflow too and the
+keys need rank compression.  The kernels are compared with the old code, kept
+here as references.  The chunked kernels also run with
 ``design._ROWS`` patched small, so every chunk boundary is crossed, and on
 points drawn in uint16, uint32 or int64.
 """
@@ -19,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from steinerkit import design
+from steinerkit import chunkmap, design
 from steinerkit.affinelift import lift_odd
 from steinerkit.basedesigns import build_base_design, wilson_base_block
 from steinerkit.design import (
@@ -118,7 +119,8 @@ def point_count(draw, overflow: bool):
 
 def in_any_dtype(draw, rows, n: int) -> np.ndarray:
     """The rows as an array of a drawn integer dtype that holds every point
-    below n: the kernels widen compact point tables before any arithmetic."""
+    below n: the kernels do their arithmetic on compact point tables in a
+    dtype that holds every result."""
     dtypes = [t for t in (np.uint16, np.uint32, np.int64) if np.iinfo(t).max >= n - 1]
     return np.asarray(rows, dtype=draw(st.sampled_from(dtypes), label="dtype"))
 
@@ -187,6 +189,50 @@ def test_row_keys_order_rows_lexicographically(overflow, data):
     pairs = sorted(set(zip(map(tuple, rows.tolist()), keys.tolist())))
     assert len({row for row, _ in pairs}) == len(pairs)  # equal rows, equal keys
     assert all(a[1] < b[1] for a, b in zip(pairs, pairs[1:]))  # key order is row order
+
+
+@pytest.mark.parametrize("n, s", [(2**m + e, s) for m in (1, 8, 16) for e in (0, 1)
+                                  for s in (2, 3)] + [(2**21, 3), (2**21 + 1, 3)])
+def test_row_keys_at_bit_width_edges_order_rows_lexicographically(n, s):
+    """v = 2^m and 2^m + 1 need m and m + 1 bits a point; k = 3 at v = 2^21
+    fills 63 bits, the last exact width, and v = 2^21 + 1 is rank-compressed."""
+    rng = np.random.default_rng(n + s)
+    rows = rng.integers(0, n, size=(300, s))
+    rows[:2], rows[2:4], rows[-60:] = n - 1, 0, rows[:60]  # the extreme points, equal rows
+    bits = (n - 1).bit_length()
+    assert design._exact(n, s) == (s * bits <= 63)
+    for dtype in (t for t in (np.uint16, np.uint32, np.int64) if np.iinfo(t).max >= n - 1):
+        keys = row_keys(rows.astype(dtype), n)
+        if design._exact(n, s):
+            assert keys.tolist() == [sum(x << (bits * (s - 1 - i)) for i, x in enumerate(row))
+                                     for row in rows.tolist()]
+        pairs = sorted(set(zip(map(tuple, rows.tolist()), keys.tolist())))
+        assert len({row for row, _ in pairs}) == len(pairs)
+        assert all(a[1] < b[1] for a, b in zip(pairs, pairs[1:]))
+    blocks = np.unique(np.sort(rows, axis=1), axis=0)
+    blocks = blocks[np.all(blocks[:, 1:] > blocks[:, :-1], axis=1)]
+    d = Design(n, s, blocks[::-1])
+    assert np.array_equal(d.blocks, lexsort_canonical(blocks))
+    swap = Permutation.from_cycles(n, [(0, n - 1)])
+    assert is_automorphism(d, swap) == relabel_maps_onto(swap, d, d)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_sort_is_np_sort(monkeypatch, workers):
+    """``design._sort`` gives np.sort's bytes at every size around _ROWS, on
+    duplicated, sorted and reversed keys, and splits no sort below _ROWS."""
+    monkeypatch.setattr(chunkmap, "WORKERS", workers)
+    maps = []  # the number of chunks of each map _sort makes
+    monkeypatch.setattr(design, "chunk_map",
+                        lambda fn, n: maps.append(n) or chunkmap.chunk_map(fn, n))
+    rng, rows = np.random.default_rng(workers), design._ROWS
+    for n in (0, 1, rows - 1, rows, 2 * rows + 1, 5 * rows + 3):
+        drawn = rng.choice(rng.integers(-2**63, 2**63 - 1, size=max(n // 3, 1)), size=n)
+        for keys in (drawn, np.sort(drawn), np.sort(drawn)[::-1]):
+            mine = keys.copy()
+            design._sort(mine)
+            assert mine.tobytes() == np.sort(keys).tobytes()
+            assert maps.pop() == (workers if n >= rows else 1)
 
 
 @pytest.mark.parametrize("overflow", [False, True])
