@@ -1,24 +1,22 @@
-"""One ordered map over independent chunks, run on every CPU of the process.
+"""One ordered pipeline over independent chunks, run on every CPU of the process.
 
-``chunk_map(fn, n)`` is ``[fn(0), ..., fn(n-1)]``.  The calling thread and
-WORKERS - 1 helper threads claim indices from one shared counter, so no more
-threads are busy than there are CPUs.  With one chunk or one CPU the map is
-the plain loop in the caller; the helpers start on the first map that needs
-them.  A chunk that raises stops further claims, and the map raises the
-exception of the lowest index that raised, as the loop would.  No two chunks
-may write the same array element.  The design and file kernels use it on
-numpy work that releases the GIL, so their output is the loop's, byte for byte.
-``chunk_stream`` runs an ordered consumer of each batch beside the next one.
+``chunk_stream(source, make, consume)`` is ``for item in source: consume(make(item))``:
+the calling thread and WORKERS - 1 helper threads draw items in turn, make them side by
+side and consume each result in draw order once it is made, so no item waits for a
+batch.  ``chunk_map(fn, n)`` is ``[fn(0), ..., fn(n-1)]``.  With one item or one CPU
+either is the plain loop in the caller; the helpers start on the first call that needs
+them.  Both raise the exception of the lowest index, as the loop would, and are used on
+numpy work that releases the GIL: their output is the loop's, byte for byte.
 """
 from __future__ import annotations
 
 import os
 import queue
 import threading
-from functools import partial
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, TypeVar
 
 T = TypeVar("T")
+U = TypeVar("U")
 
 try:
     WORKERS = len(os.sched_getaffinity(0))
@@ -28,6 +26,7 @@ except AttributeError:  # a platform without CPU affinity
 _tasks: queue.SimpleQueue = queue.SimpleQueue()
 _helpers: list[threading.Thread] = []
 _start = threading.Lock()
+_END = object()  # a stream's source has no item left
 
 
 def _serve(tasks: queue.SimpleQueue) -> None:
@@ -46,64 +45,96 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_helpers)
 
 
-class _Run:
-    """One map: the next index to claim, how many claimed chunks still run,
-    the results and the exceptions by index."""
+def _ahead(items: Iterator) -> Iterator[tuple[object, bool]]:
+    """Each item and whether another follows, drawn one ahead; a failed draw raises in turn."""
+    after = next(items, _END)
+    while (item := after) is not _END:
+        try:
+            after = next(items, _END)
+        except BaseException:
+            yield item, True
+            raise
+        yield item, after is not _END
 
-    def __init__(self, fn: Callable[[int], T], n: int):
-        self.fn, self.n, self.next, self.running = fn, n, 0, 0
-        self.results: list = [None] * n
-        self.errors: dict[int, BaseException] = {}
-        self.lock, self.done = threading.Lock(), threading.Event()
+
+class _Stream:
+    """One pipeline: its steps, the items drawn, the index to consume next,
+    the threads in it, and by index the results not consumed and the exceptions."""
+
+    def __init__(self, source: Iterable, make: Callable, consume: Callable):
+        self.source, self.make, self.consume = _ahead(iter(source)), make, consume
+        self.workers, self.drawn, self.turn, self.running = WORKERS, 0, 0, 0
+        self.results, self.errors = {}, {}
+        self.stop, self.drawing, self.consuming = False, threading.Lock(), threading.Lock()
+        self.state = threading.Condition()
 
     def drain(self) -> None:
-        """Run claimed chunks until none is left; the last to finish sets done."""
-        i = None
-        while True:
-            with self.lock:
-                if i is not None:
-                    self.running -= 1
-                if self.next == self.n or self.errors:
-                    if not self.running:
-                        self.done.set()
+        """Draw, make and consume till the draws stop."""
+        with self.state:
+            if self.stop:
+                return
+            self.running += 1
+        try:
+            while True:
+                try:
+                    with self.drawing:
+                        at = self.drawn
+                        with self.state:
+                            self.state.wait_for(
+                                lambda: self.stop or self.drawn - self.turn < 2 * self.workers)
+                            if self.stop:
+                                return
+                        if (drawn := next(self.source, None)) is None:
+                            self.stop = True
+                            return
+                        self.drawn += 1
+                    item, more = drawn
+                    if at == 0 and more and self.workers > 1:  # call in the helpers
+                        with _start:
+                            while len(_helpers) < self.workers - 1:
+                                _helpers.append(threading.Thread(
+                                    target=_serve, args=(_tasks,), daemon=True, name="chunk_map"))
+                                _helpers[-1].start()
+                        for _ in range(self.workers - 1):
+                            _tasks.put(self.drain)
+                    self.results[at] = self.make(item)
+                    # the turn's holder consumes in order, and tests again after its release
+                    while self.turn in self.results and self.consuming.acquire(blocking=False):
+                        while (result := self.results.pop(self.turn, _END)) is not _END:
+                            at = self.turn
+                            self.consume(result)
+                            with self.state:
+                                self.turn += 1
+                                self.state.notify_all()
+                        self.consuming.release()
+                except BaseException as exc:  # a failed consume keeps the turn
+                    with self.state:
+                        self.errors[at], self.stop = exc, True
+                        self.state.notify_all()
                     return
-                i, self.next, self.running = self.next, self.next + 1, self.running + 1
-            try:
-                self.results[i] = self.fn(i)
-            except BaseException as exc:
-                with self.lock:
-                    self.errors[i] = exc
+        finally:
+            with self.state:
+                self.running -= 1
+                self.state.notify_all()
+
+
+def chunk_stream(source: Iterable[T], make: Callable[[T], U],
+                 consume: Callable[[U], None]) -> None:
+    """``consume(make(item))`` for each item of ``source``, in order; ``make`` runs on
+    every CPU and reads nothing ``consume`` writes.  At most 2*WORKERS + 1 items are
+    drawn and not consumed, and none is drawn after a step raises."""
+    stream = _Stream(source, make, consume)
+    stream.drain()
+    with stream.state:
+        stream.state.wait_for(lambda: not stream.running)
+    if stream.errors:
+        raise stream.errors[min(stream.errors)]
 
 
 def chunk_map(fn: Callable[[int], T], n: int) -> list[T]:
     """``[fn(0), ..., fn(n-1)]``, the chunks run on every CPU."""
-    workers = min(WORKERS, n)
-    if workers <= 1:
+    if min(WORKERS, n) <= 1:
         return [fn(i) for i in range(n)]
-    run = _Run(fn, n)
-    with _start:
-        while len(_helpers) < workers - 1:
-            _helpers.append(threading.Thread(target=_serve, args=(_tasks,), daemon=True,
-                                             name="chunk_map"))
-            _helpers[-1].start()
-    for _ in range(workers - 1):
-        _tasks.put(run.drain)
-    run.drain()
-    run.done.wait()
-    if run.errors:
-        raise run.errors[min(run.errors)]
-    return run.results
-
-
-def chunk_stream(calls: Sequence[Callable[[], T]], consume: Callable[[list[T]], None]) -> None:
-    """``consume`` the results of the calls, WORKERS at a time and in order;
-    each batch is consumed in the chunk map that makes the next, so that an
-    ordered step (a write, a scatter) runs beside the chunks it does not need."""
-    made: list = []
-    for lo in range(0, len(calls), WORKERS):
-        jobs = [partial(consume, made), *calls[lo:lo + WORKERS]]
-        if len(jobs) > 2:
-            made = chunk_map(lambda i: jobs[i](), len(jobs))[1:]
-        else:  # one chunk: no thread beside it
-            made = [job() for job in jobs][1:]
-    consume(made)
+    results: list[T] = []
+    chunk_stream(range(n), fn, results.append)
+    return results

@@ -7,11 +7,11 @@ fields of (v-1).bit_length() bits fit in 63 (``_exact``), the keys are exact
 int64 bit fields; canonical form (of one array of rows, or of the
 ``RowPart``s ``push`` gives, each keyed into its slice of one key array,
 which ``_sort`` sorts on every CPU) and the automorphism, stabilizer and pair
-checks run in chunks of rows, spread over the CPUs by ``chunkmap.chunk_map``,
-and build no image design or full-size row gather.  Wider keys are
-rank-compressed, and the rows gathered in their order; the exact bound is
-v <= 2^21 at k=3, 32,768 at k=4, 4,096 at k=5 and 1,024 at k=6.  Design files
-are ``textfile`` tables of one section.
+checks run in chunks of rows, spread over the CPUs by ``chunkmap.chunk_map``
+(the pair cover's by ``chunk_stream``), and build no image design or
+full-size row gather.  Wider keys are rank-compressed, and the rows gathered
+in their order; the exact bound is v <= 2^21 at k=3, 32,768 at k=4, 4,096 at
+k=5 and 1,024 at k=6.  Design files are ``textfile`` tables of one section.
 
 A block table holds its points in ``point_dtype(v)``: uint16 while v <=
 65,536, else uint32, and so do the images a check or ``relabel`` gathers
@@ -251,12 +251,7 @@ def pair_counts(v: int, rows: np.ndarray) -> np.ndarray:
     array holds s distinct points of 0..v-1 in ascending order.
     """
     counts = np.zeros(v * (v - 1) // 2, dtype=np.int64)
-
-    def count(made: list[np.ndarray]) -> None:
-        for idx in made:
-            np.add.at(counts, idx, 1)
-
-    chunk_stream(_pair_chunks(rows), count)
+    chunk_stream(_pair_chunks(rows), lambda pairs: pairs(), lambda idx: np.add.at(counts, idx, 1))
     return counts
 
 
@@ -269,12 +264,8 @@ def _pair_cover(v: int, tables: Sequence[np.ndarray]) -> tuple[int, int]:
     """
     if sum(len(t) * (t.shape[1] * (t.shape[1] - 1) // 2) for t in tables) == v * (v - 1) // 2:
         covered = np.zeros(v * (v - 1) // 2, dtype=bool)
-
-        def cover(made: list[np.ndarray]) -> None:
-            for idx in made:
-                covered[idx] = True
-
-        chunk_stream([c for t in tables for c in _pair_chunks(t)], cover)
+        chunk_stream([c for t in tables for c in _pair_chunks(t)], lambda pairs: pairs(),
+                     lambda idx: covered.put(idx, True))
         if covered.all():
             return 0, 0
     counts = sum(pair_counts(v, t) for t in tables)

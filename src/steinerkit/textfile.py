@@ -6,26 +6,26 @@ between points and a newline after each row; the reader also takes blank
 lines, '#' comments to the end of their line, runs of spaces, tabs or '\\r',
 a sign before a point and a last line without its newline.  Any other byte,
 '_' and non-ASCII included, or a point of more than 18 digits, is a
-ParseError naming the first line that is wrong.  Both stream, one batch of
-chunks at a time, one chunk per CPU through ``chunk_map``: the writer takes
-the cells of _WRITE_ROWS rows a chunk from the file's one per-point byte
-table along its one axis, and writes and hashes a batch while the next is
-made; the reader tokenizes newline-aligned chunks of _READ_BYTES bytes with
-numpy, in int32 while no point has over 9 digits, each returned in the
-table's dtype, and takes each batch's chunks in order.
+ParseError naming the first line that is wrong.  Both stream through one
+ordered ``chunk_stream`` on every CPU: the writer takes the cells of
+_WRITE_ROWS rows a chunk from the file's one per-point byte table along its
+one axis, and writes and hashes each chunk while later ones are made; the
+reader reads newline-aligned chunks of _READ_BYTES bytes each into its own
+buffer, tokenizes them with numpy, in int32 while no point has over 9
+digits, in the table's dtype, and takes each chunk in order.
 """
 from __future__ import annotations
 
 import hashlib
 import os
 import re
+import threading
 from functools import partial
-from typing import BinaryIO, Callable, Iterable, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from . import chunkmap
-from .chunkmap import chunk_map, chunk_stream
+from .chunkmap import chunk_stream
 from .errors import BadParams, ParseError
 
 _WRITE_ROWS = 1 << 16  # 2^17 writes no faster and leaves a larger heap behind
@@ -63,37 +63,36 @@ def _text(point_cells: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 
 def _stream(tag: str, fields: dict[str, int], bound: int, tables: Iterable[np.ndarray],
-            comments: Sequence[str], consume: Callable[[list[bytes | np.ndarray]], None]) -> None:
+            comments: Sequence[str], consume: Callable[[bytes | np.ndarray], None]) -> None:
     """``consume`` a file's bytes in order: comment lines and header, then the
     rows of each section, a (rows, width) array of points below ``bound``, in
     chunks of _WRITE_ROWS rows made beside the consuming."""
-    consume(["".join([*(f"# {c}\n" for c in comments), tag,
-                      *(f" {name}={value}" for name, value in fields.items()), "\n"]).encode()])
-    point_cells = _cells(bound)
-    chunk_stream([partial(_text, point_cells, table[start:start + _WRITE_ROWS])
-                  for table in tables for start in range(0, len(table), _WRITE_ROWS)], consume)
+    consume("".join([*(f"# {c}\n" for c in comments), tag,
+                     *(f" {name}={value}" for name, value in fields.items()), "\n"]).encode())
+    chunk_stream([table[start:start + _WRITE_ROWS]
+                  for table in tables for start in range(0, len(table), _WRITE_ROWS)],
+                 partial(_text, _cells(bound)), consume)
 
 
 def chunks(tag: str, fields: dict[str, int], bound: int, tables: Iterable[np.ndarray],
            comments: Sequence[str] = ()) -> list[bytes | np.ndarray]:
     """The bytes of a file (see ``_stream``), chunk by chunk: bytes, then uint8 arrays."""
     made: list[bytes | np.ndarray] = []
-    _stream(tag, fields, bound, tables, comments, made.extend)
+    _stream(tag, fields, bound, tables, comments, made.append)
     return made
 
 
 def write(path, tag: str, fields: dict[str, int], bound: int, tables: Iterable[np.ndarray],
           comments: Sequence[str] = ()) -> str:
     """Stream the file into a sibling renamed over ``path``, so a failed
-    write never truncates it; the sha256 of the bytes written.  Each batch of
-    chunks is written and hashed beside the making of the next."""
-    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    write never truncates it; the sha256 of the bytes written.  Each chunk is
+    written and hashed beside the making of the next; no two threads share a sibling."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.{threading.get_ident()}.tmp"
     digest = hashlib.sha256()
 
-    def save(made: list[bytes | np.ndarray]) -> None:
-        for chunk in made:
-            fh.write(chunk)
-            digest.update(chunk)
+    def save(chunk: bytes | np.ndarray) -> None:
+        fh.write(chunk)
+        digest.update(chunk)
 
     try:
         with open(tmp, "wb") as fh:
@@ -113,15 +112,28 @@ def _blank_comments(a: np.ndarray) -> np.ndarray:
     return np.where(hash_ > newline, np.uint8(ord(" ")), a)
 
 
-def _tokens(piece: bytes, bound: int, width: int) -> tuple[np.ndarray, np.ndarray | None,
-                                                          int, list[tuple[int, int, str]]]:
+def _pieces(fh: BinaryIO, end: int) -> Iterator[np.ndarray]:
+    """The file up to ``end`` in newline-aligned pieces, each read into its own buffer."""
+    head, got = b" ", True  # a separator, then the bytes past the last piece
+    while got:
+        buf = bytearray(len(head) + min(_READ_BYTES, end - fh.tell()) + _MAX_DIGITS)
+        buf[:len(head)] = head
+        stop = len(head) + (got := fh.readinto(memoryview(buf)[len(head):-_MAX_DIGITS]))
+        cut = buf.rfind(b"\n", 0, stop) + 1 if got else stop
+        head = b" " + buf[max(cut, 1):stop]
+        if cut > 1:
+            buf[cut:cut + _MAX_DIGITS] = b" " * _MAX_DIGITS
+            yield np.frombuffer(buf, dtype=np.uint8, count=cut + _MAX_DIGITS)
+
+
+def _tokens(a: np.ndarray, bound: int, width: int) -> tuple[np.ndarray, np.ndarray | None,
+                                                            int, list[tuple[int, int, str]]]:
     """A newline-aligned piece's points in ``point_dtype(bound)``; None when
     every line is a row of ``width`` points, else the points on each line;
     its newlines; and its problems, each (line, rank, reason) with lines
     counted from 0 at the piece's start: the first point that is not an
-    integer (rank 0) and the first outside 0..bound-1 (rank 2)."""
-    # a separator before the first point, and room to read past the last
-    a = np.frombuffer(b" " + piece + b" " * _MAX_DIGITS, dtype=np.uint8)
+    integer (rank 0) and the first outside 0..bound-1 (rank 2).  The piece is
+    uint8 between a space and _MAX_DIGITS spaces, room to read past its ends."""
     newlines = np.flatnonzero(a == ord("\n"))
     digit = a - np.uint8(ord("0"))  # wraps: below 10 on digits only
     plain = (np.count_nonzero(digit < 10) + np.count_nonzero(a == ord(" "))
@@ -161,7 +173,7 @@ def _tokens(piece: bytes, bound: int, width: int) -> tuple[np.ndarray, np.ndarra
 
     # with t = width*L points on L lines, point width*i follows newline i-1
     # and point width*i+width-1 precedes newline i; else count points line by line
-    lines = len(newlines) + (not piece.endswith(b"\n") and bool(piece))
+    lines = len(newlines) + (len(a) > 1 + _MAX_DIGITS and a[-1 - _MAX_DIGITS] != ord("\n"))
     t, w = len(starts), width
     rows = (t == w * lines and np.all(starts[w - 1::w][:len(newlines)] < newlines)
             and np.all(starts[w::w] > newlines[:lines - 1]))
@@ -194,58 +206,49 @@ def read(fh: BinaryIO, tag: str, names: Sequence[str],
     except BadParams as exc:
         raise ParseError(line_no, str(exc))
     total, here = sum(rows * width for rows, width in sections), fh.tell()
-    if total > fh.seek(0, os.SEEK_END) - here:  # a point takes a byte at least
+    if total > (end := fh.seek(0, os.SEEK_END)) - here:  # a point takes a byte at least
         raise ParseError(line_no, f"{total} points cannot fit in the file")
     fh.seek(here)
     tables = [np.empty((rows, width), dtype=point_dtype(bound)) for rows, width in sections]
     row_ends = np.cumsum([rows for rows, _ in sections])
     widths = np.array([width for _, width in sections] + [0])  # none past the last row
     s = filled = rows_read = 0  # the section filling, its points filled, the rows read
+    width = max(sections, key=lambda section: section[0] * section[1])[1]  # _tokens' row test
 
-    def check(got: np.ndarray, per_line: np.ndarray, problems: list) -> None:
-        """Raise the piece's problem least by (line, rank), rows in their sections."""
-        at = np.flatnonzero(per_line)  # the lines that are rows
-        count = per_line[at]
-        section = np.searchsorted(row_ends, rows_read + np.arange(len(at)), side="right")
-        if (wrong := (count != widths[section]) & (section < len(sections))).any():
-            i = np.argmax(wrong)
-            problems.append((at[i], 1, f"expected {widths[section[i]]} points, got {count[i]}"))
-        if distinct:  # each row's points sorted: a repeat equals the point before it
-            row = np.repeat(np.arange(len(at)), count)
-            point = got[np.lexsort((got, row))]
-            repeats = row[1:][(row[1:] == row[:-1]) & (point[1:] == point[:-1])]
-            if len(repeats):
-                problems.append((at[repeats[0]], 3, "repeated point in a row"))
-        if (past := section == len(sections)).any():
-            problems.append((at[np.argmax(past)], 4, "more rows than the header gives"))
-        if problems:
-            at_line, _, reason = min(problems)
-            raise ParseError(line_no + 1 + int(at_line), reason)
+    def take(made: tuple) -> None:
+        """Raise a piece's first problem, unless it is a straight copy; fill it in."""
+        nonlocal s, filled, rows_read, line_no
+        got, per_line, newlines, problems = made
+        if (per_line is not None or problems or distinct or width != widths[s]
+                or filled + len(got) > tables[s].size):  # not a straight copy
+            per_line = np.full(len(got) // width, width) if per_line is None else per_line
+            at = np.flatnonzero(per_line)  # the lines that are rows
+            count = per_line[at]
+            section = np.searchsorted(row_ends, rows_read + np.arange(len(at)), side="right")
+            if (wrong := (count != widths[section]) & (section < len(sections))).any():
+                i = np.argmax(wrong)
+                problems.append((at[i], 1,
+                                 f"expected {widths[section[i]]} points, got {count[i]}"))
+            if distinct:  # each row's points sorted: a repeat equals the point before it
+                row = np.repeat(np.arange(len(at)), count)
+                point = got[np.lexsort((got, row))]
+                repeats = row[1:][(row[1:] == row[:-1]) & (point[1:] == point[:-1])]
+                if len(repeats):
+                    problems.append((at[repeats[0]], 3, "repeated point in a row"))
+            if (past := section == len(sections)).any():
+                problems.append((at[np.argmax(past)], 4, "more rows than the header gives"))
+            if problems:
+                at_line, _, reason = min(problems)
+                raise ParseError(line_no + 1 + int(at_line), reason)
+        while len(got):  # whole rows, each inside its section
+            n = min(len(got), tables[s].size - filled)
+            tables[s].reshape(-1)[filled:filled + n] = got[:n]
+            got, filled, rows_read = got[n:], filled + n, rows_read + n // widths[s]
+            while filled == tables[s].size and s < len(tables) - 1:
+                s, filled = s + 1, 0
+        line_no += newlines
 
-    tail, end = b"", False
-    while not end:
-        pieces = []  # newline-aligned chunks, WORKERS at a time
-        while not end and len(pieces) < chunkmap.WORKERS:
-            data = fh.read(_READ_BYTES)
-            chunk, end = tail + data, not data
-            cut = len(chunk) if end else chunk.rfind(b"\n") + 1
-            if cut:
-                pieces.append(chunk[:cut])
-            tail = chunk[cut:]
-        width = int(widths[s])
-        for got, per_line, newlines, problems in chunk_map(
-                lambda i: _tokens(pieces[i], bound, width), len(pieces)):
-            if (per_line is not None or problems or distinct or width != widths[s]
-                    or filled + len(got) > tables[s].size):  # not a straight copy
-                check(got, np.full(len(got) // width, width) if per_line is None else per_line,
-                      problems)
-            while len(got):  # whole rows, each inside its section
-                n = min(len(got), tables[s].size - filled)
-                tables[s].reshape(-1)[filled:filled + n] = got[:n]
-                got, filled, rows_read = got[n:], filled + n, rows_read + n // widths[s]
-                while filled == tables[s].size and s < len(tables) - 1:
-                    s, filled = s + 1, 0
-            line_no += newlines
+    chunk_stream(_pieces(fh, end), partial(_tokens, bound=bound, width=width), take)
     if rows_read < row_ends[-1]:
         raise ParseError(line_no + 1, f"expected {row_ends[-1]} rows, got {rows_read}")
     return values, tables

@@ -60,6 +60,14 @@ def test_claims_without_a_group_are_refused():
         certify(fano(), fixed=(0,))
 
 
+def test_fixed_points_are_checked_on_every_element_not_only_the_generators():
+    # (1 2)(3 4 5 6) fixes only 0, but its square (3 5)(4 6) fixes 0, 1 and 2
+    group = PermGroup(7, [Permutation.from_cycles(7, [(1, 2), (3, 4, 5, 6)])])
+    assert group.generators[0].fixed_points() == (0,)
+    log = certify(fano(), group, fixed=[0])
+    assert [c.ok for c in log if c.name == "fixes_exactly_one_point"] == [False]
+
+
 def test_entry_turns_an_axiom_violation_into_a_failed_entry():
     def broken():
         raise AxiomViolation("two lines meet twice")

@@ -278,6 +278,17 @@ def test_iso_in_group_identity():
     assert iso_in_group(d, d, [Permutation.identity(7)]) == Permutation.identity(7)
 
 
+def test_iso_in_group_refuses_a_design_one_block_short(monkeypatch):
+    # the identity carries the first b-1 blocks of d onto those of d minus
+    # its last block, chunk by chunk: only the block counts tell them apart
+    monkeypatch.setattr(design, "_ROWS", 3)
+    d = fano()
+    short = Design(7, 3, d.blocks[:-1])
+    identity = [Permutation.identity(7)]
+    assert iso_in_group(d, short, identity) is None
+    assert iso_in_group(short, d, identity) is None
+
+
 def test_iso_in_group_affine_scan():
     d = fano()
     shifted = d.relabel(shift7())

@@ -14,7 +14,10 @@ import hashlib
 import io
 import itertools
 import os
+import sys
 import tempfile
+import threading
+import time
 import warnings
 from pathlib import Path
 
@@ -478,6 +481,76 @@ def test_a_bad_line_in_a_batch_is_named_alike_on_one_worker_or_two(monkeypatch,
         text = "DESIGN v=1000 k=3 b=20\n" + "".join(f"{r}\n" for r in bad)
         one, two = one_and_two_workers(lambda: read_text(text))
         assert one == two == (ParseError, f"line {line}: point is not an integer")
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_the_earlier_of_two_bad_pieces_is_named_whichever_is_made_first(monkeypatch, workers):
+    # one 12-byte row a piece, and every even-numbered tokenizing held back,
+    # so that on more workers the later bad piece is tokenized first
+    rows = [f"{100 + 3 * i} {101 + 3 * i} {102 + 3 * i}" for i in range(12)]
+    rows[2], rows[3] = rows[2].replace(" 1", " x", 1), rows[3].replace(" 1", " 9", 1)
+    text = "DESIGN v=1000 k=3 b=12\n" + "".join(f"{r}\n" for r in rows)
+    calls, tokens = itertools.count(), textfile._tokens
+
+    def held_back(*args, **kwargs):
+        if next(calls) % 2 == 0:
+            time.sleep(0.01)
+        return tokens(*args, **kwargs)
+
+    monkeypatch.setattr(textfile, "_READ_BYTES", 12)
+    monkeypatch.setattr(textfile, "_tokens", held_back)
+    monkeypatch.setattr(chunkmap, "WORKERS", workers)
+    with pytest.raises(ParseError, match="^line 4: point is not an integer$"):
+        read_text(text)
+
+
+@pytest.mark.parametrize("read_bytes", [7, 64])
+def test_read_gives_the_same_tables_on_one_two_or_three_workers(monkeypatch, read_bytes):
+    d = build_base_design(31, 3, wilson_base_block(31, 3)).design
+    head, *rows = serialize(d).splitlines()
+    text = "\n".join([head, *(f"{row}  # row {i}\n" if i % 5 == 0 else row
+                              for i, row in enumerate(rows))]) + "\n"
+    td = mols_td(4, 5)
+    monkeypatch.setattr(textfile, "_READ_BYTES", read_bytes)
+    seen = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(chunkmap, "WORKERS", workers)
+        back = td_from_text(td_to_text(td))
+        seen.append((read_text(text).blocks.tobytes(), back.groups.tobytes(),
+                     back.blocks.tobytes()))
+    assert seen[0] == seen[1] == seen[2]
+    assert seen[0][0] == d.blocks.tobytes()
+    assert (back.groups.tolist(), back.blocks.tolist()) == (td.groups.tolist(),
+                                                            td.blocks.tolist())
+
+
+def test_two_threads_writing_one_path_leave_one_whole_file(tmp_path, monkeypatch):
+    path = tmp_path / "d.design"
+    designs = [build_base_design(p, 3, wilson_base_block(p, 3)).design for p in (31, 43)]
+    monkeypatch.setattr(textfile, "_WRITE_ROWS", 16)
+    failures = []
+
+    def write_often(d):
+        try:
+            for _ in range(30):
+                write_design(d, path)
+        except Exception as exc:
+            failures.append(exc)
+
+    threads = [threading.Thread(target=write_often, args=(d,)) for d in designs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # the two threads' writes interleave
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
+    assert read_design(path) in designs
+    assert [p.name for p in tmp_path.iterdir()] == ["d.design"]
 
 
 @pytest.mark.parametrize("case", TD_EDITS)
