@@ -64,6 +64,7 @@ class _Stream:
     def __init__(self, source: Iterable, make: Callable, consume: Callable):
         self.source, self.make, self.consume = _ahead(iter(source)), make, consume
         self.workers, self.drawn, self.turn, self.running = WORKERS, 0, 0, 0
+        self.waiting = False  # a drawer waits for the window to open
         self.results, self.errors = {}, {}
         self.stop, self.drawing, self.consuming = False, threading.Lock(), threading.Lock()
         self.state = threading.Condition()
@@ -79,11 +80,15 @@ class _Stream:
                 try:
                     with self.drawing:
                         at = self.drawn
-                        with self.state:
-                            self.state.wait_for(
-                                lambda: self.stop or self.drawn - self.turn < 2 * self.workers)
-                            if self.stop:
-                                return
+                        # the turn only grows, so a window seen open stays open
+                        if at - self.turn >= 2 * self.workers:
+                            with self.state:
+                                self.waiting = True  # set before the test, read after a turn
+                                self.state.wait_for(
+                                    lambda: self.stop or at - self.turn < 2 * self.workers)
+                                self.waiting = False
+                        if self.stop:
+                            return
                         if (drawn := next(self.source, None)) is None:
                             self.stop = True
                             return
@@ -103,9 +108,10 @@ class _Stream:
                         while (result := self.results.pop(self.turn, _END)) is not _END:
                             at = self.turn
                             self.consume(result)
-                            with self.state:
-                                self.turn += 1
-                                self.state.notify_all()
+                            self.turn += 1  # written by the turn's holder alone
+                            if self.waiting:  # notify only a drawer that waits
+                                with self.state:
+                                    self.state.notify_all()
                         self.consuming.release()
                 except BaseException as exc:  # a failed consume keeps the turn
                     with self.state:

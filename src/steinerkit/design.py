@@ -19,15 +19,21 @@ through, with ``np.take`` on the flat image table.  Keys are or-ed into
 int64; pair indices of uint16 rows are computed in uint32 (C(65,536, 2) <
 2^32), of wider rows in int64, and widened to int64.  ``Design.digest``
 hashes the int64 bytes, so the dtype changes no output.
+
+A ``Design`` is immutable, and each check runs once per object: the
+``verify_2design`` report and each ``is_automorphism`` verdict are kept on
+the design, false ones too, and an equal permutation finds its entry.
+``stabilizer_scan`` scans one element of each cyclic subgroup.
 """
 from __future__ import annotations
 
 import hashlib
+import math
 import operator
 import threading
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -173,9 +179,11 @@ def _canonical(v: int, k: int, blocks) -> np.ndarray:
 
 class Design:
     """A 2-(v,k,1)-design candidate: v points and a list of k-subsets, kept
-    in canonical form (``_canonical``): key order."""
+    in canonical form (``_canonical``): key order.  Immutable: no field is
+    set or deleted after ``__init__``, so the verdicts that checks keep in
+    ``_verdicts`` cannot go stale."""
 
-    __slots__ = ("v", "k", "blocks")
+    __slots__ = ("v", "k", "blocks", "_verdicts")
 
     def __init__(self, v: int, k: int, blocks):
         try:
@@ -186,7 +194,18 @@ class Design:
             raise BadParams(f"point count v={v} must not be negative")
         if k < 1:
             raise BadParams(f"block size k={k} must be at least 1")
-        self.v, self.k, self.blocks = v, k, _canonical(v, k, blocks)
+        for name, value in (("v", v), ("k", k), ("blocks", _canonical(v, k, blocks)),
+                            ("_verdicts", {})):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"a Design is immutable: {name} cannot be set")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"a Design is immutable: {name} cannot be deleted")
+
+    def __reduce__(self):  # a copy or unpickled design starts with no verdicts
+        return Design, (self.v, self.k, self.blocks)
 
     @property
     def b(self) -> int:
@@ -273,11 +292,14 @@ def _pair_cover(v: int, tables: Sequence[np.ndarray]) -> tuple[int, int]:
 
 
 def verify_2design(design: Design) -> VerifyReport:
-    """Exhaustive lambda=1 check: every point pair covered exactly once."""
+    """Exhaustive lambda=1 check: every point pair covered exactly once.
+    The report is kept on the design; past PAIR_TABLE_MAX_V, Budget on every call."""
     if design.v > PAIR_TABLE_MAX_V:
         raise Budget(f"pair table for v={design.v} exceeds the in-memory budget")
-    deficit, surplus = _pair_cover(design.v, [design.blocks])
-    return VerifyReport(deficit == 0 and surplus == 0, deficit, surplus)
+    if "pairs" not in design._verdicts:
+        deficit, surplus = _pair_cover(design.v, [design.blocks])
+        design._verdicts["pairs"] = VerifyReport(deficit == 0 and surplus == 0, deficit, surplus)
+    return design._verdicts["pairs"]
 
 
 def _maps_onto(h: Permutation, d1: Design, d2: Design) -> bool:
@@ -300,8 +322,12 @@ def _maps_onto(h: Permutation, d1: Design, d2: Design) -> bool:
 
 
 def is_automorphism(design: Design, perm: Permutation) -> bool:
-    """True iff the permutation maps the block set onto itself."""
-    return _maps_onto(perm, design, design)
+    """True iff the permutation maps the block set onto itself.  The verdict
+    is kept on the design under the permutation, which an equal one finds;
+    one of another degree raises BadParams and is never kept."""
+    if perm not in design._verdicts:
+        design._verdicts[perm] = _maps_onto(perm, design, design)
+    return design._verdicts[perm]
 
 
 def is_1_blocked(design: Design, group: PermGroup):
@@ -316,10 +342,26 @@ def is_1_blocked(design: Design, group: PermGroup):
     return stabilizer_scan(design, group)
 
 
+def _cyclic_generators(g: Permutation, most: int) -> Iterator[bytes]:
+    """The image tables, as bytes, of g^j for each j below ``most`` prime to
+    g's order, one power held at a time: every generator of <g> when ``most``
+    is at least the order of a group that holds g."""
+    n, power = g.order(), g.images
+    for j in range(1, min(n, most)):
+        if math.gcd(j, n) == 1:
+            yield power.tobytes()
+        power = g.images[power]
+
+
 def stabilizer_scan(design: Design, group: PermGroup):
     """The scan behind ``is_1_blocked``, for a group already known to act by
-    automorphisms: (True, None), or (False, (block, element)) for a block
-    whose set-stabilizer moves one of its points."""
+    automorphisms: (True, None), or (False, (block, element)) for the first
+    block, in the first element of ``elements()``, whose set-stabilizer
+    moves one of its points.
+
+    Only the first generator of each cyclic subgroup is scanned: if h
+    stabilizes B and moves a point of B, so does every generator of <h>, so
+    the first element with a violation is one of those scanned."""
     if group.degree != design.v:
         raise BadParams(f"group degree {group.degree} != v {design.v}")
 
@@ -333,9 +375,12 @@ def stabilizer_scan(design: Design, group: PermGroup):
         bad = np.all(np.sort(img, axis=1) == rows, axis=1) & np.any(img != rows, axis=1)
         return (tuple(rows[np.argmax(bad)].tolist()), g) if bad.any() else None
 
-    for g in group.elements():
-        if g.is_identity():
+    elements = group.elements()
+    scanned: set[bytes] = set()  # the generators of each cyclic subgroup scanned
+    for g in elements:
+        if g.is_identity() or g.images.tobytes() in scanned:
             continue
+        scanned.update(_cyclic_generators(g, len(elements)))
         images = g.images.astype(point_dtype(design.v))
         for found in _row_map(lambda part: violation(g, images, part), design.b):
             if found is not None:

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import pytest
 
-from steinerkit import chunkmap
+from steinerkit import chunkmap, design
 
 
 @pytest.fixture
@@ -22,3 +22,15 @@ def one_and_two_workers(monkeypatch):
         return got
 
     return outcomes
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Calls of the automorphism and pair-cover kernels, by name."""
+    calls = {"_maps_onto": 0, "_pair_cover": 0}
+    for name in calls:
+        def count(*args, _name=name, _real=getattr(design, name)):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(design, name, count)
+    return calls

@@ -116,6 +116,17 @@ def test_km_search_subcommand(tmp_path, capsys):
     assert read_design(out).b == 26
 
 
+def test_km_search_checks_its_design_once(tmp_path, capsys, counted):
+    # km_search certifies the design, and the report's checks find its verdicts
+    gf = write_group(tmp_path / "z13.group",
+                     Permutation(tuple((i + 1) % 13 for i in range(13))))
+    code, rep = run(capsys, "km-search", "--v", "13", "--k", "3", "--group-file", gf)
+    assert code == 0
+    assert rep["check.pairs_once"].startswith("ok")
+    assert rep["check.group_is_automorphisms"].startswith("ok")
+    assert counted == {"_maps_onto": 1, "_pair_cover": 1}
+
+
 def test_km_search_unsat_reported(tmp_path, capsys):
     gf = write_group(tmp_path / "z9.group",
                      Permutation(tuple((i + 1) % 9 for i in range(9))))

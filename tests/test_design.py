@@ -1,15 +1,19 @@
 from __future__ import annotations
 
 import builtins
+import copy
 import hashlib
 import itertools
+import pickle
+import random
 import sys
 
 import numpy as np
 import pytest
 
 from steinerkit import chunkmap, design, textfile
-from steinerkit.basedesigns import build_base_design
+from steinerkit.affinelift import lift_aligned
+from steinerkit.basedesigns import build_base_design, km_search, steiner_triple_system
 from steinerkit.compose import CompositionPlan, product_design_1blocked
 from steinerkit.design import (
     Design,
@@ -393,3 +397,159 @@ def test_automorphism_closure_under_inverse_and_image():
         assert is_automorphism(d, g)
         assert is_automorphism(d, g.inverse())
         assert verify_2design(d.relabel(g)).ok
+
+
+# -- an immutable Design keeps the verdict of each check run on it
+
+def test_design_refuses_any_assignment_or_deletion():
+    d = fano()
+    with pytest.raises(AttributeError, match="immutable: blocks cannot be set"):
+        d.blocks = sts9().blocks
+    with pytest.raises(AttributeError, match="immutable: v cannot be set"):
+        d.v = 9
+    with pytest.raises(AttributeError, match="immutable: k cannot be deleted"):
+        del d.k
+    with pytest.raises(AttributeError):
+        d.extra = 1
+    assert (d.v, d.k, d.b) == (7, 3, 7) and d == fano()
+
+
+def test_a_copied_design_starts_with_no_verdicts(counted):
+    d = fano()
+    assert verify_2design(d).ok
+    for twin in (copy.copy(d), copy.deepcopy(d), pickle.loads(pickle.dumps(d))):
+        assert twin == d and twin is not d
+        assert verify_2design(twin).ok
+    assert counted["_pair_cover"] == 4
+
+
+def test_each_verdict_is_computed_once_per_design(counted):
+    d = fano()
+    report = verify_2design(d)
+    assert verify_2design(d) is report and report.ok
+    assert is_automorphism(d, shift7()) and is_automorphism(d, shift7())
+    assert counted == {"_maps_onto": 1, "_pair_cover": 1}
+    # an equal design built on its own is checked in full
+    assert verify_2design(fano()).ok and is_automorphism(fano(), shift7())
+    assert counted == {"_maps_onto": 2, "_pair_cover": 2}
+
+
+def test_a_false_verdict_is_kept(counted):
+    d = fano()
+    swap = Permutation.from_cycles(7, [(0, 1)])
+    assert is_automorphism(d, swap) is False
+    assert is_automorphism(d, swap) is False
+    short = Design(7, 3, d.blocks[:-1])
+    report = verify_2design(short)
+    assert not report.ok and verify_2design(short) is report
+    assert counted == {"_maps_onto": 1, "_pair_cover": 1}
+
+
+def test_an_equal_permutation_built_elsewhere_finds_the_verdict(counted):
+    d = fano()
+    assert is_automorphism(d, shift7())
+    again = Permutation.from_cycles(7, [tuple(range(7))])
+    assert again == shift7() and again is not shift7()
+    assert is_automorphism(d, again)
+    assert counted["_maps_onto"] == 1
+    assert is_automorphism(d, again * again)  # another permutation: checked
+    assert counted["_maps_onto"] == 2
+
+
+def test_refusals_run_on_every_call(counted):
+    d = fano()
+    for _ in range(2):
+        with pytest.raises(BadParams, match="permutation degree 8 != v 7"):
+            is_automorphism(d, Permutation.identity(8))
+    big = Design(design.PAIR_TABLE_MAX_V + 1, 3, np.empty((0, 3), dtype=np.int64))
+    for _ in range(2):
+        with pytest.raises(Budget, match="pair table"):
+            verify_2design(big)
+    assert counted == {"_maps_onto": 2, "_pair_cover": 0}
+
+
+def test_the_gate_checks_each_generator_of_a_lift_once(counted):
+    inv = Permutation(tuple((-x) % 19 for x in range(19)))
+    ingredient = km_search(19, 3, PermGroup(19, [inv]))
+    result = lift_aligned(PermGroup(2, [Permutation.from_cycles(2, [(0, 1)])]), 19, 3,
+                          ingredient, inv)
+    d, group = result.design, result.group
+    before = counted["_maps_onto"]
+    assert verify_2design(d).ok
+    assert all(is_automorphism(d, g) for g in group.generators)
+    ok, witness = is_1_blocked(d, group)  # Z2: an involution stabilizes some block
+    assert not ok and witness is not None
+    assert counted["_maps_onto"] - before == len(group.generators)
+
+
+# -- stabilizer_scan scans one element of each cyclic subgroup
+
+def reference_scan(d: Design, group: PermGroup):
+    """Every non-identity element in order, every block in order: the first
+    block whose set-stabilizer moves one of its points, with that element."""
+    for g in group.elements():
+        if g.is_identity():
+            continue
+        for block in d.block_tuples():
+            image = tuple(g(x) for x in block)
+            if sorted(image) == list(block) and image != block:
+                return False, (block, g)
+    return True, None
+
+
+def random_groups(d: Design, rng: random.Random, count: int):
+    """Seeded groups of order at most 2,000: one or two elements of Aut(d),
+    or the cyclic group of a random permutation (no automorphism, mostly)."""
+    aut = brute_aut(d).elements()
+    found = 0
+    while found < count:
+        if rng.random() < 0.2:
+            points = list(range(d.v))
+            rng.shuffle(points)
+            gens = [Permutation(points)]
+        else:
+            gens = [rng.choice(aut) for _ in range(rng.choice([1, 1, 2]))]
+        group = PermGroup(d.v, gens)
+        if group.order() <= 2000:
+            found += 1
+            yield group
+
+
+@pytest.mark.parametrize("v", [7, 9, 13, 15])
+def test_stabilizer_scan_is_the_reference_scan(v):
+    d = steiner_triple_system(v)
+    for group in random_groups(d, random.Random(v), 25):
+        assert stabilizer_scan(d, group) == reference_scan(d, group), group
+
+
+def cyclic(d: Design, order: int) -> PermGroup:
+    """The cyclic group of the first automorphism of this order."""
+    return PermGroup(d.v, [next(g for g in brute_aut(d).elements() if g.order() == order)])
+
+
+def symmetric3(d: Design) -> PermGroup:
+    """An S3 in Aut(d): elements of order 3 and 2 that do not commute and
+    generate a group of order 6."""
+    aut = brute_aut(d).elements()
+    return next(group for a in aut if a.order() == 3 for b in aut
+                if b.order() == 2 and a * b != b * a
+                and (group := PermGroup(d.v, [a, b])).order() == 6)
+
+
+@pytest.mark.parametrize("d, group", [
+    (sts9(), cyclic(sts9(), 6)), (fano(), symmetric3(fano())), (sts9(), cyclic(sts9(), 4))],
+    ids=["Z6", "S3", "Z4"])
+def test_stabilizer_scan_finds_the_reference_witness(d, group):
+    ok, witness = stabilizer_scan(d, group)
+    assert not ok and (ok, witness) == reference_scan(d, group)
+    block, g = witness
+    assert sorted(g(x) for x in block) == list(block)
+    assert any(g(x) != x for x in block)
+
+
+def test_stabilizer_scan_scans_z7_once(monkeypatch):
+    d, scans = fano(), []
+    real = design._row_map
+    monkeypatch.setattr(design, "_row_map", lambda fn, n: scans.append(n) or real(fn, n))
+    assert stabilizer_scan(d, PermGroup(7, [shift7()])) == (True, None)
+    assert scans == [7]  # one of the six generators of Z7, over the 7 blocks
