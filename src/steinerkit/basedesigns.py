@@ -204,11 +204,8 @@ def km_search(v: int, k: int, group: PermGroup, forced_blocks=()) -> Design:
     forced = []
     for blk in forced_blocks:
         key = tuple(sorted(blk))
-        lo, hi = 0, len(inst.blocks) if len(key) == k else 0
-        for col, x in enumerate(key[:k]):  # the rows ascend: narrow one column at a time
-            part = inst.blocks[lo:hi, col]
-            lo, hi = lo + np.searchsorted(part, x), lo + np.searchsorted(part, x, "right")
-        cid = int(inst.block_orbit[lo]) if lo < hi else None
+        subset = len(set(key)) == len(key) == k and all(x in range(v) for x in key)
+        cid = int(inst.block_orbit[_subset_rank(np.array(key, np.int64), v)]) if subset else None
         if cid not in inst.columns:
             raise Unsat(f"forced block {key} has no usable orbit")
         if cid not in forced:

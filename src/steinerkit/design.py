@@ -2,21 +2,19 @@
 design files.
 
 Blocks are stored in canonical form: each block sorted ascending, the blocks
-in key order (``permgrp.row_keys``, which is lexicographic order).  While k
-fields of (v-1).bit_length() bits fit in 63 (``_exact``), the keys are exact
-int64 bit fields; canonical form (of one array of rows, or of the
-``RowPart``s ``push`` gives, each keyed into its slice of one key array,
-which ``_sort`` sorts on every CPU) and the automorphism, stabilizer and pair
-checks run in chunks of rows, spread over the CPUs by ``chunkmap.chunk_map``
-(the pair cover's by ``chunk_stream``), and build no image design or
-full-size row gather.  Wider keys are rank-compressed, and the rows gathered
-in their order; the exact bound is v <= 2^21 at k=3, 32,768 at k=4, 4,096 at
-k=5 and 1,024 at k=6.  Design files are ``textfile`` tables of one section.
+in lexicographic order, the order of their uint64 ``permgrp.row_keys`` while
+those fit (``permgrp.keyable``: v <= 2^21 at k=3, 65,536 at k=4, 4,096 at
+k=5).  Canonical form (of one array of rows, or of the ``RowPart``s ``push``
+gives, each keyed into its slice of one key array, which ``_sort`` sorts on
+every CPU) and the automorphism, stabilizer and pair checks run in chunks of
+rows on every CPU (``chunkmap``) and build no image design or full-size row
+gather.  Wider rows are sorted by ``np.lexsort`` and compared as relabelled
+designs.  Design files are ``textfile`` tables of one section.
 
 A block table holds its points in ``point_dtype(v)``: uint16 while v <=
 65,536, else uint32, and so do the images a check or ``relabel`` gathers
 through, with ``np.take`` on the flat image table.  Keys are or-ed into
-int64; pair indices of uint16 rows are computed in uint32 (C(65,536, 2) <
+uint64; pair indices of uint16 rows are computed in uint32 (C(65,536, 2) <
 2^32), of wider rows in int64, and widened to int64.  ``Design.digest``
 hashes the int64 bytes, so the dtype changes no output.
 
@@ -40,7 +38,8 @@ import numpy as np
 from . import chunkmap, textfile
 from .chunkmap import chunk_map, chunk_stream
 from .errors import BadParams, Budget
-from .permgrp import DEFAULT_CAP, PermGroup, Permutation, RowPart, row_keys
+from .permgrp import (DEFAULT_CAP, PermGroup, Permutation, RowPart, decode_row_keys, keyable,
+                      row_keys)
 from .textfile import point_dtype
 
 PAIR_TABLE_MAX_V = 20000  # a v^2/2 pair bitmap, and int64 counters on failure, fit below this
@@ -64,12 +63,6 @@ def _sorted_rows(rows: np.ndarray, v: int) -> np.ndarray:
     if any(np.any(a == b) for a, b in zip(cols, cols[1:])):
         raise BadParams("repeated point inside a block")
     return np.stack(cols, axis=1)
-
-
-def _exact(v: int, k: int) -> bool:
-    """True iff ``row_keys`` of rows of k points below v are exact: k fields
-    of (v-1).bit_length() bits fit in 63."""
-    return k * (v - 1).bit_length() <= 63
 
 
 def _sort(keys: np.ndarray) -> None:
@@ -98,7 +91,7 @@ def _parts(rows: np.ndarray, perm: Permutation | None = None) -> list[RowPart]:
 
 
 def _sorted_keys(parts: Sequence[RowPart], v: int) -> np.ndarray | None:
-    """Exact keys (``_exact``) of the parts' rows in order, each row sorted
+    """The ``row_keys`` of the parts' rows in order, each row sorted
     by ``_sorted_rows`` first; None if the rows are canonical already: each
     ascending and the keys strictly increasing.  Each part is made and keyed
     on its own; the first that is not canonical makes the full key array, the
@@ -119,7 +112,7 @@ def _sorted_keys(parts: Sequence[RowPart], v: int) -> np.ndarray | None:
             return mine[0], mine[-1]
         with making:
             if keys is None:
-                keys = np.empty(ends[-1], dtype=np.int64)
+                keys = np.empty(ends[-1], dtype=np.uint64)
         keys[ends[i]:ends[i + 1]] = mine
         return None
 
@@ -127,7 +120,7 @@ def _sorted_keys(parts: Sequence[RowPart], v: int) -> np.ndarray | None:
     if keys is None:
         if all(a[1] < b[0] for a, b in zip(firsts, firsts[1:])):
             return None
-        keys = np.empty(ends[-1], dtype=np.int64)
+        keys = np.empty(ends[-1], dtype=np.uint64)
     again = [i for i, e in enumerate(firsts) if e is not None]
     chunk_map(lambda j: key(again[j]), len(again))
     return keys
@@ -135,10 +128,9 @@ def _sorted_keys(parts: Sequence[RowPart], v: int) -> np.ndarray | None:
 
 def _canonical(v: int, k: int, blocks) -> np.ndarray:
     """The blocks, one array of rows or a list of ``RowPart``s, as a read-only
-    canonical ``point_dtype(v)`` table: exact keys are sorted in place and
-    decoded by mask and shift, wider rows gathered in rank-compressed key
-    order.  Canonical blocks stay as they are, a ``point_dtype(v)`` array
-    owning its data."""
+    canonical ``point_dtype(v)`` table: by sorted row keys, or by ``np.lexsort``
+    for rows too wide for keys.  Canonical blocks stay as they are, a
+    ``point_dtype(v)`` array owning its data."""
     dtype = point_dtype(v)
     if isinstance(blocks, list) and blocks and isinstance(blocks[0], RowPart):
         table, parts = None, blocks
@@ -150,24 +142,15 @@ def _canonical(v: int, k: int, blocks) -> np.ndarray:
         if table.ndim != 2 or table.shape[1] != k:
             raise BadParams(f"blocks must be rows of {k} points")
         parts = _parts(table)
-    if not _exact(v, k):
-        table = _sorted_rows(np.concatenate([np.empty((0, k), dtype),
-                                             *(part.make() for part in parts)]), v)
-        table = table[np.argsort(row_keys(table, v))]
+    if not keyable(v, k):  # np.lexsort is a radix sort on narrow columns
+        table = np.concatenate([np.empty((0, k), dtype), *chunk_map(
+            lambda i: _sorted_rows(parts[i].make(), v).astype(dtype, copy=False), len(parts))])
+        table = table[np.lexsort(table.T[::-1])]
     elif (keys := _sorted_keys(parts, v)) is not None:
         parts = table = None  # the rows' sources go before the sort
         _sort(keys)
         table = np.empty((len(keys), k), dtype=dtype)
-        bits = (v - 1).bit_length()
-
-        def decode(part: slice) -> None:
-            mine, rows = keys[part], table[part]
-            point = np.empty_like(mine)
-            for col in range(k - 1, -1, -1):
-                rows[:, col] = np.bitwise_and(mine, (1 << bits) - 1, out=point)
-                mine >>= bits
-
-        _row_map(decode, len(keys))
+        _row_map(lambda part: decode_row_keys(keys[part], v, table[part]), len(keys))
     elif table is None:
         table = np.concatenate([part.make() for part in parts])
     table = table.astype(dtype, copy=False)
@@ -179,7 +162,7 @@ def _canonical(v: int, k: int, blocks) -> np.ndarray:
 
 class Design:
     """A 2-(v,k,1)-design candidate: v points and a list of k-subsets, kept
-    in canonical form (``_canonical``): key order.  Immutable: no field is
+    in canonical form (``_canonical``): lexicographic order.  Immutable: no field is
     set or deleted after ``__init__``, so the verdicts that checks keep in
     ``_verdicts`` cannot go stale."""
 
@@ -303,11 +286,11 @@ def verify_2design(design: Design) -> VerifyReport:
 
 
 def _maps_onto(h: Permutation, d1: Design, d2: Design) -> bool:
-    """True iff h carries d1's blocks onto d2's, of the same (v, k).  With
-    exact keys, the sorted keys of the image rows are d2's, which ascend."""
+    """True iff h carries d1's blocks onto d2's, of the same (v, k): the image
+    rows' sorted keys are d2's, or for rows too wide for keys, d1 relabelled is d2."""
     if h.degree != d1.v:
         raise BadParams(f"permutation degree {h.degree} != v {d1.v}")
-    if not _exact(d1.v, d1.k):
+    if not keyable(d1.v, d1.k):
         return d1.relabel(h) == d2
     if d1.b != d2.b:
         return False

@@ -8,19 +8,19 @@ products, cyclic-table TDs (with a group-rotating automorphism at k=3), and
 MacNeish products of field TDs.  The field constructions share one array
 expression over GF(q)'s add and mul index tables, and the products combine
 rows by mixed-radix index arithmetic.  Every public constructor verifies what
-it returns against the net/TD axioms.
+it returns against the net/TD axioms, and keeps the verdict on the immutable result.
 """
 from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import textfile
 from .errors import ActionEscape, AxiomViolation, BadParams, Unavailable, require
-from .design import Design, _pair_cover
+from .design import _pair_cover, _sorted_rows
 from .gf import factorize, field_tables, frobenius, semilinear_map, trace
 from .permgrp import Permutation, read_only_ints, set_images
 
@@ -35,8 +35,9 @@ def _table(rows, what: str) -> np.ndarray:
 
 
 def _same_fields(a, b) -> bool:
-    """Equality of two nets or two TDs: equal sizes and equal arrays."""
-    return type(a) is type(b) and all(map(np.array_equal, vars(a).values(), vars(b).values()))
+    """Equality of two nets or two TDs: equal sizes and equal arrays, not verdicts."""
+    return type(a) is type(b) and all(np.array_equal(getattr(a, f.name), getattr(b, f.name))
+                                      for f in fields(a) if f.compare)
 
 
 def _induced(family: np.ndarray, degree: int, perm: Permutation, failure: str) -> Permutation:
@@ -59,6 +60,7 @@ class Net:
     k: int
     lines: np.ndarray
     classes: np.ndarray
+    _verified: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "lines", _table(self.lines, "line"))
@@ -85,6 +87,7 @@ class TransversalDesign:
     n: int
     groups: np.ndarray
     blocks: np.ndarray
+    _verified: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "groups", _table(self.groups, "group"))
@@ -112,12 +115,12 @@ class TransversalDesign:
                         "permutation does not preserve the group partition")
 
 
-def _rows(npts: int, width: int, rows, what: str) -> np.ndarray:
-    """Rows as a canonical int64 block array on npts points, checked as a
-    Design's blocks are; AxiomViolation naming ``what`` when a row is malformed."""
+def _rows(npts: int, rows: np.ndarray, what: str) -> np.ndarray:
+    """The table's rows, each sorted ascending; AxiomViolation naming ``what``
+    when a row has a point outside 0..npts-1 or repeats one."""
     try:
-        return Design(npts, width, rows).blocks.astype(np.int64)
-    except (ValueError, TypeError) as exc:
+        return _sorted_rows(rows, npts)
+    except BadParams as exc:
         raise AxiomViolation(f"malformed {what}: {exc}")
 
 
@@ -133,12 +136,12 @@ def _td_axioms(npts: int, groups: np.ndarray, blocks: np.ndarray) -> None:
 
 
 def _dual(net: Net) -> tuple[np.ndarray, np.ndarray]:
-    """Groups and blocks of the dual TD as canonical arrays: the classes, and
-    per point the k lines through it.  AxiomViolation unless each class
+    """Groups and blocks of the dual TD: the classes, and per point the k
+    lines through it, each row ascending.  AxiomViolation unless each class
     partitions the points."""
     n, k = net.n, net.k
-    _rows(n * n, n, net.lines, "line")
-    classes = _rows(k * n, n, net.classes, "class")
+    _rows(n * n, net.lines, "line")
+    classes = _rows(k * n, net.classes, "class")
     cover = net.lines[classes].reshape(k, n * n)
     if not np.array_equal(np.sort(cover, axis=1), np.broadcast_to(np.arange(n * n), cover.shape)):
         raise AxiomViolation("a parallel class fails to partition the points")
@@ -149,19 +152,26 @@ def _dual(net: Net) -> tuple[np.ndarray, np.ndarray]:
 
 def verify_net(net: Net) -> None:
     """Each class partitions the points and the dual is a TD(k,n): its groups
-    are the classes and its blocks the k lines through each point.  Checking
-    the dual keeps the pair table at C(kn,2) entries instead of C(n^2,2)."""
+    are the classes and its blocks the k lines through each point, so the pair
+    table has C(kn,2) entries, not C(n^2,2).  A net that passes keeps the verdict."""
+    if net._verified:
+        return
     n, k = net.n, net.k
-    if len(net.lines) != k * n or len(net.classes) != k:
-        raise AxiomViolation(f"expected {k * n} lines in {k} classes")
+    if net.lines.shape != (k * n, n) or net.classes.shape != (k, n):
+        raise AxiomViolation(f"expected {k * n} lines in {k} classes, each of {n}")
     _td_axioms(k * n, *_dual(net))
+    object.__setattr__(net, "_verified", True)
 
 
 def verify_td(td: TransversalDesign) -> None:
+    """``_td_axioms``; a TD that passes keeps the verdict, so a second call is a lookup."""
+    if td._verified:
+        return
     k, n = td.k, td.n
-    if len(td.groups) != k or len(td.blocks) != n * n:
-        raise AxiomViolation(f"expected {k} groups and {n * n} blocks")
-    _td_axioms(k * n, _rows(k * n, n, td.groups, "group"), _rows(k * n, k, td.blocks, "block"))
+    if td.groups.shape != (k, n) or td.blocks.shape != (n * n, k):
+        raise AxiomViolation(f"expected {k} groups of {n} points and {n * n} blocks of {k}")
+    _td_axioms(k * n, _rows(k * n, td.groups, "group"), _rows(k * n, td.blocks, "block"))
+    object.__setattr__(td, "_verified", True)
 
 
 # -- constructions ----------------------------------------------------------------

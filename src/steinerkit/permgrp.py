@@ -3,7 +3,8 @@
 Permutations are read-only int64 image arrays on {0..degree-1}.  Groups are given by
 generators and enumerated on demand by breadth-first closure under a hard
 cap.  Orbits need no enumeration: ``orbit_sweep`` takes the image table of
-the generators; only transporters need every element.
+the generators; only transporters need every element.  A row of points has
+one key, ``row_keys``: its points as bit fields of one uint64.
 
 Composition is left-to-right: ``(g * h)(x) == h(g(x))``, matching the
 exponent convention x^(gh) = (x^g)^h used throughout.
@@ -190,27 +191,33 @@ class PermGroup:
 # The construction mechanism: sweep a family into orbits, plant an ingredient
 # on each representative, push the plant to every member by its transporter.
 
-def row_keys(rows: np.ndarray, n: int) -> np.ndarray:
-    """One int64 key per row of an (m, s) array of points in 0..n-1, of any
-    integer dtype: the points are or-ed into the int64 keys, never shifted
-    in their own dtype.
+def keyable(n: int, s: int) -> bool:
+    """True iff s fields of (n-1).bit_length() bits fit ``row_keys``' 64."""
+    return s * (int(n) - 1).bit_length() <= 64
 
-    Equal rows get equal keys and keys order the rows lexicographically.  The
-    key is the row's points' bits side by side, (n-1).bit_length() bits a
-    point, exact while s such fields fit in 63 bits; past that the partial
-    keys are replaced by their ranks first, so keys from separate calls are
-    comparable only when no rank compression happened.
-    """
-    keys = np.zeros(rows.shape[0], dtype=np.int64)
-    bound, bits = 1, (int(n) - 1).bit_length()  # every key is below bound
+
+def row_keys(rows: np.ndarray, n: int) -> np.ndarray:
+    """One uint64 key per row of an (m, s) array of points of any integer
+    dtype, which the caller has checked against 0..n-1: the points as bit
+    fields of (n-1).bit_length() bits side by side, or-ed into the keys, so
+    keys order rows lexicographically.  BadParams unless ``keyable(n, s)``."""
+    if not keyable(n, rows.shape[1]):
+        raise BadParams(f"rows of {rows.shape[1]} points below {n} need more than 64 bits")
+    keys = np.zeros(rows.shape[0], dtype=np.uint64)
+    bits = (int(n) - 1).bit_length()
     for col in rows.T:
-        if bound << bits > 2**63:
-            keys = np.unique(keys, return_inverse=True)[1]
-            bound = int(keys.max(initial=0)) + 1
         keys <<= bits
-        keys |= col
-        bound <<= bits
+        np.bitwise_or(keys, col, out=keys, dtype=np.uint64, casting="unsafe")
     return keys
+
+
+def decode_row_keys(keys: np.ndarray, n: int, rows: np.ndarray) -> None:
+    """Write the rows of these ``row_keys`` into ``rows``, by mask and shift;
+    the keys are shifted to 0 in place."""
+    bits, point = (int(n) - 1).bit_length(), np.empty_like(keys)
+    for col in range(rows.shape[1] - 1, -1, -1):
+        rows[:, col] = np.bitwise_and(keys, (1 << bits) - 1, out=point)
+        keys >>= bits
 
 
 def set_images(rows, perms: Sequence[Permutation]) -> np.ndarray:
@@ -223,6 +230,7 @@ def set_images(rows, perms: Sequence[Permutation]) -> np.ndarray:
     The sets and their images fill one (len(perms) + 1, n, s) family in the
     ``point_dtype`` of the degree, element by element; rows that ascend
     already skip the sort, and sets whose keys increase skip the argsort.
+    Sets too wide for ``row_keys`` are labelled by one ``np.unique`` instead.
     """
     rows = np.asarray(rows)
     if not perms:
@@ -237,8 +245,9 @@ def set_images(rows, perms: Sequence[Permutation]) -> np.ndarray:
     for slab in family:
         if not np.all(slab[:, 1:] > slab[:, :-1]):
             slab.sort(axis=1)
-    # one call keys the sets and all their images, so ranks stay comparable
-    keys = row_keys(family.reshape(-1, rows.shape[1]), degree).reshape(family.shape[:2])
+    flat = family.reshape(-1, rows.shape[1])  # one call keys the sets and all their images
+    keys = (row_keys(flat, degree) if keyable(degree, rows.shape[1])
+            else np.unique(flat, axis=0, return_inverse=True)[1]).reshape(family.shape[:2])
     order = None if np.all(keys[0][1:] > keys[0][:-1]) else np.argsort(keys[0])
     found = np.minimum(np.searchsorted(keys[0], keys[1:], sorter=order), len(rows) - 1)
     index = found if order is None else order[found]

@@ -150,6 +150,8 @@ def test_km_search_sts21_with_semiregular_z3_orbit_blocks():
 @pytest.mark.parametrize("block", [
     (0, 1),  # the wrong width
     (0, 1, 19),  # a point outside range(19)
+    (0, 0, 1),  # a repeated point
+    (-1, 0, 1),  # a negative point
     (17, 2, 1),  # its orbit {1,2,17}, {2,17,18} covers the pair {2,17} twice: dropped
 ])
 def test_km_search_refuses_a_forced_block_without_a_usable_orbit(block):

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from steinerkit import cli, permgrp, textfile
+from steinerkit import cli, netstd, permgrp, textfile
 from steinerkit import design as design_module
 from steinerkit.basedesigns import build_base_design, steiner_triple_system
 from steinerkit.cli import main
@@ -403,6 +403,20 @@ def test_td_axioms_check_is_computed(monkeypatch, capsys):
     code, rep = run(capsys, "td", "--k", "3", "--n", "6", "--mode", "cyclic")
     assert rep["check.td_axioms"].startswith("FAIL")
     assert code == 1
+
+
+@pytest.mark.parametrize("argv, check", [
+    (["td", "--k", "3", "--n", "6", "--mode", "cyclic"], "td_axioms"),
+    (["td", "--k", "4", "--n", "5", "--mode", "macneish"], "td_axioms"),
+    (["net", "--mode", "affine", "--n", "5", "--k", "3"], "net_axioms"),
+])
+def test_td_and_net_runs_check_the_axioms_once(monkeypatch, capsys, argv, check):
+    # the constructor's check; the report's entry finds the verdict it kept
+    calls = []
+    real = netstd._td_axioms
+    monkeypatch.setattr(netstd, "_td_axioms", lambda *args: calls.append(1) or real(*args))
+    code, rep = run(capsys, *argv)
+    assert (code, rep[f"check.{check}"], len(calls)) == (0, "ok", 1)
 
 
 def test_prime_check_is_computed(monkeypatch, capsys):

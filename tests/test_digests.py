@@ -8,6 +8,7 @@ import math
 import pytest
 
 from steinerkit import affinelift, basedesigns, compose, netstd, paramsearch
+from steinerkit.certify import certify
 from steinerkit.permgrp import PermGroup, Permutation
 
 STS45 = "d6b0c4253ec2c6b2b7410d19ae7c21b1da123e5a567f9713c977a3f094ed1324"
@@ -30,6 +31,22 @@ def test_aligned_z2_lift_sts361():
     ingredient = basedesigns.km_search(p, k, PermGroup(p, [cyc]))
     d = affinelift.lift_aligned(group, p, k, ingredient, cyc).design
     assert d.digest() == "0c0aa9c3557fd0af003be3a43d1035ab0f60bea8f8e2f8f2b3e0bce9acdb2802"
+
+
+@pytest.mark.parametrize("d, b, digest", [
+    (2, 2_366, "714abe6651a01149ff45b4afdd84c5edf2b80ff51e68ae460ca00917fe7ff32f"),
+    (3, 402_051, "14c7e12e9653997de38424a8d6034d2aaf489badeb8525a21b432b1e6272708f"),
+])
+def test_odd_lift_k4_on_ag_13(d, b, digest):
+    # the trivial group on AG(d,13), filled with the orbit design of the
+    # Wilson block (0, 1, 3, 9): k=4 rows of 8 and 12 bits a point
+    base = basedesigns.build_base_design(13, 4, basedesigns.wilson_base_block(13, 4))
+    result = affinelift.lift_odd(PermGroup.trivial(d), 13, 4, base)
+    log = certify(result.design, result.group, one_blocked=True)
+    assert [(c.name, c.ok) for c in log] == [
+        ("pairs_once", True), ("group_is_automorphisms", True), ("one_blocked", True)]
+    assert result.design.b == b
+    assert result.design.digest() == digest
 
 
 @pytest.mark.parametrize("s_min, v, digest", [

@@ -4,8 +4,9 @@
 (``is_automorphism``, ``iso_in_group``) and set lookups (``set_images``);
 ``stabilizer_scan`` and ``verify_2design`` run over the same chunks of rows.
 Each test draws point counts n and row widths s with n^s both below and above
-2^63; above it, s bit fields of (n-1).bit_length() bits overflow too and the
-keys need rank compression.  The kernels are compared with the old code, kept
+2^63; above it, s bit fields of (n-1).bit_length() bits mostly pass 64 bits
+too, and such rows have no key: ``row_keys`` refuses them, and the kernels
+take numpy's row operations instead.  The kernels are compared with the old code, kept
 here as references.  The chunked kernels also run with
 ``design._ROWS`` patched small, so every chunk boundary is crossed, and on
 points drawn in uint16, uint32 or int64.
@@ -20,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from steinerkit import chunkmap, design
+from steinerkit import chunkmap, design, permgrp
 from steinerkit.affinelift import lift_odd
 from steinerkit.basedesigns import build_base_design, wilson_base_block
 from steinerkit.design import (
@@ -184,6 +185,10 @@ def test_row_keys_order_rows_lexicographically(overflow, data):
     n, s = data.draw(point_count(overflow))
     rows = in_any_dtype(data.draw, data.draw(st.lists(st.lists(
         st.integers(0, n - 1), min_size=s, max_size=s), max_size=25)), n).reshape(-1, s)
+    if not permgrp.keyable(n, s):  # more than 64 bits: no key
+        with pytest.raises(BadParams):
+            row_keys(rows, n)
+        return
     keys = row_keys(rows, n)
     assert np.array_equal(keys, row_keys(rows.astype(np.int64), n))
     pairs = sorted(set(zip(map(tuple, rows.tolist()), keys.tolist())))
@@ -195,17 +200,20 @@ def test_row_keys_order_rows_lexicographically(overflow, data):
                                   for s in (2, 3)] + [(2**21, 3), (2**21 + 1, 3)])
 def test_row_keys_at_bit_width_edges_order_rows_lexicographically(n, s):
     """v = 2^m and 2^m + 1 need m and m + 1 bits a point; k = 3 at v = 2^21
-    fills 63 bits, the last exact width, and v = 2^21 + 1 is rank-compressed."""
+    fills 63 bits, and v = 2^21 + 1 needs 66, so its rows have no key."""
     rng = np.random.default_rng(n + s)
     rows = rng.integers(0, n, size=(300, s))
     rows[:2], rows[2:4], rows[-60:] = n - 1, 0, rows[:60]  # the extreme points, equal rows
     bits = (n - 1).bit_length()
-    assert design._exact(n, s) == (s * bits <= 63)
+    assert permgrp.keyable(n, s) == (s * bits <= 64)
     for dtype in (t for t in (np.uint16, np.uint32, np.int64) if np.iinfo(t).max >= n - 1):
+        if not permgrp.keyable(n, s):
+            with pytest.raises(BadParams):
+                row_keys(rows.astype(dtype), n)
+            continue
         keys = row_keys(rows.astype(dtype), n)
-        if design._exact(n, s):
-            assert keys.tolist() == [sum(x << (bits * (s - 1 - i)) for i, x in enumerate(row))
-                                     for row in rows.tolist()]
+        assert keys.tolist() == [sum(x << (bits * (s - 1 - i)) for i, x in enumerate(row))
+                                 for row in rows.tolist()]
         pairs = sorted(set(zip(map(tuple, rows.tolist()), keys.tolist())))
         assert len({row for row, _ in pairs}) == len(pairs)
         assert all(a[1] < b[1] for a, b in zip(pairs, pairs[1:]))
@@ -215,6 +223,36 @@ def test_row_keys_at_bit_width_edges_order_rows_lexicographically(n, s):
     assert np.array_equal(d.blocks, lexsort_canonical(blocks))
     swap = Permutation.from_cycles(n, [(0, n - 1)])
     assert is_automorphism(d, swap) == relabel_maps_onto(swap, d, d)
+
+
+@pytest.mark.parametrize("v, k", [(65_536, 4), (4_097, 5)])
+def test_rows_at_and_past_64_bits_match_the_references(v, k):
+    """k fields of 16 bits at v = 65,536 fill 64 bits, the widest rows with a
+    key, and the block of the k top points sets its top bit; k = 5 at v =
+    4,097 needs 65 bits, so those rows have no key.  The family is closed
+    under the mirror x -> v-1-x."""
+    rng, top, bits = np.random.default_rng(v), v - 1, (v - 1).bit_length()
+    pool = np.r_[:30, v - 30:v]
+    blocks = {tuple(sorted(rng.choice(pool, k, replace=False).tolist())) for _ in range(150)}
+    blocks.add(tuple(range(v - k, v)))
+    family = sorted(blocks | {tuple(sorted(top - x for x in b)) for b in blocks})
+    rows = np.array([rng.permutation(b) for b in family])[rng.permutation(len(family))]
+    ascending = np.sort(rows, axis=1)
+    if k * bits <= 64:
+        keys = row_keys(ascending, v)
+        assert keys.tolist() == [sum(x << (bits * (k - 1 - i)) for i, x in enumerate(row))
+                                 for row in ascending.tolist()]
+        assert int(keys.max()) >> 63 == 1
+    else:
+        with pytest.raises(BadParams):
+            row_keys(ascending, v)
+    d = Design(v, k, rows)
+    assert np.array_equal(d.blocks, lexsort_canonical(rows))
+    mirror = Permutation(np.arange(v)[::-1])
+    for g in (mirror, Permutation.from_cycles(v, [(0, top)]), Permutation.identity(v)):
+        image = {tuple(sorted(g(x) for x in row)) for row in d.block_tuples()}
+        assert is_automorphism(d, g) == (image == set(family))
+    assert is_automorphism(d, mirror)
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -365,8 +403,8 @@ def test_empty_family_has_empty_image_table():
 
 
 def test_set_images_wide_set_escape():
-    # 16 points of 256 need rank compression: keyed in separate calls, the set
-    # and its image would both be rank 0, and the image would look like a member
+    # 16 points of 256 have no row key: labelled in separate calls, the set
+    # and its image would both be label 0, and the image would look like a member
     wide = np.array([list(range(8)) + list(range(100, 108))])
     with pytest.raises(ActionEscape):
         set_images(wide, [Permutation.from_cycles(256, [(0, 50)])])
