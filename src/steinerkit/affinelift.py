@@ -9,12 +9,15 @@ group.  A line is base + x*direction, and ``all_lines`` gives each line
 as one int64 key, code(base)*p^d + code(direction), in ascending order; the
 coordinate group is a point permutation group from ``coordinate_group``.
 Its elements are linear, so ``line_images`` finds each image line from the
-images of the base and the direction alone, by coordinate arithmetic and a
-key lookup.  The orbits and the push are permgrp's ``orbit_sweep`` and
-``push``, shared with the product constructions.  Point rows are built
-(``line_points``) only for the orbit representatives; they and the point
-images are ``point_dtype(p^d)`` tables, and the design is built from the
-pushed row parts, with no table of the plants or of the unsorted blocks.
+images of the base and the direction alone, by coordinate arithmetic, and
+its index in closed form from two tables built per call: the first line of
+each (base, last nonzero coordinate of the direction) and the rank of each
+direction among those that share that coordinate.  The orbits and the push
+are permgrp's ``orbit_sweep`` and ``push``, shared with the product
+constructions.  Point rows are built (``line_points``) only for the orbit
+representatives; they and the point images are ``point_dtype(p^d)`` tables,
+and the design is built from the pushed row parts, with no table of the
+plants or of the unsorted blocks.
 
 Two variants: the odd-order lift plants a multiplier-invariant base design
 directly (every induced line action of odd order dividing t is already an
@@ -139,27 +142,54 @@ def line_images(space: AffineSpace, keys: np.ndarray,
     Each element must be a coordinate permutation, its point table read off
     the images of the unit points p^j; it is then linear, so a line's image is
     fixed by the images of its base and direction.  The image direction is
-    normalized, the image line re-based at its least point and its key looked
-    up.  Raises BadParams naming an element that is no coordinate permutation,
-    and ActionEscape if an image key is not among the keys.
+    normalized and the image line re-based at its least point.  Its index
+    among all lines is first[base, l] + rank[direction], l the direction's
+    last nonzero coordinate: lines are ordered by base, then by direction,
+    and the p^l normalized directions whose last nonzero coordinate is l
+    have the codes in [p^l, p^(l+1)).  Keys that are not every line in
+    ascending order are found through a table of their positions.  The identity's row is
+    ``arange``.  Raises BadParams naming an element that is no coordinate
+    permutation or a key that is no line, and ActionEscape if an image line
+    is not among the keys.
     """
-    n, p = space.point_count, space.p
+    n, p, d = space.point_count, space.p, space.d
     coords = space.coords
     norm, last, last_inv = _directions(space)
+    # the normalized directions but 0, and each one's rank in its class l
+    normal = norm == np.arange(n)
+    normal[0] = False
+    before = np.cumsum(normal) - normal
+    rank = before - before[space.weights[last]]
+    # first[b, l]: the index of the first line based at b whose direction's
+    # last nonzero coordinate is l (if coordinate l of b is 0)
+    count = np.where(coords == 0, space.weights, 0).ravel()
+    first = (np.cumsum(count) - count).reshape(n, d)
     base, dirs = np.divmod(keys, n)
-    rows = np.arange(len(keys))
+    if np.any((base < 0) | (base >= n)) or not np.all(normal[dirs]
+                                                      & (coords[base, last[dirs]] == 0)):
+        raise BadParams(f"a key is no line of AG({d},{p})")
+    position = None  # ascending keys of every line are at their own index
+    if len(keys) != space.line_count or not np.all(keys[1:] > keys[:-1]):
+        position = np.full(space.line_count, -1, dtype=np.int64)
+        position[first[base, last[dirs]] + rank[dirs]] = np.arange(len(keys))
+    rows, identity = np.arange(len(keys)), np.arange(n)
     out = np.empty((len(elements), len(keys)), dtype=np.int64)
     for e, (slot, g) in enumerate(zip(out, elements)):
         if g.degree != n or not np.array_equal(coords @ g.images[space.weights], g.images):
             raise BadParams(f"element {e} {g!r} is not a coordinate permutation "
-                            f"of AG({space.d},{p})")
+                            f"of AG({d},{p})")
+        if np.array_equal(g.images, identity):
+            slot[:] = rows
+            continue
         step = norm[g.images[dirs]]
         start = coords[g.images[base]]
         shift = start[rows, last[step]] * last_inv[step] % p
-        image = (start - shift[:, None] * coords[step]) % p @ space.weights * n + step
-        slot[:] = np.minimum(np.searchsorted(keys, image), len(keys) - 1)
-        if np.any(keys[slot] != image):
-            raise ActionEscape(f"element {e} maps a line outside the given lines")
+        image = (start - shift[:, None] * coords[step]) % p @ space.weights
+        slot[:] = first[image, last[step]] + rank[step]
+        if position is not None:
+            slot[:] = position[slot]
+            if np.any(slot < 0):
+                raise ActionEscape(f"element {e} maps a line outside the given lines")
     return out
 
 

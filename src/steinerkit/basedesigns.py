@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certify import certify, require_certified
-from .design import Design, _sorted_rows, iso_in_group
+from .design import Design, _sorted_columns, iso_in_group
 from .errors import BadParams, Budget, Unsat
 from .exactcover import solve_exact_cover
 from .gf import MultSubgroup, PrimeFieldCtx, coset_partition, is_prime, subgroup_of_order
@@ -144,10 +144,15 @@ def _subsets(v: int, s: int) -> np.ndarray:
 
 def _subset_rank(points, v: int) -> np.ndarray:
     """Index in itertools.combinations(range(v), s) order of s-subsets given
-    as s arrays of points c_0 < ... < c_(s-1): C(v, s) - 1 - sum_i C(v-1-c_i, s-i)."""
+    as s arrays of points c_0 < ... < c_(s-1): C(v, s) - 1 - sum_i C(v-1-c_i, s-i).
+    binom[r, n] = C(n, r) is the sum of C(m, r-1) over m < n, exact in int64
+    while C(v, s) is."""
     s = len(points)
-    binom = np.array([[math.comb(n, r) for r in range(s + 1)] for n in range(v)], dtype=np.int64)
-    return math.comb(v, s) - 1 - sum(binom[v - 1 - c, s - i] for i, c in enumerate(points))
+    binom = np.zeros((s + 1, v), dtype=np.int64)
+    binom[0] = 1
+    for r in range(1, s + 1):
+        np.cumsum(binom[r - 1, :-1], out=binom[r, 1:])
+    return math.comb(v, s) - 1 - sum(binom[s - i, v - 1 - c] for i, c in enumerate(points))
 
 
 def _rank_images(rows: np.ndarray, v: int, perms) -> np.ndarray:
@@ -155,7 +160,7 @@ def _rank_images(rows: np.ndarray, v: int, perms) -> np.ndarray:
     in combinations order: entry [e, i] is the rank of row i's image."""
     out = np.empty((len(perms), len(rows)), dtype=np.int64)
     for slab, g in zip(out, perms):
-        slab[:] = _subset_rank(_sorted_rows(g.images[rows], v).T, v)
+        slab[:] = _subset_rank(_sorted_columns(g.images[rows], v)[0], v)
     return out
 
 
@@ -201,11 +206,14 @@ def km_search(v: int, k: int, group: PermGroup, forced_blocks=()) -> Design:
     orbit; Budget when the candidate-block count exceeds its bound.
     """
     inst = km_instance(v, k, group)
+    keys = [tuple(sorted(blk)) for blk in forced_blocks]
+    subsets = [key for key in keys if len(set(key)) == len(key) == k
+               and all(x in range(v) for x in key)]
+    ranks = _subset_rank(np.array(subsets, np.int64).reshape(-1, k).T, v)
+    orbit = dict(zip(subsets, inst.block_orbit[ranks].tolist()))
     forced = []
-    for blk in forced_blocks:
-        key = tuple(sorted(blk))
-        subset = len(set(key)) == len(key) == k and all(x in range(v) for x in key)
-        cid = int(inst.block_orbit[_subset_rank(np.array(key, np.int64), v)]) if subset else None
+    for key in keys:
+        cid = orbit.get(key)
         if cid not in inst.columns:
             raise Unsat(f"forced block {key} has no usable orbit")
         if cid not in forced:

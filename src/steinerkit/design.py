@@ -8,15 +8,26 @@ k=5).  Canonical form (of one array of rows, or of the ``RowPart``s ``push``
 gives, each keyed into its slice of one key array, which ``_sort`` sorts on
 every CPU) and the automorphism, stabilizer and pair checks run in chunks of
 rows on every CPU (``chunkmap``) and build no image design or full-size row
-gather.  Wider rows are sorted by ``np.lexsort`` and compared as relabelled
-designs.  Design files are ``textfile`` tables of one section.
+gather.  A chunk of rows to be sorted and keyed is copied once into its k
+contiguous columns (``_sorted_columns``): the sorting network and the keys
+read those at unit stride.  Wider rows are sorted by ``np.lexsort`` and
+compared as relabelled designs.  Design files are ``textfile`` tables of one
+section.
+
+The lambda=1 check sets one byte a pair in a bitmap of C(v,2) bytes, the
+pair {i < j} at index i'(i'-1)/2 + j' of its reflection i' = v-1-i >
+j' = v-1-j.  The pairs through the first point of a canonical row then fall
+in one window of at most v bytes, and the window moves through the bitmap
+as the rows go on.  Only a failed check counts pairs, at index j(j-1)/2 + i
+(``pair_counts``).
 
 A block table holds its points in ``point_dtype(v)``: uint16 while v <=
 65,536, else uint32, and so do the images a check or ``relabel`` gathers
 through, with ``np.take`` on the flat image table.  Keys are or-ed into
 uint64; pair indices of uint16 rows are computed in uint32 (C(65,536, 2) <
-2^32), of wider rows in int64, and widened to int64.  ``Design.digest``
-hashes the int64 bytes, so the dtype changes no output.
+2^32, and 65,535 * 65,534 < 2^32), of wider rows in int64, and widened to
+int64.  ``Design.digest`` hashes the int64 bytes, so the dtype changes no
+output.
 
 A ``Design`` is immutable, and each check runs once per object: the
 ``verify_2design`` report and each ``is_automorphism`` verdict are kept on
@@ -47,22 +58,26 @@ _ROWS = 1 << 16  # rows per chunk of the row-key, automorphism, pair and stabili
 T = TypeVar("T")
 
 
-def _sorted_rows(rows: np.ndarray, v: int) -> np.ndarray:
-    """The rows, each sorted ascending by an odd-even transposition network
-    (numpy's row sort pays a call per row); BadParams on a point outside
-    0..v-1, then on a point repeated inside a row."""
-    cols = list(rows.T)
+def _sorted_columns(rows: np.ndarray, v: int) -> tuple[np.ndarray, bool]:
+    """The k columns of the (m, k) rows as one contiguous (k, m) copy, each
+    row sorted ascending by an odd-even transposition network run in place
+    on it (numpy's row sort pays a call per row), and whether the rows were
+    ascending already; BadParams on a point outside 0..v-1, then on a point
+    repeated inside a row."""
+    cols = rows.T.copy()
     ascending = all(np.all(a < b) for a, b in zip(cols, cols[1:]))
-    for step in range(0 if ascending else len(cols)):
-        for j in range(step % 2, len(cols) - 1, 2):
-            cols[j:j + 2] = np.minimum(*cols[j:j + 2]), np.maximum(*cols[j:j + 2])
-    if rows.size and (cols[0].min() < 0 or cols[-1].max() >= v):
+    if not ascending:
+        low = np.empty_like(cols[0])
+        for step in range(len(cols)):
+            for j in range(step % 2, len(cols) - 1, 2):
+                np.minimum(cols[j], cols[j + 1], out=low)
+                np.maximum(cols[j], cols[j + 1], out=cols[j + 1])
+                cols[j] = low
+    if cols.size and (cols[0].min() < 0 or cols[-1].max() >= v):
         raise BadParams("point index out of range")
-    if ascending:
-        return rows
-    if any(np.any(a == b) for a, b in zip(cols, cols[1:])):
+    if not ascending and any(np.any(a == b) for a, b in zip(cols, cols[1:])):
         raise BadParams("repeated point inside a block")
-    return np.stack(cols, axis=1)
+    return cols, ascending
 
 
 def _sort(keys: np.ndarray) -> None:
@@ -91,12 +106,12 @@ def _parts(rows: np.ndarray, perm: Permutation | None = None) -> list[RowPart]:
 
 
 def _sorted_keys(parts: Sequence[RowPart], v: int) -> np.ndarray | None:
-    """The ``row_keys`` of the parts' rows in order, each row sorted
-    by ``_sorted_rows`` first; None if the rows are canonical already: each
-    ascending and the keys strictly increasing.  Each part is made and keyed
-    on its own; the first that is not canonical makes the full key array, the
-    parts after it write their keys into their own slices there, and those
-    keyed before it are made and keyed again."""
+    """The ``row_keys`` of the parts' rows in order, each row sorted by
+    ``_sorted_columns`` first and keyed from those columns; None if the rows
+    are canonical already: each ascending and the keys strictly increasing.
+    Each part is made and keyed on its own; the first that is not canonical
+    makes the full key array, the parts after it write their keys into their
+    own slices there, and those keyed before it are made and keyed again."""
     ends = np.cumsum([0, *(part.count for part in parts)]).tolist()
     keys = None
     making = threading.Lock()
@@ -105,10 +120,9 @@ def _sorted_keys(parts: Sequence[RowPart], v: int) -> np.ndarray | None:
         """The part's first and last key if it is canonical and no key array
         is made yet, else None once its keys are written."""
         nonlocal keys
-        rows = parts[i].make()
-        cols = _sorted_rows(rows, v)
-        mine = row_keys(cols, v)
-        if keys is None and cols is rows and np.all(mine[1:] > mine[:-1]):
+        cols, ascending = _sorted_columns(parts[i].make(), v)
+        mine = row_keys(cols.T, v)
+        if keys is None and ascending and np.all(mine[1:] > mine[:-1]):
             return mine[0], mine[-1]
         with making:
             if keys is None:
@@ -144,7 +158,8 @@ def _canonical(v: int, k: int, blocks) -> np.ndarray:
         parts = _parts(table)
     if not keyable(v, k):  # np.lexsort is a radix sort on narrow columns
         table = np.concatenate([np.empty((0, k), dtype), *chunk_map(
-            lambda i: _sorted_rows(parts[i].make(), v).astype(dtype, copy=False), len(parts))])
+            lambda i: _sorted_columns(parts[i].make(), v)[0].T.astype(dtype, copy=False),
+            len(parts))])
         table = table[np.lexsort(table.T[::-1])]
     elif (keys := _sorted_keys(parts, v)) is not None:
         parts = table = None  # the rows' sources go before the sort
@@ -227,16 +242,21 @@ class VerifyReport:
     pair_surplus: int
 
 
-def _pair_chunks(rows: np.ndarray) -> list[Callable[[], np.ndarray]]:
+def _pair_chunks(rows: np.ndarray, v: int | None = None) -> list[Callable[[], np.ndarray]]:
     """Calls that give index j(j-1)/2 + i of each point pair {i < j} of the
     rows, by chunks of about _ROWS pairs, each one gather of every column
-    pair (no step per pair)."""
+    pair (no step per pair).  Given v, each point x is read as v-1-x first:
+    the pair's index is then i'(i'-1)/2 + j' with i' = v-1-i > j' = v-1-j."""
     a, b = np.triu_indices(rows.shape[1], 1)
+    if v is not None:  # the reflection turns the row's order round
+        a, b = b, a
     step = max(1, _ROWS // max(len(a), 1))
     wide = np.uint32 if rows.dtype == np.uint16 else np.int64  # C(65536, 2) < 2^32
 
     def pairs(start: int) -> np.ndarray:
-        cols = rows[start:start + step].T.astype(wide, copy=False)
+        cols = rows[start:start + step].T.astype(wide)
+        if v is not None:
+            np.subtract(v - 1, cols, out=cols)
         hi = cols[b]
         idx = hi * (hi - 1)
         idx >>= 1
@@ -262,12 +282,20 @@ def _pair_cover(v: int, tables: Sequence[np.ndarray]) -> tuple[int, int]:
     many they cover twice or more: (0, 0) is lambda = 1.
 
     If the rows hold C(v,2) pairs in all and a pair bitmap leaves no pair
-    uncovered, no pair is covered twice; only a failure counts pairs.
+    uncovered, no pair is covered twice; only a failure counts pairs.  The
+    bitmap is indexed by the reflected pairs of ``_pair_chunks``: the pairs
+    through a row's first point i then lie in the window of the v-1-i
+    indices from (v-1-i)(v-2-i)/2 on, and the window moves through the
+    bitmap with the first points of canonical rows.
     """
     if sum(len(t) * (t.shape[1] * (t.shape[1] - 1) // 2) for t in tables) == v * (v - 1) // 2:
         covered = np.zeros(v * (v - 1) // 2, dtype=bool)
-        chunk_stream([c for t in tables for c in _pair_chunks(t)], lambda pairs: pairs(),
-                     lambda idx: covered.put(idx, True))
+
+        def store(idx: np.ndarray) -> None:
+            covered[idx] = True
+
+        chunk_stream([c for t in tables for c in _pair_chunks(t, v)], lambda pairs: pairs(),
+                     store)
         if covered.all():
             return 0, 0
     counts = sum(pair_counts(v, t) for t in tables)

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import textfile
 from .errors import ActionEscape, AxiomViolation, BadParams, Unavailable, require
-from .design import _pair_cover, _sorted_rows
+from .design import _pair_cover, _sorted_columns
 from .gf import factorize, field_tables, frobenius, semilinear_map, trace
 from .permgrp import Permutation, read_only_ints, set_images
 
@@ -119,7 +119,7 @@ def _rows(npts: int, rows: np.ndarray, what: str) -> np.ndarray:
     """The table's rows, each sorted ascending; AxiomViolation naming ``what``
     when a row has a point outside 0..npts-1 or repeats one."""
     try:
-        return _sorted_rows(rows, npts)
+        return _sorted_columns(rows, npts)[0].T
     except BadParams as exc:
         raise AxiomViolation(f"malformed {what}: {exc}")
 

@@ -200,12 +200,15 @@ def row_keys(rows: np.ndarray, n: int) -> np.ndarray:
     """One uint64 key per row of an (m, s) array of points of any integer
     dtype, which the caller has checked against 0..n-1: the points as bit
     fields of (n-1).bit_length() bits side by side, or-ed into the keys, so
-    keys order rows lexicographically.  BadParams unless ``keyable(n, s)``."""
-    if not keyable(n, rows.shape[1]):
-        raise BadParams(f"rows of {rows.shape[1]} points below {n} need more than 64 bits")
-    keys = np.zeros(rows.shape[0], dtype=np.uint64)
-    bits = (int(n) - 1).bit_length()
-    for col in rows.T:
+    keys order rows lexicographically.  BadParams unless ``keyable(n, s)``.
+    The transpose of a contiguous (s, m) array is read at unit stride."""
+    cols = rows.T
+    if not keyable(n, len(cols)):
+        raise BadParams(f"rows of {len(cols)} points below {n} need more than 64 bits")
+    if not len(cols):
+        return np.zeros(len(rows), dtype=np.uint64)
+    keys, bits = cols[0].astype(np.uint64), (int(n) - 1).bit_length()
+    for col in cols[1:]:
         keys <<= bits
         np.bitwise_or(keys, col, out=keys, dtype=np.uint64, casting="unsafe")
     return keys

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import itertools
+import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,10 +19,13 @@ from steinerkit.affinelift import (
     line_images,
     line_points,
 )
-from steinerkit.basedesigns import build_base_design, km_search, steiner_triple_system
+from steinerkit.basedesigns import (build_base_design, km_search, steiner_triple_system,
+                                    wilson_base_block)
 from steinerkit.design import Design, brute_aut, is_automorphism, verify_2design
 from steinerkit.errors import ActionEscape, BadParams, Budget
 from steinerkit.permgrp import PermGroup, Permutation, orbit_sweep, set_images
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def decode(sp: AffineSpace, idx: int) -> tuple[int, ...]:
@@ -112,6 +117,142 @@ def test_line_images_equal_the_set_lookup(d, p):
         group = PermGroup(d, gens) if gens else PermGroup.trivial(d)
         elements = coordinate_group(group, sp).elements()
         assert np.array_equal(line_images(sp, keys, elements), set_images(rows, elements))
+
+
+def ref_line_images(space: AffineSpace, keys: np.ndarray, elements) -> np.ndarray:
+    """The key lookup ``line_images`` made before its closed-form index: each
+    image line's key found by ``np.searchsorted`` among the keys."""
+    n, p = space.point_count, space.p
+    coords = space.coords
+    norm, last, last_inv = affinelift._directions(space)
+    base, dirs = np.divmod(keys, n)
+    rows = np.arange(len(keys))
+    out = np.empty((len(elements), len(keys)), dtype=np.int64)
+    for e, (slot, g) in enumerate(zip(out, elements)):
+        step = norm[g.images[dirs]]
+        start = coords[g.images[base]]
+        shift = start[rows, last[step]] * last_inv[step] % p
+        image = (start - shift[:, None] * coords[step]) % p @ space.weights * n + step
+        slot[:] = np.minimum(np.searchsorted(keys, image), len(keys) - 1)
+        if np.any(keys[slot] != image):
+            raise ActionEscape(f"element {e} maps a line outside the given lines")
+    return out
+
+
+def coordinate_groups(d: int) -> list[PermGroup]:
+    """The trivial group, the cyclic shift, a transposition and S_d on d coordinates."""
+    shift = Permutation(tuple((i + 1) % d for i in range(d)))
+    swap = Permutation.from_cycles(d, [(0, d - 1)]) if d > 1 else shift
+    return [PermGroup.trivial(d), PermGroup(d, [shift]), PermGroup(d, [swap]),
+            PermGroup(d, [shift, swap])]
+
+
+def outcome(fn, *args):
+    """What fn gives: its table as a list, or the type and message it raises."""
+    try:
+        return fn(*args).tolist()
+    except (ActionEscape, BadParams) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("d, p", [(d, p) for d in (1, 2, 3) for p in (2, 3, 5, 7)]
+                         + [(4, 2), (4, 3), (4, 5)])
+def test_line_images_are_the_searchsorted_reference(d, p):
+    sp = AffineSpace(d, p)
+    keys = all_lines(sp)
+    for group in coordinate_groups(d):
+        elements = coordinate_group(group, sp).elements()
+        assert np.array_equal(line_images(sp, keys, elements),
+                              ref_line_images(sp, keys, elements))
+
+
+@pytest.mark.parametrize("d, p", [(2, 3), (2, 5), (3, 3), (4, 3)])
+def test_line_images_of_a_subset_are_the_reference_answer(d, p):
+    sp = AffineSpace(d, p)
+    keys = all_lines(sp)
+    rng = np.random.default_rng(d * 100 + p)
+    for group in coordinate_groups(d)[1:]:
+        elements = coordinate_group(group, sp).elements()
+        reps, orbit_of = orbit_sweep(line_images(sp, keys, elements))
+        # a union of orbits: positions into the subset's keys
+        union = keys[np.isin(orbit_of, rng.choice(len(reps), len(reps) // 2, replace=False))]
+        got = line_images(sp, union, elements)
+        assert np.array_equal(got, ref_line_images(sp, union, elements))
+        assert got.max() < len(union)
+        # one line of a moved orbit left out: the first element moving it escapes
+        moved = np.flatnonzero(np.bincount(orbit_of)[orbit_of] > 1)[0]
+        short = np.delete(keys, moved)
+        escape = next(e for e, g in enumerate(elements)
+                      if line_images(sp, keys, [g])[0][moved] != moved)
+        with pytest.raises(ActionEscape,
+                           match=f"^element {escape} maps a line outside the given lines$"):
+            line_images(sp, short, elements)
+        # every line in another order: positions into that order
+        order = rng.permutation(len(keys))
+        at = np.empty_like(order)
+        at[order] = np.arange(len(keys))
+        assert np.array_equal(line_images(sp, keys[order], elements),
+                              at[line_images(sp, keys, elements)[:, order]])
+        for _ in range(10):  # random subsets: the same table or the same refusal
+            subset = keys[np.sort(rng.choice(len(keys), rng.integers(0, len(keys)),
+                                             replace=False))]
+            assert outcome(line_images, sp, subset, elements) == outcome(
+                ref_line_images, sp, subset, elements)
+
+
+def test_line_images_refuse_a_key_that_is_no_line():
+    sp = AffineSpace(2, 3)
+    keys = all_lines(sp)
+    ident = coordinate_group(PermGroup.trivial(2), sp).elements()
+    for bad in (encode(sp, (0, 1)) * 9 + encode(sp, (2, 0)),  # direction not normalized
+                encode(sp, (0, 1)) * 9 + encode(sp, (0, 1)),  # base not the line's least point
+                encode(sp, (0, 0)) * 9,  # direction 0
+                81, -1):  # base outside the space
+        with pytest.raises(BadParams, match=r"^a key is no line of AG\(2,3\)$"):
+            line_images(sp, np.append(keys, bad), ident)
+
+
+def test_line_images_find_the_identity_without_is_identity(monkeypatch):
+    sp = AffineSpace(3, 5)
+    keys = all_lines(sp)
+    elements = coordinate_group(PermGroup(3, [Permutation((1, 2, 0))]), sp).elements()
+    assert elements[0].is_identity()
+    calls = []
+    monkeypatch.setattr(Permutation, "is_identity", lambda g: calls.append(g))
+    table = line_images(sp, keys, elements)
+    assert not calls
+    assert np.array_equal(table[0], np.arange(len(keys)))
+    assert np.array_equal(table, ref_line_images(sp, keys, elements))
+
+
+def test_lift_odd_z3_at_19_makes_the_counts_the_benchmark_pins(monkeypatch):
+    # certbench's span guard fails a traced odd-lift-z3 run on any other count
+    pinned = json.loads((ROOT / "certbench" / "expected.json").read_text())
+    assert pinned["odd-lift-z3"]["counts"] == {"affinelift.lines": 137_541,
+                                                "affinelift.line_orbits": 45_873,
+                                                "affinelift.lift_identity_calls": 45_951}
+    counts = {"lines": 0, "identity": 0}
+    inside = []
+    is_identity, lines = Permutation.is_identity, affinelift.all_lines
+
+    def counted_identity(g):
+        counts["identity"] += bool(inside)
+        return is_identity(g)
+
+    def counted_lines(space):
+        table = lines(space)
+        counts["lines"] += len(table)
+        return table
+
+    monkeypatch.setattr(Permutation, "is_identity", counted_identity)
+    monkeypatch.setattr(affinelift, "all_lines", counted_lines)
+    z3 = PermGroup(3, [Permutation.from_cycles(3, [(0, 1, 2)])])
+    base = build_base_design(19, 3, wilson_base_block(19, 3))
+    inside.append(True)
+    result = lift_odd(z3, 19, 3, base)
+    inside.clear()
+    assert (counts["lines"], result.orbit_count, counts["identity"]) == (137_541, 45_873, 45_951)
+    assert result.design.b == 7_839_837
 
 
 def test_line_orbits_stabilizers_are_the_fixing_elements():

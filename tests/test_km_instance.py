@@ -12,6 +12,7 @@ arrays are read back as such a dict.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +20,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from steinerkit import permgrp
+from steinerkit import basedesigns, permgrp
 from steinerkit.basedesigns import (KMInstance, _subset_rank, _subsets, km_instance,
                                     multiplier_group)
 from steinerkit.errors import Budget
@@ -132,6 +133,34 @@ def test_subset_rank_is_the_combinations_index(s):
         rows = np.array(list(itertools.combinations(range(v), s)), dtype=np.int64)
         np.testing.assert_array_equal(_subset_rank(rows.T, v), np.arange(len(rows)))
         np.testing.assert_array_equal(_subsets(v, s), rows)
+
+
+@pytest.mark.parametrize("v, s", [(21, 3), (200, 2), (757, 3), (60, 6)])
+def test_subset_rank_matches_math_comb(v, s):
+    rng = np.random.default_rng(v)
+    rows = np.array([sorted(rng.choice(v, s, replace=False)) for _ in range(300)]
+                    + [list(range(s)), list(range(v - s, v))], dtype=np.int64)
+    expect = [math.comb(v, s) - 1 - sum(math.comb(v - 1 - c, s - i) for i, c in enumerate(row))
+              for row in rows.tolist()]
+    assert _subset_rank(rows.T, v).tolist() == expect
+    assert expect[-2:] == [0, math.comb(v, s) - 1]
+
+
+def test_km_search_ranks_its_forced_blocks_in_one_call(monkeypatch):
+    shift = PermGroup(21, [Permutation(tuple((i + 7) % 21 for i in range(21)))])
+    ranked = []
+
+    def counted(points, v):
+        ranked.append(np.shape(points))
+        return _subset_rank(points, v)
+
+    monkeypatch.setattr(basedesigns, "_subset_rank", counted)
+    basedesigns.km_search(21, 3, shift)
+    plain = len(ranked)
+    d = basedesigns.km_search(21, 3, shift,
+                              forced_blocks=[(i, i + 7, i + 14) for i in range(7)] + [(2, 1, 0)])
+    assert len(ranked) == 2 * plain and ranked[-1] == (3, 8)
+    assert {(i, i + 7, i + 14) for i in range(7)} <= set(d.block_tuples())
 
 
 # -- the benchmark's instance shapes -------------------------------------------

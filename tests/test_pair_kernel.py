@@ -22,8 +22,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from steinerkit.affinelift import lift_odd
 from steinerkit.basedesigns import build_base_design, steiner_triple_system, wilson_base_block
-from steinerkit.design import Design, is_subdesign, pair_counts, verify_2design
+from steinerkit.design import Design, _pair_cover, is_subdesign, pair_counts, verify_2design
 from steinerkit.errors import AxiomViolation, BadParams, ParseError
 from steinerkit.gf import PrimeFieldCtx, is_prime, subgroup_of_order
 from steinerkit.netstd import (
@@ -37,6 +38,7 @@ from steinerkit.netstd import (
     verify_net,
     verify_td,
 )
+from steinerkit.permgrp import PermGroup
 
 # -- reference implementations ------------------------------------------------
 
@@ -250,6 +252,37 @@ def test_pair_counts_match_reference_in_every_dtype(data):
         expect[j * (j - 1) // 2 + i] += 1
     table = np.array(rows, dtype=data.draw(st.sampled_from(DTYPES), label="dtype"))
     assert np.array_equal(pair_counts(v, table.reshape(-1, k)), expect)
+
+
+def ref_pair_cover(v: int, tables) -> tuple[int, int]:
+    counts = Counter(pair for t in tables for row in t.tolist()
+                     for pair in itertools.combinations(row, 2))
+    return v * (v - 1) // 2 - len(counts), sum(1 for c in counts.values() if c >= 2)
+
+
+@functools.cache
+def _large_design(p: int, k: int) -> Design:
+    base = build_base_design(p, k, wilson_base_block(p, k))
+    return lift_odd(PermGroup.trivial(2), p, k, base).design
+
+
+@pytest.mark.parametrize("p, k", [(31, 3), (13, 4)])
+@pytest.mark.parametrize("case", ["lambda1", "missing", "doubled", "moved"])
+def test_pair_cover_matches_the_reference_in_every_dtype(p, k, case):
+    # the lambda=1 tables (v = 961 and 169) fill the reflected pair bitmap
+    # and nothing else; a broken one goes on to pair_counts
+    d = _large_design(p, k)
+    rows = d.blocks[1:]
+    pairs = d.blocks[0][np.stack(np.triu_indices(k, 1), axis=1)]  # block 0's pairs as rows
+    tables = {"lambda1": [d.blocks],
+              "missing": [rows, pairs[1:]],  # one pair in no row
+              "doubled": [d.blocks, pairs[:1]],  # one pair in two rows
+              "moved": [rows, pairs[1:], pairs[1:2]],  # C(v,2) pairs, one missing, one doubled
+              }[case]
+    expect = ref_pair_cover(d.v, tables)
+    assert (expect == (0, 0)) == (case == "lambda1")
+    for dtype in DTYPES:
+        assert _pair_cover(d.v, [t.astype(dtype) for t in tables]) == expect
 
 
 @functools.cache

@@ -88,6 +88,27 @@ def test_pair_chunks_near_65535_match_the_python_reference(top, monkeypatch):
         assert got.dtype == np.int64 and sorted(got.tolist()) == expect
 
 
+@pytest.mark.parametrize("top", [65_536, 65_537, 100_000])
+def test_reflected_pair_chunks_near_65535_match_the_python_reference(top, monkeypatch):
+    # the pair bitmap's layout: each point x read as top-1-x, so pair {i < j}
+    # has index i'(i'-1)/2 + j' with i' = top-1-i; a uint16 product would wrap
+    monkeypatch.setattr(design, "_ROWS", 40)  # several chunks
+    rows = np.array([sorted(set(row)) for row in near(top, (400, 4), seed=top).tolist()
+                     if len(set(row)) == 4])
+    expect = []
+    for row in rows.tolist():
+        hi = top - 1 - row[0]  # the pairs through a row's first point lie in one window
+        window = range(hi * (hi - 1) // 2, hi * (hi + 1) // 2)
+        for i, j in itertools.combinations(row, 2):
+            ri, rj = top - 1 - i, top - 1 - j
+            expect.append(ri * (ri - 1) // 2 + rj)
+            assert expect[-1] in window or i != row[0]
+    for dtype in holding(top):
+        got = np.concatenate([chunk() for chunk in _pair_chunks(rows.astype(dtype), top)])
+        assert got.dtype == np.int64 and sorted(got.tolist()) == sorted(expect)
+        assert got.max() < top * (top - 1) // 2
+
+
 @pytest.mark.parametrize("v", [9, 70_000])
 def test_digest_hashes_the_int64_bytes(v, monkeypatch):
     monkeypatch.setattr(design, "_ROWS", 5)  # the hash crosses chunk boundaries
