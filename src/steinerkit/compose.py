@@ -30,7 +30,7 @@ from .design import Design, is_1_blocked, is_automorphism, is_subdesign
 from .errors import BadParams, Unavailable
 from .netstd import TransversalDesign, cyclic_td, mols_td, verify_td
 from .permgrp import (PermGroup, Permutation, RowPart, is_semiregular, orbit_sweep, push,
-                      set_images, transporters)
+                      read_points, set_images, transporters)
 from .textfile import point_dtype
 
 
@@ -60,14 +60,17 @@ class _Indexer:
     (a, z) pairs in row-major order over W points and Z ranks."""
 
     def __init__(self, plan: CompositionPlan):
-        if not all(0 <= x < plan.Y.v for x in plan.x_points):
-            raise BadParams(f"subdesign points {plan.x_points} are not all in 0..{plan.Y.v - 1}")
+        try:
+            pts = read_points(plan.x_points, plan.Y.v)
+        except BadParams as exc:
+            raise BadParams(f"subdesign points {plan.x_points} are not all in "
+                            f"0..{plan.Y.v - 1}") from exc
         if len(set(plan.x_points)) < len(plan.x_points):
             raise BadParams(f"subdesign points {plan.x_points} repeat a point")
         self.k = plan.W.k
         self.w = plan.W.v
         self.in_x = np.zeros(plan.Y.v, dtype=bool)
-        self.in_x[list(plan.x_points)] = True
+        self.in_x[pts] = True
         self.x = int(self.in_x.sum())
         self.zlen = plan.Y.v - self.x
         # a Y point's rank inside X or inside Z = Y - X, in Y order

@@ -14,12 +14,9 @@ read those at unit stride.  Wider rows are sorted by ``np.lexsort`` and
 compared as relabelled designs.  Design files are ``textfile`` tables of one
 section.
 
-The lambda=1 check sets one byte a pair in a bitmap of C(v,2) bytes, the
-pair {i < j} at index i'(i'-1)/2 + j' of its reflection i' = v-1-i >
-j' = v-1-j.  The pairs through the first point of a canonical row then fall
-in one window of at most v bytes, and the window moves through the bitmap
-as the rows go on.  Only a failed check counts pairs, at index j(j-1)/2 + i
-(``pair_counts``).
+The lambda=1 check (``_pair_cover``) sets one byte a pair in a bitmap of
+C(v,2) bytes, at the index of the reflected pair; a failed check marks the
+pairs it meets again in a second such bitmap, and counts no pair in integers.
 
 A block table holds its points in ``point_dtype(v)``: uint16 while v <=
 65,536, else uint32, and so do the images a check or ``relabel`` gathers
@@ -50,10 +47,10 @@ from . import chunkmap, textfile
 from .chunkmap import chunk_map, chunk_stream
 from .errors import BadParams, Budget
 from .permgrp import (DEFAULT_CAP, PermGroup, Permutation, RowPart, decode_row_keys, keyable,
-                      row_keys)
+                      read_points, row_keys)
 from .textfile import point_dtype
 
-PAIR_TABLE_MAX_V = 20000  # a v^2/2 pair bitmap, and int64 counters on failure, fit below this
+PAIR_TABLE_MAX_V = 20000  # two v^2/2 pair bitmaps, what a failed check holds, fit below this
 _ROWS = 1 << 16  # rows per chunk of the row-key, automorphism, pair and stabilizer kernels
 T = TypeVar("T")
 
@@ -242,64 +239,60 @@ class VerifyReport:
     pair_surplus: int
 
 
-def _pair_chunks(rows: np.ndarray, v: int | None = None) -> list[Callable[[], np.ndarray]]:
-    """Calls that give index j(j-1)/2 + i of each point pair {i < j} of the
-    rows, by chunks of about _ROWS pairs, each one gather of every column
-    pair (no step per pair).  Given v, each point x is read as v-1-x first:
-    the pair's index is then i'(i'-1)/2 + j' with i' = v-1-i > j' = v-1-j."""
-    a, b = np.triu_indices(rows.shape[1], 1)
-    if v is not None:  # the reflection turns the row's order round
-        a, b = b, a
-    step = max(1, _ROWS // max(len(a), 1))
+def _pair_chunks(rows: np.ndarray, v: int) -> list[Callable[[], np.ndarray]]:
+    """Calls that give the index of each point pair of the ascending rows,
+    by chunks of about _ROWS pairs, each one gather of every column pair (no
+    step per pair).  Each point x is read as v-1-x: the pair {i < j} has
+    index i'(i'-1)/2 + j' with i' = v-1-i > j' = v-1-j, below C(v,2)."""
+    first, second = np.triu_indices(rows.shape[1], 1)
+    step = max(1, _ROWS // max(len(first), 1))
     wide = np.uint32 if rows.dtype == np.uint16 else np.int64  # C(65536, 2) < 2^32
 
     def pairs(start: int) -> np.ndarray:
         cols = rows[start:start + step].T.astype(wide)
-        if v is not None:
-            np.subtract(v - 1, cols, out=cols)
-        hi = cols[b]
+        np.subtract(v - 1, cols, out=cols)
+        hi = cols[first]  # the reflection turns the row's order round
         idx = hi * (hi - 1)
         idx >>= 1
-        idx += cols[a]
+        idx += cols[second]
         return idx.ravel().astype(np.int64, copy=False)
 
-    return [partial(pairs, start) for start in range(0, rows.shape[0] if len(a) else 0, step)]
-
-
-def pair_counts(v: int, rows: np.ndarray) -> np.ndarray:
-    """How many rows contain each point pair {i < j}, at index j(j-1)/2 + i.
-
-    The failure path of the lambda=1 check: each row of the (m, s)
-    array holds s distinct points of 0..v-1 in ascending order.
-    """
-    counts = np.zeros(v * (v - 1) // 2, dtype=np.int64)
-    chunk_stream(_pair_chunks(rows), lambda pairs: pairs(), lambda idx: np.add.at(counts, idx, 1))
-    return counts
+    return [partial(pairs, start) for start in range(0, rows.shape[0] if len(first) else 0, step)]
 
 
 def _pair_cover(v: int, tables: Sequence[np.ndarray]) -> tuple[int, int]:
     """How many point pairs the rows of the tables leave uncovered, and how
     many they cover twice or more: (0, 0) is lambda = 1.
 
-    If the rows hold C(v,2) pairs in all and a pair bitmap leaves no pair
-    uncovered, no pair is covered twice; only a failure counts pairs.  The
-    bitmap is indexed by the reflected pairs of ``_pair_chunks``: the pairs
-    through a row's first point i then lie in the window of the v-1-i
-    indices from (v-1-i)(v-2-i)/2 on, and the window moves through the
-    bitmap with the first points of canonical rows.
-    """
-    if sum(len(t) * (t.shape[1] * (t.shape[1] - 1) // 2) for t in tables) == v * (v - 1) // 2:
-        covered = np.zeros(v * (v - 1) // 2, dtype=bool)
+    The verdict pass sets a bitmap ``seen`` at the pairs of ``_pair_chunks``;
+    those through a row's first point i lie in the window of the v-1-i
+    indices from (v-1-i)(v-2-i)/2 on, which moves through the bitmap with
+    the rows of a canonical table.  If the rows hold C(v,2) pairs in all and
+    leave no pair unset, none is covered twice.  Only a failure counts: a
+    second pass over the same chunks, each sorted by its worker, marks in a
+    bitmap ``twice`` every index that repeats inside its chunk or is set in
+    ``seen`` already, then sets it in ``seen``."""
+    total = v * (v - 1) // 2
+    chunks = [c for t in tables for c in _pair_chunks(t, v)]
+    seen = np.zeros(total, dtype=bool)
 
-        def store(idx: np.ndarray) -> None:
-            covered[idx] = True
+    def store(idx: np.ndarray) -> None:
+        seen[idx] = True
 
-        chunk_stream([c for t in tables for c in _pair_chunks(t, v)], lambda pairs: pairs(),
-                     store)
-        if covered.all():
+    if sum(len(t) * (t.shape[1] * (t.shape[1] - 1) // 2) for t in tables) == total:
+        chunk_stream(chunks, lambda pairs: pairs(), store)
+        if seen.all():
             return 0, 0
-    counts = sum(pair_counts(v, t) for t in tables)
-    return int(np.count_nonzero(counts == 0)), int(np.count_nonzero(counts >= 2))
+        seen[:] = False
+    twice = np.zeros(total, dtype=bool)
+
+    def mark(idx: np.ndarray) -> None:
+        twice[idx[1:][idx[1:] == idx[:-1]]] = True
+        twice[idx[seen[idx]]] = True
+        seen[idx] = True
+
+    chunk_stream(chunks, lambda pairs: np.sort(pairs()), mark)
+    return total - int(np.count_nonzero(seen)), int(np.count_nonzero(twice))
 
 
 def verify_2design(design: Design) -> VerifyReport:
@@ -402,12 +395,9 @@ def stabilizer_scan(design: Design, group: PermGroup):
 def is_subdesign(design: Design, pts: Iterable[int]) -> bool:
     """True iff every pair inside pts is covered by a block inside pts: no
     block meets pts in two points or more without lying inside it.  A
-    singleton (or empty) subset is a degenerate subdesign.  BadParams for a
-    point outside 0..v-1."""
-    pts = np.fromiter(set(pts), dtype=np.int64)
-    if pts.size and (pts.min() < 0 or pts.max() >= design.v):
-        raise BadParams(f"a point outside 0..{design.v - 1}")
-    hits = np.isin(design.blocks, pts).sum(axis=1)
+    singleton (or empty) subset is a degenerate subdesign.  BadParams as
+    ``read_points`` gives it."""
+    hits = np.isin(design.blocks, read_points(pts, design.v)).sum(axis=1)
     return not np.any((hits >= 2) & (hits < design.k))
 
 

@@ -39,6 +39,18 @@ def read_only_ints(values, ndim: int) -> np.ndarray:
     return a
 
 
+def read_points(pts: Iterable[int], n: int) -> np.ndarray:
+    """The points as a new int64 array, in their order; BadParams for a float
+    or a bool (refused, never truncated), then for a point outside 0..n-1."""
+    pts = list(pts)
+    for x in pts:
+        if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+            raise BadParams(f"point {x!r} is not an integer")
+    if not all(0 <= x < n for x in pts):
+        raise BadParams(f"a point outside 0..{n - 1}")
+    return np.array(pts, dtype=np.int64)
+
+
 @dataclass(frozen=True, eq=False)
 class Permutation:
     """A permutation of {0..degree-1} stored as its image table, one
@@ -60,9 +72,7 @@ class Permutation:
     def from_cycles(cls, degree: int, cycles: Iterable[Sequence[int]]) -> "Permutation":
         images, used = np.arange(degree), np.zeros(degree, dtype=bool)
         for cyc in cycles:
-            cyc = read_only_ints(cyc, 1)
-            if cyc.size and (cyc.min() < 0 or cyc.max() >= degree):
-                raise ValueError(f"cycle point outside 0..{degree - 1}")
+            cyc = read_points(cyc, degree)
             if len(np.unique(cyc)) != len(cyc) or used[cyc].any():
                 raise ValueError(f"cycle {tuple(cyc.tolist())} repeats a point")
             used[cyc] = True
@@ -314,14 +324,9 @@ def push(point_images: np.ndarray, lines: np.ndarray, plant: np.ndarray,
 
 def is_semiregular(group: PermGroup,
                    pts: Iterable[int]) -> tuple[bool, list[tuple[Permutation, int]]]:
-    """True iff no nonidentity element fixes any point of the set.
-
-    On failure also returns the violating (element, fixed point) pairs;
-    BadParams for a point outside 0..degree-1.
-    """
-    pts = np.fromiter(pts, dtype=np.int64)
-    if pts.size and (pts.min() < 0 or pts.max() >= group.degree):
-        raise BadParams(f"a point outside 0..{group.degree - 1}")
+    """True iff no nonidentity element fixes any point of the set, and the
+    violating (element, fixed point) pairs; BadParams as ``read_points`` gives it."""
+    pts = read_points(pts, group.degree)
     violations = [(g, x) for g in group.elements() if not g.is_identity()
                   for x in pts[g.images[pts] == pts].tolist()]
     return (not violations, violations)

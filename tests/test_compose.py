@@ -50,6 +50,13 @@ def test_product_rejects_a_repeated_subdesign_point():
         product_design(CompositionPlan(f, f, (0, 0)))
 
 
+@pytest.mark.parametrize("x_points", [(0.0,), (True,)], ids=["float", "bool"])
+def test_product_rejects_subdesign_points_that_are_not_integers(x_points):
+    f = fano()
+    with pytest.raises(BadParams, match=r"^subdesign points \(.*,\) are not all in 0\.\.6$"):
+        product_design(CompositionPlan(f, f, x_points))
+
+
 def test_product_rejects_non_subdesign():
     sts9 = steiner_triple_system(9)
     blk = sts9.block_tuples()[0]

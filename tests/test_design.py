@@ -249,6 +249,14 @@ def test_is_subdesign_degenerate():
     assert is_subdesign(d, [4]) is True
 
 
+@pytest.mark.parametrize("pts", [[0.5, 1.7, 2.2], [True, 1], [0, np.float64(1.0)]],
+                         ids=["floats", "bool", "numpy-float"])
+def test_is_subdesign_refuses_points_that_are_not_integers(pts):
+    # truncated, the floats were the points 0, 1, 2, and True was point 1
+    with pytest.raises(BadParams, match=r"^point .* is not an integer$"):
+        is_subdesign(fano(), pts)
+
+
 def test_stabilizer_scan_refuses_a_group_of_another_degree():
     with pytest.raises(BadParams, match="^group degree 3 != v 7$"):
         stabilizer_scan(fano(), PermGroup(3, [Permutation.from_cycles(3, [(1, 2)])]))

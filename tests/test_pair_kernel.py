@@ -1,13 +1,13 @@
 """The lambda=1 pair kernel against the dict and tuple code it replaced.
 
-``design._pair_cover`` (a pair bitmap, and ``pair_counts`` on failure)
+``design._pair_cover`` (a pair bitmap, and a second one on failure)
 carries ``verify_2design``, ``netstd.verify_td`` and ``netstd.verify_net``;
 ``is_subdesign`` and ``build_base_design`` work on
 block arrays.  The reference implementations below are the earlier
 Python-dict and tuple versions; every valid object and every single-point
 mutation must get the same verdict from both.  Where a reference leaked a
 KeyError or IndexError on a malformed object, the kernel must reject it.
-The pair counts and the mutated designs also draw their points in uint16,
+The pair covers and the mutated designs also draw their points in uint16,
 uint32 or int64.
 """
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import itertools
 import random
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -22,9 +23,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from steinerkit import chunkmap, design
 from steinerkit.affinelift import lift_odd
 from steinerkit.basedesigns import build_base_design, steiner_triple_system, wilson_base_block
-from steinerkit.design import Design, _pair_cover, is_subdesign, pair_counts, verify_2design
+from steinerkit.design import Design, _pair_cover, is_subdesign, verify_2design
 from steinerkit.errors import AxiomViolation, BadParams, ParseError
 from steinerkit.gf import PrimeFieldCtx, is_prime, subgroup_of_order
 from steinerkit.netstd import (
@@ -239,25 +241,23 @@ def test_verify_2design_matches_reference(name):
 DTYPES = (np.uint16, np.uint32, np.int64)
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.data())
-def test_pair_counts_match_reference_in_every_dtype(data):
-    # past v = 363 an unwidened uint16 product j(j-1) would wrap
-    v = data.draw(st.integers(2, 400), label="v")
-    k = data.draw(st.integers(2, min(v, 5)), label="k")
-    subset = st.lists(st.integers(0, v - 1), min_size=k, max_size=k, unique=True).map(sorted)
-    rows = data.draw(st.lists(subset, max_size=30), label="rows")
-    expect = np.zeros(v * (v - 1) // 2, dtype=np.int64)
-    for i, j in (pair for row in rows for pair in itertools.combinations(row, 2)):
-        expect[j * (j - 1) // 2 + i] += 1
-    table = np.array(rows, dtype=data.draw(st.sampled_from(DTYPES), label="dtype"))
-    assert np.array_equal(pair_counts(v, table.reshape(-1, k)), expect)
-
-
 def ref_pair_cover(v: int, tables) -> tuple[int, int]:
     counts = Counter(pair for t in tables for row in t.tolist()
                      for pair in itertools.combinations(row, 2))
     return v * (v - 1) // 2 - len(counts), sum(1 for c in counts.values() if c >= 2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_pair_counts_match_reference_in_every_dtype(data):
+    # past v = 363 an unwidened uint16 product i'(i'-1) would wrap
+    v = data.draw(st.integers(2, 400), label="v")
+    k = data.draw(st.integers(2, min(v, 5)), label="k")
+    subset = st.lists(st.integers(0, v - 1), min_size=k, max_size=k, unique=True).map(sorted)
+    rows = data.draw(st.lists(subset, max_size=30), label="rows")
+    table = np.array(rows, dtype=data.draw(st.sampled_from(DTYPES), label="dtype"))
+    table = table.reshape(-1, k)
+    assert _pair_cover(v, [table]) == ref_pair_cover(v, [table])
 
 
 @functools.cache
@@ -270,7 +270,7 @@ def _large_design(p: int, k: int) -> Design:
 @pytest.mark.parametrize("case", ["lambda1", "missing", "doubled", "moved"])
 def test_pair_cover_matches_the_reference_in_every_dtype(p, k, case):
     # the lambda=1 tables (v = 961 and 169) fill the reflected pair bitmap
-    # and nothing else; a broken one goes on to pair_counts
+    # and nothing else; a broken one goes on to the counting pass
     d = _large_design(p, k)
     rows = d.blocks[1:]
     pairs = d.blocks[0][np.stack(np.triu_indices(k, 1), axis=1)]  # block 0's pairs as rows
@@ -283,6 +283,69 @@ def test_pair_cover_matches_the_reference_in_every_dtype(p, k, case):
     assert (expect == (0, 0)) == (case == "lambda1")
     for dtype in DTYPES:
         assert _pair_cover(d.v, [t.astype(dtype) for t in tables]) == expect
+
+
+def test_a_failed_pair_cover_holds_two_bitmaps_and_no_counters(monkeypatch):
+    # C(v,2) pairs with one missing and one doubled: the verdict pass runs,
+    # then the counting pass, each holding one byte a pair and small chunks
+    monkeypatch.setattr(design, "_ROWS", 1 << 10)
+    d = _large_design(31, 3)
+    pairs = d.blocks[0][np.stack(np.triu_indices(3, 1), axis=1)]
+    tables = [d.blocks[1:], pairs[1:], pairs[1:2]]
+    tracemalloc.start()
+    try:
+        got = _pair_cover(d.v, tables)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == ref_pair_cover(d.v, tables) == (1, 1)
+    assert peak < 3 * (d.v * (d.v - 1) // 2)
+
+
+def _fano() -> np.ndarray:
+    return build_base_design(7, 3, (0, 1, 3)).design.blocks
+
+
+EDGE_CASES = {
+    "v0": lambda: (0, [np.empty((0, 3), np.int64)]),
+    "v1": lambda: (1, [np.empty((0, 2), np.int64), np.zeros((1, 1), np.int64)]),
+    "v2": lambda: (2, [np.array([[0, 1]])]),
+    "v2-no-rows": lambda: (2, [np.empty((0, 2), np.int64)]),
+    "v2-pair-twice": lambda: (2, [np.array([[0, 1], [0, 1]])]),
+    "k-past-v": lambda: (2, [np.empty((0, 3), np.int64)]),
+    "k1": lambda: (3, [np.array([[0], [1], [2]])]),
+    "repeated-block": lambda: (7, [np.concatenate([_fano(), _fano()[3:4]])]),
+    "pair-thrice": lambda: (7, [_fano(), np.array([[0, 1], [0, 1]])]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EDGE_CASES))
+def test_pair_cover_edge_cases_match_the_reference(case):
+    v, tables = EDGE_CASES[case]()
+    expect = ref_pair_cover(v, tables)
+    if case == "pair-thrice":
+        assert expect == (0, 1)  # a pair covered three times is counted once
+    for dtype in DTYPES:
+        assert _pair_cover(v, [t.astype(dtype) for t in tables]) == expect
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("rows", [1, 3, None])
+@pytest.mark.parametrize("case", ["extra", "moved"])
+def test_pair_cover_counts_repeats_inside_and_across_chunks(case, rows, workers, monkeypatch):
+    # the pairs table repeats pairs at distance two, in one chunk of 3 rows
+    # and across chunks of 1 row; the STS(9) blocks meet them in other chunks
+    monkeypatch.setattr(chunkmap, "WORKERS", workers)
+    if rows is not None:
+        monkeypatch.setattr(design, "_ROWS", rows)
+    blocks = steiner_triple_system(9).blocks
+    pairs = np.array([[0, 1], [2, 3], [0, 1], [4, 8], [2, 3], [0, 1], [5, 7], [4, 8]])
+    tables = {"extra": [blocks, pairs, blocks[::4]],
+              "moved": [blocks[1:], pairs[:3]],  # C(9,2) pairs in all: the verdict pass runs
+              }[case]
+    expect = ref_pair_cover(9, tables)
+    assert expect[1] > 0
+    assert _pair_cover(9, tables) == expect
 
 
 @functools.cache

@@ -276,6 +276,14 @@ def test_is_semiregular_refuses_points_off_the_group(pts):
         is_semiregular(PermGroup(3, [cyc(3, (1, 2))]), pts)
 
 
+@pytest.mark.parametrize("pts", [[0.5], [False], [np.float64(1.0)]],
+                         ids=["float", "bool", "numpy-float"])
+def test_is_semiregular_refuses_points_that_are_not_integers(pts):
+    # read as an integer point, each is moved by the 3-cycle
+    with pytest.raises(BadParams, match=r"^point .* is not an integer$"):
+        is_semiregular(PermGroup(3, [cyc(3, (0, 1, 2))]), pts)
+
+
 def test_semiregular_cycle_lengths_equal_order():
     g = Permutation.from_cycles(9, [(0, 1, 2), (3, 4, 5), (6, 7, 8)])
     grp = PermGroup(9, [g])

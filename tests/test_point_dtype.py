@@ -5,8 +5,8 @@ uint16 rows.
 
 The kernels run on points near 65,535 in uint16, uint32 and int64 and are
 compared with Python-integer references, where an unwidened uint16 product
-j(j-1) or a*zlen would wrap.  Digests hash the int64 bytes, so they do not
-depend on the dtype.
+i'(i'-1) of a reflected pair index or a*zlen would wrap.  Digests hash the
+int64 bytes, so they do not depend on the dtype.
 """
 from __future__ import annotations
 
@@ -73,19 +73,6 @@ def test_row_keys_near_65535_match_the_python_reference(n, s):
         # the row's points as bit fields, side by side
         assert keys.tolist() == [sum(x << (bits * (s - 1 - i)) for i, x in enumerate(row))
                                  for row in rows.tolist()]
-
-
-@pytest.mark.parametrize("top", [65_536, 65_537, 100_000])
-def test_pair_chunks_near_65535_match_the_python_reference(top, monkeypatch):
-    # no C(v,2) table is allocated at this v: the chunks are called directly
-    monkeypatch.setattr(design, "_ROWS", 40)  # several chunks
-    rows = np.array([sorted(set(row)) for row in near(top, (400, 4), seed=top).tolist()
-                     if len(set(row)) == 4])
-    expect = sorted(j * (j - 1) // 2 + i for row in rows.tolist()
-                    for i, j in itertools.combinations(row, 2))
-    for dtype in holding(top):
-        got = np.concatenate([chunk() for chunk in _pair_chunks(rows.astype(dtype))])
-        assert got.dtype == np.int64 and sorted(got.tolist()) == expect
 
 
 @pytest.mark.parametrize("top", [65_536, 65_537, 100_000])

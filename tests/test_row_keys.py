@@ -29,7 +29,6 @@ from steinerkit.design import (
     VerifyReport,
     is_automorphism,
     iso_in_group,
-    pair_counts,
     read_design,
     stabilizer_scan,
     verify_2design,
@@ -90,8 +89,11 @@ def sorting_stabilizer_scan(d: Design, group: PermGroup):
 
 
 def counting_verify(d: Design) -> VerifyReport:
-    """Reference lambda=1 check: the full pair count table, success or not."""
-    counts = pair_counts(d.v, d.blocks)
+    """Reference lambda=1 check: the full pair count table, success or not,
+    by int64 ``np.bincount`` at index j(j-1)/2 + i of each pair {i < j}."""
+    a, b = np.triu_indices(d.k, 1)
+    i, j = (d.blocks[:, cols].astype(np.int64).ravel() for cols in (a, b))
+    counts = np.bincount(j * (j - 1) // 2 + i, minlength=d.v * (d.v - 1) // 2)
     deficit = int(np.count_nonzero(counts == 0))
     surplus = int(np.count_nonzero(counts >= 2))
     return VerifyReport(deficit == 0 and surplus == 0, deficit, surplus)
