@@ -359,6 +359,7 @@ def cmd_verify(args, report: Report) -> None:
     report.param("v", d.v)
     report.param("k", d.k)
     report.param("blocks", d.b)
+    report.param("digest", d.digest())  # hashed as the file was read
     group = _load_group(args.group_file) if args.group_file else None
     report.checks(certify(d, group, one_blocked=args.one_blocked))
 

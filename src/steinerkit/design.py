@@ -27,9 +27,14 @@ int64.  ``Design.digest`` hashes the int64 bytes, so the dtype changes no
 output.
 
 A ``Design`` is immutable, and each check runs once per object: the
-``verify_2design`` report and each ``is_automorphism`` verdict are kept on
-the design, false ones too, and an equal permutation finds its entry.
-``stabilizer_scan`` scans one element of each cyclic subgroup.
+``verify_2design`` report, each ``is_automorphism`` verdict and the digest
+are kept on the design, false verdicts too, and an equal permutation finds
+its entry.  ``stabilizer_scan`` scans one element of each cyclic subgroup.
+``_Digest`` is the one definition of the bytes a digest hashes.
+``read_design`` feeds it each piece's points as the reader takes them, in
+file order, while other CPUs tokenize later pieces; the design read keeps
+that digest when its table is the rows as read, and a file whose rows
+needed sorting leaves the design to hash its own table.
 """
 from __future__ import annotations
 
@@ -225,11 +230,33 @@ class Design:
         return f"Design(v={self.v}, k={self.k}, b={self.b})"
 
     def digest(self) -> str:
-        h = hashlib.sha256()
-        h.update(f"DESIGN v={self.v} k={self.k} b={self.b}\n".encode())
-        for start in range(0, self.b, _ROWS):  # the int64 bytes, a chunk at a time
-            h.update(self.blocks[start:start + _ROWS].astype(np.int64))
-        return h.hexdigest()
+        """The sha256 of ``_Digest``'s bytes, kept on the design."""
+        if "digest" not in self._verdicts:
+            h = _Digest(self.v, self.k, self.b)
+            for start in range(0, self.b, _ROWS):
+                h.update(self.blocks[start:start + _ROWS])
+            self._verdicts["digest"] = h.hexdigest()
+        return self._verdicts["digest"]
+
+
+class _Digest:
+    """The bytes ``Design.digest`` hashes, fed in row order: the header line
+    ``DESIGN v=<v> k=<k> b=<b>``, then every point as int64, widened into one
+    buffer that each update reuses."""
+
+    def __init__(self, v: int, k: int, b: int):
+        self._hash = hashlib.sha256(f"DESIGN v={v} k={k} b={b}\n".encode())
+        self._wide = None  # made by the first update: a refused header allocates nothing
+
+    def update(self, points: np.ndarray) -> None:
+        if self._wide is None or len(self._wide) < points.size:
+            self._wide = np.empty(points.size, dtype=np.int64)
+        wide = self._wide[:points.size]
+        wide[:] = points.reshape(-1)
+        self._hash.update(wide)
+
+    def hexdigest(self) -> str:
+        return self._hash.hexdigest()
 
 
 @dataclass(frozen=True)
@@ -488,7 +515,22 @@ def write_design(design: Design, path, comments: Sequence[str] = ()) -> str:
 
 
 def read_design(path) -> Design:
-    """Read a design file; ParseError names the first line that is wrong."""
+    """Read a design file; ParseError names the first line that is wrong.
+    Its points are hashed as ``Design.digest`` hashes them while the reader
+    takes each piece, beside the tokenizing of later pieces; the digest is
+    kept on the design if its table is the rows as read, else none is."""
+    digest = None
+
+    def layout(v: int, k: int, b: int) -> tuple[int, list[tuple[int, int]]]:
+        nonlocal digest
+        laid_out = _design_layout(v, k, b)
+        digest = _Digest(v, k, b)
+        return laid_out
+
     with open(path, "rb") as fh:
-        (v, k, _), (rows,) = textfile.read(fh, "DESIGN", ("v", "k", "b"), _design_layout)
-    return Design(v, k, rows)
+        (v, k, _), (rows,) = textfile.read(fh, "DESIGN", ("v", "k", "b"), layout,
+                                            taken=lambda points: digest.update(points))
+    d = Design(v, k, rows)
+    if d.blocks is rows:  # canonical as read: the bytes hashed are the table's
+        d._verdicts["digest"] = digest.hexdigest()
+    return d

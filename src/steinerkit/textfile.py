@@ -12,7 +12,9 @@ _WRITE_ROWS rows a chunk from the file's one per-point byte table along its
 one axis, and writes and hashes each chunk while later ones are made; the
 reader reads newline-aligned chunks of _READ_BYTES bytes each into its own
 buffer, tokenizes them with numpy, in int32 while no point has over 9
-digits, in the table's dtype, and takes each chunk in order.
+digits, in the table's dtype, and takes each chunk in order, handing its
+points to the caller's ``taken`` callback if one is given (the design reader
+hashes them there; the TD, net and group readers pass none).
 """
 from __future__ import annotations
 
@@ -183,14 +185,17 @@ def _tokens(a: np.ndarray, bound: int, width: int) -> tuple[np.ndarray, np.ndarr
 
 def read(fh: BinaryIO, tag: str, names: Sequence[str],
          layout: Callable[..., tuple[int, list[tuple[int, int]]]],
-         distinct: bool = False) -> tuple[list[int], list[np.ndarray]]:
+         distinct: bool = False,
+         taken: Callable[[np.ndarray], None] | None = None) -> tuple[list[int], list[np.ndarray]]:
     """The values of the header (the first line not blank or a comment) and,
     for ``(bound, sections) = layout(*values)``, which raises BadParams on
     values it refuses, a (rows, width) array in ``point_dtype(bound)`` per
     section.  With ``distinct`` no row repeats a point.  A piece whose lines
     are rows of its section's width, with no problem and ending inside that
     section, is copied straight into its table; any other is checked row by
-    row, each row in the section its index gives."""
+    row, each row in the section its index gives.  ``taken``, if given, is
+    called in the ordered consume with each piece's points once its checks
+    pass, so it sees every point in file order."""
     line_no, line = 0, b""
     while not line.strip() or line.lstrip().startswith(b"#"):
         line_no, line = line_no + 1, fh.readline()
@@ -240,6 +245,8 @@ def read(fh: BinaryIO, tag: str, names: Sequence[str],
             if problems:
                 at_line, _, reason = min(problems)
                 raise ParseError(line_no + 1 + int(at_line), reason)
+        if taken is not None:
+            taken(got)
         while len(got):  # whole rows, each inside its section
             n = min(len(got), tables[s].size - filled)
             tables[s].reshape(-1)[filled:filled + n] = got[:n]

@@ -8,7 +8,7 @@ import pytest
 
 from steinerkit import cli, netstd, permgrp, textfile
 from steinerkit import design as design_module
-from steinerkit.basedesigns import build_base_design, steiner_triple_system
+from steinerkit.basedesigns import build_base_design, steiner_triple_system, wilson_base_block
 from steinerkit.cli import main
 from steinerkit.design import VerifyReport, read_design, verify_2design, write_design
 from steinerkit.errors import AxiomViolation
@@ -93,6 +93,16 @@ def test_verify_subcommand(tmp_path, capsys):
     code, rep = run(capsys, "verify", "--design", str(out))
     assert code == 0
     assert rep["check.pairs_once"].startswith("ok")
+
+
+def test_verify_reports_the_digest_of_the_design_written(tmp_path, capsys):
+    out = tmp_path / "e19.design"
+    run(capsys, "search-base-block", "--p", "19", "--k", "3", "--out", str(out))
+    code, rep = run(capsys, "verify", "--design", str(out))
+    assert code == 0
+    assert rep["digest"] == build_base_design(19, 3, wilson_base_block(19, 3)).design.digest()
+    keys = list(rep)
+    assert keys.index("digest") == keys.index("blocks") + 1
 
 
 def test_verify_with_group_and_one_blocked(tmp_path, capsys):

@@ -14,6 +14,7 @@ import hashlib
 import io
 import itertools
 import os
+import pickle
 import sys
 import tempfile
 import threading
@@ -359,6 +360,61 @@ def test_round_trip_across_many_chunks(tmp_path, small_chunks):
     path = tmp_path / "d.design"
     write_design(d, path, ["made by a test"])
     assert read_design(path) == d
+
+
+# -- the digest hashed as the file is read -----------------------------------
+# read_design hashes each piece's points as it takes them and keeps the
+# digest only when its table is the rows as read; a file whose rows needed
+# sorting keeps none, and the design hashes its own table.
+
+def _lines(rows) -> str:
+    return "".join(" ".join(map(str, row)) + "\n" for row in rows)
+
+
+def _digest_cases() -> list[tuple[str, int, int, np.ndarray, str, bool]]:
+    """(case, v, k, the rows in the file, its text, whether the streamed digest is kept)."""
+    rows = build_base_design(31, 3, wilson_base_block(31, 3)).design.blocks  # 155 rows
+    head = "DESIGN v=31 k=3 b=155\n"
+    untidy = "".join(f"\r\n# row {i}\r\n\r\n+{a} {b}  {c}\r\n" if i % 7 == 0 else f"{a} {b} {c}\r\n"
+                     for i, (a, b, c) in enumerate(rows.tolist()))
+    wide = Design(70_000, 3, np.random.default_rng(31).permutation(70_000)[:180].reshape(60, 3)
+                  ).blocks  # uint32
+    return [
+        ("canonical", 31, 3, rows, head + _lines(rows), True),
+        ("rows reversed", 31, 3, rows[::-1], head + _lines(rows[::-1]), False),
+        ("points reversed", 31, 3, rows[:, ::-1], head + _lines(rows[:, ::-1]), False),
+        ("comments, blank lines, CRLF and signs", 31, 3, rows, "# c\r\n" + head + untidy, True),
+        ("b=0", 4, 2, np.empty((0, 2), dtype=np.int64), "DESIGN v=4 k=2 b=0\n", True),
+        ("uint32 table", 70_000, 3, wide, "DESIGN v=70000 k=3 b=60\n" + _lines(wide), True),
+    ]
+
+
+DIGEST_CASES = _digest_cases()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("case, v, k, rows, text, kept", DIGEST_CASES,
+                         ids=[c[0] for c in DIGEST_CASES])
+def test_a_read_design_has_the_digest_of_its_table(tmp_path, monkeypatch, case, v, k, rows,
+                                                   text, kept, workers):
+    monkeypatch.setattr(textfile, "_READ_BYTES", 16)  # a piece holds a row or two
+    monkeypatch.setattr(chunkmap, "WORKERS", workers)
+    path = tmp_path / "d.design"
+    path.write_bytes(text.encode())
+    d = read_design(path)
+    assert ("digest" in d._verdicts) == kept
+    assert d.digest() == Design(v, k, rows).digest()
+    assert d._verdicts["digest"] == d.digest()
+
+
+def test_a_pickled_design_hashes_its_table_again(tmp_path):
+    _, v, k, rows, text, _ = DIGEST_CASES[0]
+    path = tmp_path / "d.design"
+    path.write_text(text)
+    d = read_design(path)
+    copy = pickle.loads(pickle.dumps(d))
+    assert "digest" in d._verdicts and "digest" not in copy._verdicts
+    assert copy.digest() == d.digest() == Design(v, k, rows).digest()
 
 
 # -- one corpus, four readers ------------------------------------------------
