@@ -246,7 +246,7 @@ class _Digest:
 
     def __init__(self, v: int, k: int, b: int):
         self._hash = hashlib.sha256(f"DESIGN v={v} k={k} b={b}\n".encode())
-        self._wide = None  # made by the first update: a refused header allocates nothing
+        self._wide = None  # made by the first update, so a refused header allocates nothing
 
     def update(self, points: np.ndarray) -> None:
         if self._wide is None or len(self._wide) < points.size:
@@ -523,9 +523,8 @@ def read_design(path) -> Design:
 
     def layout(v: int, k: int, b: int) -> tuple[int, list[tuple[int, int]]]:
         nonlocal digest
-        laid_out = _design_layout(v, k, b)
         digest = _Digest(v, k, b)
-        return laid_out
+        return _design_layout(v, k, b)
 
     with open(path, "rb") as fh:
         (v, k, _), (rows,) = textfile.read(fh, "DESIGN", ("v", "k", "b"), layout,
