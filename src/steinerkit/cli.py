@@ -121,7 +121,7 @@ def _cached_design(report: Report, cache_dir: str | None, key: str, group: PermG
     path = _cache_path(cache_dir, key)
     if path is not None and path.exists():
         report.param("cache", "hit")
-        d = read_design(path)
+        d = read_design(path, digest=False)
         failed = ("(v, k)" if (d.v, d.k) != (group.degree, k) else
                   next((c.name for c in certify(d, group) if not c.ok), None))
         if failed:
@@ -221,7 +221,7 @@ def cmd_construct_aligned(args, report: Report) -> None:
         # canonical one-fixed-point, semiregular-elsewhere generator of order k-1
         cyc = Permutation.from_cycles(p, [range(j, j + k - 1) for j in range(1, p, k - 1)])
     if args.ingredient:
-        ingredient = read_design(args.ingredient)
+        ingredient = read_design(args.ingredient, digest=False)
     else:
         key = f"km:v={p}:k={k}:cyclic={','.join(map(str, cyc.images.tolist()))}"
         cyc_group = PermGroup(p, [cyc])
@@ -244,8 +244,8 @@ def cmd_compose(args, report: Report) -> None:
     needed = {"1blocked": ("group_file",), "cyclic": ("cyclic",)}.get(mode, ())
     _need(args, mode, ("w", "y", *needed))
     x_points = _parse_int_list(args.x_points, "--x-points")
-    w = read_design(args.w)
-    y = read_design(args.y)
+    w = read_design(args.w, digest=False)
+    y = read_design(args.y, digest=False)
     report.param("w", w.v)
     report.param("y", y.v)
     report.param("x", len(x_points))
@@ -359,7 +359,7 @@ def cmd_verify(args, report: Report) -> None:
     report.param("v", d.v)
     report.param("k", d.k)
     report.param("blocks", d.b)
-    report.param("digest", d.digest())  # hashed as the file was read
+    report.param("digest", d.digest())  # kept from the read if the rows were canonical as written
     group = _load_group(args.group_file) if args.group_file else None
     report.checks(certify(d, group, one_blocked=args.one_blocked))
 

@@ -34,7 +34,9 @@ its entry.  ``stabilizer_scan`` scans one element of each cyclic subgroup.
 ``read_design`` feeds it each piece's points as the reader takes them, in
 file order, while other CPUs tokenize later pieces; the design read keeps
 that digest when its table is the rows as read, and a file whose rows
-needed sorting leaves the design to hash its own table.
+needed sorting leaves the design to hash its own table.  The hash slows
+the read by most of what it saves the first ``digest()`` call, so a reader
+that takes no digest passes ``digest=False`` and hashes nothing.
 """
 from __future__ import annotations
 
@@ -514,22 +516,26 @@ def write_design(design: Design, path, comments: Sequence[str] = ()) -> str:
                           design.v, [design.blocks], comments)
 
 
-def read_design(path) -> Design:
+def read_design(path, digest: bool = True) -> Design:
     """Read a design file; ParseError names the first line that is wrong.
-    Its points are hashed as ``Design.digest`` hashes them while the reader
-    takes each piece, beside the tokenizing of later pieces; the digest is
-    kept on the design if its table is the rows as read, else none is."""
-    digest = None
+    With ``digest`` its points are hashed as ``Design.digest`` hashes them
+    while the reader takes each piece, beside the tokenizing of later
+    pieces; the digest is kept on the design if its table is the rows as
+    read, else none is.  Without it nothing is hashed."""
+    stream = None
 
     def layout(v: int, k: int, b: int) -> tuple[int, list[tuple[int, int]]]:
-        nonlocal digest
-        digest = _Digest(v, k, b)
+        nonlocal stream
+        stream = _Digest(v, k, b)
         return _design_layout(v, k, b)
 
     with open(path, "rb") as fh:
-        (v, k, _), (rows,) = textfile.read(fh, "DESIGN", ("v", "k", "b"), layout,
-                                            taken=lambda points: digest.update(points))
+        if digest:
+            (v, k, _), (rows,) = textfile.read(fh, "DESIGN", ("v", "k", "b"), layout,
+                                                taken=lambda points: stream.update(points))
+        else:
+            (v, k, _), (rows,) = textfile.read(fh, "DESIGN", ("v", "k", "b"), _design_layout)
     d = Design(v, k, rows)
-    if d.blocks is rows:  # canonical as read: the bytes hashed are the table's
-        d._verdicts["digest"] = digest.hexdigest()
+    if stream is not None and d.blocks is rows:  # canonical as read: the table's bytes were hashed
+        d._verdicts["digest"] = stream.hexdigest()
     return d

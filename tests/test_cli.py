@@ -105,6 +105,43 @@ def test_verify_reports_the_digest_of_the_design_written(tmp_path, capsys):
     assert keys.index("digest") == keys.index("blocks") + 1
 
 
+def test_only_verify_hashes_the_designs_it_reads(tmp_path, capsys, monkeypatch):
+    # compose --w/--y, construct-aligned --ingredient and a cache hit read
+    # designs whose digest no one asks for, so their reads make no digest stream
+    streams = []
+
+    class Counted(design_module._Digest):
+        def __init__(self, *header):
+            streams.append(header)
+            super().__init__(*header)
+
+    monkeypatch.setattr(design_module, "_Digest", Counted)
+    fano = tmp_path / "fano.design"
+    run(capsys, "search-base-block", "--p", "7", "--k", "3", "--out", str(fano))
+    d9 = steiner_triple_system(9)
+    write_design(d9, tmp_path / "sts9.design")
+    code, _ = run(capsys, "compose", "--mode", "rc", "--w", str(fano), "--y",
+                  str(tmp_path / "sts9.design"),
+                  "--x-points", ",".join(map(str, d9.block_tuples()[0])))
+    assert code == 0
+    cyc = Permutation.from_cycles(19, [(j, j + 1) for j in range(1, 19, 2)])
+    ingredient = tmp_path / "e19.design"
+    run(capsys, "km-search", "--v", "19", "--k", "3", "--group-file",
+        write_group(tmp_path / "cyc.group", cyc), "--out", str(ingredient))
+    code, _ = run(capsys, "construct-aligned", "--k", "3", "--group-file",
+                  write_group(tmp_path / "z2.group", Permutation.from_cycles(2, [(0, 1)])),
+                  "--ingredient", str(ingredient))
+    assert code == 0
+    for expected in ("miss", "hit"):
+        code, rep = run(capsys, "compose", "--mode", "cyclic", "--k", "3", "--h", "2",
+                        "--cache-dir", str(tmp_path / "cache"))
+        assert code == 0 and rep["cache"] == expected
+    assert streams == []
+    code, rep = run(capsys, "verify", "--design", str(fano))
+    assert code == 0 and streams == [(7, 3, 7)]
+    assert rep["digest"] == read_design(fano).digest()
+
+
 def test_verify_with_group_and_one_blocked(tmp_path, capsys):
     out = tmp_path / "fano.design"
     run(capsys, "search-base-block", "--p", "7", "--k", "3", "--out", str(out))

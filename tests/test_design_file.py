@@ -365,7 +365,8 @@ def test_round_trip_across_many_chunks(tmp_path, small_chunks):
 # -- the digest hashed as the file is read -----------------------------------
 # read_design hashes each piece's points as it takes them and keeps the
 # digest only when its table is the rows as read; a file whose rows needed
-# sorting keeps none, and the design hashes its own table.
+# sorting keeps none, and the design hashes its own table.  With
+# digest=False nothing is hashed or kept.
 
 def _lines(rows) -> str:
     return "".join(" ".join(map(str, row)) + "\n" for row in rows)
@@ -405,6 +406,9 @@ def test_a_read_design_has_the_digest_of_its_table(tmp_path, monkeypatch, case, 
     assert ("digest" in d._verdicts) == kept
     assert d.digest() == Design(v, k, rows).digest()
     assert d._verdicts["digest"] == d.digest()
+    unhashed = read_design(path, digest=False)
+    assert "digest" not in unhashed._verdicts
+    assert unhashed == d and unhashed.digest() == d.digest()
 
 
 def test_a_pickled_design_hashes_its_table_again(tmp_path):

@@ -61,7 +61,7 @@ MUTANTS = [
            "fixes_exactly_one_point looks at the generators only"),
     Mutant(DESIGN, "    if d1.b != d2.b:\n        return False\n", "",
            "_maps_onto compares only the first d2.b keys of a larger d1"),
-    Mutant(DESIGN, "    if d.blocks is rows:", "    if True:",
+    Mutant(DESIGN, "    if stream is not None and d.blocks is rows:", "    if stream is not None:",
            "a re-read design keeps the digest streamed from rows that needed sorting"),
     Mutant(DESIGN, "[col == first for col in rows.T]", "[col == first for col in rows.T[:1]]",
            "stabilizer_scan misses a stabilized block whose first point g moves"),
