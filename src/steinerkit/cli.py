@@ -527,7 +527,7 @@ def main(argv: list[str] | None = None) -> int:
     report = Report(args.command, argv)
     try:
         args.func(args, report)
-    except (SteinerError, OSError) as exc:
+    except (SteinerError, OSError, MemoryError) as exc:  # a header can ask for any size
         report.error(f"{type(exc).__name__}: {exc}")
     print(report.render())
     return 1 if report.failed else 0

@@ -11,8 +11,7 @@ rows on every CPU (``chunkmap``) and build no image design or full-size row
 gather.  A chunk of rows to be sorted and keyed is copied once into its k
 contiguous columns (``_sorted_columns``): the sorting network and the keys
 read those at unit stride.  Wider rows are sorted by ``np.lexsort`` and
-compared as relabelled designs.  Design files are ``textfile`` tables of one
-section.
+compared as relabelled designs.  A design file is one ``textfile`` table.
 
 The lambda=1 check (``_pair_cover``) sets one byte a pair in a bitmap of
 C(v,2) bytes, at the index of the reflected pair; a failed check marks the
@@ -147,8 +146,8 @@ def _sorted_keys(parts: Sequence[RowPart], v: int) -> np.ndarray | None:
 def _canonical(v: int, k: int, blocks) -> np.ndarray:
     """The blocks, one array of rows or a list of ``RowPart``s, as a read-only
     canonical ``point_dtype(v)`` table: by sorted row keys, or by ``np.lexsort``
-    for rows too wide for keys.  Canonical blocks stay as they are, a
-    ``point_dtype(v)`` array owning its data."""
+    for rows too wide for keys.  Canonical blocks, no rows included, stay as
+    they are, a ``point_dtype(v)`` array owning its data."""
     dtype = point_dtype(v)
     if isinstance(blocks, list) and blocks and isinstance(blocks[0], RowPart):
         table, parts = None, blocks
@@ -160,7 +159,7 @@ def _canonical(v: int, k: int, blocks) -> np.ndarray:
         if table.ndim != 2 or table.shape[1] != k:
             raise BadParams(f"blocks must be rows of {k} points")
         parts = _parts(table)
-    if not keyable(v, k):  # np.lexsort is a radix sort on narrow columns
+    if parts and not keyable(v, k):  # np.lexsort is a radix sort on narrow columns
         table = np.concatenate([np.empty((0, k), dtype), *chunk_map(
             lambda i: _sorted_columns(parts[i].make(), v)[0].T.astype(dtype, copy=False),
             len(parts))])
@@ -273,8 +272,10 @@ def _pair_chunks(rows: np.ndarray, v: int) -> list[Callable[[], np.ndarray]]:
     by chunks of about _ROWS pairs, each one gather of every column pair (no
     step per pair).  Each point x is read as v-1-x: the pair {i < j} has
     index i'(i'-1)/2 + j' with i' = v-1-i > j' = v-1-j, below C(v,2)."""
+    if rows.shape[1] < 2 or not len(rows):  # no pairs, and no (k, k) index table for them
+        return []
     first, second = np.triu_indices(rows.shape[1], 1)
-    step = max(1, _ROWS // max(len(first), 1))
+    step = max(1, _ROWS // len(first))
     wide = np.uint32 if rows.dtype == np.uint16 else np.int64  # C(65536, 2) < 2^32
 
     def pairs(start: int) -> np.ndarray:
@@ -286,7 +287,7 @@ def _pair_chunks(rows: np.ndarray, v: int) -> list[Callable[[], np.ndarray]]:
         idx += cols[second]
         return idx.ravel().astype(np.int64, copy=False)
 
-    return [partial(pairs, start) for start in range(0, rows.shape[0] if len(first) else 0, step)]
+    return [partial(pairs, start) for start in range(0, rows.shape[0], step)]
 
 
 def _pair_cover(v: int, tables: Sequence[np.ndarray]) -> tuple[int, int]:
@@ -501,13 +502,13 @@ def iso_in_group(d1: Design, d2: Design, maps: Sequence[Permutation]) -> Permuta
 
 # -- file format: "DESIGN v=<v> k=<k> b=<b>", then the b blocks in canonical form
 
-def _design_layout(v: int, k: int, b: int) -> tuple[int, list[tuple[int, int]]]:
-    """The ``textfile`` layout: points below v, one section of b rows of k."""
+def _design_layout(v: int, k: int, b: int) -> tuple[int, int, int]:
+    """The ``textfile`` layout: b rows of k points below v."""
     if min(v, k, b) < 0:
         raise BadParams("negative header field")
     if k < 1:
         raise BadParams(f"block size k={k} must be at least 1")
-    return v, [(b, k)]
+    return v, b, k
 
 
 def write_design(design: Design, path, comments: Sequence[str] = ()) -> str:
@@ -524,17 +525,15 @@ def read_design(path, digest: bool = True) -> Design:
     read, else none is.  Without it nothing is hashed."""
     stream = None
 
-    def layout(v: int, k: int, b: int) -> tuple[int, list[tuple[int, int]]]:
+    def layout(v: int, k: int, b: int) -> tuple[int, int, int]:
         nonlocal stream
         stream = _Digest(v, k, b)
         return _design_layout(v, k, b)
 
     with open(path, "rb") as fh:
-        if digest:
-            (v, k, _), (rows,) = textfile.read(fh, "DESIGN", ("v", "k", "b"), layout,
-                                                taken=lambda points: stream.update(points))
-        else:
-            (v, k, _), (rows,) = textfile.read(fh, "DESIGN", ("v", "k", "b"), _design_layout)
+        (v, k, _), rows = textfile.read(
+            fh, "DESIGN", ("v", "k", "b"), layout if digest else _design_layout,
+            taken=(lambda points: stream.update(points)) if digest else None)
     d = Design(v, k, rows)
     if stream is not None and d.blocks is rows:  # canonical as read: the table's bytes were hashed
         d._verdicts["digest"] = stream.hexdigest()

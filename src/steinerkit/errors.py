@@ -24,7 +24,7 @@ class BadParams(SteinerError, ValueError):
 
 
 class ParseError(SteinerError):
-    """A malformed line of a design, group, TD or net file."""
+    """A malformed line of a design or group file, the two formats read back."""
 
     def __init__(self, line_no: int, message: str):
         self.line_no = line_no

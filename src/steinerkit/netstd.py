@@ -12,13 +12,11 @@ it returns against the net/TD axioms, and keeps the verdict on the immutable res
 """
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from . import textfile
 from .errors import ActionEscape, AxiomViolation, BadParams, Unavailable, require
 from .design import _pair_cover, _sorted_columns
 from .gf import factorize, field_tables, frobenius, semilinear_map, trace
@@ -356,43 +354,14 @@ def _field_td(k: int, m: int) -> np.ndarray:
 
 
 # -- file format: "TD k=<k> n=<n>", k group rows and n^2 block rows; "NET k=<k>
-# n=<n>", k*n line rows, class by class --------------------------------------------
-
-def _sized(tag: str, k: int, n: int, layout: tuple) -> tuple:
-    """The ``textfile`` layout (bound, [(rows, width), ...]) once k, n >= 1."""
-    if k < 1 or n < 1:
-        raise BadParams(f"{tag} header needs k, n >= 1, got k={k}, n={n}")
-    return layout
-
+# n=<n>", k*n line rows, class by class; written, never read ---------------------
 
 def td_file(td: TransversalDesign):
     """The ``textfile`` tag, fields, point bound and tables of the TD."""
     return "TD", {"k": td.k, "n": td.n}, td.point_count, [td.groups, np.sort(td.blocks, axis=1)]
 
 
-def td_to_text(td: TransversalDesign) -> str:
-    return b"".join(textfile.chunks(*td_file(td))).decode()
-
-
-def td_from_text(text: str) -> TransversalDesign:
-    layout = lambda k, n: _sized("TD", k, n, (k * n, [(k, n), (n * n, k)]))  # noqa: E731
-    (k, n), (groups, blocks) = textfile.read(io.BytesIO(text.encode()), "TD", ("k", "n"), layout)
-    td = TransversalDesign(k, n, groups, blocks)
-    verify_td(td)
-    return td
-
-
 def net_file(net: Net):
     """The ``textfile`` tag, fields, point bound and table of the net."""
     lines = np.sort(net.lines[net.classes.ravel()], axis=1)
     return "NET", {"k": net.k, "n": net.n}, net.point_count, [lines]
-
-
-def net_to_text(net: Net) -> str:
-    return b"".join(textfile.chunks(*net_file(net))).decode()
-
-
-def net_from_text(text: str) -> Net:
-    (k, n), (lines,) = textfile.read(io.BytesIO(text.encode()), "NET", ("k", "n"),
-                                     lambda k, n: _sized("NET", k, n, (n * n, [(k * n, n)])))
-    return _net(n, k, lines)

@@ -357,12 +357,12 @@ def align_semiregular_cyclic(c: Permutation, c_target: Permutation) -> Permutati
 
 # -- group file format: "PERMGROUP degree=<n> gens=<m>", then each generator's images
 
-def _group_layout(degree: int, gens: int) -> tuple[int, list[tuple[int, int]]]:
-    """The ``textfile`` layout: points below degree, gens rows of degree."""
+def _group_layout(degree: int, gens: int) -> tuple[int, int, int]:
+    """The ``textfile`` layout: gens rows of degree points below degree."""
     if degree < 1 or gens < 0:
         raise BadParams(f"PERMGROUP header needs degree >= 1 and gens >= 0, "
                         f"got degree={degree}, gens={gens}")
-    return degree, [(gens, degree)]
+    return degree, gens, degree
 
 
 def group_to_text(group: PermGroup) -> str:
@@ -373,6 +373,6 @@ def group_to_text(group: PermGroup) -> str:
 
 def group_from_text(text: str) -> PermGroup:
     """ParseError names the first wrong line, a row that is no permutation included."""
-    (degree, _), (images,) = textfile.read(io.BytesIO(text.encode()), "PERMGROUP",
-                                           ("degree", "gens"), _group_layout, distinct=True)
+    (degree, _), images = textfile.read(io.BytesIO(text.encode()), "PERMGROUP",
+                                        ("degree", "gens"), _group_layout, distinct=True)
     return PermGroup(degree, [Permutation(row) for row in images])

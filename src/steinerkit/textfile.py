@@ -1,20 +1,22 @@
 """The one file format of designs, TDs, nets and groups: a header line
-``TAG name=value ...``, then the (rows, width) sections its values lay out,
-each ``rows`` rows of ``width`` points, and one bound the values give for
-every point of the file: each is in 0..bound-1.  The writer puts a space
-between points and a newline after each row; the reader also takes blank
-lines, '#' comments to the end of their line, runs of spaces, tabs or '\\r',
-a sign before a point and a last line without its newline.  Any other byte,
-'_' and non-ASCII included, or a point of more than 18 digits, is a
-ParseError naming the first line that is wrong.  Both stream through one
-ordered ``chunk_stream`` on every CPU: the writer takes the cells of
-_WRITE_ROWS rows a chunk from the file's one per-point byte table along its
-one axis, and writes and hashes each chunk while later ones are made; the
-reader reads newline-aligned chunks of _READ_BYTES bytes each into its own
-buffer, tokenizes them with numpy, in int32 while no point has over 9
-digits, in the table's dtype, and takes each chunk in order, handing its
-points to the caller's ``taken`` callback if one is given (the design reader
-hashes them there; the TD, net and group readers pass none).
+``TAG name=value ...``, then rows of points, each in 0..bound-1 for one
+bound the values give.  The writer takes the file's tables in order (a TD
+file has two: groups, then blocks); the reader reads one (rows, width)
+table, all that a design or group file holds: no TD or net file is read
+back.  The writer puts a space between points and a newline after each
+row; the reader also takes blank lines, '#' comments to the end of their
+line, runs of spaces, tabs or '\\r', a sign before a point and a last line
+without its newline.  Any other byte, '_' and non-ASCII included, or a
+point of more than 18 digits, is a ParseError naming the first line that
+is wrong.  Both stream through one ordered ``chunk_stream`` on every CPU:
+the writer takes the cells of _WRITE_ROWS rows a chunk from the file's one
+per-point byte table along its one axis, and writes and hashes each chunk
+while later ones are made; the reader reads newline-aligned chunks of
+_READ_BYTES bytes each into its own buffer, tokenizes them with numpy, in
+int32 while no point has over 9 digits, in the table's dtype, and takes
+each chunk in order, handing its points to the caller's ``taken`` callback
+if one is given (the design reader hashes them there; the group reader
+passes none).
 """
 from __future__ import annotations
 
@@ -184,18 +186,17 @@ def _tokens(a: np.ndarray, bound: int, width: int) -> tuple[np.ndarray, np.ndarr
 
 
 def read(fh: BinaryIO, tag: str, names: Sequence[str],
-         layout: Callable[..., tuple[int, list[tuple[int, int]]]],
+         layout: Callable[..., tuple[int, int, int]],
          distinct: bool = False,
-         taken: Callable[[np.ndarray], None] | None = None) -> tuple[list[int], list[np.ndarray]]:
+         taken: Callable[[np.ndarray], None] | None = None) -> tuple[list[int], np.ndarray]:
     """The values of the header (the first line not blank or a comment) and,
-    for ``(bound, sections) = layout(*values)``, which raises BadParams on
-    values it refuses, a (rows, width) array in ``point_dtype(bound)`` per
-    section.  With ``distinct`` no row repeats a point.  A piece whose lines
-    are rows of its section's width, with no problem and ending inside that
-    section, is copied straight into its table; any other is checked row by
-    row, each row in the section its index gives.  ``taken``, if given, is
-    called in the ordered consume with each piece's points once its checks
-    pass, so it sees every point in file order."""
+    for ``(bound, rows, width) = layout(*values)``, which raises BadParams on
+    values it refuses, the (rows, width) table in ``point_dtype(bound)``.
+    With ``distinct`` no row repeats a point.  A piece whose lines are rows
+    of the width, with no problem and ending inside the table, is copied
+    straight into it; any other is checked row by row.  ``taken``, if
+    given, is called in the ordered consume with each piece's points once
+    its checks pass, so it sees every point in file order."""
     line_no, line = 0, b""
     while not line.strip() or line.lstrip().startswith(b"#"):
         line_no, line = line_no + 1, fh.readline()
@@ -207,55 +208,46 @@ def read(fh: BinaryIO, tag: str, names: Sequence[str],
         raise ParseError(line_no, f"expected '{' '.join([tag, *(f'{n}=<{n}>' for n in names)])}'")
     values = [int(value) for value in match.groups()]
     try:
-        bound, sections = layout(*values)
+        bound, rows, width = layout(*values)
     except BadParams as exc:
         raise ParseError(line_no, str(exc))
-    total, here = sum(rows * width for rows, width in sections), fh.tell()
-    if total > (end := fh.seek(0, os.SEEK_END)) - here:  # a point takes a byte at least
-        raise ParseError(line_no, f"{total} points cannot fit in the file")
+    here = fh.tell()
+    if rows * width > (end := fh.seek(0, os.SEEK_END)) - here:  # a point takes a byte at least
+        raise ParseError(line_no, f"{rows * width} points cannot fit in the file")
     fh.seek(here)
-    tables = [np.empty((rows, width), dtype=point_dtype(bound)) for rows, width in sections]
-    row_ends = np.cumsum([rows for rows, _ in sections])
-    widths = np.array([width for _, width in sections] + [0])  # none past the last row
-    s = filled = rows_read = 0  # the section filling, its points filled, the rows read
-    width = max(sections, key=lambda section: section[0] * section[1])[1]  # _tokens' row test
+    table = np.empty((rows, width), dtype=point_dtype(bound))
+    flat, filled = table.reshape(-1), 0  # the points filled
 
     def take(made: tuple) -> None:
         """Raise a piece's first problem, unless it is a straight copy; fill it in."""
-        nonlocal s, filled, rows_read, line_no
+        nonlocal filled, line_no
         got, per_line, newlines, problems = made
-        if (per_line is not None or problems or distinct or width != widths[s]
-                or filled + len(got) > tables[s].size):  # not a straight copy
+        if per_line is not None or problems or distinct or filled + len(got) > flat.size:
             per_line = np.full(len(got) // width, width) if per_line is None else per_line
             at = np.flatnonzero(per_line)  # the lines that are rows
             count = per_line[at]
-            section = np.searchsorted(row_ends, rows_read + np.arange(len(at)), side="right")
-            if (wrong := (count != widths[section]) & (section < len(sections))).any():
+            past = filled // width + np.arange(len(at)) >= rows
+            if (wrong := (count != width) & ~past).any():
                 i = np.argmax(wrong)
-                problems.append((at[i], 1,
-                                 f"expected {widths[section[i]]} points, got {count[i]}"))
+                problems.append((at[i], 1, f"expected {width} points, got {count[i]}"))
             if distinct:  # each row's points sorted: a repeat equals the point before it
                 row = np.repeat(np.arange(len(at)), count)
                 point = got[np.lexsort((got, row))]
                 repeats = row[1:][(row[1:] == row[:-1]) & (point[1:] == point[:-1])]
                 if len(repeats):
                     problems.append((at[repeats[0]], 3, "repeated point in a row"))
-            if (past := section == len(sections)).any():
+            if past.any():
                 problems.append((at[np.argmax(past)], 4, "more rows than the header gives"))
             if problems:
                 at_line, _, reason = min(problems)
                 raise ParseError(line_no + 1 + int(at_line), reason)
         if taken is not None:
             taken(got)
-        while len(got):  # whole rows, each inside its section
-            n = min(len(got), tables[s].size - filled)
-            tables[s].reshape(-1)[filled:filled + n] = got[:n]
-            got, filled, rows_read = got[n:], filled + n, rows_read + n // widths[s]
-            while filled == tables[s].size and s < len(tables) - 1:
-                s, filled = s + 1, 0
+        flat[filled:filled + len(got)] = got
+        filled += len(got)
         line_no += newlines
 
     chunk_stream(_pieces(fh, end), partial(_tokens, bound=bound, width=width), take)
-    if rows_read < row_ends[-1]:
-        raise ParseError(line_no + 1, f"expected {row_ends[-1]} rows, got {rows_read}")
-    return values, tables
+    if filled < flat.size:
+        raise ParseError(line_no + 1, f"expected {rows} rows, got {filled // width}")
+    return values, table

@@ -576,6 +576,27 @@ def test_malformed_input_is_reported(tmp_path, capsys, argv, message):
     assert code == 1
 
 
+def test_a_design_with_no_rows_and_a_huge_k_fails_its_pair_check(tmp_path, capsys):
+    # no rows are canonical as they stand and hold no pairs: nothing is sized by k
+    path = tmp_path / "huge-k.design"
+    path.write_text("DESIGN v=3 k=99999999999999 b=0\n")
+    code, rep = run(capsys, "verify", "--design", str(path))
+    assert rep["check.pairs_once"] == "FAIL (deficit=3 surplus=0)"
+    assert rep["status"] == "fail" and "error" not in rep
+    assert code == 1
+
+
+@pytest.mark.parametrize("argv", [["km-search", "--v", "7", "--k", "3"],
+                                  ["construct-odd", "--k", "3"]], ids=["km-search", "construct-odd"])
+def test_a_group_too_large_to_hold_is_reported(tmp_path, capsys, argv):
+    path = tmp_path / "huge.group"
+    path.write_text("PERMGROUP degree=1000000000000000 gens=0\n")
+    code, rep = run(capsys, *argv, "--group-file", str(path))
+    assert rep["error"].startswith("MemoryError: ")
+    assert rep["status"] == "fail"
+    assert code == 1
+
+
 def test_construct_odd_checks_p_before_reporting_t(tmp_path, capsys):
     group = write_group(tmp_path / "triv.group", Permutation.identity(1))
     code, rep = run(capsys, "construct-odd", "--k", "3", "--group-file", group, "--p", "23")

@@ -3,9 +3,10 @@ text-building ``serialize`` and the ``loadtxt`` parser they replaced.
 
 The references are kept here, as in ``test_row_keys.py``.  Every comparison
 runs with small write and read chunks, so that a file spans several of them
-and a malformed line can sit after the first.  The TD, NET and group readers
-share the design reader's codec; the corpus cases that apply to them run
-through all four readers at the end.
+and a malformed line can sit after the first.  TD and net files are written
+in the same format (their writer pins are here and in ``test_netstd.py``)
+but never read back; the group reader shares the design reader's codec, and
+the corpus cases that apply to it run through both readers at the end.
 """
 from __future__ import annotations
 
@@ -32,7 +33,7 @@ from steinerkit import chunkmap, textfile
 from steinerkit.basedesigns import build_base_design, wilson_base_block
 from steinerkit.design import Design, read_design, write_design
 from steinerkit.errors import ParseError, SteinerError
-from steinerkit.netstd import mols_td, net_from_text, td_from_text, td_to_text
+from steinerkit.netstd import mols_td, td_file
 from steinerkit.permgrp import PermGroup, Permutation, group_from_text, group_to_text
 
 HYPOTHESIS = settings(max_examples=80, deadline=None)
@@ -172,8 +173,9 @@ def test_write_design_equals_plain_lines_at_uint32_width(tmp_path, monkeypatch, 
 def test_td_and_group_files_equal_plain_lines():
     td = mols_td(4, 5)
     assert td.groups.dtype == td.blocks.dtype == np.int64
-    assert td_to_text(td) == ("TD k=4 n=5\n" + plain_lines(td.groups.tolist())
-                              + plain_lines(sorted(row) for row in td.blocks.tolist()))
+    assert b"".join(textfile.chunks(*td_file(td))).decode() == (
+        "TD k=4 n=5\n" + plain_lines(td.groups.tolist())
+        + plain_lines(sorted(row) for row in td.blocks.tolist()))
     images = np.random.default_rng(1).permutation(65_537)
     gens = [Permutation(images), Permutation.identity(65_537)]
     assert group_to_text(PermGroup(65_537, gens)) == (
@@ -421,7 +423,7 @@ def test_a_pickled_design_hashes_its_table_again(tmp_path):
     assert copy.digest() == d.digest() == Design(v, k, rows).digest()
 
 
-# -- one corpus, four readers ------------------------------------------------
+# -- one corpus, two readers -------------------------------------------------
 # Each format's legal file has 12 rows of 3 points on lines 2..13, like TEXT,
 # so a corpus case is the same edit of the same line in every format.
 
@@ -431,14 +433,6 @@ def _rows(*rows) -> list[str]:
 
 FORMATS = {  # header, rows, point bound, reader to arrays
     "design": ("DESIGN v=30 k=3 b=12", ROWS, 30, lambda text: read_text(text).blocks),
-    "td": ("TD k=3 n=3",
-           _rows(*[range(g, g + 3) for g in (0, 3, 6)],
-                 *[(x, 3 + y, 6 + (x + y) % 3) for x in range(3) for y in range(3)]),
-           9, lambda text: np.concatenate([(td := td_from_text(text)).groups, td.blocks])),
-    "net": ("NET k=4 n=3",
-            _rows((0, 1, 2), (3, 4, 5), (6, 7, 8), (0, 3, 6), (1, 4, 7), (2, 5, 8),
-                  (0, 4, 8), (1, 5, 6), (2, 3, 7), (0, 5, 7), (1, 3, 8), (2, 4, 6)),
-            9, lambda text: net_from_text(text).lines),
     "group": ("PERMGROUP degree=3 gens=12", _rows(*itertools.permutations(range(3))) * 2, 3,
               lambda text: np.stack([g.images for g in group_from_text(text).generators])),
 }
@@ -464,12 +458,7 @@ FILE_EDITS = {
     "carriage returns": lambda text: text.replace("\n", "\r\n"),
     "no final newline": lambda text: text[:-1],
 }
-# a TD's section boundary: the last group row is n points wide, the first block row k
-TD_EDITS = {
-    "wrong-width last group row": (4, lambda p, v: f"{p[0]} {p[1]}"),
-    "wrong-width first block row": (5, lambda p, v: f"{p[0]} {p[1]} {p[2]} {p[0]}"),
-}
-LINES = {case: line for case, _, line in CORPUS} | {case: line for case, (line, _) in TD_EDITS.items()}
+LINES = {case: line for case, _, line in CORPUS}
 
 
 def edited(fmt: str, case: str) -> str:
@@ -477,14 +466,13 @@ def edited(fmt: str, case: str) -> str:
     rows = list(rows)
     if case in FILE_EDITS:
         return FILE_EDITS[case](head + "\n" + "".join(f"{r}\n" for r in rows))
-    line, edit = (ROW_EDITS | TD_EDITS)[case]
+    line, edit = ROW_EDITS[case]
     rows[line - 2] = edit(rows[line - 2].split(), bound)
     return head + "\n" + "".join(f"{r}\n" for r in rows)
 
 
 @pytest.mark.parametrize("fmt, case", [(fmt, case) for fmt in FORMATS
-                                       for case in [*ROW_EDITS, *FILE_EDITS]]
-                         + [("td", case) for case in TD_EDITS])
+                                       for case in [*ROW_EDITS, *FILE_EDITS]])
 def test_every_reader_meets_the_corpus_alike(fmt, case):
     head, rows, _, read = FORMATS[fmt]
     text = edited(fmt, case)
@@ -570,18 +558,17 @@ def test_read_gives_the_same_tables_on_one_two_or_three_workers(monkeypatch, rea
     head, *rows = serialize(d).splitlines()
     text = "\n".join([head, *(f"{row}  # row {i}\n" if i % 5 == 0 else row
                               for i, row in enumerate(rows))]) + "\n"
-    td = mols_td(4, 5)
+    group = PermGroup(31, [Permutation(np.roll(np.arange(31), 1)), Permutation.identity(31)])
     monkeypatch.setattr(textfile, "_READ_BYTES", read_bytes)
     seen = []
     for workers in (1, 2, 3):
         monkeypatch.setattr(chunkmap, "WORKERS", workers)
-        back = td_from_text(td_to_text(td))
-        seen.append((read_text(text).blocks.tobytes(), back.groups.tobytes(),
-                     back.blocks.tobytes()))
+        back = group_from_text(group_to_text(group))
+        seen.append([read_text(text).blocks.tobytes(),
+                     *(g.images.tobytes() for g in back.generators)])
     assert seen[0] == seen[1] == seen[2]
     assert seen[0][0] == d.blocks.tobytes()
-    assert (back.groups.tolist(), back.blocks.tolist()) == (td.groups.tolist(),
-                                                            td.blocks.tolist())
+    assert back.generators == group.generators
 
 
 def test_two_threads_writing_one_path_leave_one_whole_file(tmp_path, monkeypatch):
@@ -613,42 +600,20 @@ def test_two_threads_writing_one_path_leave_one_whole_file(tmp_path, monkeypatch
     assert [p.name for p in tmp_path.iterdir()] == ["d.design"]
 
 
-@pytest.mark.parametrize("case", TD_EDITS)
-@pytest.mark.parametrize("read_bytes", [6, 16, 64])
-def test_a_bad_line_at_a_td_section_boundary_is_named_alike(monkeypatch, one_and_two_workers,
-                                                            case, read_bytes):
-    monkeypatch.setattr(textfile, "_READ_BYTES", read_bytes)
-    one, two = one_and_two_workers(lambda: td_from_text(edited("td", case)))
-    assert one == two
-    assert one[0] is ParseError and one[1].startswith(f"line {LINES[case]}: expected 3 points")
-
-
 # -- where the bytes are cut -------------------------------------------------
-# Read 1..64 bytes at a time, and at the default, a TD's section boundary and
-# every bad line fall at each offset of a chunk and of a batch; the verdict
-# is the same at every cut, on 1 worker and on 2.
+# Read 1..64 bytes at a time, and at the default, every bad line falls at
+# each offset of a chunk and of a batch; the verdict is the same at every
+# cut, on 1 worker and on 2.
 
-def design_tables(text: str) -> list[np.ndarray]:
+def design_table(text: str) -> np.ndarray:
     return textfile.read(io.BytesIO(text.encode()), "DESIGN", ("v", "k", "b"),
                          design_module._design_layout)[1]
 
 
-def td_tables(text: str) -> list[np.ndarray]:
-    td = td_from_text(text)
-    return [td.groups, td.blocks]
-
-
-TD_TEXT = FORMATS["td"][0] + "\n" + "".join(f"{r}\n" for r in FORMATS["td"][1])
-# group rows 4 points wide, block rows 3
-CUT_BASES = [(design_tables, text) for _, text, _ in CORPUS] + [
-    (td_tables, TD_TEXT), (td_tables, td_to_text(mols_td(3, 4)))]
-
-
 @st.composite
 def cut_cases(draw):
-    """A corpus text or a legal TD text, unedited or with one byte replaced,
-    inserted or deleted."""
-    read, text = draw(st.sampled_from(CUT_BASES))
+    """A corpus text, unedited or with one byte replaced, inserted or deleted."""
+    text = draw(st.sampled_from([text for _, text, _ in CORPUS]))
     edit = draw(st.sampled_from(["none", "replace", "insert", "delete"]))
     at = draw(st.integers(0, max(len(text) - 1, 0)))
     byte = draw(st.sampled_from(" \n\t\r#x-+.0123456789"))
@@ -656,17 +621,15 @@ def cut_cases(draw):
         text = text[:at] + byte + text[at:]
     elif edit != "none" and text:
         text = text[:at] + (byte if edit == "replace" else "") + text[at + 1:]
-    return read, text
+    return text
 
 
 @HYPOTHESIS
-@given(case=cut_cases())
-def test_the_verdict_does_not_depend_on_where_the_bytes_are_cut(case):
-    read, text = case
-
+@given(text=cut_cases())
+def test_the_verdict_does_not_depend_on_where_the_bytes_are_cut(text):
     def outcome():
         try:
-            return [table.tobytes() for table in read(text)]
+            return design_table(text).tobytes()
         except SteinerError as exc:
             return type(exc), str(exc)
 
@@ -705,23 +668,10 @@ def test_a_line_with_two_problems_names_the_first_by_rank(monkeypatch, fmt, row,
         read(text)
 
 
-@pytest.mark.parametrize("read, text, line", [
-    (read_text, TEXT + "21 25\n", 14),
-    (read_text, "DESIGN v=4 k=2 b=0\n\n0 1 2\n", 3),
-    (td_from_text, TD_TEXT + "0 3\n", 14),
-], ids=["design", "no rows", "td"])
-def test_a_row_past_the_last_section_is_one_more_than_the_header_gives(read, text, line):
+@pytest.mark.parametrize("text, line", [
+    (TEXT + "21 25\n", 14),
+    ("DESIGN v=4 k=2 b=0\n\n0 1 2\n", 3),
+], ids=["design", "no rows"])
+def test_a_row_past_the_last_section_is_one_more_than_the_header_gives(text, line):
     with pytest.raises(ParseError, match=f"^line {line}: more rows than the header gives$"):
-        read(text)
-
-
-def test_block_rows_as_wide_as_group_rows_are_refused_at_every_cut(monkeypatch,
-                                                                    one_and_two_workers):
-    # k=3, n=4: each block row gets a fourth point, so a batch that starts
-    # among the group rows can hold block rows of the group rows' width
-    head, *rows = td_to_text(mols_td(3, 4)).splitlines()
-    text = "\n".join([head, *rows[:3], *(f"{row} 0" for row in rows[3:])]) + "\n"
-    for read_bytes in range(1, 65):
-        monkeypatch.setattr(textfile, "_READ_BYTES", read_bytes)
-        assert one_and_two_workers(lambda: td_from_text(text)) == [
-            (ParseError, "line 5: expected 3 points, got 4")] * 2
+        read_text(text)

@@ -5,20 +5,18 @@ import hashlib
 import numpy as np
 import pytest
 
-from steinerkit import netstd
-from steinerkit.errors import AxiomViolation, BadParams, ParseError, Unavailable
+from steinerkit import netstd, textfile
+from steinerkit.errors import AxiomViolation, BadParams, Unavailable
 from steinerkit.netstd import (
     Net,
     TransversalDesign,
     cyclic_td,
     mols_td,
+    net_file,
     net_from_affine_plane,
-    net_from_text,
     net_product,
-    net_to_text,
     semilinear_net,
-    td_from_text,
-    td_to_text,
+    td_file,
     verify_net,
     verify_td,
 )
@@ -236,70 +234,13 @@ def test_mols_td_full_plane_k_eq_m_plus_1():
     verify_td(td)
 
 
-def test_td_text_round_trip():
-    td = cyclic_td(3, 4).td
-    text = td_to_text(td)
-    back = td_from_text(text)
-    verify_td(back)
-    assert back.k == td.k and back.n == td.n
-    assert {frozenset(b) for b in back.blocks} == {frozenset(b) for b in td.blocks}
-
-
-def test_net_text_round_trip():
-    net = net_from_affine_plane(3, 3)
-    text = net_to_text(net)
-    back = net_from_text(text)
-    verify_net(back)
-    assert {frozenset(l) for l in back.lines} == {frozenset(l) for l in net.lines}
-
-
-def test_td_reader_names_a_non_integer_line():
-    with pytest.raises(ParseError) as exc:
-        td_from_text("TD k=3 n=1\n0\n1\n# comment\n2\n0 1 x\n")
-    assert exc.value.line_no == 6
-
-
-def test_net_reader_names_a_non_integer_line():
-    text = net_to_text(net_from_affine_plane(3, 3)).replace("1 4 7", "1 4 x")
-    with pytest.raises(ParseError) as exc:
-        net_from_text(text)
-    assert exc.value.line_no == 3
-
-
-def test_td_reader_names_a_row_of_the_wrong_width():
-    # a group row is n points wide, a block row k points wide
-    with pytest.raises(ParseError, match="expected 1 points, got 2") as exc:
-        td_from_text("TD k=3 n=1\n0\n1 5\n2\n0 1 2\n")
-    assert exc.value.line_no == 3
-    with pytest.raises(ParseError, match="expected 3 points, got 4") as exc:
-        td_from_text("TD k=3 n=1\n0\n1\n# comment\n2\n0 1 2 3\n")
-    assert exc.value.line_no == 6
-    with pytest.raises(ParseError, match="expected 3 points, got 2") as exc:
-        td_from_text("TD k=3 n=1\n0\n1\n2\n0 1\n")
-    assert exc.value.line_no == 5
-
-
-def test_net_reader_names_a_line_of_the_wrong_width():
-    text = net_to_text(net_from_affine_plane(3, 3)).replace("1 4 7", "1 4")
-    with pytest.raises(ParseError, match="expected 3 points, got 2") as exc:
-        net_from_text(text)
-    assert exc.value.line_no == 3
-    text = net_to_text(net_from_affine_plane(3, 3)).replace("2 5 8", "2 5 8 0")
-    with pytest.raises(ParseError, match="expected 3 points, got 4") as exc:
-        net_from_text(text)
-    assert exc.value.line_no == 4
-
-
-@pytest.mark.parametrize("reader,header", [(td_from_text, "TD k=-1 n=2"), (td_from_text, "TD k=3 n=0"),
-                                           (net_from_text, "NET k=3 n=-3"), (net_from_text, "NET k=0 n=3")])
-def test_readers_reject_a_header_below_one(reader, header):
-    with pytest.raises(ParseError, match="header needs k, n >= 1") as exc:
-        reader(f"# comment\n{header}\n0 1\n")
-    assert exc.value.line_no == 2
-
-
 def _sha256(text):
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _file_text(file) -> str:
+    """The text ``textfile.write`` writes for a ``td_file`` or ``net_file``."""
+    return b"".join(textfile.chunks(*file)).decode()
 
 
 def _fingerprints():
@@ -310,11 +251,11 @@ def _fingerprints():
 
     def pin_td(name, td):
         assert all(list(r) == sorted(r) for r in [*td.groups.tolist(), *td.blocks.tolist()]), name
-        out[name] = _sha256(td_to_text(td))
+        out[name] = _sha256(_file_text(td_file(td)))
 
     def pin_net(name, net):
         assert all(r == sorted(r) for r in net.lines.tolist()), name
-        out[name] = _sha256(net_to_text(net))
+        out[name] = _sha256(_file_text(net_file(net)))
 
     def pin_perm(name, perm):
         out[name] = _sha256(",".join(map(str, perm.images)))

@@ -41,6 +41,7 @@ class Mutant(NamedTuple):
 
 
 DESIGN, CERTIFY = "src/steinerkit/design.py", "src/steinerkit/certify.py"
+TEXTFILE = "src/steinerkit/textfile.py"
 MUTANTS = [
     Mutant(DESIGN, "        twice[idx[1:][idx[1:] == idx[:-1]]] = True\n", "",
            "a pair covered twice inside one chunk of the counting pass is not counted"),
@@ -67,6 +68,17 @@ MUTANTS = [
            "stabilizer_scan misses a stabilized block whose first point g moves"),
     Mutant(CERTIFY, "(c for c in log if not c.ok)", "(c for c in log[:1] if not c.ok)",
            "require_certified looks at the first entry of the log only"),
+    Mutant(TEXTFILE, "np.arange(len(at)) >= rows\n", "np.arange(len(at)) > rows\n",
+           "the reader takes a row past the header's b as a row of the table"),
+    Mutant(TEXTFILE, "(count != width) & ~past", "(count > width) & ~past",
+           "the reader takes a row with too few points, shifting the rows after it"),
+    Mutant(TEXTFILE, "    if filled < flat.size:\n", "    if filled < flat.size - width:\n",
+           "the reader takes a file one row short of the header's b, its last row unset"),
+    Mutant(DESIGN, "    if workers > 1:\n        keys.partition(cuts[1:-1])\n", "",
+           "_sort sorts each worker's slice of the keys but not the keys as a whole"),
+    Mutant(DESIGN, "if all(a[1] < b[0] for a, b in zip(firsts, firsts[1:])):",
+           "if all(a[0] < b[0] for a, b in zip(firsts, firsts[1:])):",
+           "_sorted_keys takes canonical parts whose key ranges overlap as canonical rows"),
 ]
 
 
